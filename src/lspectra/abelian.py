@@ -192,7 +192,11 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U·A·V = D with U, V unimodular and D in invariant-factor form."""
+    """U·A·V = D with U, V unimodular and D in invariant-factor form.
+
+    One factorisation serves every solve and kernel query against A; the
+    answers equal those of the module-level ``solve`` and ``kernel_basis``.
+    """
 
     U: IntMatrix
     D: IntMatrix
@@ -201,25 +205,39 @@ class SnfResult:
     def diagonal(self):
         return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]
 
+    def solve(self, b) -> list[int] | None:
+        """One integer solution of A·x = b, or None if there is none."""
+        return _back_substitute(self.U.entries, self.D.entries, self.V.entries, b)
 
-def _snf_raw(a, m, n):
+    def kernel_basis(self) -> IntMatrix:
+        """Basis of the integer kernel lattice of A, columns of the result."""
+        return _kernel_columns(self.D.entries, self.V.entries)
+
+
+def _snf_raw(a, m, n, track_uinv=False):
     """Return (U, Uinv, D, V) as lists with U·A·V = D.
 
     Pivot choice is the smallest nonzero absolute value of the remaining
-    block, scanned row-major; this bounds coefficient growth and makes the
-    output deterministic.
+    block, scanned row-major, which makes the output deterministic.  It does
+    not bound coefficient growth: the transforms are never reduced, and a
+    dense 11x11 input with 9-bit entries can give transforms with entries of
+    some 86 000 bits.  So factor a matrix once with ``smith_normal_form``
+    and put every solve or kernel query against it through the returned
+    ``SnfResult``.  ``Uinv`` is tracked only when ``track_uinv`` is set (it
+    is None otherwise); U, D and V do not depend on it.
     """
     M = [list(row) for row in a]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_uinv else None
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         if i != j:
             M[i], M[j] = M[j], M[i]
             U[i], U[j] = U[j], U[i]
-            for r in range(m):
-                Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+            if Uinv is not None:
+                for r in range(m):
+                    Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
 
     def swap_cols(i, j):
         if i != j:
@@ -234,8 +252,9 @@ def _snf_raw(a, m, n):
             M[dst][k] += c * M[src][k]
         for k in range(m):
             U[dst][k] += c * U[src][k]
-        for r in range(m):
-            Uinv[r][src] -= c * Uinv[r][dst]
+        if Uinv is not None:
+            for r in range(m):
+                Uinv[r][src] -= c * Uinv[r][dst]
 
     def add_col(src, dst, c):
         for r in range(m):
@@ -248,8 +267,9 @@ def _snf_raw(a, m, n):
             M[i][k] = -M[i][k]
         for k in range(m):
             U[i][k] = -U[i][k]
-        for r in range(m):
-            Uinv[r][i] = -Uinv[r][i]
+        if Uinv is not None:
+            for r in range(m):
+                Uinv[r][i] = -Uinv[r][i]
 
     t = 0
     while t < m and t < n:
@@ -317,34 +337,42 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     )
 
 
+def _kernel_columns(D, V) -> IntMatrix:
+    """Kernel basis read off the rows of D and V from one factorisation."""
+    m, n = len(D), len(V)
+    cols = [j for j in range(n) if j >= m or D[j][j] == 0]
+    return IntMatrix([[row[j] for j in cols] for row in V], shape=(n, len(cols)))
+
+
+def _back_substitute(U, D, V, b) -> list[int] | None:
+    """Solve A·x = b through U·A·V = D: x = V·y with D·y = U·b."""
+    m, n = len(U), len(V)
+    if len(b) != m:
+        raise ValueError("right-hand side length does not match the row count")
+    y = [0] * n
+    for i, row in enumerate(U):
+        ub = sum(u * x for u, x in zip(row, b))
+        d = D[i][i] if i < n else 0
+        if d == 0:
+            if ub != 0:
+                return None
+        else:
+            if ub % d:
+                return None
+            y[i] = ub // d
+    return [sum(v * yk for v, yk in zip(row, y)) for row in V]
+
+
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice, columns of the result."""
     _, _, D, V = _snf_raw(A.entries, A.rows, A.cols)
-    cols = []
-    for j in range(A.cols):
-        if j >= A.rows or D[j][j] == 0:
-            cols.append([V[i][j] for i in range(A.cols)])
-    return IntMatrix(
-        [[col[i] for col in cols] for i in range(A.cols)],
-        shape=(A.cols, len(cols)),
-    )
+    return _kernel_columns(D, V)
 
 
 def solve(A: IntMatrix, b) -> list[int] | None:
     """One integer solution of A·x = b, or None if there is none."""
     U, _, D, V = _snf_raw(A.entries, A.rows, A.cols)
-    ub = [sum(U[i][k] * b[k] for k in range(A.rows)) for i in range(A.rows)]
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = D[i][i] if i < A.cols else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-    return [sum(V[i][k] * y[k] for k in range(A.cols)) for i in range(A.cols)]
+    return _back_substitute(U, D, V, b)
 
 
 def lattice_canonical(gens: IntMatrix) -> tuple:
@@ -580,7 +608,7 @@ def cokernel_with_gens(A: IntMatrix):
     whose class generates the i-th cyclic summand and ``orders`` follows the
     group's generator convention (free parts first, order 0).
     """
-    U, Uinv, D, _ = _snf_raw(A.entries, A.rows, A.cols)
+    U, Uinv, D, _ = _snf_raw(A.entries, A.rows, A.cols, track_uinv=True)
     m = A.rows
     free, tors = [], []
     for i in range(m):
@@ -641,9 +669,10 @@ def _lattice_quotient(L: IntMatrix, N: IntMatrix) -> FgAbGroup:
     """The group L/N for sublattices N <= L of the same ambient Z^n."""
     basis = lattice_canonical(L)
     B = IntMatrix([[row[i] for row in basis] for i in range(L.rows)], shape=(L.rows, len(basis)))
+    snf = smith_normal_form(B) if N.cols else None
     cols = []
     for c in N.columns():
-        x = solve(B, c)
+        x = snf.solve(c)
         if x is None:
             raise ValueError("N is not contained in L")
         cols.append(x)

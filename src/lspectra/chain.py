@@ -16,7 +16,7 @@ from .abelian import (
     IntMatrix,
     cokernel_with_gens,
     kernel_basis,
-    solve,
+    smith_normal_form,
 )
 
 __all__ = ["IntComplex", "tensor", "dual", "cone"]
@@ -105,9 +105,10 @@ class IntComplex:
         if K.cols == 0:
             return FgAbGroup(), [], []
         dnext = self.diff(n + 1)
+        snf = smith_normal_form(K) if dnext.cols else None
         cols = []
         for c in dnext.columns():
-            x = solve(K, c)
+            x = snf.solve(c)
             if x is None:
                 raise ValueError("boundary not contained in cycles; not a complex")
             cols.append(x)

@@ -97,10 +97,9 @@ def cmd_invariant(args, out):
     elif args.name == "beta":
         if isinstance(doc, dict) and "kind" in doc:
             # a structured-complex file: extract its linking form first
-            from .forms import brown_kervaire as bk
             from .poincare import StructuredComplex, linking_form
 
-            value = bk(linking_form(StructuredComplex.from_json(doc)))
+            value = brown_kervaire(linking_form(StructuredComplex.from_json(doc)))
         else:
             value = brown_kervaire(LinkingForm.from_json(doc))
     else:

@@ -33,7 +33,6 @@ from .graded import (
 
 __all__ = [
     "RingPresentation",
-    "ModulePresentation",
     "CheckResult",
     "TABLE_NAMES",
     "presentation",
@@ -138,15 +137,6 @@ class RingPresentation:
                 m = mono_mul(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
         return self.reduce(out)
-
-
-@dataclass(frozen=True)
-class ModulePresentation:
-    """A graded module over a named ring, with explicit generator actions."""
-
-    name: str
-    over: str
-    # action[symbol] maps a basis label at degree d to [(coeff, label')] at d + |symbol|
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +826,8 @@ def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
     degree -4, and self-duality of the two-fold shift (the skew variant).
     """
     W = window
-    P = _pad(window)
+    # pad a window closed under n -> -n: the duals below reflect degrees
+    P = _pad((min(W[0], -W[1]), max(W[1], -W[0])))
     lgs = table("Lgs", P)
     lgq = table("Lgq", P)
     ls = table("Ls", P)

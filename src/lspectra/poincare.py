@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .abelian import FgAbGroup, IntMatrix, kernel_basis, solve
+from .abelian import FgAbGroup, IntMatrix, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_segments
 from .forms import DegenerateFormError, LinkingForm, brown_kervaire, check_quadratic, nondegenerate
 
@@ -391,21 +391,19 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None, bound=1 
     if H.is_trivial():
         return LinkingForm(FgAbGroup(), {(): Fraction(0)})
     d = C.diff(carrier + 1)
+    snf = smith_normal_form(d)  # one factorisation serves every lift below
     # one uniform 2-power exponent K for every class
     K = 0
     for g in gens:
         k = 0
-        while solve(d, [(1 << k) * v for v in g]) is None:
+        while snf.solve([(1 << k) * v for v in g]) is None:
             k += 1
             if 1 << k > 2 * H.order():
                 raise DegenerateFormError("no 2-power lift found; invalid input")
         K = max(K, k)
-    lifts = []
-    for g in gens:
-        z = solve(d, [(1 << K) * v for v in g])
-        lifts.append(z)
+    lifts = [snf.solve([(1 << K) * v for v in g]) for g in gens]
     if lift_rng is not None:
-        ker = kernel_basis(d)
+        ker = snf.kernel_basis()
         for z in lifts:
             for j in range(ker.cols):
                 c = lift_rng.randint(-3, 3)

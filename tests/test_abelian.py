@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lspectra import abelian
 from lspectra.abelian import (
     EnumerationBoundError,
     FgAbGroup,
@@ -15,6 +16,16 @@ from lspectra.abelian import (
     lattice_eq,
     smith_normal_form,
     solve,
+)
+
+from lspectra.chain import IntComplex
+from lspectra.forms import brown_kervaire
+from lspectra.poincare import (
+    PoincareStructure,
+    StructuredComplex,
+    linking_form,
+    representative,
+    tensor_structured,
 )
 
 from helpers import (
@@ -69,6 +80,156 @@ class TestSmithNormalForm:
         assert x is not None
         assert [sum(a[i, l] * x[l] for l in range(3)) for i in range(2)] == [3, 3]
         assert solve(IntMatrix([[2]]), [1]) is None
+
+
+def _shaped_matrix(rng, rows, cols, lo=-9, hi=9):
+    return IntMatrix(
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], shape=(rows, cols)
+    )
+
+
+def _oracle_matrices(seed, count=120, max_dim=8):
+    """Seeded mix of empty, non-square, full-rank and rank-deficient matrices."""
+    rng = random.Random(seed)
+    out = [IntMatrix.zero(0, 3), IntMatrix.zero(4, 0), IntMatrix.zero(0, 0), IntMatrix.zero(3, 5)]
+    for _ in range(count):
+        rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+        if rng.random() < 0.5 and rows and cols:
+            # rank at most r: a product through Z^r
+            r = rng.randint(0, min(rows, cols) - 1)
+            out.append(_shaped_matrix(rng, rows, r, -3, 3) @ _shaped_matrix(rng, r, cols, -3, 3))
+        else:
+            out.append(_shaped_matrix(rng, rows, cols))
+    return out
+
+
+def _apply(a, x):
+    return [sum(a[i, j] * x[j] for j in range(a.cols)) for i in range(a.rows)]
+
+
+class TestFactorOnce:
+    """SnfResult answers every query the module-level functions answer."""
+
+    def test_solve_matches_module_solve(self):
+        rng = random.Random(2024)
+        solvable = unsolvable = 0
+        for a in _oracle_matrices(11):
+            snf = smith_normal_form(a)
+            for _ in range(3):
+                x0 = [rng.randint(-9, 9) for _ in range(a.cols)]
+                b = _apply(a, x0)
+                x = snf.solve(b)
+                assert x == solve(a, b)
+                assert x is not None and _apply(a, x) == b
+                solvable += 1
+                # off the image, unless the lattice happens to contain it
+                c = [v + rng.choice((1, 2, 3)) * (i == 0) for i, v in enumerate(b)]
+                y = snf.solve(c)
+                assert y == solve(a, c)
+                if y is None:
+                    unsolvable += 1
+                else:
+                    assert _apply(a, y) == c
+        assert solvable > 300 and unsolvable > 100
+
+    def test_unsolvable_is_none(self):
+        a = IntMatrix([[2, 4], [4, 8], [0, 0]])
+        snf = smith_normal_form(a)
+        for b in ([1, 0, 0], [2, 0, 0], [0, 0, 1], [2, 4, 1]):
+            assert snf.solve(b) is None
+            assert solve(a, b) is None
+        assert snf.solve([2, 4, 0]) == solve(a, [2, 4, 0])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form(IntMatrix([[1, 0], [0, 1]])).solve([1])
+
+    def test_kernel_basis_matches_module_kernel(self):
+        for a in _oracle_matrices(12):
+            snf = smith_normal_form(a)
+            k = snf.kernel_basis()
+            assert k == kernel_basis(a)
+            rank = sum(1 for d in snf.diagonal() if d)
+            assert (k.rows, k.cols) == (a.cols, a.cols - rank)
+            for col in k.columns():
+                assert not any(_apply(a, col))
+
+    def test_uinv_tracking_leaves_transforms_unchanged(self):
+        for a in _oracle_matrices(13):
+            U, none, D, V = abelian._snf_raw(a.entries, a.rows, a.cols)
+            U2, Uinv, D2, V2 = abelian._snf_raw(a.entries, a.rows, a.cols, track_uinv=True)
+            assert none is None
+            assert (U, D, V) == (U2, D2, V2)
+            if a.rows:
+                assert IntMatrix(Uinv) @ IntMatrix(U) == IntMatrix.identity(a.rows)
+
+    @pytest.mark.parametrize("lift_seed", [None, 1])
+    def test_linking_form_factors_each_matrix_once(self, lift_seed, monkeypatch):
+        # d_0, its kernel basis, the boundary coordinates and d_1
+        S = _hidden_e_tensor_f_plus_h(random.Random(5))
+        seen = []
+        raw = abelian._snf_raw
+
+        def counted(a, m, n, *args, **kwargs):
+            seen.append((m, n, tuple(tuple(row) for row in a)))
+            return raw(a, m, n, *args, **kwargs)
+
+        monkeypatch.setattr(abelian, "_snf_raw", counted)
+        lift_rng = None if lift_seed is None else random.Random(lift_seed)
+        assert brown_kervaire(linking_form(S, lift_rng=lift_rng)) == 4
+        assert len(set(seen)) == 4
+        assert len(seen) == len(set(seen))
+
+
+def _hidden_e_tensor_f_plus_h(rng):
+    """E (x) (F + hyperbolic) plus contractible Z --1--> Z summands in degrees
+    1 -> 0 and 0 -> -1, transported along random unimodular bases."""
+    f_plus_h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    plane = StructuredComplex(
+        IntComplex({1: 4}), PoincareStructure("quadratic", 2, {(0, 1): f_plus_h})
+    )
+    T = tensor_structured(representative("E"), plane)
+    C = T.complex
+    # block sums: degree 1 gains one generator, degree 0 two, degree -1 one
+    extra = {1: 1, 0: 2, -1: 1}
+    ranks = {k: C.rank(k) + extra.get(k, 0) for k in (1, 0, -1)}
+
+    def grow(m, rows, cols, placements=()):
+        out = [[0] * cols for _ in range(rows)]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[i][j] = m[i, j]
+        for i, j in placements:
+            out[i][j] = 1
+        return IntMatrix(out, shape=(rows, cols))
+
+    d = {
+        1: grow(C.diff(1), ranks[0], ranks[1], [(C.rank(0), C.rank(1))]),
+        0: grow(C.diff(0), ranks[-1], ranks[0], [(C.rank(-1), C.rank(0) + 1)]),
+    }
+    psi = {
+        (lv, k): grow(m, ranks[k], ranks[1 + lv - k])
+        for (lv, k), m in T.structure.psi.items()
+    }
+
+    def unimodular(n):
+        a, ainv = IntMatrix.identity(n), IntMatrix.identity(n)
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            e = [[int(r == s) for s in range(n)] for r in range(n)]
+            einv = [row[:] for row in e]
+            e[i][j], einv[i][j] = c, -c
+            a, ainv = IntMatrix(e) @ a, ainv @ IntMatrix(einv)
+        return a, ainv
+
+    bases = {k: unimodular(r) for k, r in ranks.items()}
+    d = {k: bases[k - 1][0] @ m @ bases[k][1] for k, m in d.items()}
+    psi = {
+        (lv, k): bases[k][1].transpose() @ m @ bases[1 + lv - k][1]
+        for (lv, k), m in psi.items()
+    }
+    return StructuredComplex(IntComplex(ranks, d), PoincareStructure("quadratic", 1, psi))
 
 
 class TestFgAbGroup:

@@ -127,6 +127,16 @@ class TestVerify:
         code, out = run(["verify", "B", "--window", "-12..12", "--format", "tsv"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("window", ["-12..18", "-5..30"])
+    def test_suite_b_passes_on_asymmetric_windows(self, window, capsys):
+        # the Anderson duals reflect degrees, so the padded window must
+        # contain the reflection of the requested one
+        code, out = run(["verify", "B", "--window", window, "--format", "tsv"], capsys)
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 10
+        assert all(row.split("\t")[1] == "PASS" for row in rows)
+
     def test_presentations(self, capsys):
         code, out = run(["verify", "presentations", "--format", "json"], capsys)
         assert code == 0
