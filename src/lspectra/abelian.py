@@ -79,6 +79,11 @@ class IntMatrix:
         return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
 
     @classmethod
+    def from_columns(cls, cols, rows):
+        """The rows x len(cols) matrix whose j-th column is ``cols[j]``."""
+        return cls([[c[i] for c in cols] for i in range(rows)], shape=(rows, len(cols)))
+
+    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -538,7 +543,7 @@ class FgAbGroup:
             col = [0] * g
             col[self.free_rank + i] = d
             cols.append(col)
-        return IntMatrix([[c[i] for c in cols] for i in range(g)], shape=(g, len(cols)))
+        return IntMatrix.from_columns(cols, g)
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup.from_divisors(
@@ -594,8 +599,8 @@ class FgAbGroup:
 
 def cokernel(A: IntMatrix) -> FgAbGroup:
     """Isomorphism class of coker(A : Z^cols -> Z^rows)."""
-    diag = smith_normal_form(A).diagonal()
-    nonzero = [d for d in diag if d]
+    _, _, D, _ = _snf_raw(A.entries, A.rows, A.cols)
+    nonzero = [D[i][i] for i in range(min(A.rows, A.cols)) if D[i][i]]
     return FgAbGroup.from_divisors(
         [d for d in nonzero if d > 1] + [0] * (A.rows - len(nonzero))
     )
@@ -650,25 +655,18 @@ def _kernel_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:
     block = M.hstack(R) if R.cols else M
     K = kernel_basis(block)
     cols = [[K[i, j] for i in range(src.gens())] for j in range(K.cols)]
-    cols += [c for c in src.relation_matrix().columns()]
-    return IntMatrix(
-        [[c[i] for c in cols] for i in range(src.gens())],
-        shape=(src.gens(), len(cols)),
-    )
+    cols += src.relation_matrix().columns()
+    return IntMatrix.from_columns(cols, src.gens())
 
 
 def _image_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:
-    cols = M.columns() + tgt.relation_matrix().columns()
-    return IntMatrix(
-        [[c[i] for c in cols] for i in range(tgt.gens())],
-        shape=(tgt.gens(), len(cols)),
-    )
+    return IntMatrix.from_columns(M.columns() + tgt.relation_matrix().columns(), tgt.gens())
 
 
 def _lattice_quotient(L: IntMatrix, N: IntMatrix) -> FgAbGroup:
     """The group L/N for sublattices N <= L of the same ambient Z^n."""
     basis = lattice_canonical(L)
-    B = IntMatrix([[row[i] for row in basis] for i in range(L.rows)], shape=(L.rows, len(basis)))
+    B = IntMatrix.from_columns(basis, L.rows)
     snf = smith_normal_form(B) if N.cols else None
     cols = []
     for c in N.columns():
@@ -676,8 +674,7 @@ def _lattice_quotient(L: IntMatrix, N: IntMatrix) -> FgAbGroup:
         if x is None:
             raise ValueError("N is not contained in L")
         cols.append(x)
-    X = IntMatrix([[c[i] for c in cols] for i in range(B.cols)], shape=(B.cols, len(cols)))
-    return cokernel(X)
+    return cokernel(IntMatrix.from_columns(cols, B.cols))
 
 
 def map_kernel_group(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> FgAbGroup:
@@ -686,9 +683,7 @@ def map_kernel_group(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> FgAbGroup:
 
 
 def map_cokernel_group(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> FgAbGroup:
-    cols = M.columns() + tgt.relation_matrix().columns()
-    A = IntMatrix([[c[i] for c in cols] for i in range(tgt.gens())], shape=(tgt.gens(), len(cols)))
-    return cokernel(A)
+    return cokernel(_image_lattice(M, src, tgt))
 
 
 def maps_exact(M1: IntMatrix, groups1, M2: IntMatrix, groups2) -> bool:
@@ -792,6 +787,6 @@ def extension_candidates(A: FgAbGroup, B: FgAbGroup, bound: int = DEFAULT_ENUMER
             for i, a in enumerate(lift):
                 col[i] = -a
             cols.append(col)
-        P = IntMatrix([[c[i] for c in cols] for i in range(n_gens)], shape=(n_gens, len(cols)))
+        P = IntMatrix.from_columns(cols, n_gens)
         results.add(cokernel(P).direct_sum(FgAbGroup.free(B.free_rank)))
     return frozenset(results)

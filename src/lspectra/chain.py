@@ -112,8 +112,7 @@ class IntComplex:
             if x is None:
                 raise ValueError("boundary not contained in cycles; not a complex")
             cols.append(x)
-        X = IntMatrix([[c[i] for c in cols] for i in range(K.cols)], shape=(K.cols, len(cols)))
-        group, gens, orders = cokernel_with_gens(X)
+        group, gens, orders = cokernel_with_gens(IntMatrix.from_columns(cols, K.cols))
         lifted = []
         for g in gens:
             lifted.append([sum(K[i, j] * g[j] for j in range(K.cols)) for i in range(K.rows)])

@@ -148,7 +148,10 @@ def cmd_torsor(args, out):
     period = args.period or tab.period
     if not period:
         raise UsageError("table declares no period; pass --period")
-    group = torsor_count(tab, period)
+    try:
+        group = torsor_count(tab, period)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         json.dump({"torsor": group.render()}, out)
         out.write("\n")

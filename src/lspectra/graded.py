@@ -280,8 +280,13 @@ def torsor_count(G: GradedGroup, period: int) -> FgAbGroup:
     if period <= 0:
         raise ValueError("period must be positive")
     lo, hi = G.window
-    if (hi - lo + 1) % period and G.period is None:
-        raise ValueError("period does not divide the window length")
+    if G.period is None:
+        if (hi - lo + 1) % period:
+            raise ValueError("period does not divide the window length")
+        if hi < lo + period:
+            raise ValueError(
+                f"window {G.window} declares no period and does not contain {lo}..{lo + period}"
+            )
     total = FgAbGroup()
     for i in range(lo, lo + period):
         total = total.direct_sum(ext_group(G[i], G[i + 1]))

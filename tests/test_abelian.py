@@ -107,6 +107,21 @@ def _apply(a, x):
     return [sum(a[i, j] * x[j] for j in range(a.cols)) for i in range(a.rows)]
 
 
+class TestFromColumns:
+    @pytest.mark.parametrize("rows,cols", [
+        (0, []),
+        (3, []),
+        (0, [[], []]),
+        (2, [[1, 2], [3, 4], [5, 6]]),
+    ])
+    def test_equals_hand_written_transpose(self, rows, cols):
+        old = IntMatrix([[c[i] for c in cols] for i in range(rows)], shape=(rows, len(cols)))
+        made = IntMatrix.from_columns(cols, rows)
+        assert made == old
+        assert (made.rows, made.cols) == (rows, len(cols))
+        assert made.columns() == [list(c) for c in cols]
+
+
 class TestFactorOnce:
     """SnfResult answers every query the module-level functions answer."""
 
@@ -255,6 +270,18 @@ class TestCokernel:
         assert cokernel(IntMatrix([[2]])) == FgAbGroup.cyclic(2)
         assert cokernel(IntMatrix([[2, 0], [0, 0]])) == FgAbGroup(1, (2,))
         assert cokernel(IntMatrix([[1, 1], [1, -1]])) == FgAbGroup.cyclic(2)
+
+    def test_matches_snf_diagonal(self):
+        # oracle: the invariant factors read off a full SnfResult
+        rng = random.Random(11)
+        for _ in range(60):
+            m, n = rng.randint(0, 5), rng.randint(0, 5)
+            a = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], shape=(m, n))
+            nonzero = [d for d in smith_normal_form(a).diagonal() if d]
+            expected = FgAbGroup.from_divisors(
+                [d for d in nonzero if d > 1] + [0] * (m - len(nonzero))
+            )
+            assert cokernel(a) == expected
 
     def test_generators_have_stated_orders(self):
         a = IntMatrix([[2, 0], [0, 3], [0, 0]])

@@ -137,6 +137,12 @@ class TestVerify:
         assert len(rows) == 10
         assert all(row.split("\t")[1] == "PASS" for row in rows)
 
+    @pytest.mark.parametrize("window", ["5..5", "5..6", "-1..1", "0..3", "-3..0", "2..5"])
+    def test_suite_a_passes_on_short_windows(self, window, capsys):
+        code, out = run(["verify", "A", "--window", window, "--format", "tsv"], capsys)
+        assert code == 0
+        assert all(row.split("\t")[1] == "PASS" for row in out.splitlines())
+
     def test_presentations(self, capsys):
         code, out = run(["verify", "presentations", "--format", "json"], capsys)
         assert code == 0
@@ -153,3 +159,12 @@ class TestTorsor:
     def test_needs_period(self, capsys):
         code, _ = run(["torsor", "--name", "Lgs", "--window", "-8..8"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("window", ["0..3", "0..2"])
+    def test_window_shorter_than_period_is_usage_error(self, window, capsys):
+        code = main(["torsor", "--name", "Ln", "--window", window, "--period", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
+from lspectra import ltables
 from lspectra.abelian import IntMatrix
-from lspectra.graded import compare_graded, double_dual_check, restrict, shift_graded
+from lspectra.graded import GradedMap, compare_graded, double_dual_check, restrict, shift_graded
 from lspectra.ltables import (
     ONE,
     RingPresentation,
@@ -107,10 +110,58 @@ class TestPresentations:
             coeff_modulus=good.coeff_modulus,
             rewrites=rewrites,
             torsion_patterns=good.torsion_patterns,
-            relations_doc=good.relations_doc,
         )
         assert bad.reduce({mono(("e", 1), ("f", 1)): 1, ONE: -4}) != {}
         assert not verify_presentation("Ln", (-8, 8), pres=bad)
+
+    @pytest.mark.parametrize("name", ["Ls", "Ln", "LC", "Lgs", "scriptL"])
+    def test_corrupted_rule_detected(self, name):
+        good = presentation(name, (-16, 16))
+        xy1 = mono(("x", 1), ("y1", 1))
+        if name == "Ls":
+            bad = dataclasses.replace(good, torsion_patterns=((mono(("e", 1)), 4),))
+        elif name == "Ln":
+            bad = dataclasses.replace(good, rewrites=tuple(
+                (p, 2 if p == mono(("e", 1), ("f", 1)) else c, r) for p, c, r in good.rewrites))
+        elif name == "LC":
+            bad = dataclasses.replace(good, coeff_modulus=4)
+        else:
+            bad = dataclasses.replace(good, rewrites=tuple(
+                (p, 4 if p == xy1 else c, r) for p, c, r in good.rewrites))
+        assert bad != good
+        assert verify_presentation(name, (-16, 16))
+        assert not verify_presentation(name, (-16, 16), pres=bad)
+
+    def test_every_rule_is_checked(self):
+        # y2 z1 -> z3 keeps every generator product inside the basis with the
+        # right orders, so only reducing the relation of its own rule sees it
+        good = presentation("Lgs", (-16, 16))
+        target = mono(("z1", 1), ("y2", 1))
+        bad = dataclasses.replace(good, rewrites=tuple(
+            (p, 1, mono(("z3", 1))) if p == target else (p, c, r) for p, c, r in good.rewrites))
+        assert not verify_presentation("Lgs", (-16, 16), pres=bad)
+
+    def test_rewrite_patterns_distinct(self):
+        patterns = [p for p, _, _ in presentation("Lgs", (-100, 100)).rewrites]
+        assert len(patterns) == len(set(patterns)) == 1398
+
+    @pytest.mark.parametrize("window", [(-16, 16), (5, 6), (20, 30), (-30, -20)])
+    def test_lq_ring_structure(self, window):
+        assert ltables.verify_lq_ring(window)
+
+    def test_lq_ring_detects_wrong_symmetrisation(self, monkeypatch):
+        genuine = ltables.symmetrisation_map
+
+        def times_four(window):
+            s = genuine(window)
+            comps = {n: IntMatrix([[4]]) if n % 4 == 0 else s.component(n) for n in s.source.degrees()}
+            return GradedMap(s.source, s.target, 0, comps)
+
+        monkeypatch.setattr(ltables, "symmetrisation_map", times_four)
+        assert not ltables.verify_lq_ring((-16, 16))
+        rows = {i.name: i for i in verify_presentations_report((-16, 16))}
+        assert rows["lq-ring-structure"].passed is False
+        assert rows["lq-ring-structure"].detail == ""
 
     def test_verify_presentation_true(self):
         assert verify_presentation("Ln", (-16, 16))
