@@ -26,8 +26,6 @@ __all__ = [
     "lattice_eq",
     "hom_group",
     "ext_group",
-    "tensor_group",
-    "tor_group",
     "extension_candidates",
     "EnumerationBoundError",
 ]
@@ -727,18 +725,6 @@ def ext_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
     divisors = [d for d in A.torsion for _ in range(B.free_rank)]
     divisors += [gcd(d, e) for d in A.torsion for e in B.torsion]
     return FgAbGroup.from_divisors(divisors)
-
-
-def tensor_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
-    divisors = [0] * (A.free_rank * B.free_rank)
-    divisors += [d for d in A.torsion for _ in range(B.free_rank)]
-    divisors += [e for e in B.torsion for _ in range(A.free_rank)]
-    divisors += [gcd(d, e) for d in A.torsion for e in B.torsion]
-    return FgAbGroup.from_divisors(divisors)
-
-
-def tor_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
-    return FgAbGroup.from_divisors([gcd(d, e) for d in A.torsion for e in B.torsion])
 
 
 # ---------------------------------------------------------------------------

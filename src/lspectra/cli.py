@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from .abelian import IntMatrix
 from .forms import F2QuadForm, LinkingForm, SymForm, arf, brown_kervaire, signature
@@ -21,7 +22,7 @@ from .ltables import (
     verify_classical,
     verify_genuine,
 )
-from .poincare import certify_ef, representative
+from .poincare import StructuredComplex, certify_ef, linking_form, representative
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -66,6 +67,15 @@ def _load_json_file(path):
         return json.load(fh)
 
 
+@contextmanager
+def _input_errors(path):
+    """Report a ValueError or KeyError from reading or evaluating ``path`` as a usage error."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def cmd_table(args, out):
     window = parse_window(args.window)
     if args.name not in TABLE_NAMES:
@@ -76,34 +86,35 @@ def cmd_table(args, out):
 
 def cmd_dual(args, out):
     if args.input:
-        tab = GradedGroup.from_json(_load_json_file(args.input))
+        with _input_errors(args.input):
+            dual = anderson_dual(GradedGroup.from_json(_load_json_file(args.input)))
     elif args.name:
         if args.name not in TABLE_NAMES:
             raise UsageError(f"unknown table {args.name!r}")
         window = parse_window(args.window)
-        tab = table(args.name, window)
+        dual = anderson_dual(table(args.name, window))
     else:
         raise UsageError("dual needs --name or --input")
-    _emit_table(anderson_dual(tab), args.format, out)
+    _emit_table(dual, args.format, out)
     return 0
 
 
 def cmd_invariant(args, out):
-    doc = _load_json_file(args.input)
-    if args.name == "signature":
-        value = signature(SymForm(IntMatrix(doc)))
-    elif args.name == "arf":
-        value = arf(F2QuadForm(IntMatrix(doc)))
-    elif args.name == "beta":
-        if isinstance(doc, dict) and "kind" in doc:
+    if args.name not in ("signature", "arf", "beta"):
+        raise UsageError(f"unknown invariant {args.name!r}; choose signature, arf or beta")
+    if not args.input:
+        raise UsageError("invariant needs --input")
+    with _input_errors(args.input):
+        doc = _load_json_file(args.input)
+        if args.name == "signature":
+            value = signature(SymForm(IntMatrix(doc)))
+        elif args.name == "arf":
+            value = arf(F2QuadForm(IntMatrix(doc)))
+        elif isinstance(doc, dict) and "kind" in doc:
             # a structured-complex file: extract its linking form first
-            from .poincare import StructuredComplex, linking_form
-
             value = brown_kervaire(linking_form(StructuredComplex.from_json(doc)))
         else:
             value = brown_kervaire(LinkingForm.from_json(doc))
-    else:
-        raise UsageError(f"unknown invariant {args.name!r}; choose signature, arf or beta")
     if args.format == "json":
         json.dump({"invariant": args.name, "value": value}, out)
         out.write("\n")
@@ -140,7 +151,8 @@ def cmd_verify(args, out):
 def cmd_torsor(args, out):
     window = parse_window(args.window)
     if args.input:
-        tab = GradedGroup.from_json(_load_json_file(args.input))
+        with _input_errors(args.input):
+            tab = GradedGroup.from_json(_load_json_file(args.input))
     else:
         if args.name not in TABLE_NAMES:
             raise UsageError(f"unknown table {args.name!r}")
@@ -228,7 +240,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

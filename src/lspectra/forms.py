@@ -9,9 +9,11 @@ any invariant.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .abelian import FgAbGroup, IntMatrix
 
@@ -345,12 +347,12 @@ class LinkingForm:
 
     __slots__ = ("group", "qvals")
 
-    def __init__(self, group: FgAbGroup, qvals, bound=LINKING_ORDER_BOUND):
+    def __init__(self, group: FgAbGroup, qvals):
         if group.free_rank:
             raise ValueError("linking forms live on finite groups")
         if not group.is_two_primary():
             raise ValueError("linking forms live on 2-groups")
-        if group.order() > bound:
+        if group.order() > LINKING_ORDER_BOUND:
             raise ValueError("group order exceeds the desk-scale bound")
         table = {}
         for x in group.elements():
@@ -377,20 +379,12 @@ class LinkingForm:
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.group.torsion))
 
-    def scale(self, r, x):
-        return tuple((r * a) % d for a, d in zip(x, self.group.torsion))
-
     def b(self, x, y) -> Fraction:
         """Polarization b(x, y) = q(x+y) - q(x) - q(y) mod 1."""
         return (self.q(self.add(x, y)) - self.q(x) - self.q(y)) % 1
 
     def elements(self):
         return self.group.elements()
-
-    def generator_pairings(self):
-        k = len(self.group.torsion)
-        gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-        return [[self.b(gi, gj) for gj in gens] for gi in gens]
 
     def direct_sum(self, other: "LinkingForm") -> "LinkingForm":
         divisors = list(self.group.torsion) + list(other.group.torsion)
@@ -414,29 +408,20 @@ class LinkingForm:
     def cyclic(cls, k: int, a: int) -> "LinkingForm":
         """q(x) = a x^2 / 2^(k+1) on Z/2^k; nondegenerate for odd a."""
         d = 1 << k
-        group = FgAbGroup(0, (d,))
-        qvals = {(x,): Fraction(a * x * x, 2 * d) % 1 for x in range(d)}
-        return cls(group, qvals)
+        return cls(FgAbGroup(0, (d,)), _quadratic_table((d,), [Fraction(a, 2 * d)], {}))
 
     @classmethod
     def hyperbolic(cls, k: int) -> "LinkingForm":
         """q(x, y) = x y / 2^k on (Z/2^k)^2."""
         d = 1 << k
-        group = FgAbGroup(0, (d, d))
-        qvals = {(x, y): Fraction(x * y, d) % 1 for x in range(d) for y in range(d)}
-        return cls(group, qvals)
+        return cls(FgAbGroup(0, (d, d)), _quadratic_table((d, d), [0, 0], {(0, 1): Fraction(1, d)}))
 
     @classmethod
     def skew_unit(cls, k: int) -> "LinkingForm":
         """q(x, y) = (x^2 + x y + y^2) / 2^k on (Z/2^k)^2."""
         d = 1 << k
-        group = FgAbGroup(0, (d, d))
-        qvals = {
-            (x, y): Fraction(x * x + x * y + y * y, d) % 1
-            for x in range(d)
-            for y in range(d)
-        }
-        return cls(group, qvals)
+        a = [Fraction(1, d)] * 2
+        return cls(FgAbGroup(0, (d, d)), _quadratic_table((d, d), a, {(0, 1): Fraction(1, d)}))
 
     # -- serialisation -------------------------------------------------------------
 
@@ -469,34 +454,51 @@ class LinkingForm:
         return f"LinkingForm(group={self.group.render()!r})"
 
 
-def check_quadratic(L: LinkingForm, scalars) -> bool:
-    """q(r x) = r^2 q(x) for the listed scalars, and bilinear polarization.
+def _quadratic_table(torsion, a, b):
+    """Values of q(x) = sum_i x_i^2 a_i + sum_{i<j} x_i x_j b_ij mod 1, or None.
 
-    Bilinearity is verified by comparing b against the bilinear extension of
-    its values on generator pairs over the whole group.
+    The one statement of a linking form through its generators g_i:
+    a_i = q(g_i) and b = {(i, j): b(g_i, g_j)} for i < j, missing pairs 0.
+    The polynomial is a function on Z/d_1 + ... + Z/d_k exactly when it
+    descends: d_i^2 a_i, 2 d_i a_i, d_i b_ij and d_j b_ij vanish mod 1, that
+    is, gcd(d_i, 2) d_i a_i and gcd(d_i, d_j) b_ij do; else None is returned.
     """
-    for r in scalars:
-        for x in L.elements():
-            if L.q(L.scale(r, x)) != (r * r * L.q(x)) % 1:
-                return False
-    pairings = L.generator_pairings()
-    for x in L.elements():
-        for y in L.elements():
-            expected = sum(
-                (x[i] * y[j] * pairings[i][j] for i in range(len(x)) for j in range(len(y))),
-                Fraction(0),
-            ) % 1
-            if L.b(x, y) != expected:
-                return False
-    return True
+    a = [Fraction(v) for v in a]
+    b = {ij: Fraction(v) for ij, v in b.items() if v}
+    if any((gcd(d, 2) * d * ai) % 1 for d, ai in zip(torsion, a)):
+        return None
+    if any((gcd(torsion[i], torsion[j]) * v) % 1 for (i, j), v in b.items()):
+        return None
+    # exact integer evaluation over the common denominator
+    den = lcm(*(v.denominator for v in a), *(v.denominator for v in b.values()))
+    squares = [int(v * den) for v in a]
+    cross = [(i, j, int(v * den)) for (i, j), v in b.items()]
+    table = {}
+    for x in itertools.product(*(range(d) for d in torsion)):
+        val = sum(xi * xi * c for xi, c in zip(x, squares))
+        val += sum(x[i] * x[j] * c for i, j, c in cross)
+        table[x] = Fraction(val % den, den)
+    return table
+
+
+def _generators(k: int):
+    return [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+
+
+def check_quadratic(L: LinkingForm) -> bool:
+    """q is the descending polynomial of a_i = q(g_i) and b_ij = b(g_i, g_j).
+
+    That holds exactly when q(r x) = r^2 q(x) and b is bilinear.
+    """
+    gens = _generators(len(L.group.torsion))
+    a = [L.q(g) for g in gens]
+    b = {(i, j): L.b(gens[i], gens[j]) for i, j in itertools.combinations(range(len(gens)), 2)}
+    return _quadratic_table(L.group.torsion, a, b) == L.qvals
 
 
 def nondegenerate(L: LinkingForm) -> bool:
     """x -> b(x, .) is injective into the character group."""
-    gens = [
-        tuple(1 if i == j else 0 for i in range(len(L.group.torsion)))
-        for j in range(len(L.group.torsion))
-    ]
+    gens = _generators(len(L.group.torsion))
     for x in L.elements():
         if any(x):
             if all(L.b(x, g) == 0 for g in gens):
@@ -521,11 +523,12 @@ def gauss_sum(L: LinkingForm, conductor=None) -> CycEight:
     N = conductor or 8 * maxden
     if N % (2 * maxden) or N % 8:
         raise ValueError("conductor too small for the value table")
-    total = CycEight.zero(N)
-    for x in L.elements():
-        v = L.q(x)
-        total = total + CycEight.root_power(v.numerator * (N // v.denominator), N)
-    return total
+    # count the exponents of zeta_N, then fold with zeta^(k + N/2) = -zeta^k
+    counts = [0] * N
+    for v in L.qvals.values():
+        counts[v.numerator * (N // v.denominator) % N] += 1
+    half = N // 2
+    return CycEight([counts[k] - counts[k + half] for k in range(half)], N)
 
 
 def brown_kervaire(L: LinkingForm) -> int:

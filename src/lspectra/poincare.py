@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_segments
-from .forms import DegenerateFormError, LinkingForm, brown_kervaire, check_quadratic, nondegenerate
+from .forms import LINKING_ORDER_BOUND, DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
+from .forms import _quadratic_table
 
 __all__ = [
     "PoincareStructure",
@@ -39,9 +41,14 @@ class InvalidStructureError(ValueError):
     """Structure data violating the relations or the expected shapes."""
 
 
-def flip_sign(n: int) -> int:
-    """The extra sign in the C2-action at structure dimension n."""
-    return -1 if n % 4 == 1 else 1
+def _flipped(S: "StructuredComplex", level: int, k: int) -> IntMatrix:
+    """T psi_{level, k'} = t(n) (-1)^(k k') psi_{level, k'}^T, k' the partner degree.
+
+    This is the one place the C2 flip sign is applied.
+    """
+    kp = S.structure.partner_degree(level, k)
+    t = -1 if S.dimension % 4 == 1 else 1
+    return S.psi_matrix(level, kp).transpose().scale(t * (-1 if (k * kp) % 2 else 1))
 
 
 class PoincareStructure:
@@ -155,7 +162,6 @@ def structure_relation_failures(S: StructuredComplex):
     """
     C = S.complex
     n = S.dimension
-    t = flip_sign(n)
     lo, hi = C.window()
     failures = []
     max_level = S.structure.max_level() + 1
@@ -167,19 +173,17 @@ def structure_relation_failures(S: StructuredComplex):
                     continue
                 lhs = _lhs(S, level, k, kp)
                 sgn = -1 if (level + 1) % 2 else 1
-                eps = t * (-1 if (k * kp) % 2 else 1)
-                rhs = S.psi_matrix(level + 1, k).scale(sgn) + S.psi_matrix(level + 1, kp).transpose().scale(eps)
+                rhs = S.psi_matrix(level + 1, k).scale(sgn) + _flipped(S, level + 1, k)
             else:
                 kp = n - level + 1 - k
                 if C.rank(k) == 0 or C.rank(kp) == 0:
                     continue
                 lhs = _lhs(S, level, k, kp)
-                eps = t * (-1 if (k * kp) % 2 else 1)
                 sgn = -1 if level % 2 else 1
                 if level == 0:
                     rhs = IntMatrix.zero(C.rank(k), C.rank(kp))
                 else:
-                    rhs = S.psi_matrix(level - 1, k) + S.psi_matrix(level - 1, kp).transpose().scale(sgn * eps)
+                    rhs = S.psi_matrix(level - 1, k) + _flipped(S, level - 1, k).scale(sgn)
             if lhs != rhs:
                 failures.append((level, k))
     return failures
@@ -205,7 +209,6 @@ def duality_matrices(S: StructuredComplex) -> dict[int, IntMatrix]:
     """The symmetrised level-0 pairing: for quadratic, (1+T) psi_0."""
     C = S.complex
     n = S.dimension
-    t = flip_sign(n)
     lo, hi = C.window()
     out = {}
     for k in range(lo, hi + 1):
@@ -213,8 +216,7 @@ def duality_matrices(S: StructuredComplex) -> dict[int, IntMatrix]:
             continue
         m = S.psi_matrix(0, k)
         if S.kind == "quadratic":
-            eps = t * (-1 if (k * (n - k)) % 2 else 1)
-            m = m + S.psi_matrix(0, n - k).transpose().scale(eps)
+            m = m + _flipped(S, 0, k)
         out[k] = m
     return out
 
@@ -267,7 +269,6 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
     nC, mD = S.dimension, T.dimension
     N = nC + mD
     G = tensor(C, D)
-    tC = flip_sign(nC)
     max_p = T.structure.max_level()
     psi = {}
     for p in range(0, max_p + 1):
@@ -279,10 +280,7 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
                 ya = nC - q - a  # degree of y
                 if C.rank(a) == 0 or C.rank(ya) == 0:
                     continue
-                phi = S.psi_matrix(q, a)
-                if p % 2:
-                    eps = tC * (-1 if (a * ya) % 2 else 1)
-                    phi = S.psi_matrix(q, ya).transpose().scale(eps)
+                phi = _flipped(S, q, a) if p % 2 else S.psi_matrix(q, a)
                 if phi.is_zero():
                     continue
                 for b in range(*_deg_span(D)):
@@ -362,7 +360,7 @@ def _accumulate(slots, G, g, a, ya, vb, C, D, block):
 # ---------------------------------------------------------------------------
 
 
-def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None, bound=1 << 12) -> LinkingForm:
+def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None) -> LinkingForm:
     """Extract the quadratic linking form on H_carrier(C).
 
     For a quadratic structure of dimension 2*carrier + 1 whose carrier
@@ -371,9 +369,11 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None, bound=1 
         (psi_1(z, z) + psi_0(dz, z)) / 2^(K+1),   d z = 2^K y,
 
     evaluated with one uniform exponent K for the whole group and with
-    lifts extended linearly from a fixed solution per generator.  Passing
-    ``lift_rng`` perturbs the generator lifts by random cycles, which must
-    not change the Brown-Kervaire class of the output.
+    lifts extended linearly from a fixed solution z_i per generator, so it
+    is the quadratic polynomial with a_i = M_ii / 2^(K+1) and
+    b_ij = (M_ij + M_ji) / 2^(K+1), M_ij = psi_1(z_i, z_j) + psi_0(dz_i, z_j).
+    Passing ``lift_rng`` perturbs the generator lifts by random cycles,
+    which must not change the Brown-Kervaire class of the output.
     """
     if S.kind != "quadratic":
         raise InvalidStructureError("linking forms need a quadratic structure")
@@ -386,7 +386,7 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None, bound=1 
     H, gens, orders = C.homology_with_gens(carrier)
     if H.free_rank or not H.is_two_primary():
         raise DegenerateFormError("carrier homology is not a finite 2-group")
-    if H.order() > bound:
+    if H.order() > LINKING_ORDER_BOUND:
         raise DegenerateFormError("carrier homology exceeds the desk-scale bound")
     if H.is_trivial():
         return LinkingForm(FgAbGroup(), {(): Fraction(0)})
@@ -409,34 +409,19 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None, bound=1 
                 c = lift_rng.randint(-3, 3)
                 for i in range(len(z)):
                     z[i] += c * ker[i, j]
-    m1 = S.psi_matrix(1, carrier + 1)
-    m0 = S.psi_matrix(0, carrier)
+    Z = IntMatrix.from_columns(lifts, d.cols)
+    M = Z.transpose() @ S.psi_matrix(1, carrier + 1) @ Z
+    M = M + (d @ Z).transpose() @ S.psi_matrix(0, carrier) @ Z
     denom = 1 << (K + 1)
-    qvals = {}
-    for coords in H.elements():
-        z = [sum(c * zi[i] for c, zi in zip(coords, lifts)) for i in range(C.rank(carrier + 1))]
-        dz = [sum(d[i, j] * z[j] for j in range(d.cols)) for i in range(d.rows)]
-        val = _pair(m1, z, z) + _pair(m0, dz, z)
-        qvals[coords] = Fraction(val, denom) % 1
-    form = LinkingForm(H, qvals)
-    scalars = range(2 * H.exponent())
-    if not check_quadratic(form, scalars):
+    a = [Fraction(M[i, i], denom) for i in range(M.rows)]
+    b = {(i, j): Fraction(M[i, j] + M[j, i], denom) for i, j in combinations(range(M.rows), 2)}
+    qvals = _quadratic_table(H.torsion, a, b)
+    if qvals is None:
         raise InvalidStructureError("extracted values are not a quadratic function")
+    form = LinkingForm(H, qvals)
     if not nondegenerate(form):
         raise DegenerateFormError("extracted linking form is degenerate")
     return form
-
-
-def _pair(m: IntMatrix, x, y) -> int:
-    total = 0
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = m.entries[i]
-        for j, yj in enumerate(y):
-            if yj:
-                total += xi * row[j] * yj
-    return total
 
 
 def certify_ef(S_e: StructuredComplex, S_f: StructuredComplex) -> int:

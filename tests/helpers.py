@@ -3,13 +3,16 @@
 Each oracle recomputes an expected value along a different route from the
 implementation it checks: invariant factors from gcds of minors, Hom/Ext
 by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
-groups from closed formulas, and Gauss sums in floating point.
+groups from closed formulas, Gauss sums in floating point and one root of
+unity at a time, and quadratic functions by checking homogeneity and
+bilinearity over all pairs of elements.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from lspectra.abelian import FgAbGroup, IntMatrix, cokernel
@@ -229,3 +232,41 @@ def random_group(rng, max_order=64):
         divisors.append(d)
         order *= d
     return FgAbGroup.from_divisors(divisors)
+
+
+# -- quadratic functions by exhaustive pairing -------------------------------------
+
+
+def check_quadratic_by_pairs(L, scalars):
+    """q(r x) = r^2 q(x) for the listed scalars, and bilinear polarization.
+
+    Bilinearity is verified by comparing b against the bilinear extension of
+    its values on generator pairs over the whole group: O(|G|^2 k^2).
+    """
+    for r in scalars:
+        for x in L.elements():
+            if L.q(scale_in(L.group, r, x)) != (r * r * L.q(x)) % 1:
+                return False
+    k = len(L.group.torsion)
+    gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+    pairings = [[L.b(gi, gj) for gj in gens] for gi in gens]
+    for x in L.elements():
+        for y in L.elements():
+            expected = sum(
+                (x[i] * y[j] * pairings[i][j] for i in range(len(x)) for j in range(len(y))),
+                Fraction(0),
+            ) % 1
+            if L.b(x, y) != expected:
+                return False
+    return True
+
+
+def gauss_sum_by_elements(L, conductor):
+    """The Gauss sum accumulated one root of unity per element."""
+    from lspectra.forms import CycEight
+
+    total = CycEight.zero(conductor)
+    for x in L.elements():
+        v = L.q(x)
+        total = total + CycEight.root_power(v.numerator * (conductor // v.denominator), conductor)
+    return total

@@ -168,3 +168,46 @@ class TestTorsor:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+
+MALFORMED_INPUTS = {
+    "odd-order-form": (["invariant", "--name", "beta"],
+                       {"factors": [3], "q": {"(0)": "0", "(1)": "1/3", "(2)": "1/3"}}),
+    "degenerate-form": (["invariant", "--name", "beta"],
+                        {"factors": [2], "q": {"(0)": "0", "(1)": "1/2"}}),
+    "form-without-q": (["invariant", "--name", "beta"], {"factors": [2]}),
+    "form-missing-element": (["invariant", "--name", "beta"], {"factors": [2], "q": {"(0)": "0"}}),
+    "ragged-signature": (["invariant", "--name", "signature"], [[1, 2], [3]]),
+    "bad-group-dual": (["dual"], {"window": [-2, 2], "period": None, "groups": {"0": "Z/x"}}),
+    "bad-group-torsor": (["torsor", "--period", "4"],
+                         {"window": [-2, 2], "period": None, "groups": {"0": "Z/x"}}),
+    "odd-torsion-complex": (["invariant", "--name", "beta"], {
+        "ranks": {"1": 1, "0": 1}, "differentials": {"1": [[3]]},
+        "kind": "quadratic", "dimension": 1, "psi": {"0,0": [[1]], "0,1": [[1]]}}),
+    "structure-relations-fail": (["invariant", "--name", "beta"], {
+        "ranks": {"0": 1, "-1": 1}, "differentials": {"0": [[2]]},
+        "kind": "symmetric", "dimension": -1, "psi": {"0,0": [[1]], "0,-1": [[-1]]}}),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_two_with_one_line(self, case, tmp_path, capsys):
+        argv, doc = MALFORMED_INPUTS[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code = main(argv + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--input", "."]])
+    def test_missing_or_unreadable_input(self, extra, capsys):
+        code = main(["invariant", "--name", "beta"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1

@@ -22,7 +22,12 @@ from lspectra.forms import (
     two_rank_parity,
 )
 
-from helpers import gauss_sum_float, random_linking_form
+from helpers import (
+    check_quadratic_by_pairs,
+    gauss_sum_by_elements,
+    gauss_sum_float,
+    random_linking_form,
+)
 
 
 class TestSignature:
@@ -160,7 +165,7 @@ class TestLinkingForms:
             },
         )
         assert brown_kervaire(q) == 4
-        assert check_quadratic(q, range(8))
+        assert check_quadratic(q)
         assert nondegenerate(q)
 
     def test_quarter_on_z2(self):
@@ -183,7 +188,7 @@ class TestLinkingForms:
 
     def test_check_quadratic_examples(self):
         halves = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
-        assert check_quadratic(halves, range(8))
+        assert check_quadratic(halves)
         corrupted = LinkingForm(
             FgAbGroup(0, (2, 2)),
             {
@@ -193,7 +198,7 @@ class TestLinkingForms:
                 (1, 1): Fraction(1, 4),
             },
         )
-        assert not check_quadratic(corrupted, range(8))
+        assert not check_quadratic(corrupted)
 
     def test_additivity_and_norm_identity_on_random_forms(self):
         rng = random.Random(101)
@@ -219,3 +224,106 @@ class TestLinkingForms:
         doc = q.to_json()
         assert LinkingForm.from_json(doc) == q
         assert doc["factors"] == [4, 4]
+
+
+def _corrupt_one(rng, L):
+    """L with the value at one element replaced by a different dyadic value."""
+    qvals = dict(L.qvals)
+    x = rng.choice(sorted(qvals))
+    den = 2 * L.group.exponent()
+    qvals[x] = (qvals[x] + Fraction(rng.randrange(1, den), den)) % 1
+    return LinkingForm(L.group, qvals)
+
+
+def _random_dyadic_table(rng, max_order):
+    divisors = []
+    while rng.random() < 0.7:
+        d = rng.choice([2, 2, 4, 8])
+        if FgAbGroup.from_divisors(divisors + [d]).order() > max_order:
+            break
+        divisors.append(d)
+    group = FgAbGroup.from_divisors(divisors)
+    den = 2 * group.exponent()
+    return LinkingForm(group, {x: Fraction(rng.randrange(den), den) for x in group.elements()})
+
+
+class TestQuadraticByGenerators:
+    def test_builders_match_closed_forms(self):
+        for k in range(1, 5):
+            d = 1 << k
+            for a in (1, 2, 3, 7):
+                assert LinkingForm.cyclic(k, a).qvals == {
+                    (x,): Fraction(a * x * x, 2 * d) % 1 for x in range(d)
+                }
+            square = [(x, y) for x in range(d) for y in range(d)]
+            assert LinkingForm.hyperbolic(k).qvals == {
+                (x, y): Fraction(x * y, d) % 1 for x, y in square
+            }
+            assert LinkingForm.skew_unit(k).qvals == {
+                (x, y): Fraction(x * x + x * y + y * y, d) % 1 for x, y in square
+            }
+
+    def test_agrees_with_pairwise_oracle(self):
+        # genuine forms, forms corrupted at one element and arbitrary dyadic
+        # tables, all of order at most 2^6
+        rng = random.Random(404)
+        verdicts = {0: [], 1: [], 2: []}
+        for i in range(300):
+            kind = i % 3
+            if kind == 0:
+                L = random_linking_form(rng, max_order=rng.choice([4, 16, 64]))
+            elif kind == 1:
+                L = _corrupt_one(rng, random_linking_form(rng, max_order=64))
+            else:
+                L = _random_dyadic_table(rng, max_order=64)
+            assert L.group.order() <= 64
+            expected = check_quadratic_by_pairs(L, range(2 * L.group.exponent()))
+            assert check_quadratic(L) == expected, L.to_json()
+            verdicts[kind].append((L.group.order(), expected))
+        assert all(ok for _, ok in verdicts[0])
+        # on Z/2 a changed generator value is another quadratic form
+        assert not any(ok for order, ok in verdicts[1] if order > 2)
+        assert not all(ok for _, ok in verdicts[2])
+
+    def test_descent_decides_on_polynomial_tables(self):
+        # tables that equal the polynomial of random generator data, with
+        # denominators beyond what descent allows, so only descent decides
+        rng = random.Random(505)
+        verdicts = []
+        for _ in range(150):
+            group = _random_dyadic_table(rng, max_order=32).group
+            e, k = group.exponent(), len(group.torsion)
+            a = [Fraction(rng.randrange(4 * e), 4 * e) for _ in range(k)]
+            b = {(i, j): Fraction(rng.randrange(2 * e), 2 * e)
+                 for i in range(k) for j in range(i + 1, k)}
+            qvals = {
+                x: (sum(x[i] * x[i] * a[i] for i in range(k))
+                    + sum(x[i] * x[j] * v for (i, j), v in b.items())) % 1
+                for x in group.elements()
+            }
+            L = LinkingForm(group, qvals)
+            expected = check_quadratic_by_pairs(L, range(2 * e))
+            assert check_quadratic(L) == expected, L.to_json()
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_descent_failure_is_not_quadratic(self):
+        # a x^2 on Z/2 descends only if 4a = 0 mod 1: 1/4 does, 1/8 does not
+        L = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 4)})
+        assert check_quadratic(L)
+        L = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 8)})
+        assert not check_quadratic(L)
+        assert not check_quadratic_by_pairs(L, range(4))
+
+
+class TestGaussSum:
+    def test_matches_one_root_per_element(self):
+        rng = random.Random(909)
+        for i in range(60):
+            if i % 2:
+                L = random_linking_form(rng, max_order=256)
+            else:
+                L = _random_dyadic_table(rng, max_order=64)
+            n = 8 * max(v.denominator for v in L.qvals.values())
+            for conductor in (n, 2 * n):
+                assert gauss_sum(L, conductor) == gauss_sum_by_elements(L, conductor)

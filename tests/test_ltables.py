@@ -163,6 +163,25 @@ class TestPresentations:
         assert rows["lq-ring-structure"].passed is False
         assert rows["lq-ring-structure"].detail == ""
 
+    @pytest.mark.parametrize("name,degree,label", [
+        ("Ls", 41, mono(("e", 1), ("x", 10))),
+        ("Ln", 40, mono(("x", 10))),
+    ])
+    def test_torsion_order_check_can_fail(self, name, degree, label, monkeypatch):
+        # a basis order beyond the golden window is seen only by the check
+        # that products of torsion classes respect their orders
+        genuine = ltables.ring_basis
+
+        def wrong_order(ring, d):
+            if (ring, d) == (name, degree):
+                assert genuine(ring, d)[0][0] == label
+                return [(label, 4)]
+            return genuine(ring, d)
+
+        assert verify_presentation(name, (-50, 50))
+        monkeypatch.setattr(ltables, "ring_basis", wrong_order)
+        assert not verify_presentation(name, (-50, 50))
+
     def test_verify_presentation_true(self):
         assert verify_presentation("Ln", (-16, 16))
         assert verify_presentation("Lgs", (-16, 16))

@@ -132,7 +132,7 @@ class TestLinkingForm:
             (0, 1): Fraction(1, 2),
             (1, 1): Fraction(1, 2),
         }
-        assert check_quadratic(form, range(8))
+        assert check_quadratic(form)
         assert nondegenerate(form)
 
     def test_trivial_homology(self):
@@ -165,6 +165,17 @@ class TestLinkingForm:
         cx = IntComplex({1: 1, 0: 1}, {1: [[3]]})
         s = StructuredComplex(cx, PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]]}))
         with pytest.raises(DegenerateFormError):
+            linking_form(s)
+
+    def test_non_quadratic_values_rejected(self):
+        # psi_1 pairs the Z/2 and Z/4 generators with weight 1/4, which does
+        # not vanish on twice the Z/2 generator; unchecked relations let it in
+        cx = IntComplex({1: 2, 0: 2}, {1: [[2, 0], [0, 4]]})
+        psi = {(0, 0): IntMatrix.identity(2), (0, 1): IntMatrix.identity(2),
+               (1, 1): [[0, 1], [0, 0]]}
+        s = StructuredComplex(cx, PoincareStructure("quadratic", 1, psi), check=False)
+        assert s.complex.homology(0) == FgAbGroup.from_divisors([2, 4])
+        with pytest.raises(InvalidStructureError, match="not a quadratic function"):
             linking_form(s)
 
     def test_beta_invariant_under_randomized_lifts(self):
@@ -218,7 +229,7 @@ class TestRandomizedTwoTorsion:
             t = tensor_structured(e, f)
             assert poincare_check(t)
             form = linking_form(t)
-            assert check_quadratic(form, range(8))
+            assert check_quadratic(form)
             assert nondegenerate(form)
             assert brown_kervaire(form) == expected
 
