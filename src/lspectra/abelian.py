@@ -632,17 +632,20 @@ def hom_is_well_defined(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> bool:
     """Does the matrix on presentation generators give a homomorphism?"""
     if M.rows != tgt.gens() or M.cols != src.gens():
         return False
-    src_orders = src.gen_orders()
-    tgt_orders = tgt.gen_orders()
-    for j, o in enumerate(src_orders):
-        if o == 0:
-            continue
-        for i, t in enumerate(tgt_orders):
-            v = o * M[i, j]
-            if t == 0:
-                if v != 0:
-                    return False
-            elif v % t:
+    return _respects_orders(M.entries, src.gen_orders(), tgt.gen_orders())
+
+
+def _respects_orders(rows, src_orders, tgt_orders) -> bool:
+    """o_j * M[i][j] = 0 mod t_i for the matrix with these ``rows``.
+
+    o_j and t_i are the orders of the source and target generators, 0 for a
+    free one: a free source generator imposes nothing, and a free target
+    generator needs o_j * M[i][j] = 0 exactly.
+    """
+    for row, t in zip(rows, tgt_orders):
+        for m, o in zip(row, src_orders):
+            v = o * m
+            if v % t if t else v:
                 return False
     return True
 

@@ -88,15 +88,6 @@ class IntComplex:
 
     # -- operations ------------------------------------------------------------
 
-    def shift(self, j: int) -> "IntComplex":
-        """C[j] with (C[j])_k = C_{k-j}; odd shifts negate the differential."""
-        sign = -1 if j % 2 else 1
-        return IntComplex(
-            {n + j: r for n, r in self._ranks.items()},
-            {n + j: m.scale(sign) for n, m in self._diffs.items()},
-            check=False,
-        )
-
     def homology_with_gens(self, n: int):
         """(H_n, generator representatives in C_n, generator orders)."""
         if self.rank(n) == 0:

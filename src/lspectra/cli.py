@@ -69,10 +69,15 @@ def _load_json_file(path):
 
 @contextmanager
 def _input_errors(path):
-    """Report a ValueError or KeyError from reading or evaluating ``path`` as a usage error."""
+    """Report a rejected value or a wrong JSON shape in ``path`` as a usage error.
+
+    A document of the wrong shape (a list for an object, a number for a
+    list, a missing entry) surfaces as a TypeError, AttributeError,
+    IndexError or KeyError where it is read.
+    """
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except (LookupError, ValueError, TypeError, AttributeError) as exc:
         raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -176,38 +181,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lspectra", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, window_default=None):
-        sp.add_argument("--window", default=window_default)
-        sp.add_argument("--format", choices=("json", "tsv"), default="json")
-        sp.add_argument("--name")
-        sp.add_argument("--input")
+    def verb(command, func, summary, fmt="json", **options):
+        """A subcommand with --format and the string options it reads, with their defaults."""
+        sp = sub.add_parser(command, help=summary)
+        for option, default in options.items():
+            sp.add_argument(f"--{option}", default=default)
+        sp.add_argument("--format", choices=("json", "tsv"), default=fmt)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("table", help="print a homotopy-group table")
-    common(sp, "-16..16")
-    sp.set_defaults(func=cmd_table)
-
-    sp = sub.add_parser("dual", help="Anderson dual of a table")
-    common(sp, "-16..16")
-    sp.set_defaults(func=cmd_dual)
-
-    sp = sub.add_parser("invariant", help="signature, arf or beta of a form file")
-    common(sp)
-    sp.set_defaults(func=cmd_invariant)
-
-    sp = sub.add_parser("certify-ef", help="run the chain-level ef = 4 certificate")
-    common(sp)
-    sp.set_defaults(func=cmd_certify_ef, format="tsv")
-
-    sp = sub.add_parser("verify", help="run a verification suite")
+    verb("table", cmd_table, "print a homotopy-group table", window="-16..16", name=None)
+    verb("dual", cmd_dual, "Anderson dual of a table", window="-16..16", name=None, input=None)
+    verb("invariant", cmd_invariant, "signature, arf or beta of a form file", name=None, input=None)
+    verb("certify-ef", cmd_certify_ef, "run the chain-level ef = 4 certificate", fmt="tsv")
+    sp = verb("verify", cmd_verify, "run a verification suite", window=None)
     sp.add_argument("suite", choices=("A", "B", "presentations"))
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("torsor", help="splitting-torsor count of a table")
-    common(sp, "-16..16")
+    sp = verb("torsor", cmd_torsor, "splitting-torsor count of a table", window="-16..16", name=None, input=None)
     sp.add_argument("--period", type=int)
-    sp.set_defaults(func=cmd_torsor)
-
     return p
 
 

@@ -25,6 +25,7 @@ from .abelian import (
 __all__ = [
     "GradedGroup",
     "GradedMap",
+    "scalar_map",
     "SesDatum",
     "OutOfWindowError",
     "anderson_dual",
@@ -166,6 +167,36 @@ class GradedMap:
 
     def cokernel_at(self, n: int) -> FgAbGroup:
         return map_cokernel_group(self.component(n), self.source[n], self.target[n + self.degree_shift])
+
+
+def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
+    """The graded map between the direct sums of two lists of summands.
+
+    Each summand has at most one generator per degree.  ``coeffs(n)[i][j]``
+    is the integer that takes the generator of ``sources[j]`` in degree n to
+    that of ``targets[i]`` in degree n + shift; a block is zero where a
+    summand has no generator.  The generators of a sum are those of its
+    summands in order, which must be the sum's canonical order.
+    """
+    src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
+    tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
+    lo, hi = tgt.window
+    comps = {}
+    for n in src.degrees():
+        if lo <= n + shift <= hi:
+            rows = _summands_present(targets, tgt, n + shift)
+            cols = _summands_present(sources, src, n)
+            c = coeffs(n)
+            comps[n] = IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
+    return GradedMap(src, tgt, shift, comps)
+
+
+def _summands_present(summands, total: GradedGroup, n: int) -> list[int]:
+    """Indices of the summands with a generator in degree n, in the layout of the sum."""
+    orders = [s[n].gen_orders() for s in summands]
+    if any(len(o) > 1 for o in orders) or sum(orders, ()) != total[n].gen_orders():
+        raise ValueError(f"summand generators at degree {n} are not those of their sum")
+    return [i for i, o in enumerate(orders) if o]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,12 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_window("4")
 
+    @pytest.mark.parametrize("argv", [["certify-ef", "--window", "3..1"], ["verify", "A", "--input", "x"],
+                                      ["verify", "A", "--name", "Ls"], ["table", "--name", "Ls", "--input", "x"]])
+    def test_option_the_verb_does_not_read_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestTable:
     def test_tsv_rows(self, capsys):
@@ -187,6 +193,15 @@ MALFORMED_INPUTS = {
     "structure-relations-fail": (["invariant", "--name", "beta"], {
         "ranks": {"0": 1, "-1": 1}, "differentials": {"0": [[2]]},
         "kind": "symmetric", "dimension": -1, "psi": {"0,0": [[1]], "0,-1": [[-1]]}}),
+    # documents of the wrong JSON shape
+    "list-as-form": (["invariant", "--name", "beta"], [1, 2]),
+    "number-as-factors": (["invariant", "--name", "beta"], {"factors": 2, "q": {}}),
+    "list-as-form-values": (["invariant", "--name", "beta"], {"factors": [2], "q": []}),
+    "flat-signature-matrix": (["invariant", "--name", "signature"], [1, 2]),
+    "number-as-window-dual": (["dual"], {"window": 5}),
+    "number-as-window-torsor": (["torsor", "--period", "4"], {"window": 5}),
+    "short-window-dual": (["dual"], {"window": [5]}),
+    "list-as-groups-torsor": (["torsor", "--period", "4"], {"window": [0, 2], "groups": []}),
 }
 
 

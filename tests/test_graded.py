@@ -15,6 +15,7 @@ from lspectra.graded import (
     mod_table,
     mult_by_int,
     restrict,
+    scalar_map,
     shift_graded,
     torsor_count,
 )
@@ -123,6 +124,30 @@ class TestCheckExact:
         b = GradedGroup(w, {0: Z})
         with pytest.raises(ValueError):
             GradedMap(a, b, 0, {0: IntMatrix([[1]])})
+
+
+class TestScalarMap:
+    def test_blocks_follow_the_summands(self):
+        w = (0, 2)
+        a = GradedGroup(w, {0: Z, 1: Z2})
+        b = GradedGroup(w, {0: FgAbGroup.cyclic(8), 2: Z})
+        f = scalar_map([a], [a, b], 0, lambda n: [[1], [n - 3]])
+        assert f.target == GradedGroup(w, {0: FgAbGroup(1, (8,)), 1: Z2, 2: Z})
+        assert f.component(0) == IntMatrix([[1], [-3]])
+        assert f.component(1) == IntMatrix([[1]])
+        assert f.component(2) == IntMatrix.zero(1, 0)
+        up = scalar_map([b], [a], 1, lambda n: [[5]])
+        assert up.components.keys() == {0, 1}  # degree 2 leaves the target window
+
+    @pytest.mark.parametrize("summands", [
+        ["Z + Z/2"],  # two generators in one summand
+        ["Z/8", "Z/2"],  # the sum orders its generators Z/2, Z/8
+        ["Z/2", "Z/3"],  # the sum Z/6 has one generator
+    ])
+    def test_layout_other_than_the_sums_rejected(self, summands):
+        parts = [GradedGroup((0, 0), {0: g}) for g in summands]
+        with pytest.raises(ValueError, match="not those of their sum"):
+            scalar_map(parts, [GradedGroup((0, 0), {})], 0, lambda n: [[0] * len(parts)])
 
 
 class TestCofibre:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -216,6 +217,36 @@ class TestTheoremSuites:
         assert report["mult-e-resolved-Z"] is False
         good = {i.name: i.passed for i in e_multiplication_report(window)}
         assert all(good.values())
+
+    @pytest.mark.parametrize("suite,row,caller,corrupt", [
+        # the boundary L^n -> L^q set to zero
+        (verify_classical, "symmetrisation-les", "boundary_map", lambda m: [[0]]),
+        # the inclusion Ext -> I(L^q) doubled
+        (verify_classical, "uct-exactness", "_uct_items",
+         lambda m: [[2 * v for v in row] for row in m] if len(m) == 2 else m),
+        # L^gs -> L^s by 1 instead of 8 in degrees 4k < 0
+        (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
+         lambda m: [[1], [1]] if m == [[8], [1]] else m),
+        # the sign of tau L^n -> L^n flipped
+        (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
+         lambda m: [[1, 1]] if m == [[1, -1]] else m),
+        # scriptL -> L(R) by 1 instead of 8 in degrees 4k < 0
+        (verify_genuine, "scriptL-square", "_script_square_item",
+         lambda m: [[1], [1]] if m == [[8], [1]] else m),
+    ], ids=["boundary-zero", "uct-inclusion-doubled", "lgs-to-ls-by-one", "beta-sign", "scriptL-to-LR-by-one"])
+    def test_corrupted_coefficient_fails_its_row_only(self, suite, row, caller, corrupt, monkeypatch):
+        genuine = ltables.scalar_map
+
+        def patched(sources, targets, shift, coeffs):
+            # corrupt only the maps that ``caller`` builds
+            if sys._getframe(1).f_code.co_name == caller:
+                return genuine(sources, targets, shift, lambda n: corrupt(coeffs(n)))
+            return genuine(sources, targets, shift, coeffs)
+
+        monkeypatch.setattr(ltables, "scalar_map", patched)
+        verdicts = {i.name: i.passed for i in suite()}
+        assert verdicts.pop(row) is False
+        assert all(verdicts.values()), verdicts
 
     def test_symmetrisation_map_values(self):
         s = symmetrisation_map((-8, 8))
