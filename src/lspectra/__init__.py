@@ -22,7 +22,6 @@ from .forms import (
     SymForm,
     arf,
     brown_kervaire,
-    check_quadratic,
     nondegenerate,
     signature,
 )

@@ -94,6 +94,16 @@ class IntMatrix:
             m[i][i] = int(d)
         return cls(m, shape=(rows, cols))
 
+    @classmethod
+    def block_diagonal(cls, *blocks):
+        """The matrix with ``blocks`` down its diagonal and zeros elsewhere."""
+        cols = sum(b.cols for b in blocks)
+        rows, left = [], 0
+        for b in blocks:
+            rows += [[0] * left + list(r) + [0] * (cols - left - b.cols) for r in b.entries]
+            left += b.cols
+        return cls(rows, shape=(len(rows), cols))
+
     def tolist(self):
         return [list(row) for row in self.entries]
 

@@ -62,9 +62,21 @@ def _emit_report(report, fmt: str, out) -> bool:
     return ok
 
 
+def _not_an_integer(text):
+    raise ValueError(f"{text} is not an integer")
+
+
 def _load_json_file(path):
+    """The document in ``path``; a float, NaN, Infinity, true or false in it is refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    pending = [[doc]]  # arrays and objects to search for true and false, which int() accepts
+    while pending:
+        values = pending.pop()
+        if bool in map(type, values):
+            _not_an_integer("a boolean")
+        pending += [v.values() if type(v) is dict else v for v in values if type(v) in (list, dict)]
+    return doc
 
 
 @contextmanager

@@ -10,12 +10,11 @@ any invariant.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .abelian import FgAbGroup, IntMatrix
+from .abelian import EnumerationBoundError, FgAbGroup, IntMatrix, map_cokernel_group
 
 __all__ = [
     "SymForm",
@@ -28,7 +27,6 @@ __all__ = [
     "arf",
     "brown_kervaire",
     "gauss_sum",
-    "check_quadratic",
     "nondegenerate",
     "two_rank_parity",
     "E8_GRAM",
@@ -64,13 +62,7 @@ class SymForm:
         return self.gram.rows
 
     def block_sum(self, other: "SymForm") -> "SymForm":
-        n, m = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram.entries[i]) + [0] * m)
-        for i in range(m):
-            rows.append([0] * n + list(other.gram.entries[i]))
-        return SymForm(IntMatrix(rows, shape=(n + m, n + m)))
+        return SymForm(IntMatrix.block_diagonal(self.gram, other.gram))
 
 
 def signature(f: SymForm) -> int:
@@ -171,28 +163,10 @@ class F2QuadForm:
         )
 
     def polarization_nondegenerate(self) -> bool:
-        b = [list(r) for r in self.polarization().entries]
-        n = self.dim
-        rank = 0
-        for c in range(n):
-            piv = next((r for r in range(rank, n) if b[r][c] % 2), None)
-            if piv is None:
-                continue
-            b[rank], b[piv] = b[piv], b[rank]
-            for r in range(n):
-                if r != rank and b[r][c] % 2:
-                    b[r] = [(x + y) % 2 for x, y in zip(b[r], b[rank])]
-            rank += 1
-        return rank == n
+        return _adjoint_onto(self.polarization(), FgAbGroup(0, (2,) * self.dim))
 
     def orthogonal_sum(self, other: "F2QuadForm") -> "F2QuadForm":
-        n, m = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append(list(self.matrix.entries[i]) + [0] * m)
-        for i in range(m):
-            rows.append([0] * n + list(other.matrix.entries[i]))
-        return F2QuadForm(IntMatrix(rows, shape=(n + m, n + m)))
+        return F2QuadForm(IntMatrix.block_diagonal(self.matrix, other.matrix))
 
 
 def arf(f: F2QuadForm) -> int:
@@ -339,31 +313,33 @@ LINKING_ORDER_BOUND = 1 << 12
 
 
 class LinkingForm:
-    """A dyadic-rational-mod-1-valued function on a finite abelian 2-group.
+    """A quadratic linking form on a finite 2-group, stored as its generator data.
 
-    The full value table is stored: the group is desk scale by design.
-    Keys are coordinate tuples against the invariant-factor generators.
+    ``a[i] = q(g_i)`` and ``pairs[(i, j)] = b(g_i, g_j)`` (i < j, 0 if left
+    out) mod 1, for the invariant-factor generators g_i of orders d_i, which
+    also give elements their coordinates.  q(x) = sum_i x_i^2 a_i +
+    sum_{i<j} x_i x_j b_ij mod 1 is a function on the group exactly when it
+    descends: d_i^2 a_i, 2 d_i a_i, d_i b_ij and d_j b_ij vanish mod 1, that
+    is, gcd(d_i, 2) d_i a_i and gcd(d_i, d_j) b_ij do.
     """
 
-    __slots__ = ("group", "qvals")
+    __slots__ = ("group", "a", "pairs")
 
-    def __init__(self, group: FgAbGroup, qvals):
+    def __init__(self, group: FgAbGroup, a, b):
         if group.free_rank:
             raise ValueError("linking forms live on finite groups")
         if not group.is_two_primary():
             raise ValueError("linking forms live on 2-groups")
-        if group.order() > LINKING_ORDER_BOUND:
-            raise ValueError("group order exceeds the desk-scale bound")
-        table = {}
-        for x in group.elements():
-            v = qvals[tuple(x)]
-            v = Fraction(v) % 1
-            d = v.denominator
-            if d & (d - 1):
-                raise ValueError("linking form values must be dyadic")
-            table[tuple(x)] = v
+        d = group.torsion
+        a = tuple(Fraction(v) % 1 for v in a)
+        pairs = {(i, j): Fraction(v) % 1 for (i, j), v in b.items()}
+        if any((gcd(di, 2) * di * ai) % 1 for di, ai in zip(d, a)) or any(
+            (gcd(d[i], d[j]) * v) % 1 for (i, j), v in pairs.items()
+        ):
+            raise ValueError("generator data does not descend to a quadratic function")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "qvals", table)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "pairs", {ij: v for ij, v in pairs.items() if v})
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LinkingForm is immutable")
@@ -371,36 +347,52 @@ class LinkingForm:
     # -- evaluation -----------------------------------------------------------
 
     def q(self, x) -> Fraction:
-        return self.qvals[self._reduce(x)]
-
-    def _reduce(self, x):
-        return tuple(a % d for a, d in zip(x, self.group.torsion))
-
-    def add(self, x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.group.torsion))
+        v = sum(xi * xi * ai for xi, ai in zip(x, self.a))
+        v += sum(x[i] * x[j] * bij for (i, j), bij in self.pairs.items())
+        return Fraction(v) % 1
 
     def b(self, x, y) -> Fraction:
         """Polarization b(x, y) = q(x+y) - q(x) - q(y) mod 1."""
-        return (self.q(self.add(x, y)) - self.q(x) - self.q(y)) % 1
+        return (self.q([s + t for s, t in zip(x, y)]) - self.q(x) - self.q(y)) % 1
 
-    def elements(self):
-        return self.group.elements()
+    def _numerators(self):
+        """(den, values) with q(x) = values[n] / den for the n-th of ``group.elements()``.
+
+        den, the common denominator of the data, is also the largest denominator
+        of a value.  This is the one enumeration of the values, so the one place
+        the desk-scale bound is checked.
+        """
+        if self.group.order() > LINKING_ORDER_BOUND:
+            raise EnumerationBoundError("group order exceeds the desk-scale bound")
+        d = self.group.torsion
+        den = lcm(*(v.denominator for v in self.a), *(v.denominator for v in self.pairs.values()))
+        values = [0]  # den q(x) for x on the first m generators, in product order
+        for m, am in enumerate(self.a):
+            # q(x + t g_m) = q(x) + t^2 a_m + t b(x, g_m), b(x, g_m) = sum_i x_i b_im
+            linear = [0]
+            for i in range(m):
+                c = int(self.pairs.get((i, m), 0) * den)
+                linear = [u + t * c for u in linear for t in range(d[i])]
+            s = int(am * den)
+            values = [v + t * (t * s + u) for v, u in zip(values, linear) for t in range(d[m])]
+        return den, [v % den for v in values]
+
+    @property
+    def qvals(self) -> dict:
+        """The value table {coordinates: q(x)}."""
+        den, values = self._numerators()
+        return {x: Fraction(v, den) for x, v in zip(self.group.elements(), values)}
 
     def direct_sum(self, other: "LinkingForm") -> "LinkingForm":
-        divisors = list(self.group.torsion) + list(other.group.torsion)
-        group = FgAbGroup.from_divisors(divisors)
-        # from_divisors may reorder; rebuild against the canonical order
-        order_map = sorted(range(len(divisors)), key=lambda i: (divisors[i], i))
-        qvals = {}
-        k1 = len(self.group.torsion)
-        for x in group.elements():
-            orig = [0] * len(divisors)
-            for pos, i in enumerate(order_map):
-                orig[i] = x[pos]
-            left = tuple(orig[:k1])
-            right = tuple(orig[k1:])
-            qvals[x] = (self.q(left) + other.q(right)) % 1
-        return LinkingForm(group, qvals)
+        """The orthogonal sum, its generators permuted into ascending order."""
+        k = len(self.group.torsion)
+        d = self.group.torsion + other.group.torsion
+        order = sorted(range(len(d)), key=d.__getitem__)
+        position = {old: new for new, old in enumerate(order)}
+        a = self.a + other.a
+        pairs = list(self.pairs.items()) + [((i + k, j + k), v) for (i, j), v in other.pairs.items()]
+        return LinkingForm(FgAbGroup(0, tuple(d[i] for i in order)), [a[i] for i in order],
+                           {tuple(sorted((position[i], position[j]))): v for (i, j), v in pairs})
 
     # -- builders ----------------------------------------------------------------
 
@@ -408,102 +400,91 @@ class LinkingForm:
     def cyclic(cls, k: int, a: int) -> "LinkingForm":
         """q(x) = a x^2 / 2^(k+1) on Z/2^k; nondegenerate for odd a."""
         d = 1 << k
-        return cls(FgAbGroup(0, (d,)), _quadratic_table((d,), [Fraction(a, 2 * d)], {}))
+        return cls(FgAbGroup(0, (d,)), [Fraction(a, 2 * d)], {})
 
     @classmethod
     def hyperbolic(cls, k: int) -> "LinkingForm":
         """q(x, y) = x y / 2^k on (Z/2^k)^2."""
         d = 1 << k
-        return cls(FgAbGroup(0, (d, d)), _quadratic_table((d, d), [0, 0], {(0, 1): Fraction(1, d)}))
+        return cls(FgAbGroup(0, (d, d)), [0, 0], {(0, 1): Fraction(1, d)})
 
     @classmethod
     def skew_unit(cls, k: int) -> "LinkingForm":
         """q(x, y) = (x^2 + x y + y^2) / 2^k on (Z/2^k)^2."""
         d = 1 << k
-        a = [Fraction(1, d)] * 2
-        return cls(FgAbGroup(0, (d, d)), _quadratic_table((d, d), a, {(0, 1): Fraction(1, d)}))
+        return cls(FgAbGroup(0, (d, d)), [Fraction(1, d)] * 2, {(0, 1): Fraction(1, d)})
+
+    @classmethod
+    def from_table(cls, group: FgAbGroup, qvals) -> "LinkingForm":
+        """The form whose value table is ``qvals`` ({coordinates: value}).
+
+        a_i and b_ij are read off at g_i and g_i + g_j.  A ValueError is raised
+        unless the table holds one value per element, and names the first
+        element where it is not their polynomial; p / r = n / den mod 1 is
+        tested as r den dividing p den - n r.
+        """
+        k = len(group.torsion)
+
+        def q(*gens):
+            return Fraction(qvals[tuple(int(i in gens) for i in range(k))])
+
+        a = [q(i) for i in range(k)]
+        b = {(i, j): q(i, j) - a[i] - a[j] for i, j in itertools.combinations(range(k), 2)}
+        form = cls(group, a, b)
+        if len(qvals) != group.order():
+            raise ValueError(f"table holds {len(qvals)} values for {group.order()} elements")
+        den, values = form._numerators()
+        for x, n in zip(group.elements(), values):
+            p, r = qvals[x].as_integer_ratio()
+            if (p * den - n * r) % (r * den):
+                raise ValueError(f"table is not quadratic: q{x} = {qvals[x]}, not {Fraction(n, den)}")
+        return form
 
     # -- serialisation -------------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "factors": list(self.group.torsion),
-            "q": {
-                "(" + ",".join(map(str, x)) + ")": str(self.qvals[x])
-                for x in sorted(self.qvals)
-            },
+            "q": {"(" + ",".join(map(str, x)) + ")": str(v) for x, v in self.qvals.items()},
         }
 
     @classmethod
     def from_json(cls, doc) -> "LinkingForm":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         group = FgAbGroup.from_divisors(doc["factors"])
-        qvals = {}
-        for key, val in doc["q"].items():
-            coords = tuple(int(t) for t in key.strip("()").split(",") if t != "")
-            qvals[coords] = Fraction(val)
-        return cls(group, qvals)
+        qvals = {tuple(map(int, filter(None, key.strip("()").split(",")))): Fraction(val)
+                 for key, val in doc["q"].items()}
+        if len(qvals) != len(doc["q"]):
+            raise ValueError("two keys name the same element")
+        return cls.from_table(group, qvals)
 
     def __eq__(self, other):
         if not isinstance(other, LinkingForm):
             return NotImplemented
-        return self.group == other.group and self.qvals == other.qvals
+        return (self.group, self.a, self.pairs) == (other.group, other.a, other.pairs)
 
     def __repr__(self):
         return f"LinkingForm(group={self.group.render()!r})"
 
 
-def _quadratic_table(torsion, a, b):
-    """Values of q(x) = sum_i x_i^2 a_i + sum_{i<j} x_i x_j b_ij mod 1, or None.
+def _adjoint_onto(M: IntMatrix, group: FgAbGroup) -> bool:
+    """Is the pairing on the finite ``group`` with adjoint M : group -> group nondegenerate?
 
-    The one statement of a linking form through its generators g_i:
-    a_i = q(g_i) and b = {(i, j): b(g_i, g_j)} for i < j, missing pairs 0.
-    The polynomial is a function on Z/d_1 + ... + Z/d_k exactly when it
-    descends: d_i^2 a_i, 2 d_i a_i, d_i b_ij and d_j b_ij vanish mod 1, that
-    is, gcd(d_i, 2) d_i a_i and gcd(d_i, d_j) b_ij do; else None is returned.
+    That is, is M injective?  For a finite group, exactly when M is onto.
     """
-    a = [Fraction(v) for v in a]
-    b = {ij: Fraction(v) for ij, v in b.items() if v}
-    if any((gcd(d, 2) * d * ai) % 1 for d, ai in zip(torsion, a)):
-        return None
-    if any((gcd(torsion[i], torsion[j]) * v) % 1 for (i, j), v in b.items()):
-        return None
-    # exact integer evaluation over the common denominator
-    den = lcm(*(v.denominator for v in a), *(v.denominator for v in b.values()))
-    squares = [int(v * den) for v in a]
-    cross = [(i, j, int(v * den)) for (i, j), v in b.items()]
-    table = {}
-    for x in itertools.product(*(range(d) for d in torsion)):
-        val = sum(xi * xi * c for xi, c in zip(x, squares))
-        val += sum(x[i] * x[j] * c for i, j, c in cross)
-        table[x] = Fraction(val % den, den)
-    return table
-
-
-def _generators(k: int):
-    return [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-
-
-def check_quadratic(L: LinkingForm) -> bool:
-    """q is the descending polynomial of a_i = q(g_i) and b_ij = b(g_i, g_j).
-
-    That holds exactly when q(r x) = r^2 q(x) and b is bilinear.
-    """
-    gens = _generators(len(L.group.torsion))
-    a = [L.q(g) for g in gens]
-    b = {(i, j): L.b(gens[i], gens[j]) for i, j in itertools.combinations(range(len(gens)), 2)}
-    return _quadratic_table(L.group.torsion, a, b) == L.qvals
+    return map_cokernel_group(M, group, group).is_trivial()
 
 
 def nondegenerate(L: LinkingForm) -> bool:
-    """x -> b(x, .) is injective into the character group."""
-    gens = _generators(len(L.group.torsion))
-    for x in L.elements():
-        if any(x):
-            if all(L.b(x, g) == 0 for g in gens):
-                return False
-    return True
+    """x -> b(x, .) is injective into the character group.
+
+    Characters chi are identified with the group through
+    chi -> (d_j chi(g_j))_j, so the adjoint is M[j][i] = d_j b(g_i, g_j),
+    with b(g_i, g_i) = 2 q(g_i).
+    """
+    d, k = L.group.torsion, len(L.group.torsion)
+    b = {**{(i, i): 2 * a for i, a in enumerate(L.a)}, **L.pairs}
+    M = [[int(d[j] * b.get((min(i, j), max(i, j)), 0)) for i in range(k)] for j in range(k)]
+    return _adjoint_onto(IntMatrix(M, shape=(k, k)), L.group)
 
 
 def two_rank_parity(L: LinkingForm) -> int:
@@ -519,14 +500,15 @@ def two_rank_parity(L: LinkingForm) -> int:
 
 def gauss_sum(L: LinkingForm, conductor=None) -> CycEight:
     """Exact Gauss sum of the linking form in Z[zeta_N]."""
-    maxden = max((v.denominator for v in L.qvals.values()), default=1)
-    N = conductor or 8 * maxden
-    if N % (2 * maxden) or N % 8:
+    den, values = L._numerators()
+    N = conductor or 8 * den
+    if N % (2 * den) or N % 8:
         raise ValueError("conductor too small for the value table")
     # count the exponents of zeta_N, then fold with zeta^(k + N/2) = -zeta^k
     counts = [0] * N
-    for v in L.qvals.values():
-        counts[v.numerator * (N // v.denominator) % N] += 1
+    step = N // den
+    for v in values:
+        counts[v * step] += 1
     half = N // 2
     return CycEight([counts[k] - counts[k + half] for k in range(half)], N)
 

@@ -20,10 +20,9 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .abelian import FgAbGroup, IntMatrix, smith_normal_form
+from .abelian import IntMatrix, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_segments
-from .forms import LINKING_ORDER_BOUND, DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
-from .forms import _quadratic_table
+from .forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 
 __all__ = [
     "PoincareStructure",
@@ -386,10 +385,6 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None) -> Linki
     H, gens, orders = C.homology_with_gens(carrier)
     if H.free_rank or not H.is_two_primary():
         raise DegenerateFormError("carrier homology is not a finite 2-group")
-    if H.order() > LINKING_ORDER_BOUND:
-        raise DegenerateFormError("carrier homology exceeds the desk-scale bound")
-    if H.is_trivial():
-        return LinkingForm(FgAbGroup(), {(): Fraction(0)})
     d = C.diff(carrier + 1)
     snf = smith_normal_form(d)  # one factorisation serves every lift below
     # one uniform 2-power exponent K for every class
@@ -415,10 +410,10 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None) -> Linki
     denom = 1 << (K + 1)
     a = [Fraction(M[i, i], denom) for i in range(M.rows)]
     b = {(i, j): Fraction(M[i, j] + M[j, i], denom) for i, j in combinations(range(M.rows), 2)}
-    qvals = _quadratic_table(H.torsion, a, b)
-    if qvals is None:
-        raise InvalidStructureError("extracted values are not a quadratic function")
-    form = LinkingForm(H, qvals)
+    try:
+        form = LinkingForm(H, a, b)
+    except ValueError:
+        raise InvalidStructureError("extracted values are not a quadratic function") from None
     if not nondegenerate(form):
         raise DegenerateFormError("extracted linking form is degenerate")
     return form

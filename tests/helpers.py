@@ -4,8 +4,9 @@ Each oracle recomputes an expected value along a different route from the
 implementation it checks: invariant factors from gcds of minors, Hom/Ext
 by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
 groups from closed formulas, Gauss sums in floating point and one root of
-unity at a time, and quadratic functions by checking homogeneity and
-bilinearity over all pairs of elements.
+unity at a time, quadratic functions by checking homogeneity and
+bilinearity over all pairs of elements, and nondegeneracy and orthogonal
+sums of linking forms element by element.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def kunneth_parts(C, D, n):
 
 
 def gauss_sum_float(L):
-    return sum(cmath.exp(2j * cmath.pi * float(L.q(x))) for x in L.elements())
+    return sum(cmath.exp(2j * cmath.pi * float(L.q(x))) for x in L.group.elements())
 
 
 def random_linking_form(rng, max_order=256):
@@ -237,36 +238,105 @@ def random_group(rng, max_order=64):
 # -- quadratic functions by exhaustive pairing -------------------------------------
 
 
-def check_quadratic_by_pairs(L, scalars):
+def polarization_by_elements(group, table, x, y):
+    """b(x, y) = q(x+y) - q(x) - q(y) mod 1, read off a value table."""
+    return (table[add_in(group, x, y)] - table[x] - table[y]) % 1
+
+
+def check_quadratic_by_pairs(group, table, scalars):
     """q(r x) = r^2 q(x) for the listed scalars, and bilinear polarization.
 
     Bilinearity is verified by comparing b against the bilinear extension of
     its values on generator pairs over the whole group: O(|G|^2 k^2).
     """
+    elements = elements_of(group)
     for r in scalars:
-        for x in L.elements():
-            if L.q(scale_in(L.group, r, x)) != (r * r * L.q(x)) % 1:
+        for x in elements:
+            if table[scale_in(group, r, x)] != (r * r * table[x]) % 1:
                 return False
-    k = len(L.group.torsion)
+    k = len(group.torsion)
     gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    pairings = [[L.b(gi, gj) for gj in gens] for gi in gens]
-    for x in L.elements():
-        for y in L.elements():
+    pairings = [[polarization_by_elements(group, table, gi, gj) for gj in gens] for gi in gens]
+    for x in elements:
+        for y in elements:
             expected = sum(
                 (x[i] * y[j] * pairings[i][j] for i in range(len(x)) for j in range(len(y))),
                 Fraction(0),
             ) % 1
-            if L.b(x, y) != expected:
+            if polarization_by_elements(group, table, x, y) != expected:
                 return False
     return True
 
 
-def gauss_sum_by_elements(L, conductor):
+def nondegenerate_by_elements(group, table):
+    """No nonzero x has b(x, g_i) = 0 for every generator g_i."""
+    k = len(group.torsion)
+    gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+    return not any(
+        all(polarization_by_elements(group, table, x, g) == 0 for g in gens)
+        for x in elements_of(group) if any(x)
+    )
+
+
+def direct_sum_by_elements(L, M):
+    """The value table of the orthogonal sum on the canonically ordered group."""
+    divisors = list(L.group.torsion) + list(M.group.torsion)
+    group = FgAbGroup.from_divisors(divisors)
+    order_map = sorted(range(len(divisors)), key=lambda i: (divisors[i], i))
+    left, right = L.qvals, M.qvals
+    k = len(L.group.torsion)
+    table = {}
+    for x in elements_of(group):
+        orig = [0] * len(divisors)
+        for pos, i in enumerate(order_map):
+            orig[i] = x[pos]
+        table[x] = (left[tuple(orig[:k])] + right[tuple(orig[k:])]) % 1
+    return group, table
+
+
+def f2_nondegenerate_by_elimination(matrix: IntMatrix):
+    """Full rank over GF(2) of the polarization M + M^T, by Gaussian elimination."""
+    n = matrix.rows
+    b = [[(matrix[i, j] + matrix[j, i]) % 2 for j in range(n)] for i in range(n)]
+    rank = 0
+    for c in range(n):
+        piv = next((r for r in range(rank, n) if b[r][c] % 2), None)
+        if piv is None:
+            continue
+        b[rank], b[piv] = b[piv], b[rank]
+        for r in range(n):
+            if r != rank and b[r][c] % 2:
+                b[r] = [(x + y) % 2 for x, y in zip(b[r], b[rank])]
+        rank += 1
+    return rank == n
+
+
+def random_generator_data(rng, max_order):
+    """(group, a, b): random descending generator data, degenerate forms included.
+
+    a_i has denominator dividing 2 d_i and b_ij denominator dividing
+    gcd(d_i, d_j), which is exactly what descent allows on 2-groups.
+    """
+    divisors = []
+    while rng.random() < 0.75:
+        d = rng.choice([2, 2, 4, 8])
+        if FgAbGroup.from_divisors(divisors + [d]).order() > max_order:
+            break
+        divisors.append(d)
+    group = FgAbGroup.from_divisors(divisors)
+    t = group.torsion
+    a = [Fraction(rng.randrange(2 * d), 2 * d) for d in t]
+    b = {(i, j): Fraction(rng.randrange(gcd(t[i], t[j])), gcd(t[i], t[j]))
+         for i in range(len(t)) for j in range(i + 1, len(t))}
+    return group, a, b
+
+
+def gauss_sum_by_elements(group, table, conductor):
     """The Gauss sum accumulated one root of unity per element."""
     from lspectra.forms import CycEight
 
     total = CycEight.zero(conductor)
-    for x in L.elements():
-        v = L.q(x)
+    for x in elements_of(group):
+        v = table[x]
         total = total + CycEight.root_power(v.numerator * (conductor // v.denominator), conductor)
     return total

@@ -122,6 +122,21 @@ class TestFromColumns:
         assert made.columns() == [list(c) for c in cols]
 
 
+class TestBlockDiagonal:
+    def test_places_each_block_on_the_diagonal(self):
+        blocks = [IntMatrix([[1, 2, 3], [4, 5, 6]]), IntMatrix.zero(0, 2), IntMatrix([[7]]),
+                  IntMatrix.zero(2, 0)]
+        made = IntMatrix.block_diagonal(*blocks)
+        assert made == IntMatrix([
+            [1, 2, 3, 0, 0, 0],
+            [4, 5, 6, 0, 0, 0],
+            [0, 0, 0, 0, 0, 7],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+        ])
+        assert IntMatrix.block_diagonal() == IntMatrix.zero(0, 0)
+
+
 class TestFactorOnce:
     """SnfResult answers every query the module-level functions answer."""
 
@@ -180,7 +195,8 @@ class TestFactorOnce:
 
     @pytest.mark.parametrize("lift_seed", [None, 1])
     def test_linking_form_factors_each_matrix_once(self, lift_seed, monkeypatch):
-        # d_0, its kernel basis, the boundary coordinates and d_1
+        # d_0, its kernel basis, the boundary coordinates, d_1 and the
+        # adjoint of the extracted pairing that nondegenerate() presents
         S = _hidden_e_tensor_f_plus_h(random.Random(5))
         seen = []
         raw = abelian._snf_raw
@@ -192,7 +208,7 @@ class TestFactorOnce:
         monkeypatch.setattr(abelian, "_snf_raw", counted)
         lift_rng = None if lift_seed is None else random.Random(lift_seed)
         assert brown_kervaire(linking_form(S, lift_rng=lift_rng)) == 4
-        assert len(set(seen)) == 4
+        assert len(set(seen)) == 5
         assert len(seen) == len(set(seen))
 
 

@@ -2,9 +2,18 @@ import json
 
 import pytest
 
+from lspectra.abelian import IntMatrix
+from lspectra.chain import IntComplex
 from lspectra.cli import main, parse_window, UsageError
 from lspectra.graded import GradedGroup
-from lspectra.forms import LinkingForm
+from lspectra.forms import LinkingForm, nondegenerate
+from lspectra.poincare import (
+    PoincareStructure,
+    StructuredComplex,
+    linking_form,
+    representative,
+    tensor_structured,
+)
 
 
 def run(argv, capsys):
@@ -176,6 +185,39 @@ class TestTorsor:
         assert len(captured.err.splitlines()) == 1
 
 
+def _e_tensor_planes(k):
+    """E (x) (F + hyperbolic + F + ...) with k planes: carrier homology (Z/2)^(2k)."""
+    planes = [IntMatrix([[1, 1], [0, 1]] if i % 2 == 0 else [[0, 1], [0, 0]]) for i in range(k)]
+    psi = {(0, 1): IntMatrix.block_diagonal(*planes)}
+    f = StructuredComplex(IntComplex({1: 2 * k}), PoincareStructure("quadratic", 2, psi))
+    return tensor_structured(representative("E"), f)
+
+
+class TestDeskScaleBound:
+    def test_largest_enumerated_form_prints_beta(self, tmp_path, capsys):
+        # 2^12 elements, the bound itself; three F planes give beta 4
+        path = tmp_path / "planes.json"
+        path.write_text(json.dumps(_e_tensor_planes(6).to_json()))
+        code, out = run(["invariant", "--name", "beta", "--input", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == 4
+
+    def test_form_above_the_bound_is_extracted_but_not_enumerated(self, tmp_path, capsys):
+        S = _e_tensor_planes(7)
+        form = linking_form(S)
+        assert form.group.order() == 1 << 14
+        assert nondegenerate(form)
+        path = tmp_path / "planes.json"
+        path.write_text(json.dumps(S.to_json()))
+        code = main(["invariant", "--name", "beta", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "desk-scale bound" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 MALFORMED_INPUTS = {
     "odd-order-form": (["invariant", "--name", "beta"],
                        {"factors": [3], "q": {"(0)": "0", "(1)": "1/3", "(2)": "1/3"}}),
@@ -202,6 +244,22 @@ MALFORMED_INPUTS = {
     "number-as-window-torsor": (["torsor", "--period", "4"], {"window": 5}),
     "short-window-dual": (["dual"], {"window": [5]}),
     "list-as-groups-torsor": (["torsor", "--period", "4"], {"window": [0, 2], "groups": []}),
+    # a table that is not the polynomial of its generator data: q(1) = 0 on Z/4
+    "non-quadratic-table": (["invariant", "--name", "beta"],
+                            {"factors": [4], "q": {"(0)": "0", "(1)": "0", "(2)": "0", "(3)": "1/2"}}),
+    "form-extra-element": (["invariant", "--name", "beta"],
+                           {"factors": [2], "q": {"(0)": "0", "(1)": "1/4", "(5)": "1/2"}}),
+    "form-duplicate-element": (["invariant", "--name", "beta"],
+                               {"factors": [2], "q": {"(0)": "0", "(1)": "1/4", "(1,)": "3/4"}}),
+    # numbers that are not integers
+    "float-signature": (["invariant", "--name", "signature"], [[1.5]]),
+    "bool-signature": (["invariant", "--name", "signature"], [[True]]),
+    "bool-arf": (["invariant", "--name", "arf"], [[True, 1], [0, 1]]),
+    "float-differential-complex": (["invariant", "--name", "beta"], {
+        "ranks": {"1": 1, "0": 1}, "differentials": {"1": [[4.0]]},
+        "kind": "quadratic", "dimension": 1, "psi": {"0,0": [[1]], "0,1": [[1]], "1,1": [[1]]}}),
+    "bool-period-dual": (["dual"], {"window": [-2, 2], "period": True, "groups": {}}),
+    "float-period-torsor": (["torsor"], {"window": [0, 7], "period": 4.0, "groups": {}}),
 }
 
 

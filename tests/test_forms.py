@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from lspectra.forms import (
     SymForm,
     arf,
     brown_kervaire,
-    check_quadratic,
     gauss_sum,
     nondegenerate,
     signature,
@@ -24,8 +24,13 @@ from lspectra.forms import (
 
 from helpers import (
     check_quadratic_by_pairs,
+    direct_sum_by_elements,
+    f2_nondegenerate_by_elimination,
     gauss_sum_by_elements,
     gauss_sum_float,
+    nondegenerate_by_elements,
+    polarization_by_elements,
+    random_generator_data,
     random_linking_form,
 )
 
@@ -155,7 +160,7 @@ class TestCyclotomic:
 
 class TestLinkingForms:
     def test_half_valued_plane_beta_four(self):
-        q = LinkingForm(
+        q = LinkingForm.from_table(
             FgAbGroup(0, (2, 2)),
             {
                 (0, 0): Fraction(0),
@@ -165,11 +170,11 @@ class TestLinkingForms:
             },
         )
         assert brown_kervaire(q) == 4
-        assert check_quadratic(q)
+        assert (q.a, q.pairs) == ((Fraction(1, 2),) * 2, {(0, 1): Fraction(1, 2)})
         assert nondegenerate(q)
 
     def test_quarter_on_z2(self):
-        q = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 4)})
+        q = LinkingForm.from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 4)})
         assert brown_kervaire(q) == 1
         assert nondegenerate(q)
         s = gauss_sum(q)
@@ -177,28 +182,29 @@ class TestLinkingForms:
         assert s.norm_squared() == 2
 
     def test_trivial(self):
-        q = LinkingForm(FgAbGroup(), {(): Fraction(0)})
+        q = LinkingForm.from_table(FgAbGroup(), {(): Fraction(0)})
         assert brown_kervaire(q) == 0
 
     def test_degenerate_raises(self):
-        q = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
+        q = LinkingForm.from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
         assert not nondegenerate(q)
         with pytest.raises(DegenerateFormError):
             brown_kervaire(q)
 
     def test_check_quadratic_examples(self):
-        halves = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
-        assert check_quadratic(halves)
-        corrupted = LinkingForm(
-            FgAbGroup(0, (2, 2)),
-            {
-                (0, 0): Fraction(0),
-                (1, 0): Fraction(1, 2),
-                (0, 1): Fraction(1, 2),
-                (1, 1): Fraction(1, 4),
-            },
-        )
-        assert not check_quadratic(corrupted)
+        LinkingForm.from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
+        corrupted = {
+            (0, 0): Fraction(0),
+            (1, 0): Fraction(1, 2),
+            (0, 1): Fraction(1, 2),
+            (1, 1): Fraction(1, 4),
+        }
+        with pytest.raises(ValueError):
+            LinkingForm.from_table(FgAbGroup(0, (2, 2)), corrupted)
+        # q(g) = 0 gives the zero polynomial on Z/4, which the table leaves at 3
+        z4 = {(0,): Fraction(0), (1,): Fraction(0), (2,): Fraction(0), (3,): Fraction(1, 2)}
+        with pytest.raises(ValueError, match=r"q\(3,\) = 1/2"):
+            LinkingForm.from_table(FgAbGroup(0, (4,)), z4)
 
     def test_additivity_and_norm_identity_on_random_forms(self):
         rng = random.Random(101)
@@ -226,13 +232,22 @@ class TestLinkingForms:
         assert doc["factors"] == [4, 4]
 
 
+def _accepted(group, table):
+    """Does from_table accept the table?"""
+    try:
+        LinkingForm.from_table(group, table)
+    except ValueError:
+        return False
+    return True
+
+
 def _corrupt_one(rng, L):
-    """L with the value at one element replaced by a different dyadic value."""
-    qvals = dict(L.qvals)
+    """L's value table with the value at one element replaced by a different dyadic value."""
+    qvals = L.qvals
     x = rng.choice(sorted(qvals))
     den = 2 * L.group.exponent()
     qvals[x] = (qvals[x] + Fraction(rng.randrange(1, den), den)) % 1
-    return LinkingForm(L.group, qvals)
+    return L.group, qvals
 
 
 def _random_dyadic_table(rng, max_order):
@@ -244,7 +259,7 @@ def _random_dyadic_table(rng, max_order):
         divisors.append(d)
     group = FgAbGroup.from_divisors(divisors)
     den = 2 * group.exponent()
-    return LinkingForm(group, {x: Fraction(rng.randrange(den), den) for x in group.elements()})
+    return group, {x: Fraction(rng.randrange(den), den) for x in group.elements()}
 
 
 class TestQuadraticByGenerators:
@@ -272,14 +287,15 @@ class TestQuadraticByGenerators:
             kind = i % 3
             if kind == 0:
                 L = random_linking_form(rng, max_order=rng.choice([4, 16, 64]))
+                group, table = L.group, L.qvals
             elif kind == 1:
-                L = _corrupt_one(rng, random_linking_form(rng, max_order=64))
+                group, table = _corrupt_one(rng, random_linking_form(rng, max_order=64))
             else:
-                L = _random_dyadic_table(rng, max_order=64)
-            assert L.group.order() <= 64
-            expected = check_quadratic_by_pairs(L, range(2 * L.group.exponent()))
-            assert check_quadratic(L) == expected, L.to_json()
-            verdicts[kind].append((L.group.order(), expected))
+                group, table = _random_dyadic_table(rng, max_order=64)
+            assert group.order() <= 64
+            expected = check_quadratic_by_pairs(group, table, range(2 * group.exponent()))
+            assert _accepted(group, table) == expected, (group, table)
+            verdicts[kind].append((group.order(), expected))
         assert all(ok for _, ok in verdicts[0])
         # on Z/2 a changed generator value is another quadratic form
         assert not any(ok for order, ok in verdicts[1] if order > 2)
@@ -291,7 +307,7 @@ class TestQuadraticByGenerators:
         rng = random.Random(505)
         verdicts = []
         for _ in range(150):
-            group = _random_dyadic_table(rng, max_order=32).group
+            group = _random_dyadic_table(rng, max_order=32)[0]
             e, k = group.exponent(), len(group.torsion)
             a = [Fraction(rng.randrange(4 * e), 4 * e) for _ in range(k)]
             b = {(i, j): Fraction(rng.randrange(2 * e), 2 * e)
@@ -301,19 +317,73 @@ class TestQuadraticByGenerators:
                     + sum(x[i] * x[j] * v for (i, j), v in b.items())) % 1
                 for x in group.elements()
             }
-            L = LinkingForm(group, qvals)
-            expected = check_quadratic_by_pairs(L, range(2 * e))
-            assert check_quadratic(L) == expected, L.to_json()
+            expected = check_quadratic_by_pairs(group, qvals, range(2 * e))
+            assert _accepted(group, qvals) == expected, (group, qvals)
             verdicts.append(expected)
         assert any(verdicts) and not all(verdicts)
 
     def test_descent_failure_is_not_quadratic(self):
         # a x^2 on Z/2 descends only if 4a = 0 mod 1: 1/4 does, 1/8 does not
-        L = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 4)})
-        assert check_quadratic(L)
-        L = LinkingForm(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 8)})
-        assert not check_quadratic(L)
-        assert not check_quadratic_by_pairs(L, range(4))
+        z2 = FgAbGroup(0, (2,))
+        assert _accepted(z2, {(0,): Fraction(0), (1,): Fraction(1, 4)})
+        table = {(0,): Fraction(0), (1,): Fraction(1, 8)}
+        assert not _accepted(z2, table)
+        assert not check_quadratic_by_pairs(z2, table, range(4))
+        with pytest.raises(ValueError, match="does not descend"):
+            LinkingForm(z2, [Fraction(1, 8)], {})
+
+
+class TestGeneratorData:
+    def test_matches_element_oracles(self):
+        # genuine orthogonal sums and random descending generator data,
+        # degenerate forms among them
+        rng = random.Random(606)
+        degenerate = 0
+        for i in range(320):
+            if i % 2:
+                L = random_linking_form(rng, max_order=64)
+            else:
+                L = LinkingForm(*random_generator_data(rng, max_order=64))
+            table = L.qvals
+            x, y = rng.choice(sorted(table)), rng.choice(sorted(table))
+            assert L.b(x, y) == polarization_by_elements(L.group, table, x, y)
+            assert nondegenerate(L) == nondegenerate_by_elements(L.group, table)
+            degenerate += not nondegenerate(L)
+            assert LinkingForm.from_table(L.group, table) == L
+            if i % 3:
+                M = random_linking_form(rng, max_order=4)
+            else:
+                M = LinkingForm(*random_generator_data(rng, max_order=4))
+            s = L.direct_sum(M)
+            assert (s.group, s.qvals) == direct_sum_by_elements(L, M)
+        assert degenerate > 50
+
+    def test_direct_sum_permutes_into_ascending_order(self):
+        s = LinkingForm.cyclic(3, 1).direct_sum(LinkingForm.hyperbolic(1))
+        assert s.group.torsion == (2, 2, 8)
+        assert s.a == (0, 0, Fraction(1, 16))
+        assert s.pairs == {(0, 1): Fraction(1, 2)}
+
+    def test_value_table_is_bounded(self):
+        L = LinkingForm.cyclic(1, 1)
+        for _ in range(12):
+            L = L.direct_sum(LinkingForm.cyclic(1, 1))
+        assert L.group.order() == 1 << 13
+        assert nondegenerate(L)
+        for use in (lambda: L.qvals, L.to_json, lambda: gauss_sum(L)):
+            with pytest.raises(ValueError, match="desk-scale bound"):
+                use()
+
+    def test_f2_polarization_matches_elimination(self):
+        for n in range(5):
+            slots = [(i, j) for i in range(n) for j in range(i, n)]
+            for bits in itertools.product((0, 1), repeat=len(slots)):
+                m = [[0] * n for _ in range(n)]
+                for (i, j), v in zip(slots, bits):
+                    m[i][j] = v
+                matrix = IntMatrix(m, shape=(n, n))
+                assert (F2QuadForm(matrix).polarization_nondegenerate()
+                        == f2_nondegenerate_by_elimination(matrix)), m
 
 
 class TestGaussSum:
@@ -323,7 +393,8 @@ class TestGaussSum:
             if i % 2:
                 L = random_linking_form(rng, max_order=256)
             else:
-                L = _random_dyadic_table(rng, max_order=64)
-            n = 8 * max(v.denominator for v in L.qvals.values())
+                L = LinkingForm(*random_generator_data(rng, max_order=64))
+            table = L.qvals
+            n = 8 * max(v.denominator for v in table.values())
             for conductor in (n, 2 * n):
-                assert gauss_sum(L, conductor) == gauss_sum_by_elements(L, conductor)
+                assert gauss_sum(L, conductor) == gauss_sum_by_elements(L.group, table, conductor)

@@ -6,7 +6,7 @@ import pytest
 
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.chain import IntComplex
-from lspectra.forms import DegenerateFormError, brown_kervaire, check_quadratic, nondegenerate
+from lspectra.forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 from lspectra.poincare import (
     InvalidStructureError,
     PoincareStructure,
@@ -132,7 +132,7 @@ class TestLinkingForm:
             (0, 1): Fraction(1, 2),
             (1, 1): Fraction(1, 2),
         }
-        assert check_quadratic(form)
+        assert LinkingForm.from_table(form.group, form.qvals) == form
         assert nondegenerate(form)
 
     def test_trivial_homology(self):
@@ -229,7 +229,7 @@ class TestRandomizedTwoTorsion:
             t = tensor_structured(e, f)
             assert poincare_check(t)
             form = linking_form(t)
-            assert check_quadratic(form)
+            assert LinkingForm.from_table(form.group, form.qvals) == form
             assert nondegenerate(form)
             assert brown_kervaire(form) == expected
 
