@@ -1,10 +1,13 @@
 """Exact structure theory of finitely generated abelian groups.
 
 Everything is integer arithmetic on arbitrary-precision ints: Smith normal
-form with unimodular transforms, Hermite form for lattice comparisons,
-invariant-factor canonical forms, and the functors Hom and Ext.  A group is
-always recorded by its isomorphism class ``Z^r + Z/d1 + ... + Z/dk`` with
-``d1 | d2 | ... | dk``, so equality of values is isomorphism of groups.
+form with unimodular transforms, invariant-factor canonical forms, and the
+functors Hom and Ext.  A group is always recorded by its isomorphism class
+``Z^r + Z/d1 + ... + Z/dk`` with ``d1 | d2 | ... | dk``, so equality of
+values is isomorphism of groups.  Kernels of maps, exactness and chain
+homology all ask one question of a lattice N inside a lattice with basis L:
+``_lattice_coordinates`` solves L·X = N through one Smith factorisation of
+L, X is None exactly when N is not inside, and L/N is ``cokernel(X)``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ __all__ = [
     "cokernel",
     "cokernel_with_gens",
     "kernel_basis",
-    "solve",
-    "lattice_canonical",
-    "lattice_eq",
     "hom_group",
     "ext_group",
     "extension_candidates",
@@ -208,7 +208,7 @@ class SnfResult:
     """U·A·V = D with U, V unimodular and D in invariant-factor form.
 
     One factorisation serves every solve and kernel query against A; the
-    answers equal those of the module-level ``solve`` and ``kernel_basis``.
+    kernel equals that of the module-level ``kernel_basis``.
     """
 
     U: IntMatrix
@@ -382,53 +382,21 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return _kernel_columns(D, V)
 
 
-def solve(A: IntMatrix, b) -> list[int] | None:
-    """One integer solution of A·x = b, or None if there is none."""
-    U, _, D, V = _snf_raw(A.entries, A.rows, A.cols)
-    return _back_substitute(U, D, V, b)
+def _lattice_coordinates(L: IntMatrix, N: IntMatrix) -> IntMatrix | None:
+    """The matrix X with L·X = N, or None if a column of N lies outside the lattice L.
 
-
-def lattice_canonical(gens: IntMatrix) -> tuple:
-    """Canonical form (row-style Hermite) of the column lattice of ``gens``.
-
-    Two generating matrices span the same sublattice of Z^n iff their
-    canonical forms agree.
+    The columns of L must be independent, so they are a basis of the lattice
+    they span and X holds the unique coordinates of N's columns in it; then
+    the lattice L/N is ``cokernel(X)``.
     """
-    rows = [list(r) for r in gens.transpose().entries]
-    rows = [r for r in rows if any(r)]
-    n = gens.rows
-    out = []
-    r = 0
-    for c in range(n):
-        # pick pivot via gcd elimination in column c
-        while True:
-            live = [i for i in range(r, len(rows)) if rows[i][c]]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(rows[i][c]))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            done = True
-            for i in range(r + 1, len(rows)):
-                if rows[i][c]:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][c]:
-                        done = False
-            if done:
-                break
-        if r < len(rows) and rows[r][c]:
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
-            for i in range(r):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-            r += 1
-    return tuple(tuple(row) for row in rows[:r])
-
-
-def lattice_eq(a: IntMatrix, b: IntMatrix) -> bool:
-    return lattice_canonical(a) == lattice_canonical(b)
+    snf = smith_normal_form(L) if N.cols else None
+    cols = []
+    for c in N.columns():
+        x = snf.solve(c)
+        if x is None:
+            return None
+        cols.append(x)
+    return IntMatrix.from_columns(cols, L.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -661,36 +629,27 @@ def _respects_orders(rows, src_orders, tgt_orders) -> bool:
 
 
 def _kernel_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:
-    """Generators of {x in Z^gens(src) : M x = 0 in tgt} as columns."""
+    """Basis, as columns, of {x in Z^gens(src) : M x = 0 in tgt}.
+
+    It is the kernel basis of [M | R_tgt] cut to its first gens(src) rows:
+    the columns d_i e_i of R_tgt are independent, so the cut keeps the
+    columns independent.
+    """
     R = tgt.relation_matrix()
-    block = M.hstack(R) if R.cols else M
-    K = kernel_basis(block)
-    cols = [[K[i, j] for i in range(src.gens())] for j in range(K.cols)]
-    cols += src.relation_matrix().columns()
-    return IntMatrix.from_columns(cols, src.gens())
+    K = kernel_basis(M.hstack(R) if R.cols else M)
+    return IntMatrix(K.entries[: src.gens()], shape=(src.gens(), K.cols))
 
 
 def _image_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:
     return IntMatrix.from_columns(M.columns() + tgt.relation_matrix().columns(), tgt.gens())
 
 
-def _lattice_quotient(L: IntMatrix, N: IntMatrix) -> FgAbGroup:
-    """The group L/N for sublattices N <= L of the same ambient Z^n."""
-    basis = lattice_canonical(L)
-    B = IntMatrix.from_columns(basis, L.rows)
-    snf = smith_normal_form(B) if N.cols else None
-    cols = []
-    for c in N.columns():
-        x = snf.solve(c)
-        if x is None:
-            raise ValueError("N is not contained in L")
-        cols.append(x)
-    return cokernel(IntMatrix.from_columns(cols, B.cols))
-
-
 def map_kernel_group(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> FgAbGroup:
     """Kernel of a homomorphism given on presentation generators."""
-    return _lattice_quotient(_kernel_lattice(M, src, tgt), src.relation_matrix())
+    X = _lattice_coordinates(_kernel_lattice(M, src, tgt), src.relation_matrix())
+    if X is None:
+        raise ValueError("matrix is not a homomorphism between the presented groups")
+    return cokernel(X)
 
 
 def map_cokernel_group(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> FgAbGroup:
@@ -701,13 +660,16 @@ def maps_exact(M1: IntMatrix, groups1, M2: IntMatrix, groups2) -> bool:
     """image(M1) = kernel(M2) inside the shared middle group.
 
     ``groups1 = (A, B)`` presents M1 : A -> B and ``groups2 = (B, C)``
-    presents M2 : B -> C; both must be well defined.
+    presents M2 : B -> C; both must be well defined.  The image lies in the
+    kernel when its lattice has coordinates in the kernel's basis, and then
+    the two agree when those coordinates present the trivial group.
     """
     a, b = groups1
     b2, c = groups2
     if b != b2:
         raise ValueError("middle groups differ")
-    return lattice_eq(_image_lattice(M1, a, b), _kernel_lattice(M2, b, c))
+    X = _lattice_coordinates(_kernel_lattice(M2, b, c), _image_lattice(M1, a, b))
+    return X is not None and cokernel(X).is_trivial()
 
 
 # ---------------------------------------------------------------------------

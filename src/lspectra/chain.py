@@ -14,9 +14,9 @@ import json
 from .abelian import (
     FgAbGroup,
     IntMatrix,
+    _lattice_coordinates,
     cokernel_with_gens,
     kernel_basis,
-    smith_normal_form,
 )
 
 __all__ = ["IntComplex", "tensor", "dual", "cone"]
@@ -95,15 +95,10 @@ class IntComplex:
         K = kernel_basis(self.diff(n))
         if K.cols == 0:
             return FgAbGroup(), [], []
-        dnext = self.diff(n + 1)
-        snf = smith_normal_form(K) if dnext.cols else None
-        cols = []
-        for c in dnext.columns():
-            x = snf.solve(c)
-            if x is None:
-                raise ValueError("boundary not contained in cycles; not a complex")
-            cols.append(x)
-        group, gens, orders = cokernel_with_gens(IntMatrix.from_columns(cols, K.cols))
+        X = _lattice_coordinates(K, self.diff(n + 1))
+        if X is None:
+            raise ValueError("boundary not contained in cycles; not a complex")
+        group, gens, orders = cokernel_with_gens(X)
         lifted = []
         for g in gens:
             lifted.append([sum(K[i, j] * g[j] for j in range(K.cols)) for i in range(K.rows)])

@@ -451,6 +451,9 @@ class LinkingForm:
     @classmethod
     def from_json(cls, doc) -> "LinkingForm":
         group = FgAbGroup.from_divisors(doc["factors"])
+        if list(doc["factors"]) != list(group.torsion):
+            raise ValueError(f"factors {doc['factors']} must be the ascending invariant "
+                             f"factors {list(group.torsion)} that the keys are written in")
         qvals = {tuple(map(int, filter(None, key.strip("()").split(",")))): Fraction(val)
                  for key, val in doc["q"].items()}
         if len(qvals) != len(doc["q"]):

@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes an expected value along a different route from the
-implementation it checks: invariant factors from gcds of minors, Hom/Ext
-by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
+implementation it checks: invariant factors from gcds of minors, lattice
+equality by Hermite reduction, Hom/Ext by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
 groups from closed formulas, Gauss sums in floating point and one root of
 unity at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import gcd
 
 from lspectra.abelian import FgAbGroup, IntMatrix, cokernel
+from lspectra.chain import IntComplex
+from lspectra.poincare import PoincareStructure, StructuredComplex, representative, tensor_structured
 
 
 # -- invariant factors via determinantal divisors ---------------------------------
@@ -45,6 +47,51 @@ def minors_gcd_invariant_factors(A: IntMatrix):
             break
         factors.append(gcds[k] // gcds[k - 1])
     return factors
+
+
+# -- lattices by Hermite reduction ----------------------------------------------------
+
+
+def lattice_canonical(gens: IntMatrix) -> tuple:
+    """Canonical form (row-style Hermite) of the column lattice of ``gens``.
+
+    Two generating matrices span the same sublattice of Z^n iff their
+    canonical forms agree.
+    """
+    rows = [list(r) for r in gens.transpose().entries]
+    rows = [r for r in rows if any(r)]
+    n = gens.rows
+    r = 0
+    for c in range(n):
+        # pick pivot via gcd elimination in column c
+        while True:
+            live = [i for i in range(r, len(rows)) if rows[i][c]]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            done = True
+            for i in range(r + 1, len(rows)):
+                if rows[i][c]:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    if rows[i][c]:
+                        done = False
+            if done:
+                break
+        if r < len(rows) and rows[r][c]:
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def lattice_eq(a: IntMatrix, b: IntMatrix) -> bool:
+    return lattice_canonical(a) == lattice_canonical(b)
 
 
 # -- finite abelian groups by exhaustive enumeration --------------------------------
@@ -340,3 +387,57 @@ def gauss_sum_by_elements(group, table, conductor):
         v = table[x]
         total = total + CycEight.root_power(v.numerator * (conductor // v.denominator), conductor)
     return total
+
+
+# -- a structured complex whose homology hides behind unimodular bases -------------
+
+
+def hidden_e_tensor_f_plus_h(rng):
+    """E (x) (F + hyperbolic) plus contractible Z --1--> Z summands in degrees
+    1 -> 0 and 0 -> -1, transported along random unimodular bases."""
+    f_plus_h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    plane = StructuredComplex(
+        IntComplex({1: 4}), PoincareStructure("quadratic", 2, {(0, 1): f_plus_h})
+    )
+    T = tensor_structured(representative("E"), plane)
+    C = T.complex
+    # block sums: degree 1 gains one generator, degree 0 two, degree -1 one
+    extra = {1: 1, 0: 2, -1: 1}
+    ranks = {k: C.rank(k) + extra.get(k, 0) for k in (1, 0, -1)}
+
+    def grow(m, rows, cols, placements=()):
+        out = [[0] * cols for _ in range(rows)]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[i][j] = m[i, j]
+        for i, j in placements:
+            out[i][j] = 1
+        return IntMatrix(out, shape=(rows, cols))
+
+    d = {
+        1: grow(C.diff(1), ranks[0], ranks[1], [(C.rank(0), C.rank(1))]),
+        0: grow(C.diff(0), ranks[-1], ranks[0], [(C.rank(-1), C.rank(0) + 1)]),
+    }
+    psi = {
+        (lv, k): grow(m, ranks[k], ranks[1 + lv - k])
+        for (lv, k), m in T.structure.psi.items()
+    }
+
+    def unimodular(n):
+        a, ainv = IntMatrix.identity(n), IntMatrix.identity(n)
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            e = [[int(r == s) for s in range(n)] for r in range(n)]
+            einv = [row[:] for row in e]
+            e[i][j], einv[i][j] = c, -c
+            a, ainv = IntMatrix(e) @ a, ainv @ IntMatrix(einv)
+        return a, ainv
+
+    bases = {k: unimodular(r) for k, r in ranks.items()}
+    d = {k: bases[k - 1][0] @ m @ bases[k][1] for k, m in d.items()}
+    psi = {
+        (lv, k): bases[k][1].transpose() @ m @ bases[1 + lv - k][1]
+        for (lv, k), m in psi.items()
+    }
+    return StructuredComplex(IntComplex(ranks, d), PoincareStructure("quadratic", 1, psi))

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -12,28 +13,28 @@ from lspectra.abelian import (
     ext_group,
     extension_candidates,
     hom_group,
+    hom_is_well_defined,
     kernel_basis,
-    lattice_eq,
+    map_kernel_group,
+    maps_exact,
     smith_normal_form,
-    solve,
 )
 
-from lspectra.chain import IntComplex
 from lspectra.forms import brown_kervaire
-from lspectra.poincare import (
-    PoincareStructure,
-    StructuredComplex,
-    linking_form,
-    representative,
-    tensor_structured,
-)
+from lspectra.poincare import linking_form
 
 from helpers import (
+    add_in,
+    elements_of,
     ext_by_resolution,
+    group_from_annihilator_counts,
+    hidden_e_tensor_f_plus_h,
+    lattice_eq,
     hom_by_enumeration,
     minors_gcd_invariant_factors,
     random_group,
     random_matrix,
+    scale_in,
 )
 
 
@@ -76,10 +77,10 @@ class TestSmithNormalForm:
         for j in range(k.cols):
             col = [k[i, j] for i in range(k.rows)]
             assert all(sum(a[i, l] * col[l] for l in range(3)) == 0 for i in range(2))
-        x = solve(a, [3, 3])
+        x = smith_normal_form(a).solve([3, 3])
         assert x is not None
         assert [sum(a[i, l] * x[l] for l in range(3)) for i in range(2)] == [3, 3]
-        assert solve(IntMatrix([[2]]), [1]) is None
+        assert smith_normal_form(IntMatrix([[2]])).solve([1]) is None
 
 
 def _shaped_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -138,7 +139,7 @@ class TestBlockDiagonal:
 
 
 class TestFactorOnce:
-    """SnfResult answers every query the module-level functions answer."""
+    """One SnfResult answers every solve and kernel query against its matrix."""
 
     def test_solve_matches_module_solve(self):
         rng = random.Random(2024)
@@ -149,13 +150,11 @@ class TestFactorOnce:
                 x0 = [rng.randint(-9, 9) for _ in range(a.cols)]
                 b = _apply(a, x0)
                 x = snf.solve(b)
-                assert x == solve(a, b)
                 assert x is not None and _apply(a, x) == b
                 solvable += 1
                 # off the image, unless the lattice happens to contain it
                 c = [v + rng.choice((1, 2, 3)) * (i == 0) for i, v in enumerate(b)]
                 y = snf.solve(c)
-                assert y == solve(a, c)
                 if y is None:
                     unsolvable += 1
                 else:
@@ -167,8 +166,8 @@ class TestFactorOnce:
         snf = smith_normal_form(a)
         for b in ([1, 0, 0], [2, 0, 0], [0, 0, 1], [2, 4, 1]):
             assert snf.solve(b) is None
-            assert solve(a, b) is None
-        assert snf.solve([2, 4, 0]) == solve(a, [2, 4, 0])
+        x = snf.solve([2, 4, 0])
+        assert x is not None and _apply(a, x) == [2, 4, 0]
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -197,7 +196,7 @@ class TestFactorOnce:
     def test_linking_form_factors_each_matrix_once(self, lift_seed, monkeypatch):
         # d_0, its kernel basis, the boundary coordinates, d_1 and the
         # adjoint of the extracted pairing that nondegenerate() presents
-        S = _hidden_e_tensor_f_plus_h(random.Random(5))
+        S = hidden_e_tensor_f_plus_h(random.Random(5))
         seen = []
         raw = abelian._snf_raw
 
@@ -210,57 +209,6 @@ class TestFactorOnce:
         assert brown_kervaire(linking_form(S, lift_rng=lift_rng)) == 4
         assert len(set(seen)) == 5
         assert len(seen) == len(set(seen))
-
-
-def _hidden_e_tensor_f_plus_h(rng):
-    """E (x) (F + hyperbolic) plus contractible Z --1--> Z summands in degrees
-    1 -> 0 and 0 -> -1, transported along random unimodular bases."""
-    f_plus_h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
-    plane = StructuredComplex(
-        IntComplex({1: 4}), PoincareStructure("quadratic", 2, {(0, 1): f_plus_h})
-    )
-    T = tensor_structured(representative("E"), plane)
-    C = T.complex
-    # block sums: degree 1 gains one generator, degree 0 two, degree -1 one
-    extra = {1: 1, 0: 2, -1: 1}
-    ranks = {k: C.rank(k) + extra.get(k, 0) for k in (1, 0, -1)}
-
-    def grow(m, rows, cols, placements=()):
-        out = [[0] * cols for _ in range(rows)]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[i][j] = m[i, j]
-        for i, j in placements:
-            out[i][j] = 1
-        return IntMatrix(out, shape=(rows, cols))
-
-    d = {
-        1: grow(C.diff(1), ranks[0], ranks[1], [(C.rank(0), C.rank(1))]),
-        0: grow(C.diff(0), ranks[-1], ranks[0], [(C.rank(-1), C.rank(0) + 1)]),
-    }
-    psi = {
-        (lv, k): grow(m, ranks[k], ranks[1 + lv - k])
-        for (lv, k), m in T.structure.psi.items()
-    }
-
-    def unimodular(n):
-        a, ainv = IntMatrix.identity(n), IntMatrix.identity(n)
-        for _ in range(3 * n if n > 1 else 0):
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice((-2, -1, 1, 2))
-            e = [[int(r == s) for s in range(n)] for r in range(n)]
-            einv = [row[:] for row in e]
-            e[i][j], einv[i][j] = c, -c
-            a, ainv = IntMatrix(e) @ a, ainv @ IntMatrix(einv)
-        return a, ainv
-
-    bases = {k: unimodular(r) for k, r in ranks.items()}
-    d = {k: bases[k - 1][0] @ m @ bases[k][1] for k, m in d.items()}
-    psi = {
-        (lv, k): bases[k][1].transpose() @ m @ bases[1 + lv - k][1]
-        for (lv, k), m in psi.items()
-    }
-    return StructuredComplex(IntComplex(ranks, d), PoincareStructure("quadratic", 1, psi))
 
 
 class TestFgAbGroup:
@@ -319,13 +267,14 @@ class TestCokernel:
                 shape=(a.rows, len(gens) + len(cols)),
             )
             assert lattice_eq(span, IntMatrix.identity(a.rows))
+            snf = smith_normal_form(a)
             for g, o in zip(gens, orders):
                 if o == 0:
                     continue
-                assert solve(a, [o * x for x in g]) is not None
+                assert snf.solve([o * x for x in g]) is not None
                 for p in {2, 3, 5, 7}:
                     if o % p == 0:
-                        assert solve(a, [(o // p) * x for x in g]) is None
+                        assert snf.solve([(o // p) * x for x in g]) is None
 
 
 class TestHomExt:
@@ -409,6 +358,136 @@ class TestLattices:
         assert lattice_eq(a, b)
         c = IntMatrix([[2, 0], [0, 6]])
         assert not lattice_eq(a, c)
+
+
+def _random_hom(rng, src, tgt):
+    """A random matrix that is a homomorphism src -> tgt on presentation generators."""
+    rows = []
+    for t in tgt.gen_orders():
+        row = []
+        for o in src.gen_orders():
+            if o == 0:
+                row.append(rng.randint(-6, 6))
+            else:
+                # o * m = 0 mod t, and exactly 0 when t is free
+                row.append(rng.randint(-6, 6) * (t // gcd(t, o)) if t else 0)
+        rows.append(row)
+    return IntMatrix(rows, shape=(tgt.gens(), src.gens()))
+
+
+def _reduced(group, v):
+    return tuple(x % o if o else x for x, o in zip(v, group.gen_orders()))
+
+
+def _torsion_elements(group):
+    """The elements of the torsion subgroup as vectors on all generators."""
+    return [(0,) * group.free_rank + x for x in elements_of(group.torsion_subgroup())]
+
+
+def _kernel_generators(M, src, tgt):
+    """Columns generating {x : M x = 0 in tgt}, relations of src included."""
+    R = tgt.relation_matrix()
+    K = kernel_basis(M.hstack(R) if R.cols else M)
+    return [col[: src.gens()] for col in K.columns()] + src.relation_matrix().columns()
+
+
+def _exact_by_hermite(f, a, b, g, c):
+    """im f = ker g as lattices of Z^gens(b) containing the relations of b."""
+    image = IntMatrix.from_columns(f.columns() + b.relation_matrix().columns(), b.gens())
+    kernel = IntMatrix.from_columns(_kernel_generators(g, b, c), b.gens())
+    return lattice_eq(image, kernel)
+
+
+def _subgroup_generated(group, vectors):
+    """Every element of a finite group reached from 0 by adding the vectors."""
+    seen = {_reduced(group, [0] * group.gens())}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for v in vectors:
+            y = _reduced(group, [p + q for p, q in zip(x, v)])
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _random_exactness_pair(rng, mode):
+    """(f, A, B, g, C) with f: A -> B and g: B -> C well defined.
+
+    mode 0 draws f and g at random; mode 1 sends A into ker g, so g f = 0;
+    mode 2 also sends a free summand of A onto generators of ker g, so the
+    pair is exact by construction.
+    """
+    b, c = random_group(rng), random_group(rng)
+    g = _random_hom(rng, b, c)
+    if mode == 0:
+        a = random_group(rng)
+        return _random_hom(rng, a, b), a, b, g, c
+    kernel = _kernel_generators(g, b, c)
+    torsion_kernel = [x for x in _torsion_elements(b) if not any(_reduced(c, _apply(g, x)))]
+    free = []
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [rng.randint(-2, 2) for _ in kernel]
+        free.append([sum(k * v[i] for k, v in zip(coeffs, kernel)) for i in range(b.gens())])
+    if mode == 2:
+        free += kernel
+    torsion = [rng.choice([2, 2, 4, 3, 6]) for _ in range(rng.randint(0, 2))]
+    a = FgAbGroup.from_divisors([0] * len(free) + torsion)
+    cols = list(free)
+    for o in a.torsion:
+        killed = [x for x in torsion_kernel if not any(_reduced(b, [o * v for v in x]))]
+        cols.append(list(rng.choice(killed)))
+    return IntMatrix.from_columns(cols, b.gens()), a, b, g, c
+
+
+class TestExactnessAgainstOracles:
+    def test_random_pairs(self):
+        rng = random.Random(77)
+        counts = dict.fromkeys(("exact", "im < ker", "im not in ker", "finite middle"), 0)
+        for i in range(360):
+            f, a, b, g, c = _random_exactness_pair(rng, i % 3)
+            assert hom_is_well_defined(f, a, b) and hom_is_well_defined(g, b, c)
+            exact = maps_exact(f, (a, b), g, (b, c))
+            assert exact == _exact_by_hermite(f, a, b, g, c), (f, a, b, g, c)
+            composite_zero = all(not any(_reduced(c, _apply(g, col))) for col in f.columns())
+            assert composite_zero or i % 3 == 0
+            assert exact or i % 3 != 2
+            counts["exact" if exact else "im < ker" if composite_zero else "im not in ker"] += 1
+            if b.free_rank:
+                continue
+            counts["finite middle"] += 1
+            image = _subgroup_generated(b, f.columns())
+            kernel = {x for x in elements_of(b) if not any(_reduced(c, _apply(g, x)))}
+            assert exact == (image == kernel)
+            by_counts = group_from_annihilator_counts(
+                sorted(kernel), lambda x, y: add_in(b, x, y), lambda r, x: scale_in(b, r, x),
+                len(kernel))
+            assert map_kernel_group(g, b, c) == by_counts
+        assert counts["exact"] >= 150 and counts["im < ker"] >= 100
+        assert counts["im not in ker"] >= 20 and counts["finite middle"] >= 150
+
+    def test_image_strictly_inside_kernel(self):
+        # Z --2--> Z --> 0: the image 2Z is a proper sublattice of the kernel Z
+        assert not maps_exact(IntMatrix([[2]]), (Z, Z), IntMatrix.zero(0, 1), (Z, FgAbGroup()))
+        assert maps_exact(IntMatrix([[1]]), (Z, Z), IntMatrix.zero(0, 1), (Z, FgAbGroup()))
+
+    def test_image_not_inside_kernel(self):
+        assert not maps_exact(IntMatrix([[1]]), (Z, Z), IntMatrix([[1]]), (Z, Z))
+        z4 = FgAbGroup.cyclic(4)
+        assert not maps_exact(IntMatrix([[1]]), (z4, z4), IntMatrix([[1]]), (z4, z4))
+        # Z/2 --2--> Z/4 --1--> Z/2 is exact, and Z/2 --2--> Z/4 --1--> Z/4 is not
+        z2 = FgAbGroup.cyclic(2)
+        assert maps_exact(IntMatrix([[2]]), (z2, z4), IntMatrix([[1]]), (z4, z2))
+        assert not maps_exact(IntMatrix([[2]]), (z2, z4), IntMatrix([[1]]), (z4, z4))
+
+    def test_kernel_of_a_non_homomorphism_raises(self):
+        z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+        for M, src, tgt in ((IntMatrix([[1]]), z2, Z), (IntMatrix([[1]]), z2, z4),
+                            (IntMatrix([[1, 0], [0, 1]]), FgAbGroup(1, (2,)), FgAbGroup.free(2))):
+            assert not hom_is_well_defined(M, src, tgt)
+            with pytest.raises(ValueError):
+                map_kernel_group(M, src, tgt)
 
 
 def test_doctests():

@@ -251,6 +251,13 @@ MALFORMED_INPUTS = {
                            {"factors": [2], "q": {"(0)": "0", "(1)": "1/4", "(5)": "1/2"}}),
     "form-duplicate-element": (["invariant", "--name", "beta"],
                                {"factors": [2], "q": {"(0)": "0", "(1)": "1/4", "(1,)": "3/4"}}),
+    # factors that are not the ascending invariant-factor chain the keys are read against:
+    # a form on Z/4 + Z/2 keyed in that order, and Z/2 + Z/4 keyed as such but listing 1
+    "descending-factors": (["invariant", "--name", "beta"], {
+        "factors": [4, 2], "q": {f"({x},{y})": "0" for x in range(4) for y in range(2)}}),
+    "unit-in-factors": (["invariant", "--name", "beta"], {
+        **LinkingForm.cyclic(1, 1).direct_sum(LinkingForm.cyclic(2, 1)).to_json(),
+        "factors": [1, 2, 4]}),
     # numbers that are not integers
     "float-signature": (["invariant", "--name", "signature"], [[1.5]]),
     "bool-signature": (["invariant", "--name", "signature"], [[True]]),
@@ -276,6 +283,8 @@ class TestMalformedInput:
         assert captured.err.startswith(f"error: {path}: ")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+        if case in ("descending-factors", "unit-in-factors"):
+            assert "factors" in captured.err
 
     @pytest.mark.parametrize("extra", [[], ["--input", "."]])
     def test_missing_or_unreadable_input(self, extra, capsys):

@@ -11,12 +11,15 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 from lspectra.cli import main
 from lspectra.forms import LinkingForm
 from lspectra.poincare import representative, tensor_structured
+
+from helpers import hidden_e_tensor_f_plus_h
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 TABLES = ("Ls", "Lq", "Ln", "Lgs", "Lgq", "LR", "lR", "LC", "LCc", "dR", "scriptL", "KO")
@@ -25,13 +28,17 @@ TABLES = ("Ls", "Lq", "Ln", "Lgs", "Lgq", "LR", "lR", "LC", "LCc", "dR", "script
 def input_documents():
     """The --input files, by the placeholder that stands for their path."""
     ef = tensor_structured(representative("E"), representative("F"))
-    return {"@skew_unit_2": LinkingForm.skew_unit(2).to_json(), "@e_tensor_f": ef.to_json()}
+    hidden = hidden_e_tensor_f_plus_h(random.Random(5))
+    return {"@skew_unit_2": LinkingForm.skew_unit(2).to_json(), "@e_tensor_f": ef.to_json(),
+            "@hidden_e_tensor_f_plus_h": hidden.to_json()}
 
 
 def commands():
     out = []
     for fmt in ("json", "tsv"):
         out += [["verify", suite, "--format", fmt] for suite in ("A", "B", "presentations")]
+        out += [["verify", suite, "--window", "-60..60", "--format", fmt] for suite in ("A", "B")]
+        out.append(["verify", "B", "--window", "-5..30", "--format", fmt])
         out += [[verb, "--name", name, "--format", fmt]
                 for verb in ("table", "dual", "torsor") for name in TABLES]
         out.append(["certify-ef", "--format", fmt])

@@ -5,7 +5,14 @@ import pytest
 
 from lspectra import ltables
 from lspectra.abelian import IntMatrix
-from lspectra.graded import GradedMap, compare_graded, double_dual_check, restrict, shift_graded
+from lspectra.graded import (
+    GradedMap,
+    compare_graded,
+    double_dual_check,
+    restrict,
+    scalar_map,
+    shift_graded,
+)
 from lspectra.ltables import (
     ONE,
     RingPresentation,
@@ -163,6 +170,23 @@ class TestPresentations:
         rows = {i.name: i for i in verify_presentations_report((-16, 16))}
         assert rows["lq-ring-structure"].passed is False
         assert rows["lq-ring-structure"].detail == ""
+
+    @pytest.mark.parametrize("window", [(-16, 16), (-75, 75)])
+    def test_lq_module_check_detects_wrong_x(self, window, monkeypatch):
+        # x acting by 3 on L^q no longer commutes with the symmetrisation
+        genuine = ltables.mult_by
+
+        def x_by_three(name, sym, window=(-16, 16)):
+            if (name, sym) == ("Lq", "x"):
+                tab = table(name, window)
+                return scalar_map([tab], [tab], 4, lambda n: [[3]])
+            return genuine(name, sym, window)
+
+        assert verify_presentation("Lq", window)
+        monkeypatch.setattr(ltables, "mult_by", x_by_three)
+        assert not verify_presentation("Lq", window)
+        rows = {i.name: i.passed for i in verify_presentations_report((-16, 16))}
+        assert [name for name, passed in rows.items() if not passed] == ["presentation-Lq"]
 
     @pytest.mark.parametrize("name,degree,label", [
         ("Ls", 41, mono(("e", 1), ("x", 10))),
