@@ -95,14 +95,40 @@ class IntMatrix:
         return cls(m, shape=(rows, cols))
 
     @classmethod
+    def from_blocks(cls, rows, cols, blocks):
+        """The rows x cols sum of ``blocks``, each (row offset, column offset, matrix).
+
+        Overlapping blocks add.  This is the one place a matrix is assembled
+        block by block.
+        """
+        m = [[0] * cols for _ in range(rows)]
+        for top, left, b in blocks:
+            if top < 0 or left < 0 or top + b.rows > rows or left + b.cols > cols:
+                raise ValueError(f"block at ({top}, {left}) outside the {rows}x{cols} matrix")
+            for i, row in enumerate(b.entries):
+                target = m[top + i]
+                for j, v in enumerate(row):
+                    if v:
+                        target[left + j] += v
+        return cls(m, shape=(rows, cols))
+
+    @classmethod
     def block_diagonal(cls, *blocks):
         """The matrix with ``blocks`` down its diagonal and zeros elsewhere."""
-        cols = sum(b.cols for b in blocks)
-        rows, left = [], 0
+        placed, top, left = [], 0, 0
         for b in blocks:
-            rows += [[0] * left + list(r) + [0] * (cols - left - b.cols) for r in b.entries]
-            left += b.cols
-        return cls(rows, shape=(len(rows), cols))
+            placed.append((top, left, b))
+            top, left = top + b.rows, left + b.cols
+        return cls.from_blocks(top, left, placed)
+
+    def kron(self, other, sign=1):
+        """The signed Kronecker product: sign·self[i, j]·other[r, s] at
+        (i·other.rows + r, j·other.cols + s)."""
+        return IntMatrix(
+            [[sign * a * b for a in row for b in o_row]
+             for row in self.entries for o_row in other.entries],
+            shape=(self.rows * other.rows, self.cols * other.cols),
+        )
 
     def tolist(self):
         return [list(row) for row in self.entries]

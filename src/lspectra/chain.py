@@ -2,7 +2,11 @@
 
 Homological grading throughout: the differential lowers degree by one,
 ``d[n] : C_n -> C_{n-1}``.  Tensor products follow the Koszul rule
-``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy``.  The n-dual has
+``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy``.  The basis of
+``(C (x) D)_g`` is stated once, by ``tensor_layout``: one block per p in
+ascending order, ``x_i (x) y_j`` (x_i in C_p, y_j in D_{g-p}) at the
+block's offset plus ``i * rank D_{g-p} + j``, so that a Kronecker product
+of a C-matrix with a D-matrix is a block at those offsets.  The n-dual has
 ``D_k = Hom(C_{n-k}, Z)`` with ``d^D_k = (-1)^{k+1} (d_{n-k+1})^T``; this
 is the one place the dualisation sign lives.
 """
@@ -139,60 +143,33 @@ class IntComplex:
 # ---------------------------------------------------------------------------
 
 
-def tensor_segments(C: IntComplex, D: IntComplex, g: int):
-    """Basis layout of (C (x) D)_g: list of (p, rank C_p, rank D_{g-p})."""
-    segs = []
+def tensor_layout(C: IntComplex, D: IntComplex, g: int):
+    """The basis of (C (x) D)_g: {p: (offset, rank C_p, rank D_{g-p})}, p ascending."""
+    layout, offset = {}, 0
     for p in C.degrees():
-        rc = C.rank(p)
-        rd = D.rank(g - p)
-        if rc and rd:
-            segs.append((p, rc, rd))
-    return segs
+        if D.rank(g - p):
+            layout[p] = (offset, C.rank(p), D.rank(g - p))
+            offset += C.rank(p) * D.rank(g - p)
+    return layout
 
 
 def tensor(C: IntComplex, D: IntComplex) -> IntComplex:
     """Graded tensor product with Koszul signs in the differential."""
-    degrees = set()
-    for p in C.degrees():
-        for q in D.degrees():
-            degrees.add(p + q)
-    ranks = {}
-    for g in degrees:
-        ranks[g] = sum(rc * rd for _, rc, rd in tensor_segments(C, D, g))
+    degrees = {p + q for p in C.degrees() for q in D.degrees()}
+    layouts = {g: tensor_layout(C, D, g) for g in degrees}
+    ranks = {g: sum(rc * rd for _, rc, rd in lay.values()) for g, lay in layouts.items()}
     diffs = {}
-    for g in sorted(degrees):
-        src = tensor_segments(C, D, g)
-        tgt = tensor_segments(C, D, g - 1)
-        if not src or not tgt:
-            continue
-        tgt_offset = {}
-        off = 0
-        for p, rc, rd in tgt:
-            tgt_offset[p] = off
-            off += rc * rd
-        m = [[0] * ranks[g] for _ in range(off)]
-        col = 0
-        for p, rc, rd in src:
-            dc = C.diff(p)
-            dd = D.diff(g - p)
-            for i in range(rc):
-                for j in range(rd):
-                    # d(x (x) y) = dx (x) y + (-1)^p x (x) dy
-                    if p - 1 in tgt_offset and dc.rows:
-                        base = tgt_offset[p - 1]
-                        for i2 in range(dc.rows):
-                            v = dc[i2, i]
-                            if v:
-                                m[base + i2 * rd + j][col] += v
-                    if p in tgt_offset and dd.rows:
-                        base = tgt_offset[p]
-                        sign = -1 if p % 2 else 1
-                        for j2 in range(dd.rows):
-                            v = dd[j2, j]
-                            if v:
-                                m[base + i * dd.rows + j2][col] += sign * v
-                    col += 1
-        diffs[g] = IntMatrix(m, shape=(off, ranks[g]))
+    for g, src in layouts.items():
+        tgt = layouts.get(g - 1, {})
+        blocks = []
+        for p, (col, rc, rd) in src.items():
+            # d(x (x) y) = dx (x) y + (-1)^p x (x) dy
+            if p - 1 in tgt:
+                blocks.append((tgt[p - 1][0], col, C.diff(p).kron(IntMatrix.identity(rd))))
+            if p in tgt:
+                sign = -1 if p % 2 else 1
+                blocks.append((tgt[p][0], col, IntMatrix.identity(rc).kron(D.diff(g - p), sign)))
+        diffs[g] = IntMatrix.from_blocks(ranks.get(g - 1, 0), ranks[g], blocks)
     return IntComplex(ranks, diffs)
 
 
@@ -217,25 +194,9 @@ def cone(f_components, C: IntComplex, D: IntComplex) -> IntComplex:
     ranks = {k: C.rank(k - 1) + D.rank(k) for k in degrees}
     ranks = {k: r for k, r in ranks.items() if r}
     diffs = {}
-    for k in sorted(ranks):
-        rows = ranks.get(k - 1, 0)
-        cols = ranks[k]
-        if not rows or not cols:
-            continue
-        m = [[0] * cols for _ in range(rows)]
-        c_src, d_src = C.rank(k - 1), D.rank(k)
-        c_tgt, _d_tgt = C.rank(k - 2), D.rank(k - 1)
-        dc = C.diff(k - 1)
-        dd = D.diff(k)
-        fk = f_components.get(k - 1)
-        for j in range(c_src):
-            for i in range(c_tgt):
-                m[i][j] = -dc[i, j]
-            if fk is not None:
-                for i in range(fk.rows):
-                    m[c_tgt + i][j] = fk[i, j]
-        for j in range(d_src):
-            for i in range(dd.rows):
-                m[c_tgt + i][c_src + j] = dd[i, j]
-        diffs[k] = IntMatrix(m, shape=(rows, cols))
+    for k in ranks:
+        blocks = [(0, 0, -C.diff(k - 1)), (C.rank(k - 2), C.rank(k - 1), D.diff(k))]
+        if k - 1 in f_components:
+            blocks.append((C.rank(k - 2), 0, f_components[k - 1]))
+        diffs[k] = IntMatrix.from_blocks(ranks.get(k - 1, 0), ranks[k], blocks)
     return IntComplex(ranks, diffs)

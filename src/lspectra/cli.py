@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from .abelian import IntMatrix
 from .forms import F2QuadForm, LinkingForm, SymForm, arf, brown_kervaire, signature
-from .graded import GradedGroup, anderson_dual, torsor_count
+from .graded import GradedGroup, OutOfWindowError, anderson_dual, torsor_count
 from .ltables import (
     TABLE_NAMES,
     table,
@@ -109,7 +109,10 @@ def cmd_dual(args, out):
         if args.name not in TABLE_NAMES:
             raise UsageError(f"unknown table {args.name!r}")
         window = parse_window(args.window)
-        dual = anderson_dual(table(args.name, window))
+        try:
+            dual = anderson_dual(table(args.name, window))
+        except OutOfWindowError as exc:
+            raise UsageError(f"{args.window}: {exc.args[0]}") from None
     else:
         raise UsageError("dual needs --name or --input")
     _emit_table(dual, args.format, out)

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .abelian import EnumerationBoundError, FgAbGroup, IntMatrix, map_cokernel_group
+from .abelian import (
+    DEFAULT_ENUMERATION_BOUND,
+    EnumerationBoundError,
+    FgAbGroup,
+    IntMatrix,
+    map_cokernel_group,
+)
 
 __all__ = [
     "SymForm",
@@ -175,6 +181,9 @@ def arf(f: F2QuadForm) -> int:
         raise DegenerateFormError("odd dimension")
     if not f.polarization_nondegenerate():
         raise DegenerateFormError("degenerate polarization")
+    if 1 << f.dim > DEFAULT_ENUMERATION_BOUND:
+        bound = DEFAULT_ENUMERATION_BOUND
+        raise EnumerationBoundError(f"arf counts 2^{f.dim} vectors, more than the bound {bound}")
     zeros = 0
     for v in _bits(f.dim):
         if f.value(v) == 0:

@@ -259,29 +259,26 @@ def compare_graded(A: GradedGroup, B: GradedGroup) -> bool:
 
 
 def check_exact(f: GradedMap, g: GradedMap) -> bool:
-    """image(f) = kernel(g) in every middle degree both maps reach."""
+    """image(f) = kernel(g) in every middle degree both maps reach.
+
+    A periodic map repeats its data, so each distinct (map, groups, map,
+    groups) datum is tested once, in the order of its first degree.
+    """
     if f.target != g.source:
         raise ValueError("target of f must be the source of g")
     mid = f.target
-    checked = False
+    data = {}
     for m in mid.degrees():
         n_f = m - f.degree_shift
         if not (f.source.window[0] <= n_f <= f.source.window[1]):
             continue
         if not (g.target.window[0] <= m + g.degree_shift <= g.target.window[1]):
             continue
-        checked = True
-        ok = maps_exact(
-            f.component(n_f),
-            (f.source[n_f], mid[m]),
-            g.component(m),
-            (mid[m], g.target[m + g.degree_shift]),
-        )
-        if not ok:
-            return False
-    if not checked:
+        groups_f, groups_g = (f.source[n_f], mid[m]), (mid[m], g.target[m + g.degree_shift])
+        data[(f.component(n_f), groups_f, g.component(m), groups_g)] = None
+    if not data:
         raise ValueError("no common degree to check")
-    return True
+    return all(maps_exact(*datum) for datum in data)
 
 
 def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .abelian import IntMatrix, smith_normal_form
-from .chain import IntComplex, cone, dual, tensor, tensor_segments
+from .chain import IntComplex, cone, dual, tensor, tensor_layout
 from .forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 
 __all__ = [
@@ -265,93 +265,25 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
     if S.kind != "symmetric" or T.kind != "quadratic":
         raise InvalidStructureError("tensor takes (symmetric, quadratic)")
     C, D = S.complex, T.complex
-    nC, mD = S.dimension, T.dimension
-    N = nC + mD
+    nC = S.dimension
+    N = nC + T.dimension
     G = tensor(C, D)
-    max_p = T.structure.max_level()
     psi = {}
-    for p in range(0, max_p + 1):
-        slots = {}
-        for q in range(0, S.structure.max_level() + 1):
-            if all((p + q, k) not in T.structure.psi for k in range(*_deg_span(D))):
-                continue
-            for a in range(*_deg_span(C)):
-                ya = nC - q - a  # degree of y
-                if C.rank(a) == 0 or C.rank(ya) == 0:
-                    continue
-                phi = _flipped(S, q, a) if p % 2 else S.psi_matrix(q, a)
-                if phi.is_zero():
-                    continue
-                for b in range(*_deg_span(D)):
-                    vb = mD + p + q - b  # degree of v
-                    if D.rank(b) == 0 or D.rank(vb) == 0:
-                        continue
-                    quad = T.psi_matrix(p + q, b)
-                    if quad.is_zero():
-                        continue
-                    g = a + b
-                    sign_exp = b * ya + (p + q) * (a + ya)
-                    sign = -1 if sign_exp % 2 else 1
-                    block = _kron(phi, quad, sign)
-                    _accumulate(slots, G, g, a, ya, vb, C, D, block)
-        for (g, _), m in list(slots.items()):
-            key = (p, g)
-            psi[key] = m if key not in psi else psi[key] + m
-    structure = PoincareStructure("quadratic", N, {k: m for k, m in psi.items()})
-    return StructuredComplex(G, structure)
-
-
-def _deg_span(C: IntComplex):
-    lo, hi = C.window()
-    return (lo, hi + 1)
-
-
-def _kron(phi: IntMatrix, quad: IntMatrix, sign: int) -> IntMatrix:
-    rows = phi.rows * quad.rows
-    cols = phi.cols * quad.cols
-    m = [[0] * cols for _ in range(rows)]
-    for i in range(phi.rows):
-        for j in range(phi.cols):
-            v = phi[i, j]
-            if not v:
-                continue
-            for r in range(quad.rows):
-                for s in range(quad.cols):
-                    m[i * quad.rows + r][j * quad.cols + s] = sign * v * quad[r, s]
-    return IntMatrix(m, shape=(rows, cols))
-
-
-def _accumulate(slots, G, g, a, ya, vb, C, D, block):
-    """Place a (C_a (x) D_b) x (C_ya (x) D_vb) block into the G-basis slot."""
-    gp = ya + vb
-    src_segs = tensor_segments(C, D, g)
-    tgt_segs = tensor_segments(C, D, gp)
-    row_off = 0
-    for p0, rc, rd in src_segs:
-        if p0 == a:
-            break
-        row_off += rc * rd
-    else:
-        return
-    col_off = 0
-    for p0, rc, rd in tgt_segs:
-        if p0 == ya:
-            break
-        col_off += rc * rd
-    else:
-        return
-    rows = G.rank(g)
-    cols = G.rank(gp)
-    key = (g, gp)
-    current = slots.get(key)
-    if current is None:
-        current = IntMatrix.zero(rows, cols)
-    m = current.tolist()
-    for i in range(block.rows):
-        for j in range(block.cols):
-            if block[i, j]:
-                m[row_off + i][col_off + j] += block[i, j]
-    slots[key] = IntMatrix(m, shape=(rows, cols))
+    for p in range(T.structure.max_level() + 1):
+        for g in G.degrees():
+            gp = N + p - g  # level p pairs G_g with G_gp
+            rows, cols = tensor_layout(C, D, g), tensor_layout(C, D, gp)
+            blocks = []
+            for a, (top, _, _) in rows.items():
+                for q in range(S.structure.max_level() + 1):
+                    ya = nC - q - a  # phi_q pairs x in C_a with y in C_ya, u in D_(g-a) with v
+                    if ya in cols:
+                        phi = _flipped(S, q, a) if p % 2 else S.psi_matrix(q, a)
+                        sign = -1 if ((g - a) * ya + (p + q) * (a + ya)) % 2 else 1
+                        quad = T.psi_matrix(p + q, g - a)
+                        blocks.append((top, cols[ya][0], phi.kron(quad, sign)))
+            psi[(p, g)] = IntMatrix.from_blocks(G.rank(g), G.rank(gp), blocks)
+    return StructuredComplex(G, PoincareStructure("quadratic", N, psi))
 
 
 # ---------------------------------------------------------------------------

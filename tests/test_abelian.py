@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -136,6 +137,42 @@ class TestBlockDiagonal:
             [0, 0, 0, 0, 0, 0],
         ])
         assert IntMatrix.block_diagonal() == IntMatrix.zero(0, 0)
+
+
+class TestBlocks:
+    def test_kron_entrywise_with_sign_and_empty_shapes(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            shapes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2)]
+            a, b = (_shaped_matrix(rng, r, c, -4, 4) for r, c in shapes)
+            sign = rng.choice((1, -1))
+            k = a.kron(b, sign)
+            assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+            for i, j, r, s in itertools.product(*map(range, (a.rows, a.cols, b.rows, b.cols))):
+                assert k[i * b.rows + r, j * b.cols + s] == sign * a[i, j] * b[r, s]
+
+    def test_kron_small_cases(self):
+        row, col = IntMatrix([[1, 2]]), IntMatrix([[3], [4]])
+        assert row.kron(col, -1) == IntMatrix([[-3, -6], [-4, -8]])
+        empty = IntMatrix.zero(0, 3).kron(IntMatrix([[1, 2]]))
+        assert (empty.rows, empty.cols) == (0, 6)
+        assert IntMatrix([[1], [2]]).kron(IntMatrix.zero(2, 0)) == IntMatrix.zero(4, 0)
+        assert IntMatrix.identity(2).kron(IntMatrix([[5]])) == IntMatrix([[5, 0], [0, 5]])
+
+    def test_from_blocks_overlapping_blocks_add(self):
+        made = IntMatrix.from_blocks(3, 4, [
+            (0, 0, IntMatrix([[1, 2], [3, 4]])),
+            (1, 1, IntMatrix([[10, 20, 30], [40, 50, 60]])),
+            (2, 0, IntMatrix.zero(1, 4)),
+            (3, 4, IntMatrix.zero(0, 0)),
+        ])
+        assert made == IntMatrix([[1, 2, 0, 0], [3, 14, 20, 30], [0, 40, 50, 60]])
+        assert IntMatrix.from_blocks(2, 0, []) == IntMatrix.zero(2, 0)
+
+    @pytest.mark.parametrize("top, left", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_from_blocks_rejects_a_block_outside(self, top, left):
+        with pytest.raises(ValueError):
+            IntMatrix.from_blocks(2, 3, [(top, left, IntMatrix([[1]]))])
 
 
 class TestFactorOnce:

@@ -86,6 +86,15 @@ class TestDual:
         assert code == 0
         assert GradedGroup.from_json(json.loads(out)).window == (-8, 8)
 
+    @pytest.mark.parametrize("name, window", [("Ln", "3..3"), ("Lgs", "0..0")])
+    def test_window_too_short_to_dualise_is_usage_error(self, name, window, capsys):
+        code = main(["dual", "--name", name, "--window", window])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {window}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestInvariant:
     def test_signature(self, tmp_path, capsys):
@@ -216,6 +225,22 @@ class TestDeskScaleBound:
         assert captured.err.startswith(f"error: {path}: ")
         assert "desk-scale bound" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("planes, value", [(6, 1), (7, None)])
+    def test_arf_enumerates_at_most_2_to_the_12_vectors(self, planes, value, tmp_path, capsys):
+        # Arf-1 and hyperbolic planes alternating: dimension 12 has Arf 1, dimension 14 is refused
+        blocks = [IntMatrix([[1, 1], [0, 1]] if i % 2 == 0 else [[0, 1], [0, 0]])
+                  for i in range(planes)]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(IntMatrix.block_diagonal(*blocks).tolist()))
+        code = main(["invariant", "--name", "arf", "--input", str(path)])
+        captured = capsys.readouterr()
+        if value is None:
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith(f"error: {path}: EnumerationBoundError: ")
+            assert len(captured.err.splitlines()) == 1
+        else:
+            assert (code, json.loads(captured.out)["value"]) == (0, value)
 
 
 MALFORMED_INPUTS = {

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lspectra import graded
 from lspectra.abelian import FgAbGroup, IntMatrix, ext_group
 from lspectra.graded import (
     GradedGroup,
@@ -117,6 +118,29 @@ class TestCheckExact:
         f = GradedMap(a, b, 0, {0: IntMatrix([[2]])})
         g = GradedMap(b, c, 0, {0: IntMatrix([[1]])})  # plain reduction
         assert not check_exact(f, g)
+
+    @staticmethod
+    def _periodic_ses(f_at_7):
+        """0 -> Z --2--> Z -> Z/2 -> 0 over -20..20, f acting by ``f_at_7`` in degree 7."""
+        degrees = range(-20, 21)
+        z = GradedGroup((-20, 20), {n: Z for n in degrees})
+        z2 = GradedGroup((-20, 20), {n: Z2 for n in degrees})
+        f = GradedMap(z, z, 0, {n: IntMatrix([[f_at_7 if n == 7 else 2]]) for n in degrees})
+        return f, GradedMap(z, z2, 0, {n: IntMatrix([[1]]) for n in degrees})
+
+    def test_each_distinct_degree_is_tested_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graded, "maps_exact", lambda *datum: calls.append(datum) or True)
+        assert check_exact(*self._periodic_ses(2))
+        assert len(calls) == 1
+        calls.clear()
+        assert check_exact(*self._periodic_ses(4))
+        assert len(calls) == 2
+
+    def test_map_corrupted_in_one_degree_is_not_exact(self):
+        assert check_exact(*self._periodic_ses(2))
+        assert not check_exact(*self._periodic_ses(4))
+        assert not check_exact(*self._periodic_ses(0))
 
     def test_well_definedness_enforced(self):
         w = (0, 0)
