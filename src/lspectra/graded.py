@@ -162,11 +162,15 @@ class GradedMap:
             return IntMatrix.zero(self.target[n + self.degree_shift].gens(), self.source[n].gens())
         return m
 
+    def _datum(self, n: int) -> tuple:
+        """(component, source group, target group) at degree n: all its kernel and cokernel read."""
+        return self.component(n), self.source[n], self.target[n + self.degree_shift]
+
     def kernel_at(self, n: int) -> FgAbGroup:
-        return map_kernel_group(self.component(n), self.source[n], self.target[n + self.degree_shift])
+        return map_kernel_group(*self._datum(n))
 
     def cokernel_at(self, n: int) -> FgAbGroup:
-        return map_cokernel_group(self.component(n), self.source[n], self.target[n + self.degree_shift])
+        return map_cokernel_group(*self._datum(n))
 
 
 def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
@@ -287,17 +291,26 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
     For a multiplication-style map of degree shift s the long exact
     sequence collapses to 0 -> coker(mul)_n -> pi_n(cofibre) ->
     ker(mul at n-1-s) -> 0; the middle term is resolved only when the
-    extension-candidate set is a singleton.
+    extension-candidate set is a singleton.  A periodic map repeats its
+    data, so each kernel, cokernel and candidate set is computed once per
+    distinct datum.
     """
     s = mul.degree_shift
+    memo = {}
+
+    def once(fn, *args):
+        if (fn, args) not in memo:
+            memo[fn, args] = fn(*args)
+        return memo[fn, args]
+
     out = {}
     lo, hi = M.window
     for n in range(lo, hi + 1):
         if not (lo <= n - s <= hi and lo <= n - 1 - s <= hi):
             continue
-        sub = mul.cokernel_at(n - s)
-        quot = mul.kernel_at(n - 1 - s)
-        candidates = extension_candidates(sub, quot)
+        sub = once(map_cokernel_group, *mul._datum(n - s))
+        quot = once(map_kernel_group, *mul._datum(n - 1 - s))
+        candidates = once(extension_candidates, sub, quot)
         resolved = next(iter(candidates)) if len(candidates) == 1 else None
         out[n] = SesDatum(sub=sub, quotient=quot, resolved=resolved)
     return out

@@ -12,10 +12,12 @@ sequences, and the kernel argument that hinges on ef = 4.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations
 
-from .abelian import FgAbGroup, IntMatrix, _respects_orders, ext_group, hom_group, extension_candidates
+from .abelian import (FgAbGroup, IntMatrix, _respects_orders, ext_group, extension_candidates, hom_group,
+                      map_kernel_group)
 from .graded import (
     GradedGroup,
     GradedMap,
@@ -82,12 +84,45 @@ def mono_div(m: Monomial, pattern: Monomial) -> Monomial:
     return tuple(sorted((s, e) for s, e in exps.items() if e))
 
 
+class _DivisorIndex:
+    """The positions of a list of patterns, grouped by the symbols they require.
+
+    A pattern divides m only if every symbol it raises to a positive power
+    occurs in m to a positive power, so the candidates for m are the groups
+    keyed by subsets of those symbols of m.  ``divisors(m)`` lists, in
+    ascending order, every position whose pattern divides m; it is memoised
+    per monomial, which is sound because the patterns never change.
+    """
+
+    def __init__(self, patterns):
+        self.groups = {}
+        for i, pattern in enumerate(patterns):
+            key = tuple(s for s, e in pattern if e > 0)
+            self.groups.setdefault(key, []).append((i, pattern))
+        self.width = max(map(len, self.groups), default=0)
+        self.memo = {}
+
+    def divisors(self, m: Monomial) -> tuple:
+        found = self.memo.get(m)
+        if found is None:
+            present = [s for s, e in m if e > 0]
+            found = []
+            for k in range(min(self.width, len(present)) + 1):
+                for key in combinations(present, k):
+                    found += (i for i, pattern in self.groups.get(key, ()) if mono_divides(pattern, m))
+            found = self.memo[m] = tuple(sorted(found))
+        return found
+
+
 @dataclass(frozen=True)
 class RingPresentation:
     """A graded ring given by generators, rewrite rules and a basis rule.
 
     The rules (rewrites, torsion patterns, coefficient modulus) are the only
     statement of the ring's relations; the checked relations derive from them.
+    A monomial is rewritten by the first rule, in list order, whose pattern
+    divides it.  The rules are looked up through a divisor index built once
+    per instance, which takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     name: str
@@ -96,15 +131,22 @@ class RingPresentation:
     coeff_modulus: int | None
     rewrites: tuple  # ((pattern, coeff, replacement), ...)
     torsion_patterns: tuple  # ((pattern, modulus), ...)
+    _rules: _DivisorIndex = field(init=False, compare=False, repr=False)
+    _torsion: _DivisorIndex = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rules", _DivisorIndex(
+            [pattern for pattern, _, _ in self.rewrites]))
+        object.__setattr__(self, "_torsion", _DivisorIndex(
+            [pattern for pattern, _ in self.torsion_patterns]))
 
     def degree(self, m: Monomial) -> int:
         degs = dict(self.generators)
         return sum(degs[s] * e for s, e in m)
 
     def _coeff_reduce(self, m: Monomial, c: int) -> int:
-        for pattern, modulus in self.torsion_patterns:
-            if mono_divides(pattern, m):
-                c %= modulus
+        for i in self._torsion.divisors(m):
+            c %= self.torsion_patterns[i][1]
         if self.coeff_modulus:
             c %= self.coeff_modulus
         return c
@@ -114,12 +156,9 @@ class RingPresentation:
         while True:
             hit = None
             for m in work:
-                exps = dict(m)  # mono_divides, with m unpacked once for all rules
-                for pattern, coeff, repl in self.rewrites:
-                    if all(exps.get(s, 0) >= e for s, e in pattern):
-                        hit = (m, pattern, coeff, repl)
-                        break
-                if hit:
+                found = self._rules.divisors(m)
+                if found:
+                    hit = (m, *self.rewrites[found[0]])
                     break
             if hit is None:
                 break
@@ -673,7 +712,9 @@ def e_multiplication_report(window=(-12, 12), e_map: GradedMap | None = None) ->
     out = []
 
     deg3 = [n for n in range(W[0], W[1] + 1) if n % 4 == 3]
-    ker_ok = all(e_ln.kernel_at(n).is_trivial() for n in deg3)
+    # each distinct (component, source, target) datum is tested once
+    ker_ok = all(map_kernel_group(*datum).is_trivial()
+                 for datum in dict.fromkeys(e_ln._datum(n) for n in deg3))
     out.append(CheckResult("mult-e-kernel", ker_ok, "ker(e) = 0 in degrees 3 mod 4"))
 
     e_lq = mult_by("Lq", "e", P)

@@ -2,7 +2,8 @@
 
 Each oracle recomputes an expected value along a different route from the
 implementation it checks: invariant factors from gcds of minors, lattice
-equality by Hermite reduction, Hom/Ext by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
+equality by Hermite reduction, rewriting by a scan of every rule, Hom/Ext
+by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
 groups from closed formulas, Gauss sums in floating point and one root of
 unity at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
@@ -18,6 +19,7 @@ from math import gcd
 
 from lspectra.abelian import FgAbGroup, IntMatrix, cokernel
 from lspectra.chain import IntComplex
+from lspectra.ltables import mono, mono_div, mono_divides, mono_mul
 from lspectra.poincare import PoincareStructure, StructuredComplex, representative, tensor_structured
 
 
@@ -47,6 +49,55 @@ def minors_gcd_invariant_factors(A: IntMatrix):
             break
         factors.append(gcds[k] // gcds[k - 1])
     return factors
+
+
+# -- rewriting by a scan of every rule ------------------------------------------------
+
+
+def reduce_by_scan(pres, element: dict) -> dict:
+    """``RingPresentation.reduce`` with every rule scanned for every monomial.
+
+    A monomial is rewritten by the first rule, in list order, whose pattern
+    divides it; a coefficient is reduced by every torsion pattern dividing
+    its monomial, in list order, then by the coefficient modulus.
+    """
+    work = dict(element)
+    while True:
+        hit = None
+        for m in work:
+            exps = dict(m)  # mono_divides, with m unpacked once for all rules
+            for pattern, coeff, repl in pres.rewrites:
+                if all(exps.get(s, 0) >= e for s, e in pattern):
+                    hit = (m, pattern, coeff, repl)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        m, pattern, coeff, repl = hit
+        c = work.pop(m)
+        if coeff:
+            new = mono_mul(mono_div(m, pattern), repl)
+            work[new] = work.get(new, 0) + c * coeff
+    out = {}
+    for m, c in work.items():
+        for pattern, modulus in pres.torsion_patterns:
+            if mono_divides(pattern, m):
+                c %= modulus
+        if pres.coeff_modulus:
+            c %= pres.coeff_modulus
+        if c:
+            out[m] = c
+    return out
+
+
+def random_ring_element(rng, symbols) -> dict:
+    """1-4 terms, each a product of 1-3 powers (exponents 0-3) with a coefficient in [-9, 9]."""
+    element = {}
+    for _ in range(rng.randint(1, 4)):
+        m = mono(*((rng.choice(symbols), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))))
+        element[m] = element.get(m, 0) + rng.randint(-9, 9)
+    return element
 
 
 # -- lattices by Hermite reduction ----------------------------------------------------

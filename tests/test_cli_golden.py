@@ -39,6 +39,7 @@ def commands():
         out += [["verify", suite, "--format", fmt] for suite in ("A", "B", "presentations")]
         out += [["verify", suite, "--window", "-60..60", "--format", fmt] for suite in ("A", "B")]
         out.append(["verify", "B", "--window", "-5..30", "--format", fmt])
+        out.append(["verify", "presentations", "--window", "-200..-196", "--format", fmt])
         out += [[verb, "--name", name, "--format", fmt]
                 for verb in ("table", "dual", "torsor") for name in TABLES]
         out.append(["certify-ef", "--format", fmt])

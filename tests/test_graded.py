@@ -8,6 +8,7 @@ from lspectra.graded import (
     GradedGroup,
     GradedMap,
     OutOfWindowError,
+    SesDatum,
     anderson_dual,
     check_exact,
     cofibre_of_mult,
@@ -196,6 +197,33 @@ class TestCofibre:
                 assert datum.resolved == FgAbGroup(1, (2,))
             else:
                 assert datum.resolved == FgAbGroup()
+
+
+    @staticmethod
+    def _periodic_mult(f_at_7):
+        """Multiplication on Z in every degree of -20..20: by 2, and by ``f_at_7`` in degree 7."""
+        degrees = range(-20, 21)
+        z = GradedGroup((-20, 20), {n: Z for n in degrees})
+        return z, GradedMap(z, z, 0, {n: IntMatrix([[f_at_7 if n == 7 else 2]]) for n in degrees})
+
+    def test_each_distinct_datum_is_factored_once(self, monkeypatch):
+        calls = []
+        genuine = graded.map_kernel_group
+        monkeypatch.setattr(graded, "map_kernel_group", lambda *d: calls.append(d) or genuine(*d))
+        ses = cofibre_of_mult(*self._periodic_mult(2))
+        assert len(ses) == 40 and len(calls) == 1
+        calls.clear()
+        cofibre_of_mult(*self._periodic_mult(0))
+        assert len(calls) == 2
+
+    def test_map_corrupted_in_one_degree_changes_that_degree_only(self):
+        good = cofibre_of_mult(*self._periodic_mult(2))
+        bad = cofibre_of_mult(*self._periodic_mult(0))
+        # degree n reads the cokernel at n and the kernel at n - 1
+        assert [n for n in good if good[n] != bad[n]] == [7, 8]
+        assert bad[7] == SesDatum(sub=Z, quotient=FgAbGroup(), resolved=Z)
+        assert bad[8] == SesDatum(sub=Z2, quotient=Z, resolved=FgAbGroup(1, (2,)))
+        assert good[8] == SesDatum(sub=Z2, quotient=FgAbGroup(), resolved=Z2)
 
 
 class TestTorsor:

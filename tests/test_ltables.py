@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -30,6 +31,8 @@ from lspectra.ltables import (
     verify_classical,
     verify_genuine,
 )
+
+from helpers import random_ring_element, reduce_by_scan
 
 class TestTables:
     def test_golden_windows(self):
@@ -212,6 +215,75 @@ class TestPresentations:
         assert verify_presentation("Lgs", (-16, 16))
 
 
+class TestIndexedReduce:
+    """``reduce`` against the scan of every rule it replaces."""
+
+    @staticmethod
+    def _agrees_with_scan(pres, elements):
+        for element in elements:
+            assert pres.reduce(element) == reduce_by_scan(pres, element), element
+
+    @pytest.mark.parametrize("window", [(-16, 16), (-100, 100), (-200, -196)])
+    @pytest.mark.parametrize("name", ltables.RING_NAMES)
+    def test_matches_the_scan_in_any_rule_order(self, name, window):
+        pres = presentation(name, window)
+        rng = random.Random(f"{name} {window}")
+        symbols = [s for s, _ in pres.generators]
+        elements = [random_ring_element(rng, symbols) for _ in range(200)]
+        self._agrees_with_scan(pres, elements)
+        for _ in range(5):
+            shuffled = dataclasses.replace(
+                pres, rewrites=tuple(rng.sample(pres.rewrites, len(pres.rewrites))),
+                torsion_patterns=tuple(rng.sample(pres.torsion_patterns, len(pres.torsion_patterns))))
+            self._agrees_with_scan(shuffled, elements)
+
+    @staticmethod
+    def _ring(rewrites=(), torsion=()):
+        gens = (("a", 1), ("b", 1), ("c", 2))
+        return RingPresentation("abc", gens, frozenset(), None, tuple(rewrites), tuple(torsion))
+
+    def test_first_rule_wins_over_the_most_specific(self):
+        ab_to_c = (mono(("a", 1), ("b", 1)), 1, mono(("c", 1)))
+        a_to_0 = (mono(("a", 1)), 0, ONE)
+        element = {mono(("a", 2), ("b", 1)): 3, mono(("a", 1), ("b", 1)): 1}
+        ab_first = self._ring([ab_to_c, a_to_0]).reduce(element)
+        a_first = self._ring([a_to_0, ab_to_c]).reduce(element)
+        assert ab_first == {mono(("c", 1)): 1} and a_first == {}
+        for rules in ([ab_to_c, a_to_0], [a_to_0, ab_to_c]):
+            pres = self._ring(rules)
+            assert pres.reduce(element) == reduce_by_scan(pres, element)
+
+    def test_torsion_moduli_apply_in_list_order(self):
+        a = mono(("a", 1))
+        four_six = self._ring(torsion=[(a, 4), (a, 6)])
+        six_four = self._ring(torsion=[(a, 6), (a, 4)])
+        assert four_six.reduce({a: 7}) == {a: 3}
+        assert six_four.reduce({a: 7}) == {a: 1}
+        for pres in (four_six, six_four):
+            assert pres.reduce({a: 7}) == reduce_by_scan(pres, {a: 7})
+
+    def test_pattern_without_a_positive_power_divides_without_its_symbol(self):
+        # a^-1 divides every monomial whose power of a is at least -1
+        pres = self._ring([(mono(("a", -1)), 0, ONE)])
+        element = {mono(("b", 1)): 1, mono(("a", -2)): 2, mono(("a", -1), ("c", 1)): 3}
+        assert pres.reduce(element) == reduce_by_scan(pres, element) == {mono(("a", -2)): 2}
+
+    def test_index_is_not_part_of_the_value(self):
+        pres = presentation("Lgs", (-16, 16))
+        pres.reduce({mono(("x", 2), ("y3", 1)): 1})  # fills the memo
+        fresh = presentation("Lgs", (-16, 16))
+        assert pres == fresh and hash(pres) == hash(fresh) and repr(pres) == repr(fresh)
+        assert "_rules" not in repr(pres)
+        # replace builds a new index for the new rules
+        no_rules = dataclasses.replace(pres, rewrites=())
+        assert no_rules.reduce({mono(("x", 1), ("y1", 1)): 1}) == {mono(("x", 1), ("y1", 1)): 1}
+
+    def test_far_and_wide_windows_verify(self):
+        # 25 s and more than 100 s with a scan of every rule per monomial
+        for window in ((-400, -396), (-150, 150)):
+            assert all(item.passed for item in verify_presentations_report(window))
+
+
 class TestTheoremSuites:
     def test_classical_suite_all_pass(self):
         report = verify_classical((-12, 12))
@@ -241,6 +313,22 @@ class TestTheoremSuites:
         assert report["mult-e-resolved-Z"] is False
         good = {i.name: i.passed for i in e_multiplication_report(window)}
         assert all(good.values())
+
+    def test_kernel_argument_factors_each_datum_once(self, monkeypatch):
+        calls = []
+        genuine = ltables.map_kernel_group
+        monkeypatch.setattr(ltables, "map_kernel_group", lambda *d: calls.append(d) or genuine(*d))
+        report = {i.name: i.passed for i in e_multiplication_report((-60, 60))}
+        assert report["mult-e-kernel"] and len(calls) == 1  # 30 degrees 3 mod 4, one datum
+
+    def test_kernel_argument_sees_one_corrupted_degree(self):
+        pad = (-20, 20)
+        genuine = mult_by("Ln", "e", pad)
+        corrupted = {n: IntMatrix.zero(1, 1) if n == 3 else genuine.component(n)
+                     for n in range(pad[0], pad[1])}
+        bad = GradedMap(genuine.source, genuine.target, 1, corrupted)
+        report = {i.name: i.passed for i in e_multiplication_report((-12, 12), e_map=bad)}
+        assert report["mult-e-kernel"] is False
 
     @pytest.mark.parametrize("suite,row,caller,corrupt", [
         # the boundary L^n -> L^q set to zero

@@ -1,0 +1,48 @@
+"""The per-layer tracer of ``perfbench/layers.py`` still fits the program.
+
+The tracer wraps the public functions of every layer and a few methods,
+looked up by name, and reads ``len(args[1])`` from ``RingPresentation.reduce``.
+A renamed method or a changed signature makes a traced benchmark run fail
+without failing any other test, so one small op of each traced verb runs here
+under the tracer, in a fresh interpreter as the benchmark runs it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from lspectra.forms import LinkingForm
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, importlib.util, io, json, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+spec = importlib.util.spec_from_file_location("layers", sys.argv[1] + "/perfbench/layers.py")
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+tracer = layers.Tracer()
+tracer.install()
+from lspectra import cli
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "summary": tracer.summary()}))
+"""
+
+
+def test_traced_ops_of_every_verb_run(tmp_path):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(LinkingForm.skew_unit(2).to_json()))
+    ops = [["verify", "presentations", "--window", "-16..16"], ["verify", "B", "--window", "-12..12"],
+           ["certify-ef"], ["invariant", "--name", "beta", "--input", str(form)]]
+    run = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT), json.dumps(ops)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    summary = result["summary"]
+    assert summary["ltables.reduce.calls"] > 0
+    assert summary["ltables.reduce.terms_in"] > 0
