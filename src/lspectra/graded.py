@@ -166,12 +166,6 @@ class GradedMap:
         """(component, source group, target group) at degree n: all its kernel and cokernel read."""
         return self.component(n), self.source[n], self.target[n + self.degree_shift]
 
-    def kernel_at(self, n: int) -> FgAbGroup:
-        return map_kernel_group(*self._datum(n))
-
-    def cokernel_at(self, n: int) -> FgAbGroup:
-        return map_cokernel_group(*self._datum(n))
-
 
 def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
     """The graded map between the direct sums of two lists of summands.

@@ -54,23 +54,24 @@ def minors_gcd_invariant_factors(A: IntMatrix):
 # -- rewriting by a scan of every rule ------------------------------------------------
 
 
-def reduce_by_scan(pres, element: dict) -> dict:
+def reduce_by_scan(pres, element: dict, memo=None) -> dict:
     """``RingPresentation.reduce`` with every rule scanned for every monomial.
 
     A monomial is rewritten by the first rule, in list order, whose pattern
     divides it; a coefficient is reduced by every torsion pattern dividing
-    its monomial, in list order, then by the coefficient modulus.
+    its monomial, in list order, then by the coefficient modulus.  ``memo``,
+    when given, keeps each monomial's scan result (its first rule, or None)
+    across calls; it belongs to the rule list of one presentation.
     """
+    memo = {} if memo is None else memo
     work = dict(element)
     while True:
         hit = None
         for m in work:
-            exps = dict(m)  # mono_divides, with m unpacked once for all rules
-            for pattern, coeff, repl in pres.rewrites:
-                if all(exps.get(s, 0) >= e for s, e in pattern):
-                    hit = (m, pattern, coeff, repl)
-                    break
-            if hit:
+            if m not in memo:
+                memo[m] = _first_rule(pres.rewrites, m)
+            if memo[m] is not None:
+                hit = (m, *memo[m])
                 break
         if hit is None:
             break
@@ -89,6 +90,18 @@ def reduce_by_scan(pres, element: dict) -> dict:
         if c:
             out[m] = c
     return out
+
+
+def _first_rule(rewrites, m):
+    """The first (pattern, coeff, repl) in list order whose pattern divides m, or None."""
+    exps = dict(m)  # mono_divides, with m unpacked once for all rules
+    for pattern, coeff, repl in rewrites:
+        for s, e in pattern:
+            if exps.get(s, 0) < e:
+                break
+        else:
+            return pattern, coeff, repl
+    return None
 
 
 def random_ring_element(rng, symbols) -> dict:

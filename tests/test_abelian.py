@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -82,6 +83,99 @@ class TestSmithNormalForm:
         assert x is not None
         assert [sum(a[i, l] * x[l] for l in range(3)) for i in range(2)] == [3, 3]
         assert smith_normal_form(IntMatrix([[2]])).solve([1]) is None
+
+
+# A dense 11 x 11 matrix with 9-bit entries on which the smallest-pivot
+# Smith loop grew transforms with entries of some 86 000 bits.
+DENSE_11 = [
+    [-8, -43, 38, 54, 0, 1, 8, 8, -16, 19, 18],
+    [93, 43, -4, -178, -97, 0, -67, -38, -8, -11, -22],
+    [10, 32, -16, -38, -7, -1, -8, -6, 6, -17, -11],
+    [18, 63, -60, -102, -6, 0, -18, -15, 24, -21, -30],
+    [-83, -44, -2, 144, 88, 0, 55, 32, 10, 17, 17],
+    [122, 0, 38, -186, -136, -1, -88, -45, -28, 10, -8],
+    [165, -127, 156, -126, -205, -4, -115, -48, -80, 63, 40],
+    [-108, -13, -18, 170, 117, 1, 76, 41, 18, -2, 11],
+    [315, -61, 156, -402, -363, -4, -221, -108, -96, 45, 8],
+    [4, -20, 44, 56, -14, 0, 8, 6, -20, -2, 18],
+    [134, -60, 98, -148, -161, -2, -96, -43, -54, 35, 15],
+]
+
+
+def _transform_bits(snf):
+    return max((abs(x).bit_length() for M in (snf.U, snf.V) for row in M.entries for x in row),
+               default=0)
+
+
+def _sparse_matrix(rng, rows, cols, density=0.25):
+    return IntMatrix([[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(cols)]
+                      for _ in range(rows)], shape=(rows, cols))
+
+
+def _checked_diagonal(a):
+    """The diagonal of D, once U·A·V = D, |det U| = |det V| = 1, the chain and
+    the transform-free path's diagonal have been checked."""
+    snf = smith_normal_form(a)
+    assert snf.U @ a @ snf.V == snf.D
+    assert abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
+    diag = snf.diagonal()
+    nonzero = [d for d in diag if d]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(d > 0 for d in nonzero)
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+    assert abelian._smith(a.entries, a.rows, a.cols)[0] == nonzero
+    assert cokernel(a) == FgAbGroup(a.rows - len(nonzero), tuple(d for d in nonzero if d > 1))
+    return diag
+
+
+def _sympy_invariant_factors(a):
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    return [int(d) for d in normalforms.invariant_factors(sympy.Matrix(a.tolist()), domain=sympy.ZZ)]
+
+
+class TestBoundedSmith:
+    """Hermite rows, then Smith of the Hermite matrix: oracles at every size."""
+
+    def test_small_against_minors(self):
+        for a in _oracle_matrices(14, count=150, max_dim=5):
+            diag = _checked_diagonal(a)
+            assert [d for d in diag if d] == minors_gcd_invariant_factors(a)
+
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (8, 11), (12, 9), (16, 16), (20, 20),
+                                            (24, 18), (30, 30)])
+    def test_dense_against_sympy(self, rows, cols):
+        rng = random.Random(1000 * rows + cols)
+        r = min(rows, cols) - 3  # and one of rank r, a product through Z^r
+        for a in (_shaped_matrix(rng, rows, cols),
+                  _shaped_matrix(rng, rows, r, -3, 3) @ _shaped_matrix(rng, r, cols, -3, 3)):
+            assert _checked_diagonal(a) == _sympy_invariant_factors(a)
+
+    @pytest.mark.parametrize("rows, cols", [(10, 10), (20, 15), (30, 30), (35, 40), (40, 40)])
+    def test_sparse_against_sympy(self, rows, cols):
+        rng = random.Random(1000 * rows + cols)
+        for density in (0.1, 0.25):
+            a = _sparse_matrix(rng, rows, cols, density)
+            assert _checked_diagonal(a) == _sympy_invariant_factors(a)
+
+    def test_dense_11_regression(self):
+        a = IntMatrix(DENSE_11)
+        start = time.perf_counter()
+        snf = smith_normal_form(a)
+        assert time.perf_counter() - start < 0.5
+        assert snf.diagonal() == [1, 1, 1, 1, 2, 2, 2, 2, 0, 0, 0]
+        assert _transform_bits(snf) < 1000
+        assert _checked_diagonal(a) == snf.diagonal()
+
+    @pytest.mark.parametrize("kind", ["dense 40", "sparse 80"])
+    def test_large_inputs_stay_fast_and_small(self, kind):
+        rng = random.Random(40)
+        a = _shaped_matrix(rng, 40, 40) if kind == "dense 40" else _sparse_matrix(rng, 80, 80)
+        start = time.perf_counter()
+        snf = smith_normal_form(a)
+        assert time.perf_counter() - start < 1.0
+        assert snf.U @ a @ snf.V == snf.D
+        assert _transform_bits(snf) < 1000
 
 
 def _shaped_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -222,12 +316,12 @@ class TestFactorOnce:
 
     def test_uinv_tracking_leaves_transforms_unchanged(self):
         for a in _oracle_matrices(13):
-            U, none, D, V = abelian._snf_raw(a.entries, a.rows, a.cols)
-            U2, Uinv, D2, V2 = abelian._snf_raw(a.entries, a.rows, a.cols, track_uinv=True)
+            D, U, none, V = abelian._smith(a.entries, a.rows, a.cols, u=True, v=True)
+            D2, U2, Uinv, V2 = abelian._smith(a.entries, a.rows, a.cols, u=True, uinv=True, v=True)
             assert none is None
             assert (U, D, V) == (U2, D2, V2)
             if a.rows:
-                assert IntMatrix(Uinv) @ IntMatrix(U) == IntMatrix.identity(a.rows)
+                assert IntMatrix.from_columns(Uinv, a.rows) @ IntMatrix(U) == IntMatrix.identity(a.rows)
 
     @pytest.mark.parametrize("lift_seed", [None, 1])
     def test_linking_form_factors_each_matrix_once(self, lift_seed, monkeypatch):
@@ -235,13 +329,13 @@ class TestFactorOnce:
         # adjoint of the extracted pairing that nondegenerate() presents
         S = hidden_e_tensor_f_plus_h(random.Random(5))
         seen = []
-        raw = abelian._snf_raw
+        raw = abelian._smith
 
         def counted(a, m, n, *args, **kwargs):
             seen.append((m, n, tuple(tuple(row) for row in a)))
             return raw(a, m, n, *args, **kwargs)
 
-        monkeypatch.setattr(abelian, "_snf_raw", counted)
+        monkeypatch.setattr(abelian, "_smith", counted)
         lift_rng = None if lift_seed is None else random.Random(lift_seed)
         assert brown_kervaire(linking_form(S, lift_rng=lift_rng)) == 4
         assert len(set(seen)) == 5

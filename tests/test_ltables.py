@@ -220,8 +220,9 @@ class TestIndexedReduce:
 
     @staticmethod
     def _agrees_with_scan(pres, elements):
+        memo = {}  # the scan's first rule per monomial, for this rule order only
         for element in elements:
-            assert pres.reduce(element) == reduce_by_scan(pres, element), element
+            assert pres.reduce(element) == reduce_by_scan(pres, element, memo), element
 
     @pytest.mark.parametrize("window", [(-16, 16), (-100, 100), (-200, -196)])
     @pytest.mark.parametrize("name", ltables.RING_NAMES)

@@ -13,6 +13,7 @@ intended change, rewrite ``tensor_golden.json`` with
 import hashlib
 import json
 import random
+import signal
 import sys
 from pathlib import Path
 
@@ -75,8 +76,8 @@ def structured_cases():
     """{"s x t": digest} of each structure tensor or its rejection.
 
     The Poincare check, whose mapping cone is the other user of the block
-    layout, is recorded on the built-in pairs only: on the hidden summands
-    its homology runs into the unbounded Smith-form coefficient growth.
+    layout, is part of the digest on the built-in pairs; on the hidden pairs
+    it is recorded as a plain boolean by ``hidden_poincare_cases``.
     """
     lefts = {"E": representative("E"), "unit": representative("unit")}
     rights = {"F": representative("F"), "hyperbolic": representative("hyperbolic"),
@@ -96,8 +97,19 @@ def structured_cases():
     return out
 
 
+def _hidden_pair(s_name, k):
+    return tensor_structured(representative(s_name), hidden_e_tensor_f_plus_h(random.Random(k)))
+
+
+def hidden_poincare_cases():
+    """{"s x hidden k": verdict} of the Poincare check on the hidden pairs."""
+    return {f"{s_name} x hidden {k}": poincare_check(_hidden_pair(s_name, k))
+            for s_name in ("E", "unit") for k in range(6)}
+
+
 def record():
-    return {**chain_cases(), "tensor_structured": structured_cases()}
+    return {**chain_cases(), "tensor_structured": structured_cases(),
+            "poincare_hidden": hidden_poincare_cases()}
 
 
 def test_chain_outputs_match_golden():
@@ -115,6 +127,26 @@ def test_structure_tensors_match_golden():
     assert sorted(results) == sorted(golden)
     changed = [pair for pair in golden if results[pair] != golden[pair]]
     assert not changed, changed
+
+
+def test_poincare_verdicts_on_hidden_pairs_match_golden():
+    golden = json.loads(GOLDEN.read_text())["poincare_hidden"]
+    assert hidden_poincare_cases() == golden
+    assert len(golden) == 12
+
+
+def test_poincare_check_on_unit_x_hidden_1_finishes():
+    # it once ran for minutes in the Smith form of its mapping cone's homology
+    def expire(signum, frame):
+        raise TimeoutError("poincare_check(unit x hidden 1) ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        assert poincare_check(_hidden_pair("unit", 1)) is True
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,11 +8,14 @@ under the tracer, in a fresh interpreter as the benchmark runs it.
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from lspectra.forms import LinkingForm
+
+from helpers import hidden_e_tensor_f_plus_h
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,16 +36,31 @@ print(json.dumps({"codes": codes, "summary": tracer.summary()}))
 """
 
 
+def _traced(ops):
+    """(exit codes, tracer summary) of the CLI ops run under the tracer."""
+    run = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT), json.dumps(ops)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    return result["codes"], result["summary"]
+
+
 def test_traced_ops_of_every_verb_run(tmp_path):
     form = tmp_path / "form.json"
     form.write_text(json.dumps(LinkingForm.skew_unit(2).to_json()))
     ops = [["verify", "presentations", "--window", "-16..16"], ["verify", "B", "--window", "-12..12"],
            ["certify-ef"], ["invariant", "--name", "beta", "--input", str(form)]]
-    run = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT), json.dumps(ops)],
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
-    summary = result["summary"]
+    codes, summary = _traced(ops)
+    assert codes == [0, 0, 0, 0]
     assert summary["ltables.reduce.calls"] > 0
     assert summary["ltables.reduce.terms_in"] > 0
+
+
+def test_traced_beta_of_a_hidden_structured_complex(tmp_path):
+    # the Smith forms of its linking-form extraction, read through the tracer
+    doc = tmp_path / "hidden.json"
+    doc.write_text(json.dumps(hidden_e_tensor_f_plus_h(random.Random(1)).to_json()))
+    codes, summary = _traced([["invariant", "--name", "beta", "--input", str(doc)]])
+    assert codes == [0]
+    assert summary["abelian.snf.calls"] > 0
+    assert summary["abelian.snf.max_bits"] < 1000
