@@ -318,9 +318,9 @@ def _smith(a, m, n, u=False, uinv=False, v=False):
        a subtraction when the pivot divides the entry and a gcdex move
        otherwise, so the pivot never leaves (t, t).  Only a gcdex move in
        the column pass can refill row t, and it strictly lowers the
-       positive pivot, so the loop ends.  Last, diag(x, y) -> diag(gcd,
-       lcm) on each diagonal pair i < j with x not dividing y makes each
-       entry divide the next.
+       positive pivot, so the loop ends.  Last, ``_divisibility_chain``
+       makes each diagonal entry divide the next; each of its diag(x, y)
+       -> diag(gcd, lcm) steps is one 2 x 2 gcdex move on U, Uinv and V.
 
     So the transforms stay small: 19 bits on the dense 11 x 11 matrix with
     9-bit entries in the tests, and a few hundred on dense 40 x 40 with
@@ -409,17 +409,35 @@ def _smith(a, m, n, u=False, uinv=False, v=False):
                 if M[i][t]:
                     shrank = shrank or M[i][t] % M[t][t] != 0
                     row_move(M, t, i, *_eliminator(M[t][t], M[i][t]))
+
+    def gcd_lcm_move(i, j, x, y):
+        g, s, w = _gcdex(x, y)
+        row_move(None, i, j, s, w, -y // g, x // g)
+        if VT is not None:
+            _mix(VT, i, j, 1, 1, -w * y // g, s * x // g)
+
     diag = [M[t][t] for t in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            x, y = diag[i], diag[j]
-            if y % x:
-                g, s, w = _gcdex(x, y)
-                diag[i], diag[j] = g, x // g * y
-                row_move(None, i, j, s, w, -y // g, x // g)
-                if VT is not None:
-                    _mix(VT, i, j, 1, 1, -w * y // g, s * x // g)
+    _divisibility_chain(diag, gcd_lcm_move)
     return diag, U, Ui, None if VT is None else [list(row) for row in zip(*VT)]
+
+
+def _divisibility_chain(d, move=None):
+    """Make the positive integers ``d`` a divisibility chain in place.
+
+    Each pair i < j with d[i] not dividing d[j] becomes (gcd, lcm), which
+    presents the same group (Newman, *Integral Matrices*, 1972); ``move(i,
+    j, x, y)`` is told of each change.  Once position i has met every j > i
+    it divides them all, so the result ascends, each entry dividing the next.
+    This one step canonicalises every ``FgAbGroup`` and ends the Smith kernel.
+    """
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if y % x:
+                g = gcd(x, y)
+                d[i], d[j] = g, x // g * y
+                if move is not None:
+                    move(i, j, x, y)
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:
@@ -485,19 +503,6 @@ def _lattice_coordinates(L: IntMatrix, N: IntMatrix) -> IntMatrix | None:
 # ---------------------------------------------------------------------------
 
 
-def _factorint(n: int) -> dict[int, int]:
-    fac: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
-    return fac
-
-
 @dataclass(frozen=True)
 class FgAbGroup:
     """Isomorphism class of a finitely generated abelian group.
@@ -529,25 +534,15 @@ class FgAbGroup:
     @classmethod
     def from_divisors(cls, divisors) -> "FgAbGroup":
         """Canonicalise an unordered list of cyclic orders (0 meaning Z)."""
-        rank = 0
-        by_prime: dict[int, list[int]] = {}
+        rank, chain = 0, []
         for d in divisors:
             d = abs(int(d))
             if d == 0:
                 rank += 1
             elif d > 1:
-                for p, e in _factorint(d).items():
-                    by_prime.setdefault(p, []).append(e)
-        width = max((len(v) for v in by_prime.values()), default=0)
-        factors = []
-        for i in range(width):
-            f = 1
-            for p, exps in by_prime.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if i < len(exps_sorted):
-                    f *= p ** exps_sorted[i]
-            factors.append(f)
-        return cls(rank, tuple(sorted(factors)))
+                chain.append(d)
+        _divisibility_chain(chain)
+        return cls(rank, tuple(d for d in chain if d > 1))  # a gcd step can leave 1s
 
     @classmethod
     def free(cls, rank):
@@ -565,9 +560,6 @@ class FgAbGroup:
     def is_free(self) -> bool:
         return not self.torsion
 
-    def is_torsion(self) -> bool:
-        return self.free_rank == 0
-
     def is_two_primary(self) -> bool:
         return all(d & (d - 1) == 0 for d in self.torsion)
 
@@ -581,9 +573,6 @@ class FgAbGroup:
         if self.free_rank:
             return None
         return self.torsion[-1] if self.torsion else 1
-
-    def torsion_subgroup(self) -> "FgAbGroup":
-        return FgAbGroup(0, self.torsion)
 
     def gens(self) -> int:
         return self.free_rank + len(self.torsion)

@@ -322,10 +322,9 @@ def torsor_count(G: GradedGroup, period: int) -> FgAbGroup:
             raise ValueError(
                 f"window {G.window} declares no period and does not contain {lo}..{lo + period}"
             )
-    total = FgAbGroup()
-    for i in range(lo, lo + period):
-        total = total.direct_sum(ext_group(G[i], G[i + 1]))
-    return total
+    return FgAbGroup.from_divisors(
+        [o for i in range(lo, lo + period) for o in ext_group(G[i], G[i + 1]).gen_orders()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +349,10 @@ def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
     for t in tables[1:]:
         if t.window != window:
             raise ValueError("windows differ in direct sum")
-    groups = {}
-    for n in tables[0].degrees():
-        g = FgAbGroup()
-        for t in tables:
-            g = g.direct_sum(t[n])
-        groups[n] = g
+    groups = {
+        n: FgAbGroup.from_divisors([o for t in tables for o in t[n].gen_orders()])
+        for n in tables[0].degrees()
+    }
     return GradedGroup(window, groups, None)
 
 

@@ -1,7 +1,8 @@
 import itertools
 import random
+import signal
 import time
-from math import gcd
+from math import gcd, log2
 
 import pytest
 
@@ -27,6 +28,7 @@ from lspectra.poincare import linking_form
 
 from helpers import (
     add_in,
+    canonical_by_primes,
     elements_of,
     ext_by_resolution,
     group_from_annihilator_counts,
@@ -359,6 +361,45 @@ class TestFgAbGroup:
         with pytest.raises(ValueError):
             FgAbGroup(0, (4, 2))
 
+    def test_canonical_form_matches_prime_power_regrouping(self):
+        # oracle: elementary divisors by trial division, regrouped per prime
+        assert canonical_by_primes([2, 3]) == FgAbGroup.cyclic(6) == FgAbGroup.from_divisors([2, 3])
+        assert canonical_by_primes([0, 6, 4]) == FgAbGroup.from_divisors([0, 6, 4])
+        assert str(FgAbGroup.from_divisors([0, 6, 4])) == "Z + Z/2 + Z/12"
+        primes = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+        rng = random.Random(12)
+
+        def entry():
+            kind = rng.randrange(5)
+            if kind == 0:
+                return rng.choice((0, 1, -1))
+            if kind == 1:
+                return rng.randint(2, 300)
+            if kind == 2:
+                p = rng.choice(primes[:25])
+                return p ** rng.randint(1, int(20 / log2(p)))  # at most 2^20
+            return rng.choice((1, -1)) * rng.choice(primes) * rng.choice(primes)
+
+        for _ in range(2000):
+            divisors = [entry() for _ in range(rng.randint(0, 6))]
+            assert FgAbGroup.from_divisors(divisors) == canonical_by_primes(divisors), divisors
+
+    def test_large_prime_factors_canonicalise(self):
+        # trial division never finishes on these; the gcd/lcm chain does not factor
+        m61, m127 = 2 ** 61 - 1, 2 ** 127 - 1
+
+        def expire(signum, frame):
+            raise TimeoutError("canonicalising Mersenne-prime orders ran past 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(2)
+        try:
+            assert FgAbGroup.from_divisors([m127, m61]) == FgAbGroup(0, (m127 * m61,))
+            assert FgAbGroup.parse(f"Z/{m61} + Z/{m61}").torsion == (m61, m61)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 class TestCokernel:
     def test_examples(self):
@@ -451,7 +492,7 @@ class TestHomExt:
         rng = random.Random(11)
         for _ in range(30):
             g = random_group(rng)
-            assert ext_group(g, Z) == g.torsion_subgroup()
+            assert ext_group(g, Z) == FgAbGroup(0, g.torsion)
 
 
 class TestExtensionCandidates:
@@ -512,7 +553,7 @@ def _reduced(group, v):
 
 def _torsion_elements(group):
     """The elements of the torsion subgroup as vectors on all generators."""
-    return [(0,) * group.free_rank + x for x in elements_of(group.torsion_subgroup())]
+    return [(0,) * group.free_rank + x for x in elements_of(FgAbGroup(0, group.torsion))]
 
 
 def _kernel_generators(M, src, tgt):

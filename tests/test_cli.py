@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +245,45 @@ class TestDeskScaleBound:
             assert len(captured.err.splitlines()) == 1
         else:
             assert (code, json.loads(captured.out)["value"]) == (0, value)
+
+
+M61 = 2 ** 61 - 1  # a prime: trial division of it never finishes
+
+
+def run_cli(args, timeout=10):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter, killed after ``timeout`` s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "lspectra.cli", *args], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestLargePrimeOrders:
+    """Inputs whose groups have a large prime order finish: none is factored."""
+
+    def test_dual_of_a_table(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"window": [0, 3], "period": None, "groups": {"0": f"Z/{M61}"}}))
+        code, out, _ = run_cli(["dual", "--input", str(path), "--format", "tsv"])
+        assert code == 0
+        assert dict(line.split("\t") for line in out.strip().splitlines())["-1"] == f"Z/{M61}"
+
+    def test_torsor_of_a_periodic_table(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"window": [0, 7], "period": 4,
+                                    "groups": {"0": f"Z/{M61}", "4": f"Z/{M61}"}}))
+        code, out, _ = run_cli(["torsor", "--input", str(path), "--window", "0..7"])
+        assert code == 0
+        assert json.loads(out) == {"torsor": "0"}
+
+    def test_beta_of_a_form_on_a_large_prime_order(self, tmp_path):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"factors": [2 ** 127 - 1], "q": {"(0)": "0"}}))
+        code, out, err = run_cli(["invariant", "--name", "beta", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ")
+        assert len(err.splitlines()) == 1
 
 
 MALFORMED_INPUTS = {

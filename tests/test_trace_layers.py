@@ -49,11 +49,16 @@ def test_traced_ops_of_every_verb_run(tmp_path):
     form = tmp_path / "form.json"
     form.write_text(json.dumps(LinkingForm.skew_unit(2).to_json()))
     ops = [["verify", "presentations", "--window", "-16..16"], ["verify", "B", "--window", "-12..12"],
-           ["certify-ef"], ["invariant", "--name", "beta", "--input", str(form)]]
+           ["certify-ef"], ["invariant", "--name", "beta", "--input", str(form)],
+           ["verify", "A", "--window", "-12..12"], ["table", "--name", "Lgs", "--window", "-40..39"],
+           ["dual", "--name", "Ln", "--window", "-16..15"],
+           ["torsor", "--name", "Lgs", "--window", "-40..39", "--period", "4"]]
     codes, summary = _traced(ops)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * len(ops)
     assert summary["ltables.reduce.calls"] > 0
     assert summary["ltables.reduce.terms_in"] > 0
+    assert summary["abelian.groups.calls"] > 0
+    assert summary["abelian.fgab.created"] > 0
 
 
 def test_traced_beta_of_a_hidden_structured_complex(tmp_path):
