@@ -429,22 +429,22 @@ class LinkingForm:
 
         a_i and b_ij are read off at g_i and g_i + g_j.  A ValueError is raised
         unless the table holds one value per element, and names the first
-        element where it is not their polynomial; p / r = n / den mod 1 is
-        tested as r den dividing p den - n r.
+        element missing from it or where it is not their polynomial;
+        p / r = n / den mod 1 is tested as r den dividing p den - n r.
         """
+        if len(qvals) != group.order():
+            raise ValueError(f"table holds {len(qvals)} values for {group.order()} elements")
         k = len(group.torsion)
 
         def q(*gens):
-            return Fraction(qvals[tuple(int(i in gens) for i in range(k))])
+            return Fraction(_table_value(qvals, tuple(int(i in gens) for i in range(k))))
 
         a = [q(i) for i in range(k)]
         b = {(i, j): q(i, j) - a[i] - a[j] for i, j in itertools.combinations(range(k), 2)}
         form = cls(group, a, b)
-        if len(qvals) != group.order():
-            raise ValueError(f"table holds {len(qvals)} values for {group.order()} elements")
         den, values = form._numerators()
         for x, n in zip(group.elements(), values):
-            p, r = qvals[x].as_integer_ratio()
+            p, r = _table_value(qvals, x).as_integer_ratio()
             if (p * den - n * r) % (r * den):
                 raise ValueError(f"table is not quadratic: q{x} = {qvals[x]}, not {Fraction(n, den)}")
         return form
@@ -476,6 +476,12 @@ class LinkingForm:
 
     def __repr__(self):
         return f"LinkingForm(group={self.group.render()!r})"
+
+
+def _table_value(qvals, x):
+    if x not in qvals:
+        raise ValueError(f"table has no value for the element {x}")
+    return qvals[x]
 
 
 def _adjoint_onto(M: IntMatrix, group: FgAbGroup) -> bool:

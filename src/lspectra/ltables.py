@@ -90,8 +90,7 @@ class _DivisorIndex:
     A pattern divides m only if every symbol it raises to a positive power
     occurs in m to a positive power, so the candidates for m are the groups
     keyed by subsets of those symbols of m.  ``divisors(m)`` lists, in
-    ascending order, every position whose pattern divides m; it is memoised
-    per monomial, which is sound because the patterns never change.
+    ascending order, every position whose pattern divides m.
     """
 
     def __init__(self, patterns):
@@ -100,18 +99,14 @@ class _DivisorIndex:
             key = tuple(s for s, e in pattern if e > 0)
             self.groups.setdefault(key, []).append((i, pattern))
         self.width = max(map(len, self.groups), default=0)
-        self.memo = {}
 
-    def divisors(self, m: Monomial) -> tuple:
-        found = self.memo.get(m)
-        if found is None:
-            present = [s for s, e in m if e > 0]
-            found = []
-            for k in range(min(self.width, len(present)) + 1):
-                for key in combinations(present, k):
-                    found += (i for i, pattern in self.groups.get(key, ()) if mono_divides(pattern, m))
-            found = self.memo[m] = tuple(sorted(found))
-        return found
+    def divisors(self, m: Monomial) -> list:
+        present = [s for s, e in m if e > 0]
+        found = []
+        for k in range(min(self.width, len(present)) + 1):
+            for key in combinations(present, k):
+                found += (i for i, pattern in self.groups.get(key, ()) if mono_divides(pattern, m))
+        return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -121,8 +116,14 @@ class RingPresentation:
     The rules (rewrites, torsion patterns, coefficient modulus) are the only
     statement of the ring's relations; the checked relations derive from them.
     A monomial is rewritten by the first rule, in list order, whose pattern
-    divides it.  The rules are looked up through a divisor index built once
-    per instance, which takes no part in ``==``, ``hash`` or ``repr``.
+    divides it.  So a monomial is rewritten by one rule only, and each rule
+    replaces it by a multiple of one monomial: every monomial has exactly one
+    normal form, a multiple of one monomial or 0, and rewriting is linear in
+    the terms.  Each normal form is memoised per instance, and ``reduce``
+    sums c * NF(m) over the terms before it reduces the coefficients; a
+    chain of rewrites that returns to a monomial raises ValueError.  The
+    rules are looked up through a divisor index built once per instance; the
+    index and the memos take no part in ``==``, ``hash`` or ``repr``.
     """
 
     name: str
@@ -133,40 +134,67 @@ class RingPresentation:
     torsion_patterns: tuple  # ((pattern, modulus), ...)
     _rules: _DivisorIndex = field(init=False, compare=False, repr=False)
     _torsion: _DivisorIndex = field(init=False, compare=False, repr=False)
+    _normal_forms: dict = field(init=False, compare=False, repr=False)
+    _moduli: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_rules", _DivisorIndex(
             [pattern for pattern, _, _ in self.rewrites]))
         object.__setattr__(self, "_torsion", _DivisorIndex(
             [pattern for pattern, _ in self.torsion_patterns]))
+        object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
+        object.__setattr__(self, "_moduli", {})  # m -> the moduli its coefficient is reduced by
 
     def degree(self, m: Monomial) -> int:
         degs = dict(self.generators)
         return sum(degs[s] * e for s, e in m)
 
     def _coeff_reduce(self, m: Monomial, c: int) -> int:
-        for i in self._torsion.divisors(m):
-            c %= self.torsion_patterns[i][1]
-        if self.coeff_modulus:
-            c %= self.coeff_modulus
+        moduli = self._moduli.get(m)
+        if moduli is None:
+            moduli = [self.torsion_patterns[i][1] for i in self._torsion.divisors(m)]
+            if self.coeff_modulus:
+                moduli.append(self.coeff_modulus)
+            self._moduli[m] = moduli
+        for d in moduli:
+            c %= d
         return c
 
-    def reduce(self, element: dict) -> dict:
-        work = dict(element)
-        while True:
-            hit = None
-            for m in work:
-                found = self._rules.divisors(m)
-                if found:
-                    hit = (m, *self.rewrites[found[0]])
-                    break
-            if hit is None:
+    def _normal_form(self, m: Monomial):
+        """(coeff, monomial) that m rewrites to, or None when it rewrites to 0.
+
+        The first-match rewrites are followed until a memoised monomial; then
+        every monomial on the way is memoised with its accumulated coefficient.
+        """
+        forms = self._normal_forms
+        chain = {}  # monomial -> coefficient of the rule that rewrote it
+        while m not in forms:
+            if m in chain:
+                raise ValueError(f"rewriting in {self.name} returns to {m}")
+            found = self._rules.divisors(m)
+            if not found:
+                forms[m] = (1, m)
                 break
-            m, pattern, coeff, repl = hit
-            c = work.pop(m)
-            if coeff:
-                new = mono_mul(mono_div(m, pattern), repl)
-                work[new] = work.get(new, 0) + c * coeff
+            pattern, coeff, repl = self.rewrites[found[0]]
+            if not coeff:
+                forms[m] = None
+                break
+            chain[m] = coeff
+            m = mono_mul(mono_div(m, pattern), repl)
+        form = forms[m]
+        for link, coeff in reversed(chain.items()):
+            if form is not None:
+                form = (coeff * form[0], form[1])
+            forms[link] = form
+        return form
+
+    def reduce(self, element: dict) -> dict:
+        work = {}
+        for m, c in element.items():
+            form = self._normal_form(m)
+            if form is not None:
+                k, nf = form
+                work[nf] = work.get(nf, 0) + c * k
         out = {}
         for m, c in work.items():
             c = self._coeff_reduce(m, c)
@@ -184,9 +212,7 @@ class RingPresentation:
 
     def _relations(self) -> list:
         """The elements its rules declare zero: pattern - coeff*repl, d*pattern, m."""
-        # a zero term would cost reduce one more scan of every rule
-        rels = [{pattern: 1, repl: -coeff} if coeff else {pattern: 1}
-                for pattern, coeff, repl in self.rewrites]
+        rels = [{pattern: 1, repl: -coeff} for pattern, coeff, repl in self.rewrites]
         rels += [{pattern: d} for pattern, d in self.torsion_patterns]
         if self.coeff_modulus:
             rels.append({ONE: self.coeff_modulus})
@@ -426,31 +452,31 @@ def mult_by(name: str, sym: str, window=(-16, 16)) -> GradedMap:
     shiftd = dict(pres.generators).get(sym)
     if shiftd is None:
         raise KeyError(f"unknown generator {sym!r} of {name}")
+    bases = {n: ring_basis(name, n) for n in range(lo, hi + 1)}
     for n in range(lo, hi + 1):
         if not lo <= n + shiftd <= hi:
             continue
-        src, tgt, m = _generator_products(pres, sym, shiftd, n)
+        src, tgt = bases[n], bases[n + shiftd]
+        m = _generator_products(pres, sym, src, tgt)
         if m is None:
             raise ValueError(f"product leaves the stated basis at degree {n}")
         comps[n] = IntMatrix(m, shape=(len(tgt), len(src)))
     return GradedMap(tab, tab, shiftd, comps)
 
 
-def _generator_products(pres: RingPresentation, sym: str, shiftd: int, n: int):
-    """(source basis, target basis, matrix) of the generator ``sym`` on degree n.
+def _generator_products(pres: RingPresentation, sym: str, src, tgt):
+    """The matrix of the generator ``sym`` from basis ``src`` to basis ``tgt``.
 
-    The matrix is None when a product leaves the target basis.
+    It is None when a product leaves the target basis.
     """
-    src = ring_basis(pres.name, n)
-    tgt = ring_basis(pres.name, n + shiftd)
     rows = [tm for tm, _ in tgt]
     m = [[0] * len(src) for _ in rows]
     for j, (bm, _) in enumerate(src):
         for pm, c in pres.multiply({mono((sym, 1)): 1}, {bm: 1}).items():
             if pm not in rows:
-                return src, tgt, None
+                return None
             m[rows.index(pm)][j] = c
-    return src, tgt, m
+    return m
 
 
 def boundary_map(window=(-16, 16)) -> GradedMap:
@@ -491,11 +517,13 @@ def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | No
     for elem in trusted._relations():
         if pres.reduce(elem):
             return False
+    bases = {n: ring_basis(pres.name, n) for n in range(lo, hi + 1)}
     for n in range(lo, hi + 1):
         for sym, sdeg in pres.generators:
             if not lo <= n + sdeg <= hi:
                 continue
-            src, tgt, m = _generator_products(pres, sym, sdeg, n)
+            src, tgt = bases[n], bases[n + sdeg]
+            m = _generator_products(pres, sym, src, tgt)
             if m is None:
                 return False
             # the product of a torsion class must respect its order

@@ -338,6 +338,25 @@ MALFORMED_INPUTS = {
 }
 
 
+class TestIncompleteFormTable:
+    """A form table without some element's value is refused by that element's name."""
+
+    @pytest.mark.parametrize("q,message", [
+        ({"(0,0)": "0"}, "table holds 1 values for 4 elements"),
+        # the right size, with (1,1) keyed as (2,1)
+        ({"(0,0)": "0", "(1,0)": "1/4", "(0,1)": "1/4", "(2,1)": "1/2"},
+         "table has no value for the element (1, 1)"),
+    ], ids=["generators-missing", "stray-key"])
+    def test_exits_two_with_its_own_message(self, q, message, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"factors": [2, 2], "q": q}))
+        code = main(["invariant", "--name", "beta", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: ValueError: {message}\n"
+        assert "KeyError" not in captured.err
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_two_with_one_line(self, case, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import re
+import signal
 import sys
 
 import pytest
@@ -278,6 +280,50 @@ class TestIndexedReduce:
         # replace builds a new index for the new rules
         no_rules = dataclasses.replace(pres, rewrites=())
         assert no_rules.reduce({mono(("x", 1), ("y1", 1)): 1}) == {mono(("x", 1), ("y1", 1)): 1}
+
+    def test_replace_starts_a_fresh_memo(self):
+        pres = presentation("Lgs", (-16, 16))
+        xy2, y1 = mono(("x", 1), ("y2", 1)), mono(("y1", 1))
+        assert pres.reduce({xy2: 1}) == {y1: 1}  # memoises x y2 -> y1
+        five = dataclasses.replace(pres, rewrites=tuple(
+            (p, 5 if p == xy2 else c, r) for p, c, r in pres.rewrites))
+        assert five.reduce({xy2: 1}) == {y1: 5}
+        assert pres.reduce({xy2: 1}) == {y1: 1}
+
+    def test_a_cycle_of_rewrites_fails(self):
+        a, b, c = mono(("a", 1)), mono(("b", 1)), mono(("c", 1))
+        pres = self._ring([(c, 1, a), (a, 2, b), (b, 1, a)])
+
+        def expire(signum, frame):
+            raise TimeoutError("reducing under a cycle of rewrites ran past 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(2)
+        try:
+            # entered from c, the cycle is named at a, the first monomial met twice
+            for start, named in ((a, a), (b, b), (c, a)):
+                with pytest.raises(ValueError, match=re.escape(f"returns to {named}")):
+                    pres.reduce({start: 1})
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_each_monomial_is_rewritten_once(self, monkeypatch):
+        # x^k y_i reaches its normal form through min(i, k) rewrites, each
+        # monomial on the way being another degree's product: following every
+        # chain to its end made 75 710 rule applications on Lgs at +-150,
+        # where 8 721 distinct monomials are looked up
+        applied = 0
+        genuine = ltables.mono_div
+
+        def counted(m, pattern):
+            nonlocal applied
+            applied += 1
+            return genuine(m, pattern)
+
+        monkeypatch.setattr(ltables, "mono_div", counted)
+        assert verify_presentation("Lgs", (-150, 150))
+        assert 0 < applied <= 8721
 
     def test_far_and_wide_windows_verify(self):
         # 25 s and more than 100 s with a scan of every rule per monomial
