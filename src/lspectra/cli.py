@@ -93,11 +93,16 @@ def _input_errors(path):
         raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
+def _table_name(name):
+    """``name`` if it names a table; otherwise a usage error listing the names."""
+    if name not in TABLE_NAMES:
+        raise UsageError(f"unknown table {name!r}; choose from {', '.join(TABLE_NAMES)}")
+    return name
+
+
 def cmd_table(args, out):
     window = parse_window(args.window)
-    if args.name not in TABLE_NAMES:
-        raise UsageError(f"unknown table {args.name!r}; choose from {', '.join(TABLE_NAMES)}")
-    _emit_table(table(args.name, window), args.format, out)
+    _emit_table(table(_table_name(args.name), window), args.format, out)
     return 0
 
 
@@ -106,11 +111,10 @@ def cmd_dual(args, out):
         with _input_errors(args.input):
             dual = anderson_dual(GradedGroup.from_json(_load_json_file(args.input)))
     elif args.name:
-        if args.name not in TABLE_NAMES:
-            raise UsageError(f"unknown table {args.name!r}")
+        name = _table_name(args.name)
         window = parse_window(args.window)
         try:
-            dual = anderson_dual(table(args.name, window))
+            dual = anderson_dual(table(name, window))
         except OutOfWindowError as exc:
             raise UsageError(f"{args.window}: {exc.args[0]}") from None
     else:
@@ -174,9 +178,7 @@ def cmd_torsor(args, out):
         with _input_errors(args.input):
             tab = GradedGroup.from_json(_load_json_file(args.input))
     else:
-        if args.name not in TABLE_NAMES:
-            raise UsageError(f"unknown table {args.name!r}")
-        tab = table(args.name, window)
+        tab = table(_table_name(args.name), window)
     period = args.period or tab.period
     if not period:
         raise UsageError("table declares no period; pass --period")

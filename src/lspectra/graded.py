@@ -46,6 +46,9 @@ class OutOfWindowError(KeyError):
     """A degree lookup left the window and periodicity cannot recover it."""
 
 
+_ZERO = FgAbGroup()  # every degree a table leaves out
+
+
 class GradedGroup:
     """Degree-indexed finitely generated abelian groups on [d_min, d_max].
 
@@ -62,7 +65,7 @@ class GradedGroup:
             raise ValueError("empty window")
         table = {}
         for n in range(lo, hi + 1):
-            g = groups.get(n, FgAbGroup())
+            g = groups.get(n, _ZERO)
             if not isinstance(g, FgAbGroup):
                 g = FgAbGroup.parse(str(g))
             table[n] = g
@@ -230,11 +233,8 @@ def anderson_dual(G: GradedGroup, window=None) -> GradedGroup:
     wlo, whi = window
     if wlo > whi:
         raise OutOfWindowError("window too small to dualise")
-    groups = {}
-    for n in range(wlo, whi + 1):
-        groups[n] = hom_group(G[-n], FgAbGroup.free(1)).direct_sum(
-            ext_group(G[-n - 1], FgAbGroup.free(1))
-        )
+    z = FgAbGroup.free(1)
+    groups = {n: hom_group(G[-n], z).direct_sum(ext_group(G[-n - 1], z)) for n in range(wlo, whi + 1)}
     return GradedGroup(window, groups, G.period)
 
 
@@ -343,25 +343,33 @@ def shift_graded(G: GradedGroup, k: int) -> GradedGroup:
 
 
 def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
+    """The degreewise direct sum over the window all the summands share.
+
+    Summands may have different windows; the sum covers their common part,
+    and summands with no degree in common raise ValueError.
+    """
     if not tables:
         raise ValueError("empty sum")
-    window = tables[0].window
-    for t in tables[1:]:
-        if t.window != window:
-            raise ValueError("windows differ in direct sum")
+    lo = max(t.window[0] for t in tables)
+    hi = min(t.window[1] for t in tables)
+    if lo > hi:
+        raise ValueError("summands share no degree in direct sum")
     groups = {
         n: FgAbGroup.from_divisors([o for t in tables for o in t[n].gen_orders()])
-        for n in tables[0].degrees()
+        for n in range(lo, hi + 1)
     }
-    return GradedGroup(window, groups, None)
+    return GradedGroup((lo, hi), groups, None)
 
 
-def restrict(G: GradedGroup, window, period="keep") -> GradedGroup:
+def restrict(G: GradedGroup, window) -> GradedGroup:
+    """A copy of G on another window, read through G's lookup.
+
+    The copy keeps G's period when the window spans it.  The verifiers need
+    no copy: they read their tables over the report window in place.
+    """
     lo, hi = window
     groups = {n: G[n] for n in range(lo, hi + 1)}
-    p = G.period if period == "keep" else period
-    if p is not None and hi - lo < p:
-        p = None
+    p = G.period if G.period is not None and hi - lo >= G.period else None
     return GradedGroup(window, groups, p)
 
 

@@ -67,6 +67,14 @@ class TestTable:
         code, _ = run(["table", "--name", "bogus", "--window", "-4..4"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["table", "dual", "torsor"])
+    def test_every_verb_names_the_tables_it_knows(self, verb, capsys):
+        code = main([verb, "--name", "bogus"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: unknown table 'bogus'; choose from Ls, ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestDual:
     def test_named_table(self, capsys):

@@ -39,6 +39,8 @@ def commands():
         out += [["verify", suite, "--format", fmt] for suite in ("A", "B", "presentations")]
         out += [["verify", suite, "--window", "-60..60", "--format", fmt] for suite in ("A", "B")]
         out.append(["verify", "B", "--window", "-5..30", "--format", fmt])
+        out += [["verify", suite, "--window", window, "--format", fmt]
+                for suite in ("A", "B") for window in ("0..3", "5..6", "-40..-30", "-2..200")]
         out.append(["verify", "presentations", "--window", "-200..-196", "--format", fmt])
         out += [[verb, "--name", name, "--format", fmt]
                 for verb in ("table", "dual", "torsor") for name in TABLES]

@@ -13,6 +13,7 @@ from lspectra.graded import (
     check_exact,
     cofibre_of_mult,
     compare_graded,
+    direct_sum_graded,
     double_dual_check,
     mod_table,
     mult_by_int,
@@ -21,7 +22,7 @@ from lspectra.graded import (
     shift_graded,
     torsor_count,
 )
-from lspectra.ltables import table
+from lspectra.ltables import _compare_item, table
 
 from helpers import random_group
 
@@ -275,3 +276,32 @@ class TestCombinators:
         assert compare_graded(a, b) and compare_graded(b, a)
         with pytest.raises(ValueError):
             compare_graded(a, table("Ls", (-8, 8)))
+
+
+class TestDirectSum:
+    def test_sums_over_the_common_window(self):
+        a = GradedGroup((-3, 2), {-3: Z, 0: Z, 1: Z2})
+        b = GradedGroup((0, 5), {0: Z2, 1: FgAbGroup.cyclic(3), 4: Z})
+        s = direct_sum_graded(a, b)
+        assert s == GradedGroup((0, 2), {0: FgAbGroup(1, (2,)), 1: FgAbGroup.cyclic(6)})
+        assert direct_sum_graded(b, a) == s
+
+    def test_disjoint_windows_raise(self):
+        with pytest.raises(ValueError, match="share no degree"):
+            direct_sum_graded(GradedGroup((0, 2), {0: Z}), GradedGroup((3, 4), {3: Z}))
+
+
+class TestCompareItem:
+    def test_reads_both_tables_over_the_report_window(self):
+        ls = table("Ls", (-8, 8))
+        assert _compare_item("row", ls, table("Ls", (-4, 20)), "d", (-4, 8)).passed
+
+    def test_a_table_not_covering_the_window_fails_naming_the_degree(self):
+        short = GradedGroup((0, 2), {0: Z})
+        item = _compare_item("row", GradedGroup((-5, 5), {0: Z}), short, "d", (-1, 2))
+        assert not item.passed
+        assert item.detail == "d; degree -1 outside window (0, 2)"
+
+    def test_mismatch_names_the_degree(self):
+        item = _compare_item("row", GradedGroup((0, 2), {1: Z}), GradedGroup((0, 2), {1: Z2}), "d", (0, 2))
+        assert (item.passed, item.detail) == (False, "d; mismatch at degree 1: Z vs Z/2")

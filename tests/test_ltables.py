@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from lspectra import ltables
-from lspectra.abelian import IntMatrix
+from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.graded import (
     GradedMap,
+    SesDatum,
     compare_graded,
     double_dual_check,
     restrict,
@@ -380,9 +381,6 @@ class TestTheoremSuites:
     @pytest.mark.parametrize("suite,row,caller,corrupt", [
         # the boundary L^n -> L^q set to zero
         (verify_classical, "symmetrisation-les", "boundary_map", lambda m: [[0]]),
-        # the inclusion Ext -> I(L^q) doubled
-        (verify_classical, "uct-exactness", "_uct_items",
-         lambda m: [[2 * v for v in row] for row in m] if len(m) == 2 else m),
         # L^gs -> L^s by 1 instead of 8 in degrees 4k < 0
         (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
          lambda m: [[1], [1]] if m == [[8], [1]] else m),
@@ -392,7 +390,7 @@ class TestTheoremSuites:
         # scriptL -> L(R) by 1 instead of 8 in degrees 4k < 0
         (verify_genuine, "scriptL-square", "_script_square_item",
          lambda m: [[1], [1]] if m == [[8], [1]] else m),
-    ], ids=["boundary-zero", "uct-inclusion-doubled", "lgs-to-ls-by-one", "beta-sign", "scriptL-to-LR-by-one"])
+    ], ids=["boundary-zero", "lgs-to-ls-by-one", "beta-sign", "scriptL-to-LR-by-one"])
     def test_corrupted_coefficient_fails_its_row_only(self, suite, row, caller, corrupt, monkeypatch):
         genuine = ltables.scalar_map
 
@@ -405,6 +403,29 @@ class TestTheoremSuites:
         monkeypatch.setattr(ltables, "scalar_map", patched)
         verdicts = {i.name: i.passed for i in suite()}
         assert verdicts.pop(row) is False
+        assert all(verdicts.values()), verdicts
+
+    def test_uct_row_reads_the_dual(self, monkeypatch):
+        # I(L^q) shifted up one degree: I_1 = L^s_0 = Z is no extension of Hom(0, Z) by Ext(Z/2, Z)
+        genuine = ltables.anderson_dual
+        monkeypatch.setattr(ltables, "anderson_dual", lambda G: shift_graded(genuine(G), 1))
+        verdicts = {i.name: i.passed for i in verify_classical()}
+        assert verdicts["uct-exactness"] is False
+
+    def test_resolved_z_reads_ls_mod_e(self, monkeypatch):
+        # pi_(4k)(L^s/e) made Z/2: the extension of L^q/e in degrees 0 mod 4 is no longer forced
+        genuine = ltables.cofibre_of_mult
+        torsion = SesDatum(sub=FgAbGroup.cyclic(2), quotient=FgAbGroup(), resolved=FgAbGroup.cyclic(2))
+
+        def patched(M, mul):
+            ses = genuine(M, mul)
+            if M == table("Ls", M.window):
+                ses = {n: torsion if n % 4 == 0 else datum for n, datum in ses.items()}
+            return ses
+
+        monkeypatch.setattr(ltables, "cofibre_of_mult", patched)
+        verdicts = {i.name: i.passed for i in e_multiplication_report((-12, 12))}
+        assert verdicts.pop("mult-e-resolved-Z") is False
         assert all(verdicts.values()), verdicts
 
     def test_symmetrisation_map_values(self):
