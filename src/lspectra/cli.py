@@ -179,8 +179,8 @@ def cmd_torsor(args, out):
             tab = GradedGroup.from_json(_load_json_file(args.input))
     else:
         tab = table(_table_name(args.name), window)
-    period = args.period or tab.period
-    if not period:
+    period = tab.period if args.period is None else args.period
+    if period is None:
         raise UsageError("table declares no period; pass --period")
     try:
         group = torsor_count(tab, period)

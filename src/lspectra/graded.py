@@ -219,17 +219,16 @@ class SesDatum:
 # ---------------------------------------------------------------------------
 
 
-def anderson_dual(G: GradedGroup, window=None) -> GradedGroup:
+def anderson_dual(G: GradedGroup) -> GradedGroup:
     """Homotopy groups of the Anderson dual of a table.
 
     Degree n of the dual is Hom(G[-n], Z) (+) Ext(G[-n-1], Z); a universal
-    coefficient sequence splits this way degree by degree.  The default
-    output window is the reflected one, shrunk by one at the bottom when no
+    coefficient sequence splits this way degree by degree.  The output
+    window is the reflected one, shrunk by one at the bottom when no
     periodicity is available to resolve the Ext lookup.
     """
     lo, hi = G.window
-    if window is None:
-        window = (-hi, -lo) if G.period else (-hi, -lo - 1)
+    window = (-hi, -lo) if G.period else (-hi, -lo - 1)
     wlo, whi = window
     if wlo > whi:
         raise OutOfWindowError("window too small to dualise")

@@ -89,8 +89,9 @@ class _DivisorIndex:
 
     A pattern divides m only if every symbol it raises to a positive power
     occurs in m to a positive power, so the candidates for m are the groups
-    keyed by subsets of those symbols of m.  ``divisors(m)`` lists, in
-    ascending order, every position whose pattern divides m.
+    keyed by subsets of those symbols of m.  ``first(m)`` is the lowest
+    position whose pattern divides m, or None, and builds no list;
+    ``divisors(m)`` lists every such position in ascending order.
     """
 
     def __init__(self, patterns):
@@ -100,13 +101,16 @@ class _DivisorIndex:
             self.groups.setdefault(key, []).append((i, pattern))
         self.width = max(map(len, self.groups), default=0)
 
-    def divisors(self, m: Monomial) -> list:
+    def _dividing(self, m: Monomial):
         present = [s for s, e in m if e > 0]
-        found = []
-        for k in range(min(self.width, len(present)) + 1):
-            for key in combinations(present, k):
-                found += (i for i, pattern in self.groups.get(key, ()) if mono_divides(pattern, m))
-        return sorted(found)
+        return (i for k in range(min(self.width, len(present)) + 1) for key in combinations(present, k)
+                for i, pattern in self.groups.get(key, ()) if mono_divides(pattern, m))
+
+    def first(self, m: Monomial) -> int | None:
+        return min(self._dividing(m), default=None)
+
+    def divisors(self, m: Monomial) -> list:
+        return sorted(self._dividing(m))
 
 
 @dataclass(frozen=True)
@@ -171,11 +175,11 @@ class RingPresentation:
         while m not in forms:
             if m in chain:
                 raise ValueError(f"rewriting in {self.name} returns to {m}")
-            found = self._rules.divisors(m)
-            if not found:
+            found = self._rules.first(m)
+            if found is None:
                 forms[m] = (1, m)
                 break
-            pattern, coeff, repl = self.rewrites[found[0]]
+            pattern, coeff, repl = self.rewrites[found]
             if not coeff:
                 forms[m] = None
                 break
@@ -435,19 +439,18 @@ def golden_table(name: str) -> GradedGroup:
     return GradedGroup.from_json(json.loads(path.read_text()))
 
 
-def mult_by(name: str, sym: str, window=(-16, 16)) -> GradedMap:
-    """Degreewise matrices of multiplication by a generator.
+def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
+    """Degreewise matrices of multiplication by a generator on the table ``tab`` of ``name``.
 
     On the modules e acts by zero and x by the evident isomorphism.
     """
-    tab = table(name, window)
     if name in MODULE_NAMES:
         if sym not in _MODULE_DEGREES:
             raise KeyError(f"unknown generator {sym!r} of {name}")
         return scalar_map([tab], [tab], _MODULE_DEGREES[sym], lambda n: [[int(sym == "x")]])
-    lo, hi = window
+    lo, hi = tab.window
     comps = {}
-    pres = presentation(name, window)
+    pres = presentation(name, tab.window)
     shiftd = dict(pres.generators).get(sym)
     if shiftd is None:
         raise KeyError(f"unknown generator {sym!r} of {name}")
@@ -478,22 +481,19 @@ def _generator_products(pres: RingPresentation, sym: str, src, tgt):
     return m
 
 
-def boundary_map(window=(-16, 16)) -> GradedMap:
-    """The boundary L^n_(4i-1) -> L^q_(4i-2), sending x^i f to 8 x^i g."""
-    return scalar_map([table("Ln", window)], [table("Lq", window)], -1,
-                      lambda n: [[int(n % 4 == 3)]])
+def boundary_map(ln: GradedGroup, lq: GradedGroup) -> GradedMap:
+    """The boundary L^n_(4i-1) -> L^q_(4i-2), sending x^i f to 8 x^i g, between the given tables."""
+    return scalar_map([ln], [lq], -1, lambda n: [[int(n % 4 == 3)]])
 
 
-def symmetrisation_map(window=(-16, 16)) -> GradedMap:
-    """L^q -> L^s: multiplication by 8 on free parts, zero on torsion."""
-    return scalar_map([table("Lq", window)], [table("Ls", window)], 0,
-                      lambda n: [[8 if n % 4 == 0 else 0]])
+def symmetrisation_map(lq: GradedGroup, ls: GradedGroup) -> GradedMap:
+    """L^q -> L^s between the given tables: multiplication by 8 on free parts, zero on torsion."""
+    return scalar_map([lq], [ls], 0, lambda n: [[8 if n % 4 == 0 else 0]])
 
 
-def projection_to_ln(window=(-16, 16)) -> GradedMap:
-    """L^s -> L^n, the reduction in the symmetrisation fibre sequence."""
-    return scalar_map([table("Ls", window)], [table("Ln", window)], 0,
-                      lambda n: [[int(n % 4 in (0, 1))]])
+def projection_to_ln(ls: GradedGroup, ln: GradedGroup) -> GradedMap:
+    """L^s -> L^n between the given tables, the reduction in the symmetrisation fibre sequence."""
+    return scalar_map([ls], [ln], 0, lambda n: [[int(n % 4 in (0, 1))]])
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +550,9 @@ def _verify_module(name: str, window) -> bool:
     """
     if name == "Lq":
         lo, hi = window
-        sym = symmetrisation_map(window)
-        xq, xs = mult_by("Lq", "x", window), mult_by("Ls", "x", window)
+        lq, ls = table("Lq", window), table("Ls", window)
+        sym = symmetrisation_map(lq, ls)
+        xq, xs = mult_by("Lq", "x", lq), mult_by("Ls", "x", ls)
         for n in range(lo, hi - 3):
             if sym.component(n + 4) @ xq.component(n) != xs.component(n) @ sym.component(n):
                 return False
@@ -571,7 +572,8 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
                           ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
     ls = presentation("Ls")
     lo, hi = window
-    sym = symmetrisation_map((min(lo, 0) - 4, max(hi, 0) + 3))  # both factors and the product
+    Q = (min(lo, 0) - 4, max(hi, 0) + 3)  # both factors and the product
+    sym = symmetrisation_map(table("Lq", Q), table("Ls", Q))
 
     def image(n, coords):
         comp = sym.component(n)
@@ -635,9 +637,9 @@ def verify_presentations_report(window=(-16, 16)) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _pad(window, margin=8):
+def _pad(window):
     lo, hi = window
-    return (lo - margin, hi + margin)
+    return (lo - 8, hi + 8)
 
 
 def verify_classical(window=(-12, 12)) -> list[CheckResult]:
@@ -647,8 +649,9 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
     L^s and the shift self-duality of L^n, the symmetrisation matrix with
     the full long exact sequence of the fibre sequence, the splitting of
     L^n induced by it, the torsor counts, and the multiplication-by-e
-    kernel argument whose input is ef = 4.  Tables are built once on the
-    padded window P and read over W.
+    kernel argument whose input is ef = 4.  Each table is built once on the
+    padded window P, every map is built from the tables it joins, and the
+    items read them over W.
     """
     W = window
     P = _pad(window)
@@ -666,7 +669,7 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
     out.append(_compare_item("anderson-Ln-shift", anderson_dual(ln), shift_graded(ln, -1),
                              "I(L^n) has the homotopy of L^n[-1]", W))
 
-    sym = symmetrisation_map(P)
+    sym = symmetrisation_map(lq, ls)
     matrix_ok = all(
         (n % 4 == 0 and sym.component(n) == IntMatrix([[8]]))
         or (n % 4 != 0 and sym.component(n).is_zero())
@@ -674,8 +677,8 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
     )
     out.append(CheckResult("symmetrisation-matrix", matrix_ok, "8 on free parts, 0 on torsion"))
 
-    proj = projection_to_ln(P)
-    bdry = boundary_map(P)
+    proj = projection_to_ln(ls, ln)
+    bdry = boundary_map(ln, lq)
     les_ok = check_exact(sym, proj) and check_exact(proj, bdry) and check_exact(bdry, sym)
     out.append(CheckResult("symmetrisation-les", les_ok,
                            "L^q -> L^s -> L^n long exact sequence"))
@@ -694,7 +697,7 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
                            "I^2 = id on the three tables"))
 
     out.append(_uct_item(lq, dual_lq, W))
-    out.extend(e_multiplication_report(window))
+    out.extend(_e_multiplication_items(W, ls, lq, ln, mult_by("Ln", "e", ln)))
     return out
 
 
@@ -726,11 +729,13 @@ def e_multiplication_report(window=(-12, 12), e_map: GradedMap | None = None) ->
     injected e-map with ef = 0 must flip the kernel item and with it the
     resolution.
     """
-    W = window
     P = _pad(window)
-    ln = table("Ln", P)
-    lq = table("Lq", P)
-    e_ln = e_map or mult_by("Ln", "e", P)
+    ls, lq, ln = (table(n, P) for n in ("Ls", "Lq", "Ln"))
+    return _e_multiplication_items(window, ls, lq, ln, e_map or mult_by("Ln", "e", ln))
+
+
+def _e_multiplication_items(W, ls, lq, ln, e_ln: GradedMap) -> list[CheckResult]:
+    """The items of ``e_multiplication_report`` over W, from the tables and the map e on L^n."""
     out = []
 
     deg3 = [n for n in range(W[0], W[1] + 1) if n % 4 == 3]
@@ -739,7 +744,7 @@ def e_multiplication_report(window=(-12, 12), e_map: GradedMap | None = None) ->
                  for datum in dict.fromkeys(e_ln._datum(n) for n in deg3))
     out.append(CheckResult("mult-e-kernel", ker_ok, "ker(e) = 0 in degrees 3 mod 4"))
 
-    e_lq = mult_by("Lq", "e", P)
+    e_lq = mult_by("Lq", "e", lq)
     ses_q = cofibre_of_mult(lq, e_lq)
     cond_i = all(
         ses_q[n].sub.is_trivial() and ses_q[n].quotient.is_trivial()
@@ -759,7 +764,7 @@ def e_multiplication_report(window=(-12, 12), e_map: GradedMap | None = None) ->
     # degrees 0 mod 4: the SES 0 -> Z -> M -> Z/2 -> 0 is ambiguous on its
     # own; the vanishing above embeds M into pi_(4k)(L^s/e), which must be
     # resolved and free
-    ses_s = cofibre_of_mult(table("Ls", P), mult_by("Ls", "e", P))
+    ses_s = cofibre_of_mult(ls, mult_by("Ls", "e", ls))
     expected = frozenset({FgAbGroup.free(1), FgAbGroup(1, (2,))})
     data = dict.fromkeys((ses_q[n], ses_s[n]) for n in range(W[0], W[1] + 1) if n % 4 == 0 and n in ses_q)
     resolved_ok = ln_e_vanish and all(
@@ -800,21 +805,15 @@ def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
     W = window
     # pad a window closed under n -> -n: the duals below reflect degrees
     P = _pad((min(W[0], -W[1]), max(W[1], -W[0])))
-    lgs = table("Lgs", P)
+    lgs, ls, lq, ln, lr, l_r, script, ko = (table(n, P)
+                                             for n in ("Lgs", "Ls", "Lq", "Ln", "LR", "lR", "scriptL", "KO"))
     lgq = shift_graded(lgs, 4)
-    ls = table("Ls", P)
-    lq = table("Lq", P)
-    ln = table("Ln", P)
-    lr = table("LR", P)
-    l_r = table("lR", P)
-    script = table("scriptL", P)
     out = []
 
     # table("Lgq") is defined as L^gs[4], so one comparison covers both
     out.append(_compare_item("anderson-Lgs", anderson_dual(lgs), lgq,
                              "I(L^gs) has the homotopy of L^gs[4] = L^gq", W))
 
-    ko = table("KO", P)
     out.append(_compare_item("anderson-KO", anderson_dual(ko), shift_graded(ko, 4),
                              "I(KO) has the homotopy of KO[4]", W))
 
@@ -832,7 +831,7 @@ def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
     out.append(CheckResult("comparison-ranges", below2 and outside and nonneg,
                            "iso ranges of the comparison maps"))
 
-    x_lgs = mult_by("Lgs", "x", P)
+    x_lgs = mult_by("Lgs", "x", lgs)
     out.append(CheckResult("mult-x-minus4", x_lgs.component(-4) == IntMatrix([[8]]),
                            "x: L^gs_(-4) -> L^gs_0 is multiplication by 8"))
     iso_elsewhere = all(

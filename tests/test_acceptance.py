@@ -120,7 +120,7 @@ def test_criterion_5_kernel_argument_chain():
     # fault injection: ef = 0 must flip the outcome
     pad = (-20, 20)
     ln = table("Ln", pad)
-    genuine = mult_by("Ln", "e", pad)
+    genuine = mult_by("Ln", "e", ln)
     comps = {}
     for n in range(pad[0], pad[1]):
         c = genuine.component(n)
@@ -140,7 +140,7 @@ def test_criterion_6_splittings():
     assert names["symmetrisation-les"]
     b_names = {i.name: i.passed for i in verify_genuine((-12, 12))}
     assert b_names["splitting-Lgs"]
-    s = symmetrisation_map((-12, 12))
+    s = symmetrisation_map(table("Lq", (-12, 12)), table("Ls", (-12, 12)))
     for n in range(-12, 13):
         if n % 4 == 0:
             assert s.component(n) == IntMatrix([[8]])

@@ -205,6 +205,15 @@ class TestTorsor:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("window", ["0..7", "0..3"])
+    def test_period_zero_is_refused(self, window, capsys):
+        # a given --period of 0 is not "no period": the table's own period must not stand in
+        code = main(["torsor", "--name", "Ls", "--window", window, "--period", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: period must be positive\n"
+
 
 def _e_tensor_planes(k):
     """E (x) (F + hyperbolic + F + ...) with k planes: carrier homology (Z/2)^(2k)."""

@@ -79,10 +79,10 @@ class TestAndersonDual:
 
     def test_out_of_window_error(self):
         g = GradedGroup((0, 3), {0: Z})
-        with pytest.raises(OutOfWindowError):
-            anderson_dual(g, window=(-3, 0))  # Ext lookup at degree -1 fails
-        d = anderson_dual(g)  # default shrinks the window instead
+        d = anderson_dual(g)  # the reflected window, shrunk where Ext would need degree -1
         assert d.window == (-3, -1)
+        with pytest.raises(OutOfWindowError):
+            anderson_dual(GradedGroup((0, 0), {0: Z}))  # no degree is left to dualise
 
 
 class TestDoubleDual:
@@ -187,7 +187,7 @@ class TestCofibre:
         from lspectra.ltables import mult_by
 
         lq = table("Lq", (-12, 12))
-        e = mult_by("Lq", "e", (-12, 12))
+        e = mult_by("Lq", "e", lq)
         ses = cofibre_of_mult(lq, e)
         for n, datum in ses.items():
             if n % 4 == 0:

@@ -3,6 +3,7 @@ import random
 import re
 import signal
 import sys
+from collections import Counter
 
 import pytest
 
@@ -75,32 +76,32 @@ class TestTables:
 
 class TestMultiplication:
     def test_e_on_ln_hits_four(self):
-        e = mult_by("Ln", "e", (-8, 8))
+        e = mult_by("Ln", "e", table("Ln", (-8, 8)))
         assert e.component(-1) == IntMatrix([[4]])  # f -> ef = 4
         assert e.component(3) == IntMatrix([[4]])  # xf -> 4x
         assert e.component(0) == IntMatrix([[1]])  # 1 -> e
         assert e.component(1).is_zero()  # e -> e^2 = 0
 
     def test_x_invertible_on_ls(self):
-        x = mult_by("Ls", "x", (-8, 8))
+        x = mult_by("Ls", "x", table("Ls", (-8, 8)))
         for n in range(-8, 5):
             if n % 4 in (0, 1):
                 assert x.component(n) == IntMatrix([[1]])
 
     def test_x_on_lgs_at_minus_four(self):
-        x = mult_by("Lgs", "x", (-12, 12))
+        x = mult_by("Lgs", "x", table("Lgs", (-12, 12)))
         assert x.component(-4) == IntMatrix([[8]])
         assert x.component(-8) == IntMatrix([[1]])
         assert x.component(-6).is_zero()  # x z_1 = 0
 
     def test_unknown_symbol(self):
         with pytest.raises(KeyError):
-            mult_by("Ls", "q", (-4, 4))
+            mult_by("Ls", "q", table("Ls", (-4, 4)))
 
 
 class TestBoundaryMap:
     def test_stated_values(self):
-        b = boundary_map((-8, 8))
+        b = boundary_map(table("Ln", (-8, 8)), table("Lq", (-8, 8)))
         assert b.component(3) == IntMatrix([[1]])  # xf -> 8xg, the generator
         assert b.component(1).is_zero()
         assert b.component(0).is_zero()
@@ -166,8 +167,8 @@ class TestPresentations:
     def test_lq_ring_detects_wrong_symmetrisation(self, monkeypatch):
         genuine = ltables.symmetrisation_map
 
-        def times_four(window):
-            s = genuine(window)
+        def times_four(lq, ls):
+            s = genuine(lq, ls)
             comps = {n: IntMatrix([[4]]) if n % 4 == 0 else s.component(n) for n in s.source.degrees()}
             return GradedMap(s.source, s.target, 0, comps)
 
@@ -182,11 +183,10 @@ class TestPresentations:
         # x acting by 3 on L^q no longer commutes with the symmetrisation
         genuine = ltables.mult_by
 
-        def x_by_three(name, sym, window=(-16, 16)):
+        def x_by_three(name, sym, tab):
             if (name, sym) == ("Lq", "x"):
-                tab = table(name, window)
                 return scalar_map([tab], [tab], 4, lambda n: [[3]])
-            return genuine(name, sym, window)
+            return genuine(name, sym, tab)
 
         assert verify_presentation("Lq", window)
         monkeypatch.setattr(ltables, "mult_by", x_by_three)
@@ -343,11 +343,30 @@ class TestTheoremSuites:
         failed = [i.name for i in report if not i.passed]
         assert not failed, failed
 
+    @pytest.mark.parametrize("verifier,window", [
+        (verify_classical, (-60, 60)),
+        (verify_genuine, (-60, 60)),
+        (e_multiplication_report, (-12, 12)),
+        (verify_presentations_report, (-40, 40)),
+    ], ids=["A", "B", "e-multiplication", "presentations"])
+    def test_each_table_is_built_once(self, verifier, window, monkeypatch):
+        # the maps take the tables they join, so no (name, window) is built twice
+        builds = Counter()
+        genuine = ltables.table
+
+        def counted(name, window=(-16, 16)):
+            builds[name, window] += 1
+            return genuine(name, window)
+
+        monkeypatch.setattr(ltables, "table", counted)
+        assert all(item.passed for item in verifier(window))
+        assert builds and max(builds.values()) == 1, builds
+
     def test_fault_injection_flips_kernel_argument(self):
         window = (-12, 12)
         pad = (-20, 20)
         ln = table("Ln", pad)
-        genuine = mult_by("Ln", "e", pad)
+        genuine = mult_by("Ln", "e", ln)
         corrupted = {}
         for n in range(pad[0], pad[1]):
             c = genuine.component(n)
@@ -371,7 +390,7 @@ class TestTheoremSuites:
 
     def test_kernel_argument_sees_one_corrupted_degree(self):
         pad = (-20, 20)
-        genuine = mult_by("Ln", "e", pad)
+        genuine = mult_by("Ln", "e", table("Ln", pad))
         corrupted = {n: IntMatrix.zero(1, 1) if n == 3 else genuine.component(n)
                      for n in range(pad[0], pad[1])}
         bad = GradedMap(genuine.source, genuine.target, 1, corrupted)
@@ -429,7 +448,7 @@ class TestTheoremSuites:
         assert all(verdicts.values()), verdicts
 
     def test_symmetrisation_map_values(self):
-        s = symmetrisation_map((-8, 8))
+        s = symmetrisation_map(table("Lq", (-8, 8)), table("Ls", (-8, 8)))
         assert s.component(0) == IntMatrix([[8]])
         assert s.component(4) == IntMatrix([[8]])
         assert s.component(2).is_zero()
