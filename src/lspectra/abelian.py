@@ -4,7 +4,9 @@ Everything is integer arithmetic on arbitrary-precision ints: Smith normal
 form with unimodular transforms, invariant-factor canonical forms, and the
 functors Hom and Ext.  A group is always recorded by its isomorphism class
 ``Z^r + Z/d1 + ... + Z/dk`` with ``d1 | d2 | ... | dk``, so equality of
-values is isomorphism of groups.  Kernels of maps, exactness and chain
+values is isomorphism of groups.  Canonical groups are interned, and Hom,
+Ext and extension candidates are memoised by value, so each distinct group
+computation runs once per process.  Kernels of maps, exactness and chain
 homology all ask one question of a lattice N inside a lattice with basis L:
 ``_lattice_coordinates`` solves L·X = N through one Smith factorisation of
 L, X is None exactly when N is not inside, and L/N is ``cokernel(X)``.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, prod
 
 __all__ = [
@@ -533,16 +536,19 @@ class FgAbGroup:
 
     @classmethod
     def from_divisors(cls, divisors) -> "FgAbGroup":
-        """Canonicalise an unordered list of cyclic orders (0 meaning Z)."""
-        rank, chain = 0, []
-        for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                chain.append(d)
-        _divisibility_chain(chain)
-        return cls(rank, tuple(d for d in chain if d > 1))  # a gcd step can leave 1s
+        """Canonicalise an unordered list of cyclic orders (0 meaning Z).
+
+        Groups are interned: each normalised list is canonicalised once per
+        process, and equal groups come back as one object.
+        """
+        key = tuple(abs(int(d)) for d in divisors)
+        group = _INTERNED.get(key)
+        if group is None:
+            chain = [d for d in key if d > 1]
+            _divisibility_chain(chain)
+            group = cls(key.count(0), tuple(d for d in chain if d > 1))  # a gcd step can leave 1s
+            group = _INTERNED[key] = _INTERNED.setdefault(group.gen_orders(), group)
+        return group
 
     @classmethod
     def free(cls, rank):
@@ -636,6 +642,9 @@ class FgAbGroup:
             else:
                 raise ValueError(f"cannot parse group term {part!r}")
         return cls.from_divisors(divisors)
+
+
+_INTERNED: dict[tuple[int, ...], FgAbGroup] = {}  # normalised divisor list -> canonical group
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +744,7 @@ def maps_exact(M1: IntMatrix, groups1, M2: IntMatrix, groups2) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def hom_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
     """Hom(A, B) up to isomorphism.
 
@@ -749,6 +759,7 @@ def hom_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
     return FgAbGroup.from_divisors(divisors)
 
 
+@cache
 def ext_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
     """Ext^1(A, B); Ext(free, anything) vanishes.
 
@@ -768,6 +779,7 @@ def ext_group(A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
 DEFAULT_ENUMERATION_BOUND = 1 << 12
 
 
+@cache
 def extension_candidates(A: FgAbGroup, B: FgAbGroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> frozenset:
     """Isomorphism classes of middle terms of 0 -> A -> E -> B -> 0.
 

@@ -36,7 +36,6 @@ __all__ = [
     "compare_graded",
     "shift_graded",
     "direct_sum_graded",
-    "restrict",
     "mult_by_int",
     "mod_table",
 ]
@@ -170,17 +169,20 @@ class GradedMap:
         return self.component(n), self.source[n], self.target[n + self.degree_shift]
 
 
-def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
+def scalar_map(sources, targets, shift, coeffs, *, src=None, tgt=None) -> GradedMap:
     """The graded map between the direct sums of two lists of summands.
 
     Each summand has at most one generator per degree.  ``coeffs(n)[i][j]``
     is the integer that takes the generator of ``sources[j]`` in degree n to
     that of ``targets[i]`` in degree n + shift; a block is zero where a
     summand has no generator.  The generators of a sum are those of its
-    summands in order, which must be the sum's canonical order.
+    summands in order, which must be the sum's canonical order.  ``src`` and
+    ``tgt`` pass in sums the caller has already formed.
     """
-    src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
-    tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
+    if src is None:
+        src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
+    if tgt is None:
+        tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
     lo, hi = tgt.window
     comps = {}
     for n in src.degrees():
@@ -285,8 +287,7 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
     sequence collapses to 0 -> coker(mul)_n -> pi_n(cofibre) ->
     ker(mul at n-1-s) -> 0; the middle term is resolved only when the
     extension-candidate set is a singleton.  A periodic map repeats its
-    data, so each kernel, cokernel and candidate set is computed once per
-    distinct datum.
+    data, so each kernel and cokernel is computed once per distinct datum.
     """
     s = mul.degree_shift
     memo = {}
@@ -303,7 +304,7 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
             continue
         sub = once(map_cokernel_group, *mul._datum(n - s))
         quot = once(map_kernel_group, *mul._datum(n - 1 - s))
-        candidates = once(extension_candidates, sub, quot)
+        candidates = extension_candidates(sub, quot)
         resolved = next(iter(candidates)) if len(candidates) == 1 else None
         out[n] = SesDatum(sub=sub, quotient=quot, resolved=resolved)
     return out
@@ -358,18 +359,6 @@ def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
         for n in range(lo, hi + 1)
     }
     return GradedGroup((lo, hi), groups, None)
-
-
-def restrict(G: GradedGroup, window) -> GradedGroup:
-    """A copy of G on another window, read through G's lookup.
-
-    The copy keeps G's period when the window spans it.  The verifiers need
-    no copy: they read their tables over the report window in place.
-    """
-    lo, hi = window
-    groups = {n: G[n] for n in range(lo, hi + 1)}
-    p = G.period if G.period is not None and hi - lo >= G.period else None
-    return GradedGroup(window, groups, p)
 
 
 def mult_by_int(G: GradedGroup, m: int) -> GradedMap:

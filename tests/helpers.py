@@ -20,6 +20,7 @@ from math import gcd
 
 from lspectra.abelian import FgAbGroup, IntMatrix, cokernel
 from lspectra.chain import IntComplex
+from lspectra.graded import GradedGroup
 from lspectra.ltables import mono, mono_div, mono_divides, mono_mul
 from lspectra.poincare import PoincareStructure, StructuredComplex, representative, tensor_structured
 
@@ -547,3 +548,18 @@ def hidden_e_tensor_f_plus_h(rng):
         for (lv, k), m in psi.items()
     }
     return StructuredComplex(IntComplex(ranks, d), PoincareStructure("quadratic", 1, psi))
+
+
+# -- graded tables on another window -----------------------------------------------
+
+
+def restrict(G: GradedGroup, window) -> GradedGroup:
+    """A copy of G on another window, read through G's lookup.
+
+    The copy keeps G's period when the window spans it.  The verifiers need
+    no copy: they read their tables over the report window in place.
+    """
+    lo, hi = window
+    groups = {n: G[n] for n in range(lo, hi + 1)}
+    p = G.period if G.period is not None and hi - lo >= G.period else None
+    return GradedGroup(window, groups, p)

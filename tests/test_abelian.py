@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import signal
 import time
@@ -23,7 +24,9 @@ from lspectra.abelian import (
     smith_normal_form,
 )
 
+from lspectra.cli import main
 from lspectra.forms import brown_kervaire
+from lspectra.ltables import verify_classical
 from lspectra.poincare import linking_form
 
 from helpers import (
@@ -380,9 +383,13 @@ class TestFgAbGroup:
                 return p ** rng.randint(1, int(20 / log2(p)))  # at most 2^20
             return rng.choice((1, -1)) * rng.choice(primes) * rng.choice(primes)
 
+        shuffle = random.Random(13)  # its own stream, so the lists above stay as seeded
         for _ in range(2000):
             divisors = [entry() for _ in range(rng.randint(0, 6))]
             assert FgAbGroup.from_divisors(divisors) == canonical_by_primes(divisors), divisors
+            # a permuted, negated copy is a hit in the intern table: the very same group
+            copy = [-d for d in shuffle.sample(divisors, len(divisors))]
+            assert FgAbGroup.from_divisors(copy) is FgAbGroup.from_divisors(divisors), divisors
 
     def test_large_prime_factors_canonicalise(self):
         # trial division never finishes on these; the gcd/lcm chain does not factor
@@ -519,8 +526,53 @@ class TestExtensionCandidates:
             assert e.order() == a.order() * b.order()
 
     def test_bound(self):
-        with pytest.raises(EnumerationBoundError):
-            extension_candidates(FgAbGroup.free(13), FgAbGroup.cyclic(2), bound=4096)
+        for _ in range(2):  # the memo keeps no error: the second call enumerates and raises again
+            with pytest.raises(EnumerationBoundError):
+                extension_candidates(FgAbGroup.free(13), FgAbGroup.cyclic(2), bound=4096)
+
+
+class TestMemo:
+    """Interned groups and the memoised Hom, Ext and extension candidates change no value."""
+
+    def test_memoised_functions_equal_their_originals(self):
+        def outcome(fn, a, b):
+            try:
+                return fn(a, b)
+            except EnumerationBoundError as exc:
+                return str(exc)
+
+        rng = random.Random(29)
+        for _ in range(150):
+            a, b = random_group(rng, max_order=16), random_group(rng, max_order=16)
+            for fn in (hom_group, ext_group, extension_candidates):
+                assert outcome(fn, a, b) == outcome(fn.__wrapped__, a, b), (fn.__name__, a, b)
+
+    @pytest.mark.parametrize("factors,line", [
+        (["x"], "ValueError: invalid literal for int() with base 10: 'x'"),
+        ([[2]], "TypeError: int() argument must be a string, a bytes-like object or a real number, "
+                "not 'list'"),
+    ])
+    def test_malformed_factor_fails_before_the_lookup(self, factors, line, tmp_path, capsys):
+        # the intern key is normalised before the lookup, so the entry's own error is reported
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"factors": factors, "q": {}}))
+        assert main(["invariant", "--name", "beta", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {line}\n"
+
+    def test_verify_a_canonicalises_each_divisor_list_once(self, monkeypatch):
+        # without the intern table verify A at +-100 canonicalises 6 757 lists, 7 of them distinct
+        canonicalised = []
+        genuine = abelian._divisibility_chain
+
+        def counted(d, move=None):
+            if move is None:  # the Smith kernel always passes its move; from_divisors never does
+                canonicalised.append(tuple(d))
+            genuine(d, move)
+
+        monkeypatch.setattr(abelian, "_divisibility_chain", counted)
+        monkeypatch.setattr(abelian, "_INTERNED", {})
+        assert all(item.passed for item in verify_classical((-100, 100)))
+        assert 0 < len(canonicalised) <= 16, len(canonicalised)
 
 
 class TestLattices:

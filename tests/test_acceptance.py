@@ -25,7 +25,6 @@ from lspectra.graded import (
     anderson_dual,
     compare_graded,
     double_dual_check,
-    restrict,
     shift_graded,
     torsor_count,
 )
@@ -51,6 +50,7 @@ from helpers import (
     random_group,
     random_linking_form,
     random_matrix,
+    restrict,
 )
 
 

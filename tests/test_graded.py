@@ -17,14 +17,13 @@ from lspectra.graded import (
     double_dual_check,
     mod_table,
     mult_by_int,
-    restrict,
     scalar_map,
     shift_graded,
     torsor_count,
 )
 from lspectra.ltables import _compare_item, table
 
-from helpers import random_group
+from helpers import random_group, restrict
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)

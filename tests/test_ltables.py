@@ -14,7 +14,6 @@ from lspectra.graded import (
     SesDatum,
     compare_graded,
     double_dual_check,
-    restrict,
     scalar_map,
     shift_graded,
 )
@@ -36,7 +35,7 @@ from lspectra.ltables import (
     verify_genuine,
 )
 
-from helpers import random_ring_element, reduce_by_scan
+from helpers import random_ring_element, reduce_by_scan, restrict
 
 class TestTables:
     def test_golden_windows(self):
@@ -348,7 +347,8 @@ class TestTheoremSuites:
         (verify_genuine, (-60, 60)),
         (e_multiplication_report, (-12, 12)),
         (verify_presentations_report, (-40, 40)),
-    ], ids=["A", "B", "e-multiplication", "presentations"])
+        (verify_presentations_report, (-16, 16)),
+    ], ids=["A", "B", "e-multiplication", "presentations", "presentations-golden-window"])
     def test_each_table_is_built_once(self, verifier, window, monkeypatch):
         # the maps take the tables they join, so no (name, window) is built twice
         builds = Counter()
@@ -413,11 +413,11 @@ class TestTheoremSuites:
     def test_corrupted_coefficient_fails_its_row_only(self, suite, row, caller, corrupt, monkeypatch):
         genuine = ltables.scalar_map
 
-        def patched(sources, targets, shift, coeffs):
+        def patched(sources, targets, shift, coeffs, **sums):
             # corrupt only the maps that ``caller`` builds
             if sys._getframe(1).f_code.co_name == caller:
-                return genuine(sources, targets, shift, lambda n: corrupt(coeffs(n)))
-            return genuine(sources, targets, shift, coeffs)
+                return genuine(sources, targets, shift, lambda n: corrupt(coeffs(n)), **sums)
+            return genuine(sources, targets, shift, coeffs, **sums)
 
         monkeypatch.setattr(ltables, "scalar_map", patched)
         verdicts = {i.name: i.passed for i in suite()}
