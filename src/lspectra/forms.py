@@ -34,7 +34,6 @@ __all__ = [
     "brown_kervaire",
     "gauss_sum",
     "nondegenerate",
-    "two_rank_parity",
     "E8_GRAM",
 ]
 
@@ -66,9 +65,6 @@ class SymForm:
     @property
     def dim(self):
         return self.gram.rows
-
-    def block_sum(self, other: "SymForm") -> "SymForm":
-        return SymForm(IntMatrix.block_diagonal(self.gram, other.gram))
 
 
 def signature(f: SymForm) -> int:
@@ -170,9 +166,6 @@ class F2QuadForm:
 
     def polarization_nondegenerate(self) -> bool:
         return _adjoint_onto(self.polarization(), FgAbGroup(0, (2,) * self.dim))
-
-    def orthogonal_sum(self, other: "F2QuadForm") -> "F2QuadForm":
-        return F2QuadForm(IntMatrix.block_diagonal(self.matrix, other.matrix))
 
 
 def arf(f: F2QuadForm) -> int:
@@ -418,12 +411,6 @@ class LinkingForm:
         return cls(FgAbGroup(0, (d, d)), [0, 0], {(0, 1): Fraction(1, d)})
 
     @classmethod
-    def skew_unit(cls, k: int) -> "LinkingForm":
-        """q(x, y) = (x^2 + x y + y^2) / 2^k on (Z/2^k)^2."""
-        d = 1 << k
-        return cls(FgAbGroup(0, (d, d)), [Fraction(1, d)] * 2, {(0, 1): Fraction(1, d)})
-
-    @classmethod
     def from_table(cls, group: FgAbGroup, qvals) -> "LinkingForm":
         """The form whose value table is ``qvals`` ({coordinates: value}).
 
@@ -503,17 +490,6 @@ def nondegenerate(L: LinkingForm) -> bool:
     b = {**{(i, i): 2 * a for i, a in enumerate(L.a)}, **L.pairs}
     M = [[int(d[j] * b.get((min(i, j), max(i, j)), 0)) for i in range(k)] for j in range(k)]
     return _adjoint_onto(IntMatrix(M, shape=(k, k)), L.group)
-
-
-def two_rank_parity(L: LinkingForm) -> int:
-    """log2 |G| mod 2, the second detecting invariant of the Witt class.
-
-    This implements the reading "2-adic logarithm of the size of the
-    domain" as the parity of log2 |G|; see the package docs for the caveat
-    on normalisation.
-    """
-    order = L.group.order()
-    return (order.bit_length() - 1) % 2
 
 
 def gauss_sum(L: LinkingForm, conductor=None) -> CycEight:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
-from itertools import combinations
+from itertools import product
 
 from .abelian import (FgAbGroup, IntMatrix, _respects_orders, ext_group, extension_candidates, hom_group,
                       map_kernel_group)
@@ -73,11 +73,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return mono(*(list(a) + list(b)))
 
 
-def mono_divides(pattern: Monomial, m: Monomial) -> bool:
-    exps = dict(m)
-    return all(exps.get(s, 0) >= e for s, e in pattern)
-
-
 def mono_div(m: Monomial, pattern: Monomial) -> Monomial:
     exps = dict(m)
     for s, e in pattern:
@@ -85,79 +80,132 @@ def mono_div(m: Monomial, pattern: Monomial) -> Monomial:
     return tuple(sorted((s, e) for s, e in exps.items() if e))
 
 
-class _DivisorIndex:
-    """The positions of a list of patterns, grouped by the symbols they require.
+@lru_cache(maxsize=1 << 16)  # bounded: every family member is a new symbol
+def _split(symbol: str):
+    """(family, index) of a family member such as y12, or (symbol, None)."""
+    family = symbol.rstrip("0123456789")
+    return family, int(symbol[len(family):]) if family != symbol else None
 
-    A pattern divides m only if every symbol it raises to a positive power
-    occurs in m to a positive power, so the candidates for m are the groups
-    keyed by subsets of those symbols of m.  ``first(m)`` is the lowest
-    position whose pattern divides m, or None, and builds no list;
-    ``divisors(m)`` lists every such position in ascending order.
+
+def _generator_degree(degrees: dict, symbol: str) -> int:
+    """A plain generator's degree, or step * i + offset for member i >= 1 of a family."""
+    d = degrees.get(symbol)
+    if isinstance(d, int):
+        return d
+    family, i = _split(symbol)
+    rule = degrees.get(family) if i else None
+    if not isinstance(rule, tuple):
+        raise KeyError(symbol)
+    return rule[0] * i + rule[1]
+
+
+@lru_cache(maxsize=1 << 16)
+def _instance(factors, names: tuple, values: tuple) -> Monomial:
+    """The monomial that a pattern or a replacement names when its index names take the values."""
+    binding = dict(zip(names, values))
+    return mono(*((s if isinstance(s, str) else f"{s[0]}{sum(binding[n] for n in s[1]) + s[2]}", e)
+                  for s, e in factors))
+
+
+def _compiled(pattern):
+    """(pattern, plain factors, index names, per name the (family, offset) of the factors it indexes alone)."""
+    names = sorted({n for s, _ in pattern if not isinstance(s, str) for n in s[1]})
+    keys = tuple(tuple((s[0], s[2]) for s, _ in pattern if not isinstance(s, str) and s[1] == (n,))
+                 for n in names)
+    return pattern, tuple((s, e) for s, e in pattern if isinstance(s, str)), tuple(names), keys
+
+
+def _matches(rules, m: Monomial):
+    """(position, index values) of each instance of a compiled pattern that divides m.
+
+    They come in rule order, then in ascending order of index tuples.  The
+    index names bind in alphabetical order to values at least 1 that never
+    decrease, and a name ranges over the values that put one of the factors
+    it indexes alone on a family member in m.
     """
+    exps = dict(m)
+    members = {}
+    for s in exps:
+        family, i = _split(s)
+        if i is not None:
+            members.setdefault(family, []).append(i)
+    for position, (pattern, plain, names, keys) in enumerate(rules):
+        for s, e in plain:
+            if exps.get(s, 0) < e:
+                break
+        else:
+            if not names:
+                yield position, ()
+                continue
+            choices = [sorted({i - offset for family, offset in key for i in members.get(family, ())})
+                       for key in keys]
+            for values in product(*choices):
+                if values[0] >= 1 and all(a <= b for a, b in zip(values, values[1:])):
+                    if all(exps.get(s, 0) >= e for s, e in _instance(pattern, names, values)):
+                        yield position, values
 
-    def __init__(self, patterns):
-        self.groups = {}
-        for i, pattern in enumerate(patterns):
-            key = tuple(s for s, e in pattern if e > 0)
-            self.groups.setdefault(key, []).append((i, pattern))
-        self.width = max(map(len, self.groups), default=0)
 
-    def _dividing(self, m: Monomial):
-        present = [s for s, e in m if e > 0]
-        return (i for k in range(min(self.width, len(present)) + 1) for key in combinations(present, k)
-                for i, pattern in self.groups.get(key, ()) if mono_divides(pattern, m))
-
-    def first(self, m: Monomial) -> int | None:
-        return min(self._dividing(m), default=None)
-
-    def divisors(self, m: Monomial) -> list:
-        return sorted(self._dividing(m))
+def _index_tuples(slopes, lo: int, hi: int, least: int = 1):
+    """The non-decreasing tuples v >= least with lo <= sum(a * v) <= hi, for positive slopes a."""
+    a, rest = slopes[0], slopes[1:]
+    if not rest:
+        yield from ((v,) for v in range(max(least, -(-lo // a)), hi // a + 1))
+        return
+    v = least
+    while v * sum(slopes) <= hi:
+        yield from ((v,) + tail for tail in _index_tuples(rest, lo - a * v, hi - a * v, v))
+        v += 1
 
 
 @dataclass(frozen=True)
 class RingPresentation:
     """A graded ring given by generators, rewrite rules and a basis rule.
 
+    A generator is a symbol and its degree, or a family (y, (step, offset))
+    whose members y1, y2, ... have degree step * i + offset.  A factor of a
+    rule may name a member by an index expression (family, names, offset),
+    the member at the sum of the named indices plus the offset; a rule with
+    index names is a schema, one plain rule per index tuple.  Its names take
+    values >= 1 that do not decrease in alphabetical order, and each indexes
+    some factor of its pattern alone.
+
     The rules (rewrites, torsion patterns, coefficient modulus) are the only
     statement of the ring's relations; the checked relations derive from them.
-    A monomial is rewritten by the first rule, in list order, whose pattern
-    divides it.  So a monomial is rewritten by one rule only, and each rule
-    replaces it by a multiple of one monomial: every monomial has exactly one
-    normal form, a multiple of one monomial or 0, and rewriting is linear in
-    the terms.  Each normal form is memoised per instance, and ``reduce``
-    sums c * NF(m) over the terms before it reduces the coefficients; a
-    chain of rewrites that returns to a monomial raises ValueError.  The
-    rules are looked up through a divisor index built once per instance; the
-    index and the memos take no part in ``==``, ``hash`` or ``repr``.
+    A monomial is rewritten by the first instance, in rule order and then in
+    ascending order of index tuples, whose pattern divides it.  So every
+    monomial has exactly one normal form, a multiple of one monomial or 0,
+    and rewriting is linear in the terms.  Each normal form is memoised per
+    instance, and ``reduce`` sums c * NF(m) over the terms before it reduces
+    the coefficients; a chain of rewrites that returns to a monomial raises
+    ValueError.  The compiled rules and the memos take no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     name: str
-    generators: tuple  # ((symbol, degree), ...)
+    generators: tuple  # ((symbol, degree or (step, offset)), ...)
     invertible: frozenset
     coeff_modulus: int | None
     rewrites: tuple  # ((pattern, coeff, replacement), ...)
     torsion_patterns: tuple  # ((pattern, modulus), ...)
-    _rules: _DivisorIndex = field(init=False, compare=False, repr=False)
-    _torsion: _DivisorIndex = field(init=False, compare=False, repr=False)
+    _rules: tuple = field(init=False, compare=False, repr=False)
+    _torsion: tuple = field(init=False, compare=False, repr=False)
     _normal_forms: dict = field(init=False, compare=False, repr=False)
     _moduli: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rules", _DivisorIndex(
-            [pattern for pattern, _, _ in self.rewrites]))
-        object.__setattr__(self, "_torsion", _DivisorIndex(
-            [pattern for pattern, _ in self.torsion_patterns]))
+        object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in self.rewrites))
+        object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in self.torsion_patterns))
         object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
         object.__setattr__(self, "_moduli", {})  # m -> the moduli its coefficient is reduced by
 
     def degree(self, m: Monomial) -> int:
         degs = dict(self.generators)
-        return sum(degs[s] * e for s, e in m)
+        return sum(_generator_degree(degs, s) * e for s, e in m)
 
     def _coeff_reduce(self, m: Monomial, c: int) -> int:
         moduli = self._moduli.get(m)
         if moduli is None:
-            moduli = [self.torsion_patterns[i][1] for i in self._torsion.divisors(m)]
+            moduli = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, m)]
             if self.coeff_modulus:
                 moduli.append(self.coeff_modulus)
             self._moduli[m] = moduli
@@ -176,16 +224,16 @@ class RingPresentation:
         while m not in forms:
             if m in chain:
                 raise ValueError(f"rewriting in {self.name} returns to {m}")
-            found = self._rules.first(m)
+            found = next(_matches(self._rules, m), None)
             if found is None:
                 forms[m] = (1, m)
                 break
-            pattern, coeff, repl = self.rewrites[found]
+            (pattern, coeff, repl), names = self.rewrites[found[0]], self._rules[found[0]][2]
             if not coeff:
                 forms[m] = None
                 break
             chain[m] = coeff
-            m = mono_mul(mono_div(m, pattern), repl)
+            m = mono_mul(mono_div(m, _instance(pattern, names, found[1])), _instance(repl, names, found[1]))
         form = forms[m]
         for link, coeff in reversed(chain.items()):
             if form is not None:
@@ -215,13 +263,43 @@ class RingPresentation:
                 out[m] = out.get(m, 0) + c1 * c2
         return self.reduce(out)
 
-    def _relations(self) -> list:
-        """The elements its rules declare zero: pattern - coeff*repl, d*pattern, m."""
-        rels = [{pattern: 1, repl: -coeff} for pattern, coeff, repl in self.rewrites]
-        rels += [{pattern: d} for pattern, d in self.torsion_patterns]
-        if self.coeff_modulus:
+    def _relations(self, window) -> list:
+        """pattern - coeff*repl, d*pattern and the modulus, one per instance of a degree in the window."""
+        rels = [{_instance(p, names, v): 1, _instance(r, names, v): -c}
+                for (p, c, r), (_, _, names, _) in zip(self.rewrites, self._rules)
+                for v in self._bindings_in(p, names, window)]
+        rels += [{_instance(p, names, v): d}
+                 for (p, d), (_, _, names, _) in zip(self.torsion_patterns, self._torsion)
+                 for v in self._bindings_in(p, names, window)]
+        if self.coeff_modulus and window[0] <= 0 <= window[1]:
             rels.append({ONE: self.coeff_modulus})
         return rels
+
+    def _bindings_in(self, pattern, names, window) -> list:
+        """The values of the index names for which ``pattern`` has a degree in the window.
+
+        The degree is affine in the indices, with slopes that must share a sign.
+        """
+        ones = (1,) * len(names)
+        base = self.degree(_instance(pattern, names, ones))
+        a = [self.degree(_instance(pattern, names, ones[:k] + (2,) + ones[k + 1:])) - base
+             for k in range(len(names))]
+        lo, hi = window[0] - base + sum(a), window[1] - base + sum(a)
+        if not names:
+            return [()] if lo <= 0 <= hi else []
+        if not (min(a) > 0 or max(a) < 0):
+            raise ValueError(f"a degree holds infinitely many instances of {pattern}")
+        if a[0] < 0:
+            a, lo, hi = [-s for s in a], -hi, -lo
+        return list(_index_tuples(a, lo, hi))
+
+    def _generators_within(self, bound: int) -> list:
+        """(symbol, degree) of each plain generator and family member of degree at most ``bound`` in size."""
+        out = []
+        for s, d in self.generators:
+            out += [(s, d)] if isinstance(d, int) else [
+                (f"{s}{i}", d[0] * i + d[1]) for i in range(1, (bound + abs(d[1])) // abs(d[0]) + 1)]
+        return [(s, d) for s, d in out if abs(d) <= bound]
 
 
 # ---------------------------------------------------------------------------
@@ -233,50 +311,28 @@ MODULE_NAMES = ("Lq", "dR")
 DERIVED_NAMES = ("Lgq", "lR", "KO")
 TABLE_NAMES = RING_NAMES + MODULE_NAMES + DERIVED_NAMES
 
-PERIODS = {
-    "Ls": 4,
-    "Lq": 4,
-    "Ln": 4,
-    "LR": 4,
-    "LC": 4,
-    "dR": 4,
-    "LCc": 2,
-    "KO": 8,
-    "Lgs": None,
-    "Lgq": None,
-    "lR": None,
-    "scriptL": None,
-}
+PERIODS = {"Ls": 4, "Lq": 4, "Ln": 4, "LR": 4, "LC": 4, "dR": 4, "LCc": 2, "KO": 8}  # the others have none
 
 
-def _family_range(window) -> int:
-    lo, hi = window
-    return max(2, (max(abs(lo), abs(hi)) // 4) + 2)
+def _member(family: str, *names: str, plus: int = 0):
+    """The factor y_(i+j+plus) of a rule, for family y and index names i, j."""
+    return (family, names, plus), 1
 
 
-def presentation(name: str, window=(-16, 16)) -> RingPresentation:
+def presentation(name: str) -> RingPresentation:
+    """The built-in presentation of a ring, whatever window it is read on.
+
+    L^gs has the families y_i in degree -4i and z_i in degree -4i-2, and
+    scriptL the y_i; each family of relations is one rule schema.
+    """
+    x, e, f = ("x", 1), ("e", 1), ("f", 1)
+    e2 = (mono(("e", 2)), 0, ONE)
     if name == "Ls":
-        return RingPresentation(
-            name="Ls",
-            generators=(("x", 4), ("e", 1)),
-            invertible=frozenset({"x"}),
-            coeff_modulus=None,
-            rewrites=((mono(("e", 2)), 0, ONE),),
-            torsion_patterns=((mono(("e", 1)), 2),),
-        )
+        return RingPresentation("Ls", (("x", 4), ("e", 1)), frozenset({"x"}), None, (e2,), ((mono(e), 2),))
     if name == "Ln":
-        return RingPresentation(
-            name="Ln",
-            generators=(("x", 4), ("e", 1), ("f", -1)),
-            invertible=frozenset({"x"}),
-            coeff_modulus=8,
-            rewrites=(
-                (mono(("e", 2)), 0, ONE),
-                (mono(("f", 2)), 0, ONE),
-                (mono(("e", 1), ("f", 1)), 4, ONE),
-            ),
-            torsion_patterns=((mono(("e", 1)), 2), (mono(("f", 1)), 2)),
-        )
+        rewrites = (e2, (mono(("f", 2)), 0, ONE), (mono(e, f), 4, ONE))
+        return RingPresentation("Ln", (("x", 4), ("e", 1), ("f", -1)), frozenset({"x"}), 8, rewrites,
+                                ((mono(e), 2), (mono(f), 2)))
     if name == "LR":
         return RingPresentation("LR", (("x", 4),), frozenset({"x"}), None, (), ())
     if name == "LC":
@@ -284,52 +340,16 @@ def presentation(name: str, window=(-16, 16)) -> RingPresentation:
     if name == "LCc":
         return RingPresentation("LCc", (("s", 2),), frozenset({"s"}), None, (), ())
     if name in ("Lgs", "scriptL"):
-        n_fam = _family_range(window)
-        gens = [("x", 4)]
-        rewrites = []
-        torsion = []
-        if name == "Lgs":
-            gens.append(("e", 1))
-            rewrites.append((mono(("e", 2)), 0, ONE))
-            torsion.append((mono(("e", 1)), 2))
-        for i in range(1, n_fam + 1):
-            gens.append((f"y{i}", -4 * i))
-        if name == "Lgs":
-            for i in range(1, n_fam + 1):
-                gens.append((f"z{i}", -4 * i - 2))
-        # x-transfer relations
-        rewrites.append((mono(("x", 1), ("y1", 1)), 8, ONE))
-        for i in range(1, n_fam):
-            rewrites.append((mono(("x", 1), (f"y{i + 1}", 1)), 1, mono((f"y{i}", 1))))
-        if name == "Lgs":
-            rewrites.append((mono(("x", 1), ("z1", 1)), 0, ONE))
-            for i in range(1, n_fam):
-                rewrites.append((mono(("x", 1), (f"z{i + 1}", 1)), 1, mono((f"z{i}", 1))))
-        # products within the families
-        for i in range(1, n_fam + 1):
-            for j in range(i, n_fam + 1):
-                if i + j <= n_fam:
-                    rewrites.append(
-                        (mono((f"y{i}", 1), (f"y{j}", 1)), 8, mono((f"y{i + j}", 1)))
-                    )
-        if name == "Lgs":
-            for i in range(1, n_fam + 1):
-                rewrites.append((mono(("e", 1), (f"y{i}", 1)), 0, ONE))
-                rewrites.append((mono(("e", 1), (f"z{i}", 1)), 0, ONE))
-                torsion.append((mono((f"z{i}", 1)), 2))
-                for j in range(i, n_fam + 1):
-                    rewrites.append((mono((f"y{i}", 1), (f"z{j}", 1)), 0, ONE))
-                    if j > i:  # z_i y_i is y_i z_i, stated just above
-                        rewrites.append((mono((f"z{i}", 1), (f"y{j}", 1)), 0, ONE))
-                    rewrites.append((mono((f"z{i}", 1), (f"z{j}", 1)), 0, ONE))
-        return RingPresentation(
-            name=name,
-            generators=tuple(gens),
-            invertible=frozenset(),
-            coeff_modulus=None,
-            rewrites=tuple(rewrites),
-            torsion_patterns=tuple(torsion),
-        )
+        y_i, y_j, z_i, z_j = _member("y", "i"), _member("y", "j"), _member("z", "i"), _member("z", "j")
+        x_y = [(mono(x, ("y1", 1)), 8, ONE), ((x, _member("y", "i", plus=1)), 1, (y_i,))]
+        y_y = [((y_i, y_j), 8, (_member("y", "i", "j"),))]
+        if name == "scriptL":
+            return RingPresentation(name, (("x", 4), ("y", (-4, 0))), frozenset(), None, tuple(x_y + y_y), ())
+        x_z = [(mono(x, ("z1", 1)), 0, ONE), ((x, _member("z", "i", plus=1)), 1, (z_i,))]
+        zero = [(p, 0, ONE)
+                for p in ((e, y_i), (e, z_i), (y_i, z_j), (z_i, _member("y", "j", plus=1)), (z_i, z_j))]
+        return RingPresentation(name, (("x", 4), ("e", 1), ("y", (-4, 0)), ("z", (-4, -2))), frozenset(), None,
+                                tuple([e2] + x_y + x_z + y_y + zero), ((mono(e), 2), ((z_i,), 2)))
     raise KeyError(f"unknown ring presentation {name!r}")
 
 
@@ -451,10 +471,11 @@ def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
         return scalar_map([tab], [tab], _MODULE_DEGREES[sym], lambda n: [[int(sym == "x")]])
     lo, hi = tab.window
     comps = {}
-    pres = presentation(name, tab.window)
-    shiftd = dict(pres.generators).get(sym)
-    if shiftd is None:
-        raise KeyError(f"unknown generator {sym!r} of {name}")
+    pres = presentation(name)
+    try:
+        shiftd = pres.degree(mono((sym, 1)))
+    except KeyError:
+        raise KeyError(f"unknown generator {sym!r} of {name}") from None
     bases = {n: ring_basis(name, n) for n in range(lo, hi + 1)}
     for n in range(lo, hi + 1):
         if not lo <= n + shiftd <= hi:
@@ -505,26 +526,27 @@ def projection_to_ln(ls: GradedGroup, ln: GradedGroup) -> GradedMap:
 def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | None = None, build=None) -> bool:
     """Relations reduce to zero and generator products stay in the basis.
 
-    The relations are those of the rules of ``presentation(name, window)``;
-    passing ``pres`` reduces them under a (possibly corrupted) presentation
-    instead, which is how fault injection is tested.  ``build(name,
-    window)`` makes the tables compared, ``table`` unless given; a report
-    passes one that builds each (name, window) once.
+    The window decides only what is checked: the instances of the rules of
+    ``presentation(name)`` whose degree lies in it, and the products of each
+    generator and family member of ``pres`` of degree at most its width in
+    size with the basis elements it holds.  Passing ``pres`` reduces them
+    under a (possibly corrupted) presentation instead, which is how fault
+    injection is tested; an instance outside the window is not examined.
+    ``build(name, window)`` makes the tables compared, ``table`` unless
+    given; a report passes one that builds each (name, window) once.
     """
     build = build or table
     if name in MODULE_NAMES:
         return _verify_module(name, window, build)
-    trusted = presentation(name, window)
+    trusted = presentation(name)
     pres = pres or trusted
     lo, hi = window
-    for elem in trusted._relations():
+    for elem in trusted._relations(window):
         if pres.reduce(elem):
             return False
     bases = {n: ring_basis(pres.name, n) for n in range(lo, hi + 1)}
-    for n in range(lo, hi + 1):
-        for sym, sdeg in pres.generators:
-            if not lo <= n + sdeg <= hi:
-                continue
+    for sym, sdeg in pres._generators_within(hi - lo):
+        for n in range(max(lo, lo - sdeg), min(hi, hi - sdeg) + 1):
             src, tgt = bases[n], bases[n + sdeg]
             m = _generator_products(pres, sym, src, tgt)
             if m is None:

@@ -3,10 +3,11 @@
 Each oracle recomputes an expected value along a different route from the
 implementation it checks: canonical groups from elementary divisors found
 by trial division, invariant factors from gcds of minors, lattice
-equality by Hermite reduction, rewriting by a scan of every rule, Hom/Ext
-by exhaustive enumeration, Ext by an explicit free resolution, Kunneth
-groups from closed formulas, Gauss sums in floating point and one root of
-unity at a time, quadratic functions by checking homogeneity and
+equality by Hermite reduction, rewriting by a scan of every rule of a
+presentation whose families are expanded into plain rules, Hom/Ext by
+exhaustive enumeration, Ext by an explicit free resolution, Kunneth groups
+from closed formulas, Gauss sums in floating point and one root of unity
+at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
 sums of linking forms element by element.
 """
@@ -20,8 +21,9 @@ from math import gcd
 
 from lspectra.abelian import FgAbGroup, IntMatrix, cokernel
 from lspectra.chain import IntComplex
+from lspectra.forms import F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup
-from lspectra.ltables import mono, mono_div, mono_divides, mono_mul
+from lspectra.ltables import ONE, RingPresentation, mono, mono_div, mono_mul, presentation
 from lspectra.poincare import PoincareStructure, StructuredComplex, representative, tensor_structured
 
 
@@ -95,6 +97,76 @@ def minors_gcd_invariant_factors(A: IntMatrix):
 
 
 # -- rewriting by a scan of every rule ------------------------------------------------
+
+
+def _family_range(window) -> int:
+    lo, hi = window
+    return max(2, (max(abs(lo), abs(hi)) // 4) + 2)
+
+
+def expanded_presentation(name: str, window=(-16, 16)) -> RingPresentation:
+    """``presentation(name)`` with each family expanded into plain rules up to a window's range.
+
+    L^gs and scriptL get the members y_i, z_i for i up to n = max|W|/4 + 2
+    and one plain rule per instance of each schema whose members all lie in
+    that range, in the order in which the schemata list them: rule by rule,
+    then ascending index tuples (the last block, all of whose rules send
+    their pattern to 0, interleaves its families by i).  The other rings
+    have no families.
+    """
+    if name not in ("Lgs", "scriptL"):
+        return presentation(name)
+    n_fam = _family_range(window)
+    gens = [("x", 4)]
+    rewrites = []
+    torsion = []
+    if name == "Lgs":
+        gens.append(("e", 1))
+        rewrites.append((mono(("e", 2)), 0, ONE))
+        torsion.append((mono(("e", 1)), 2))
+    for i in range(1, n_fam + 1):
+        gens.append((f"y{i}", -4 * i))
+    if name == "Lgs":
+        for i in range(1, n_fam + 1):
+            gens.append((f"z{i}", -4 * i - 2))
+    # x-transfer relations
+    rewrites.append((mono(("x", 1), ("y1", 1)), 8, ONE))
+    for i in range(1, n_fam):
+        rewrites.append((mono(("x", 1), (f"y{i + 1}", 1)), 1, mono((f"y{i}", 1))))
+    if name == "Lgs":
+        rewrites.append((mono(("x", 1), ("z1", 1)), 0, ONE))
+        for i in range(1, n_fam):
+            rewrites.append((mono(("x", 1), (f"z{i + 1}", 1)), 1, mono((f"z{i}", 1))))
+    # products within the families
+    for i in range(1, n_fam + 1):
+        for j in range(i, n_fam + 1):
+            if i + j <= n_fam:
+                rewrites.append(
+                    (mono((f"y{i}", 1), (f"y{j}", 1)), 8, mono((f"y{i + j}", 1)))
+                )
+    if name == "Lgs":
+        for i in range(1, n_fam + 1):
+            rewrites.append((mono(("e", 1), (f"y{i}", 1)), 0, ONE))
+            rewrites.append((mono(("e", 1), (f"z{i}", 1)), 0, ONE))
+            torsion.append((mono((f"z{i}", 1)), 2))
+            for j in range(i, n_fam + 1):
+                rewrites.append((mono((f"y{i}", 1), (f"z{j}", 1)), 0, ONE))
+                if j > i:  # z_i y_i is y_i z_i, stated just above
+                    rewrites.append((mono((f"z{i}", 1), (f"y{j}", 1)), 0, ONE))
+                rewrites.append((mono((f"z{i}", 1), (f"z{j}", 1)), 0, ONE))
+    return RingPresentation(
+        name=name,
+        generators=tuple(gens),
+        invertible=frozenset(),
+        coeff_modulus=None,
+        rewrites=tuple(rewrites),
+        torsion_patterns=tuple(torsion),
+    )
+
+
+def mono_divides(pattern, m) -> bool:
+    exps = dict(m)
+    return all(exps.get(s, 0) >= e for s, e in pattern)
 
 
 def reduce_by_scan(pres, element: dict, memo=None) -> dict:
@@ -335,6 +407,34 @@ def kunneth_parts(C, D, n):
     return tens, tor
 
 
+# -- forms built only by the tests -------------------------------------------------
+
+
+def block_sum(f: SymForm, g: SymForm) -> SymForm:
+    return SymForm(IntMatrix.block_diagonal(f.gram, g.gram))
+
+
+def orthogonal_sum(f: F2QuadForm, g: F2QuadForm) -> F2QuadForm:
+    return F2QuadForm(IntMatrix.block_diagonal(f.matrix, g.matrix))
+
+
+def skew_unit(k: int) -> LinkingForm:
+    """q(x, y) = (x^2 + x y + y^2) / 2^k on (Z/2^k)^2."""
+    d = 1 << k
+    return LinkingForm(FgAbGroup(0, (d, d)), [Fraction(1, d)] * 2, {(0, 1): Fraction(1, d)})
+
+
+def two_rank_parity(L: LinkingForm) -> int:
+    """log2 |G| mod 2, the second detecting invariant of the Witt class.
+
+    This implements the reading "2-adic logarithm of the size of the
+    domain" as the parity of log2 |G|; see the package docs for the caveat
+    on normalisation.
+    """
+    order = L.group.order()
+    return (order.bit_length() - 1) % 2
+
+
 # -- floating point Gauss sum --------------------------------------------------------
 
 
@@ -344,8 +444,6 @@ def gauss_sum_float(L):
 
 def random_linking_form(rng, max_order=256):
     """Random nondegenerate form as an orthogonal sum of standard pieces."""
-    from lspectra.forms import LinkingForm
-
     pieces = []
     order = 1
     while True:
@@ -359,7 +457,7 @@ def random_linking_form(rng, max_order=256):
         elif kind == "hyperbolic":
             pieces.append(LinkingForm.hyperbolic(k))
         else:
-            pieces.append(LinkingForm.skew_unit(k))
+            pieces.append(skew_unit(k))
         order *= size
         if rng.random() < 0.3:
             break

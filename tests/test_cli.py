@@ -19,6 +19,8 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
+from helpers import skew_unit
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -124,7 +126,7 @@ class TestInvariant:
         assert json.loads(out)["value"] == 1
 
     def test_beta_roundtrip(self, tmp_path, capsys):
-        form = LinkingForm.skew_unit(1)
+        form = skew_unit(1)
         path = tmp_path / "l.json"
         path.write_text(json.dumps(form.to_json()))
         code, out = run(["invariant", "--name", "beta", "--input", str(path)], capsys)

@@ -16,10 +16,9 @@ import sys
 from pathlib import Path
 
 from lspectra.cli import main
-from lspectra.forms import LinkingForm
 from lspectra.poincare import representative, tensor_structured
 
-from helpers import hidden_e_tensor_f_plus_h
+from helpers import hidden_e_tensor_f_plus_h, skew_unit
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 TABLES = ("Ls", "Lq", "Ln", "Lgs", "Lgq", "LR", "lR", "LC", "LCc", "dR", "scriptL", "KO")
@@ -29,7 +28,7 @@ def input_documents():
     """The --input files, by the placeholder that stands for their path."""
     ef = tensor_structured(representative("E"), representative("F"))
     hidden = hidden_e_tensor_f_plus_h(random.Random(5))
-    return {"@skew_unit_2": LinkingForm.skew_unit(2).to_json(), "@e_tensor_f": ef.to_json(),
+    return {"@skew_unit_2": skew_unit(2).to_json(), "@e_tensor_f": ef.to_json(),
             "@hidden_e_tensor_f_plus_h": hidden.to_json()}
 
 
@@ -41,7 +40,8 @@ def commands():
         out.append(["verify", "B", "--window", "-5..30", "--format", fmt])
         out += [["verify", suite, "--window", window, "--format", fmt]
                 for suite in ("A", "B") for window in ("0..3", "5..6", "-40..-30", "-2..200")]
-        out.append(["verify", "presentations", "--window", "-200..-196", "--format", fmt])
+        out += [["verify", "presentations", "--window", window, "--format", fmt]
+                for window in ("-200..-196", "-2000..-1996")]
         out += [[verb, "--name", name, "--format", fmt]
                 for verb in ("table", "dual", "torsor") for name in TABLES]
         out.append(["certify-ef", "--format", fmt])

@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 import random
 import re
 import signal
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -25,6 +27,7 @@ from lspectra.ltables import (
     boundary_map,
     golden_table,
     mono,
+    mono_mul,
     mult_by,
     presentation,
     symmetrisation_map,
@@ -35,7 +38,7 @@ from lspectra.ltables import (
     verify_genuine,
 )
 
-from helpers import random_ring_element, reduce_by_scan, restrict
+from helpers import expanded_presentation, random_ring_element, reduce_by_scan, restrict
 
 class TestTables:
     def test_golden_windows(self):
@@ -130,7 +133,7 @@ class TestPresentations:
 
     @pytest.mark.parametrize("name", ["Ls", "Ln", "LC", "Lgs", "scriptL"])
     def test_corrupted_rule_detected(self, name):
-        good = presentation(name, (-16, 16))
+        good = presentation(name)
         xy1 = mono(("x", 1), ("y1", 1))
         if name == "Ls":
             bad = dataclasses.replace(good, torsion_patterns=((mono(("e", 1)), 4),))
@@ -149,14 +152,14 @@ class TestPresentations:
     def test_every_rule_is_checked(self):
         # y2 z1 -> z3 keeps every generator product inside the basis with the
         # right orders, so only reducing the relation of its own rule sees it
-        good = presentation("Lgs", (-16, 16))
+        good = expanded_presentation("Lgs", (-16, 16))
         target = mono(("z1", 1), ("y2", 1))
         bad = dataclasses.replace(good, rewrites=tuple(
             (p, 1, mono(("z3", 1))) if p == target else (p, c, r) for p, c, r in good.rewrites))
         assert not verify_presentation("Lgs", (-16, 16), pres=bad)
 
     def test_rewrite_patterns_distinct(self):
-        patterns = [p for p, _, _ in presentation("Lgs", (-100, 100)).rewrites]
+        patterns = [p for p, _, _ in expanded_presentation("Lgs", (-100, 100)).rewrites]
         assert len(patterns) == len(set(patterns)) == 1398
 
     @pytest.mark.parametrize("window", [(-16, 16), (5, 6), (20, 30), (-30, -20)])
@@ -217,8 +220,104 @@ class TestPresentations:
         assert verify_presentation("Lgs", (-16, 16))
 
 
+class TestSchemata:
+    """Window-free presentations: the window decides only what is checked."""
+
+    def test_one_rule_per_family(self):
+        assert list(inspect.signature(presentation).parameters) == ["name"]
+        lgs, script = presentation("Lgs"), presentation("scriptL")
+        assert (len(lgs.rewrites), len(lgs.torsion_patterns)) == (11, 2)
+        assert (len(script.rewrites), len(script.torsion_patterns)) == (3, 0)
+        assert not hasattr(ltables, "_family_range") and not hasattr(ltables, "_DivisorIndex")
+        # y_i y_j -> 8 y_(i+j) holds for indices far past any window's range
+        assert lgs.reduce({mono(("y400", 1), ("y600", 1)): 1}) == {mono(("y1000", 1)): 8}
+        assert lgs.degree(mono(("x", 2), ("y3", 1), ("z5", 1))) == 8 - 12 - 22
+        with pytest.raises(KeyError):
+            lgs.degree(mono(("y", 1)))
+
+    @pytest.mark.parametrize("window", [(-16, 16), (-100, 100), (-400, -396)])
+    @pytest.mark.parametrize("name", ltables.RING_NAMES)
+    def test_checked_relations_are_the_expansion_in_the_window(self, name, window, monkeypatch):
+        reduced = []
+        genuine = RingPresentation.reduce
+
+        def recorded(pres, element):
+            if sys._getframe(1).f_code.co_name == "verify_presentation":
+                reduced.append(frozenset(element.items()))
+            return genuine(pres, element)
+
+        monkeypatch.setattr(RingPresentation, "reduce", recorded)
+        assert verify_presentation(name, window)
+        oracle = expanded_presentation(name, window)
+        relations = [{p: 1, r: -c} for p, c, r in oracle.rewrites]
+        relations += [{p: d} for p, d in oracle.torsion_patterns]
+        relations += [{ONE: oracle.coeff_modulus}] if oracle.coeff_modulus else []
+        lo, hi = window
+        expected = {frozenset(r.items()) for r in relations if lo <= oracle.degree(next(iter(r))) <= hi}
+        assert set(reduced) == expected and len(reduced) == len(expected)
+
+    @pytest.mark.parametrize("name", ["Lgs", "scriptL"])
+    @pytest.mark.parametrize("window,inside,outside", [
+        ((-16, 16), (1, 3), (3, 3)),
+        ((-100, 100), (10, 15), (13, 14)),
+        ((-400, -396), (40, 60), (50, 52)),
+    ])
+    def test_a_corrupted_instance_is_seen_in_the_window_only(self, name, window, inside, outside, monkeypatch):
+        # y_i y_j -> 4 y_(i+j), listed before the schemata, corrupts that one instance
+        def corrupted(i, j):
+            good = presentation(name)
+            rule = (mono((f"y{i}", 1), (f"y{j}", 1)), 4, mono((f"y{i + j}", 1)))
+            return dataclasses.replace(good, rewrites=(rule,) + good.rewrites)
+
+        lo, hi = window
+        assert lo <= -4 * sum(inside) <= hi and not lo <= -4 * sum(outside) <= hi
+        genuine = ltables.verify_presentation
+        for bad, failing in ((corrupted(*inside), [f"presentation-{name}"]), (corrupted(*outside), [])):
+            monkeypatch.setattr(ltables, "verify_presentation", lambda n, w, **kw: genuine(
+                n, w, pres=bad if n == name else None, **kw))
+            rows = {i.name: i.passed for i in verify_presentations_report(window)}
+            assert [row for row, passed in rows.items() if not passed] == failing
+        # not examined outside the window, and seen by one that holds its degree
+        d = -4 * sum(outside)
+        assert not genuine(name, (d, d), pres=corrupted(*outside))
+
+    def test_far_window_report_is_fast(self):
+        # 9 s when the rules were expanded up to the window's range
+        start = time.perf_counter()
+        report = verify_presentations_report((-2000, -1996))
+        assert time.perf_counter() - start < 2
+        assert all(item.passed for item in report)
+
+    def test_normal_forms_match_the_expansion_on_generated_monomials(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        window = lo, hi = (-100, 100)
+        oracles = {name: (expanded_presentation(name, window), {}) for name in ("Lgs", "scriptL")}
+        pres = {name: presentation(name) for name in oracles}
+        n_fam = max(int(s[1:]) for s, _ in oracles["Lgs"][0].generators if s[1:])
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @hypothesis.given(name=st.sampled_from(sorted(oracles)), e=st.integers(0, 2), lift=st.integers(0, 8),
+                          members=st.lists(st.tuples(st.sampled_from("yz"), st.integers(1, n_fam),
+                                                     st.integers(1, 3)), max_size=3),
+                          coeff=st.integers(1, 9))
+        def agrees(name, e, lift, members, coeff):
+            oracle, memo = oracles[name]
+            families = "yz" if name == "Lgs" else "y"
+            rest = mono(*((f"{f}{i}", k) for f, i, k in members if f in families),
+                        *([("e", e)] if name == "Lgs" else []))
+            r = oracle.degree(rest)
+            least, most = max(0, -((r - lo) // 4)), (hi - r) // 4
+            hypothesis.assume(least <= most)
+            m = mono_mul(rest, mono(("x", min(least + lift, most))))
+            assert lo <= oracle.degree(m) <= hi
+            assert pres[name].reduce({m: coeff}) == reduce_by_scan(oracle, {m: coeff}, memo), m
+
+        agrees()
+
+
 class TestIndexedReduce:
-    """``reduce`` against the scan of every rule it replaces."""
+    """``reduce`` against the scan of every rule of the expanded presentation."""
 
     @staticmethod
     def _agrees_with_scan(pres, elements):
@@ -229,10 +328,17 @@ class TestIndexedReduce:
     @pytest.mark.parametrize("window", [(-16, 16), (-100, 100), (-200, -196)])
     @pytest.mark.parametrize("name", ltables.RING_NAMES)
     def test_matches_the_scan_in_any_rule_order(self, name, window):
-        pres = presentation(name, window)
+        # the schemata against their expansion, on the monomials of a degree in
+        # the window: there no normal form needs a product the expansion omits
+        pres = expanded_presentation(name, window)
         rng = random.Random(f"{name} {window}")
         symbols = [s for s, _ in pres.generators]
         elements = [random_ring_element(rng, symbols) for _ in range(200)]
+        lo, hi = window
+        memo = {}
+        for element in elements:
+            in_window = {m: c for m, c in element.items() if lo <= pres.degree(m) <= hi}
+            assert presentation(name).reduce(in_window) == reduce_by_scan(pres, in_window, memo), in_window
         self._agrees_with_scan(pres, elements)
         for _ in range(5):
             shuffled = dataclasses.replace(
@@ -272,17 +378,17 @@ class TestIndexedReduce:
         assert pres.reduce(element) == reduce_by_scan(pres, element) == {mono(("a", -2)): 2}
 
     def test_index_is_not_part_of_the_value(self):
-        pres = presentation("Lgs", (-16, 16))
+        pres = presentation("Lgs")
         pres.reduce({mono(("x", 2), ("y3", 1)): 1})  # fills the memo
-        fresh = presentation("Lgs", (-16, 16))
+        fresh = presentation("Lgs")
         assert pres == fresh and hash(pres) == hash(fresh) and repr(pres) == repr(fresh)
         assert "_rules" not in repr(pres)
-        # replace builds a new index for the new rules
+        # replace compiles the new rules
         no_rules = dataclasses.replace(pres, rewrites=())
         assert no_rules.reduce({mono(("x", 1), ("y1", 1)): 1}) == {mono(("x", 1), ("y1", 1)): 1}
 
     def test_replace_starts_a_fresh_memo(self):
-        pres = presentation("Lgs", (-16, 16))
+        pres = expanded_presentation("Lgs", (-16, 16))
         xy2, y1 = mono(("x", 1), ("y2", 1)), mono(("y1", 1))
         assert pres.reduce({xy2: 1}) == {y1: 1}  # memoises x y2 -> y1
         five = dataclasses.replace(pres, rewrites=tuple(

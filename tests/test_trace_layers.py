@@ -13,9 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from lspectra.forms import LinkingForm
-
-from helpers import hidden_e_tensor_f_plus_h
+from helpers import hidden_e_tensor_f_plus_h, skew_unit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,7 +45,7 @@ def _traced(ops):
 
 def test_traced_ops_of_every_verb_run(tmp_path):
     form = tmp_path / "form.json"
-    form.write_text(json.dumps(LinkingForm.skew_unit(2).to_json()))
+    form.write_text(json.dumps(skew_unit(2).to_json()))
     ops = [["verify", "presentations", "--window", "-16..16"], ["verify", "B", "--window", "-12..12"],
            ["certify-ef"], ["invariant", "--name", "beta", "--input", str(form)],
            ["verify", "A", "--window", "-12..12"], ["table", "--name", "Lgs", "--window", "-40..39"],
