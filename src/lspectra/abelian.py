@@ -544,6 +544,8 @@ class FgAbGroup:
         key = tuple(abs(int(d)) for d in divisors)
         group = _INTERNED.get(key)
         if group is None:
+            if len(key) > MAX_SUMMANDS:  # the chain step is quadratic in them
+                raise ValueError(f"{len(key)} cyclic summands exceed the bound {MAX_SUMMANDS}")
             chain = [d for d in key if d > 1]
             _divisibility_chain(chain)
             group = cls(key.count(0), tuple(d for d in chain if d > 1))  # a gcd step can leave 1s
@@ -627,6 +629,7 @@ class FgAbGroup:
 
     @classmethod
     def parse(cls, text: str) -> "FgAbGroup":
+        """The group a rendered string names; one of more than MAX_PARSED_GENERATORS is refused."""
         text = text.strip()
         if text in ("0", ""):
             return cls()
@@ -636,15 +639,19 @@ class FgAbGroup:
             if part == "Z":
                 divisors.append(0)
             elif part.startswith("Z^"):
-                divisors.extend([0] * int(part[2:]))
+                divisors.extend([0] * min(int(part[2:]), MAX_PARSED_GENERATORS + 1))  # enough to refuse
             elif part.startswith("Z/"):
                 divisors.append(int(part[2:]))
             else:
                 raise ValueError(f"cannot parse group term {part!r}")
+            if len(divisors) > MAX_PARSED_GENERATORS:
+                raise ValueError(f"a group string exceeds the bound of {MAX_PARSED_GENERATORS} generators")
         return cls.from_divisors(divisors)
 
 
 _INTERNED: dict[tuple[int, ...], FgAbGroup] = {}  # normalised divisor list -> canonical group
+MAX_PARSED_GENERATORS = 16  # per degree of a table read: Ext of two has the product of their sizes
+MAX_SUMMANDS = 1 << 12  # canonicalising 4 096 cyclic summands takes 0.9 s
 
 
 # ---------------------------------------------------------------------------

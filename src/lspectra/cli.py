@@ -1,7 +1,8 @@
 """Command-line front end: tables, duals, invariants, verification suites.
 
 Exit codes: 0 on success or all-pass, 1 on a verification failure, 2 on a
-usage error.  Output is byte-deterministic for fixed inputs.
+rejected input, reported by ``main`` as one ``error:`` line.  Output is
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -10,13 +11,11 @@ import argparse
 import json
 import re
 import sys
-from contextlib import contextmanager
 
 from .abelian import IntMatrix
 from .forms import F2QuadForm, LinkingForm, SymForm, arf, brown_kervaire, signature
-from .graded import GradedGroup, OutOfWindowError, anderson_dual, torsor_count
+from .graded import GradedGroup, anderson_dual, bounded_window, torsor_count
 from .ltables import (
-    TABLE_NAMES,
     table,
     verify_presentations_report,
     verify_classical,
@@ -28,7 +27,7 @@ _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
 class UsageError(Exception):
-    pass
+    """A complaint about the command line itself, reported as it reads."""
 
 
 def parse_window(text: str):
@@ -38,7 +37,7 @@ def parse_window(text: str):
     a, b = int(m.group(1)), int(m.group(2))
     if a > b:
         raise UsageError(f"window start exceeds end in {text!r}")
-    return (a, b)
+    return bounded_window(a, b)
 
 
 def _emit_table(tab: GradedGroup, fmt: str, out):
@@ -79,47 +78,19 @@ def _load_json_file(path):
     return doc
 
 
-@contextmanager
-def _input_errors(path):
-    """Report a rejected value or a wrong JSON shape in ``path`` as a usage error.
-
-    A document of the wrong shape (a list for an object, a number for a
-    list, a missing entry) surfaces as a TypeError, AttributeError,
-    IndexError or KeyError where it is read.
-    """
-    try:
-        yield
-    except (LookupError, ValueError, TypeError, AttributeError) as exc:
-        raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from None
-
-
-def _table_name(name):
-    """``name`` if it names a table; otherwise a usage error listing the names."""
-    if name not in TABLE_NAMES:
-        raise UsageError(f"unknown table {name!r}; choose from {', '.join(TABLE_NAMES)}")
-    return name
-
-
 def cmd_table(args, out):
-    window = parse_window(args.window)
-    _emit_table(table(_table_name(args.name), window), args.format, out)
+    _emit_table(table(args.name, parse_window(args.window)), args.format, out)
     return 0
 
 
 def cmd_dual(args, out):
     if args.input:
-        with _input_errors(args.input):
-            dual = anderson_dual(GradedGroup.from_json(_load_json_file(args.input)))
+        tab = GradedGroup.from_json(_load_json_file(args.input))
     elif args.name:
-        name = _table_name(args.name)
-        window = parse_window(args.window)
-        try:
-            dual = anderson_dual(table(name, window))
-        except OutOfWindowError as exc:
-            raise UsageError(f"{args.window}: {exc.args[0]}") from None
+        tab = table(args.name, parse_window(args.window))
     else:
         raise UsageError("dual needs --name or --input")
-    _emit_table(dual, args.format, out)
+    _emit_table(anderson_dual(tab), args.format, out)
     return 0
 
 
@@ -128,17 +99,16 @@ def cmd_invariant(args, out):
         raise UsageError(f"unknown invariant {args.name!r}; choose signature, arf or beta")
     if not args.input:
         raise UsageError("invariant needs --input")
-    with _input_errors(args.input):
-        doc = _load_json_file(args.input)
-        if args.name == "signature":
-            value = signature(SymForm(IntMatrix(doc)))
-        elif args.name == "arf":
-            value = arf(F2QuadForm(IntMatrix(doc)))
-        elif isinstance(doc, dict) and "kind" in doc:
-            # a structured-complex file: extract its linking form first
-            value = brown_kervaire(linking_form(StructuredComplex.from_json(doc)))
-        else:
-            value = brown_kervaire(LinkingForm.from_json(doc))
+    doc = _load_json_file(args.input)
+    if args.name == "signature":
+        value = signature(SymForm(IntMatrix(doc)))
+    elif args.name == "arf":
+        value = arf(F2QuadForm(IntMatrix(doc)))
+    elif isinstance(doc, dict) and "kind" in doc:
+        # a structured-complex file: extract its linking form first
+        value = brown_kervaire(linking_form(StructuredComplex.from_json(doc)))
+    else:
+        value = brown_kervaire(LinkingForm.from_json(doc))
     if args.format == "json":
         json.dump({"invariant": args.name, "value": value}, out)
         out.write("\n")
@@ -157,35 +127,24 @@ def cmd_certify_ef(args, out):
     return 0 if beta == 4 else 1
 
 
+_SUITES = {"A": (verify_classical, "-12..12"), "B": (verify_genuine, "-16..16"),
+          "presentations": (verify_presentations_report, "-16..16")}  # each with its default window
+
+
 def cmd_verify(args, out):
-    if args.suite == "A":
-        window = parse_window(args.window or "-12..12")
-        report = verify_classical(window)
-    elif args.suite == "B":
-        window = parse_window(args.window or "-16..16")
-        report = verify_genuine(window)
-    elif args.suite == "presentations":
-        window = parse_window(args.window or "-16..16")
-        report = verify_presentations_report(window)
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}; choose A, B or presentations")
-    return 0 if _emit_report(report, args.format, out) else 1
+    suite, window = _SUITES[args.suite]
+    return 0 if _emit_report(suite(parse_window(args.window or window)), args.format, out) else 1
 
 
 def cmd_torsor(args, out):
-    window = parse_window(args.window)
     if args.input:
-        with _input_errors(args.input):
-            tab = GradedGroup.from_json(_load_json_file(args.input))
+        tab = GradedGroup.from_json(_load_json_file(args.input))
     else:
-        tab = table(_table_name(args.name), window)
+        tab = table(args.name, parse_window(args.window))
     period = tab.period if args.period is None else args.period
     if period is None:
         raise UsageError("table declares no period; pass --period")
-    try:
-        group = torsor_count(tab, period)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    group = torsor_count(tab, period)
     if args.format == "json":
         json.dump({"torsor": group.render()}, out)
         out.write("\n")
@@ -194,8 +153,13 @@ def cmd_torsor(args, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lspectra", description=__doc__)
+    p = _Parser(prog="lspectra", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def verb(command, func, summary, fmt="json", **options):
@@ -212,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("invariant", cmd_invariant, "signature, arf or beta of a form file", name=None, input=None)
     verb("certify-ef", cmd_certify_ef, "run the chain-level ef = 4 certificate", fmt="tsv")
     sp = verb("verify", cmd_verify, "run a verification suite", window=None)
-    sp.add_argument("suite", choices=("A", "B", "presentations"))
+    sp.add_argument("suite", choices=tuple(_SUITES))
     sp = verb("torsor", cmd_torsor, "splitting-torsor count of a table", window="-16..16", name=None, input=None)
     sp.add_argument("--period", type=int)
     return p
@@ -233,22 +197,25 @@ def _glue_window(argv):
     return out
 
 
+def _reason(exc, args) -> str:
+    """Why an input was rejected, on one line: any error but the CLI's own or an unreadable
+    file's names the --input document it arose from, if any, and its type."""
+    text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    if getattr(args, "input", None) and not isinstance(exc, (UsageError, OSError)):
+        text = f"{args.input}: {type(exc).__name__}: {text}"
+    return " ".join(f"{text}".splitlines())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _glue_window(list(argv))
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(_glue_window(sys.argv[1:] if argv is None else argv))
         return args.func(args, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit:  # --help has been printed; every parse error is a UsageError
+        return 0
+    except (UsageError, OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
+        print(f"error: {_reason(exc, args)}", file=sys.stderr)
         return 2
 
 

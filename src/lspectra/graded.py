@@ -7,7 +7,6 @@ multiplication maps, splitting comparisons and torsor counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .abelian import (
@@ -46,6 +45,19 @@ class OutOfWindowError(KeyError):
 
 
 _ZERO = FgAbGroup()  # every degree a table leaves out
+
+# Bounds on a window given from outside: verify presentations takes 17 s at -2048..-1048, and
+# verify B, which pads the window reflected through 0, 1.4 s at 2044..2048.
+MAX_WIDTH = 1000  # degrees a window spans, and the longest period read
+MAX_DEGREE = 2048  # size of a window's ends
+
+
+def bounded_window(lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi), if at most MAX_WIDTH apart and with no end past MAX_DEGREE in size."""
+    if hi - lo > MAX_WIDTH or max(-lo, hi) > MAX_DEGREE:
+        raise ValueError(f"window {lo}..{hi} exceeds the bounds: width {MAX_WIDTH}, "
+                         f"ends -{MAX_DEGREE}..{MAX_DEGREE}")
+    return lo, hi
 
 
 class GradedGroup:
@@ -124,10 +136,9 @@ class GradedGroup:
 
     @classmethod
     def from_json(cls, doc) -> "GradedGroup":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        window = bounded_window(*map(int, doc["window"]))
         groups = {int(n): FgAbGroup.parse(s) for n, s in doc.get("groups", {}).items()}
-        return cls(tuple(doc["window"]), groups, doc.get("period"))
+        return cls(window, groups, doc.get("period"))
 
 
 class GradedMap:
@@ -233,7 +244,7 @@ def anderson_dual(G: GradedGroup) -> GradedGroup:
     window = (-hi, -lo) if G.period else (-hi, -lo - 1)
     wlo, whi = window
     if wlo > whi:
-        raise OutOfWindowError("window too small to dualise")
+        raise OutOfWindowError(f"{lo}..{hi}: window too small to dualise")
     z = FgAbGroup.free(1)
     groups = {n: hom_group(G[-n], z).direct_sum(ext_group(G[-n - 1], z)) for n in range(wlo, whi + 1)}
     return GradedGroup(window, groups, G.period)
@@ -311,9 +322,11 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
 
 
 def torsor_count(G: GradedGroup, period: int) -> FgAbGroup:
-    """Product over one period of Ext(G[i], G[i+1])."""
+    """Product over one period, of at most MAX_WIDTH degrees, of Ext(G[i], G[i+1])."""
     if period <= 0:
         raise ValueError("period must be positive")
+    if period > MAX_WIDTH:
+        raise ValueError(f"period {period} exceeds the bound {MAX_WIDTH}")
     lo, hi = G.window
     if G.period is None:
         if (hi - lo + 1) % period:

@@ -447,7 +447,7 @@ def table(name: str, window=(-16, 16)) -> GradedGroup:
     elif name in RING_NAMES:
         groups = {n: _group_from_basis(ring_basis(name, n)) for n in range(lo, hi + 1)}
     else:
-        raise KeyError(f"unknown table name {name!r}")
+        raise KeyError(f"unknown table {name!r}; choose from {', '.join(TABLE_NAMES)}")
     period = PERIODS.get(name)
     if period is not None and hi - lo + 1 < period + 1:
         period = None
@@ -598,11 +598,12 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
                           ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
     ls = presentation("Ls")
     lo, hi = window
-    Q = (min(lo, 0) - 4, max(hi, 0) + 3)  # both factors and the product
-    sym = symmetrisation_map(table("Lq", Q), table("Ls", Q))
+    # the degrees of the factors and the product: one period, and the window widened by it
+    maps = (symmetrisation_map(table("Lq", w), table("Ls", w)) for w in ((-4, 3), (lo - 4, hi + 3)))
+    sym = {n: m.component(n) for m in maps for n in m.source.degrees()}
 
     def image(n, coords):
-        comp = sym.component(n)
+        comp = sym[n]
         values = (sum(a * c for a, c in zip(row, coords)) for row in comp.entries)
         return ls.reduce({bm: v for (bm, _), v in zip(ring_basis("Ls", n), values)})
 

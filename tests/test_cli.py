@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
-from lspectra.abelian import IntMatrix
+from lspectra.abelian import MAX_SUMMANDS, FgAbGroup, IntMatrix
 from lspectra.chain import IntComplex
 from lspectra.cli import main, parse_window, UsageError
-from lspectra.graded import GradedGroup
+from lspectra.graded import MAX_WIDTH, GradedGroup
+from lspectra.ltables import TABLE_NAMES
 from lspectra.forms import LinkingForm, nondegenerate
 from lspectra.poincare import (
     PoincareStructure,
@@ -354,6 +358,10 @@ MALFORMED_INPUTS = {
         "kind": "quadratic", "dimension": 1, "psi": {"0,0": [[1]], "0,1": [[1]], "1,1": [[1]]}}),
     "bool-period-dual": (["dual"], {"window": [-2, 2], "period": True, "groups": {}}),
     "float-period-torsor": (["torsor"], {"window": [0, 7], "period": 4.0, "groups": {}}),
+    # a zero denominator, and a free rank whose list of generators does not fit in memory
+    "zero-denominator-form": (["invariant", "--name", "beta"], {"factors": [2], "q": {"(0)": "0", "(1)": "1/0"}}),
+    "huge-free-rank-dual": (["dual"], {"window": [0, 3], "groups": {"0": "Z^99999999999"}}),
+    "huge-free-rank-torsor": (["torsor", "--period", "4"], {"window": [0, 3], "groups": {"0": "Z^99999999999"}}),
 }
 
 
@@ -392,6 +400,13 @@ class TestMalformedInput:
         if case in ("descending-factors", "unit-in-factors"):
             assert "factors" in captured.err
 
+    def test_nesting_deeper_than_the_json_parser_goes(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["dual", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: RecursionError: ") and len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("extra", [[], ["--input", "."]])
     def test_missing_or_unreadable_input(self, extra, capsys):
         code = main(["invariant", "--name", "beta"] + extra)
@@ -399,3 +414,193 @@ class TestMalformedInput:
         assert code == 2
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+
+
+def _complex(ranks, psi=None):
+    """A quadratic complex document of dimension 1 with no differentials."""
+    return {"ranks": ranks, "differentials": {}, "kind": "quadratic", "dimension": 1, "psi": psi or {}}
+
+
+def _with_input(argv, doc, tmp_path):
+    """argv, reading ``doc`` as its --input file unless it is None."""
+    if doc is None:
+        return argv
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return argv + ["--input", str(path)]
+
+
+class TestSizeBounds:
+    """Each size bound is checked before any work starts, so an input past it exits 2 at once."""
+
+    # each of these ran past 8 s, or raised MemoryError, before the bounds
+    PAST_THE_BOUNDS = {
+        "wide-table-dual": (["dual"], {"window": [0, 100000000], "groups": {}}),
+        "wide-table-torsor": (["torsor", "--period", "4"], {"window": [0, 100000000], "groups": {}}),
+        "long-period": (["torsor", "--name", "Ls", "--window", "0..7", "--period", "100000000"], None),
+        "far-window": (["verify", "B", "--window", "100000..100004"], None),
+        "wide-window": (["table", "--name", "Lgs", "--window", "0..3000000"], None),
+        "large-rank": (["invariant", "--name", "beta"], _complex({"0": 30000, "1": 1})),
+        "wide-span": (["invariant", "--name", "beta"], _complex({"0": 1, "1000000000": 1})),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PAST_THE_BOUNDS))
+    def test_exits_two_at_once(self, case, tmp_path):
+        code, out, err = run_cli(_with_input(*self.PAST_THE_BOUNDS[case], tmp_path), timeout=5)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    # (argv, --input document) at each bound, and just past it
+    AT_AND_PAST = {
+        "window-width": ((["table", "--name", "Ls", "--window", "-500..500"], None),
+                         (["table", "--name", "Ls", "--window", "-500..501"], None)),
+        "window-top": ((["table", "--name", "Ls", "--window", "2000..2048"], None),
+                       (["table", "--name", "Ls", "--window", "2000..2049"], None)),
+        "window-bottom": ((["verify", "B", "--window", "-2048..-2044"], None),
+                          (["verify", "B", "--window", "-2049..-2044"], None)),
+        "document-window-width": ((["dual"], {"window": [0, 1000], "groups": {}}),
+                                  (["dual"], {"window": [0, 1001], "groups": {}})),
+        "document-window-end": ((["dual"], {"window": [-2048, -2040], "groups": {}}),
+                                (["dual"], {"window": [-2049, -2040], "groups": {}})),
+        "period": ((["torsor", "--name", "Ls", "--window", "0..7", "--period", "1000"], None),
+                   (["torsor", "--name", "Ls", "--window", "0..7", "--period", "1001"], None)),
+        "free-rank": ((["dual"], {"window": [0, 3], "groups": {"0": "Z^16"}}),
+                      (["dual"], {"window": [0, 3], "groups": {"0": "Z^17"}})),
+        "summands": ((["dual"], {"window": [0, 3], "groups": {"0": " + ".join(["Z"] + ["Z/2"] * 15)}}),
+                     (["dual"], {"window": [0, 3], "groups": {"0": " + ".join(["Z"] + ["Z/2"] * 16)}})),
+        "total-rank": ((["invariant", "--name", "beta"], _complex({"5": 64, "6": 64})),
+                       (["invariant", "--name", "beta"], _complex({"5": 64, "6": 65}))),
+        "degree-span": ((["invariant", "--name", "beta"], _complex({"5": 1, "1005": 1})),
+                        (["invariant", "--name", "beta"], _complex({"5": 1, "1006": 1}))),
+        "structure-level": ((["invariant", "--name", "beta"], _complex({"5": 1}, {"1000,0": []})),
+                            (["invariant", "--name", "beta"], _complex({"5": 1}, {"1001,0": []}))),
+        "gram-dimension": ((["invariant", "--name", "signature"], IntMatrix.identity(64).tolist()),
+                           (["invariant", "--name", "signature"], IntMatrix.identity(65).tolist())),
+    }
+
+    @pytest.mark.parametrize("case", sorted(AT_AND_PAST))
+    def test_accepted_at_the_bound_and_refused_past_it(self, case, tmp_path, capsys):
+        at, past = self.AT_AND_PAST[case]
+        assert main(_with_input(*at, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        assert main(_with_input(*past, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "exceed" in captured.err
+
+    def test_canonical_summands(self, tmp_path, capsys):
+        assert FgAbGroup.from_divisors([0] * MAX_SUMMANDS) == FgAbGroup.free(MAX_SUMMANDS)
+        with pytest.raises(ValueError, match="exceed the bound"):
+            FgAbGroup.from_divisors([0] * (MAX_SUMMANDS + 1))
+        # Ext of two (Z/2)^16 has 256 summands: 17 degrees of them are refused, not canonicalised
+        doc = {"window": [0, 33], "groups": {str(n): " + ".join(["Z/2"] * 16) for n in range(34)}}
+        assert main(_with_input(["torsor", "--period", "17"], doc, tmp_path)) == 2
+        assert capsys.readouterr().err.endswith(f"ValueError: 4352 cyclic summands exceed the bound {MAX_SUMMANDS}\n")
+
+
+class TestFuzz:
+    """Generated command lines and documents: no traceback, and exit 2 with one line when refused.
+
+    Exit 1 comes only from a verification that fails.  Each example runs in
+    process under a deadline; windows are narrow enough to run fast or past
+    the width bound, and ``TestSizeBounds`` runs the widest accepted ones.
+    """
+
+    # the options each verb reads besides --format: those it always gets here, then those it may get
+    OPTIONS = {"table": (("--name",), ("--window",)), "dual": ((), ("--name", "--window", "--input")),
+               "invariant": (("--name", "--input"), ()), "certify-ef": ((), ()), "verify": ((), ("--window",)),
+               "torsor": (("--name",), ("--window", "--input", "--period"))}
+
+    @staticmethod
+    def _strategies(st, path, directory):
+        """Command lines, and documents by the loader they are meant for; --input names ``path`` mostly."""
+        ints, junk, small = st.integers(), st.text(max_size=6), st.integers(-3, 9)
+
+        def usually(strategy, other):
+            """A value of ``strategy``, or now and then one of ``other``."""
+            return st.sampled_from([strategy] * 4 + [other]).flatmap(lambda s: s)
+
+        def mostly(*choices):
+            """One of ``choices``, or now and then any short text."""
+            return usually(st.sampled_from(choices), junk)
+
+        values = {
+            "--name": mostly(*TABLE_NAMES, "signature", "arf", "beta"),
+            # narrow enough to run fast, or past the width bound, anywhere in the int range
+            "--window": st.builds(lambda lo, w: f"{lo}..{lo + w}", ints,
+                                  st.integers(-2, 16) | st.integers(min_value=MAX_WIDTH + 1)) | junk,
+            "--input": st.sampled_from([path] * 8 + [directory, "/nonexistent.json"]),
+            "--format": mostly("json", "tsv", "json", "tsv"),
+            "--period": ints.map(str) | junk,
+        }
+
+        def command(verb):
+            given, maybe = TestFuzz.OPTIONS.get(verb, TestFuzz.OPTIONS["torsor"])
+            opts = st.fixed_dictionaries({f: values[f] for f in given},
+                                         optional={f: values[f] for f in maybe + ("--format",)})
+            suite = mostly("A", "B", "presentations").map(lambda s: [s]) if verb == "verify" else st.just([])
+            return st.builds(lambda suite, opts, extra: [verb] + suite + [t for o in opts.items() for t in o] + extra,
+                             suite, opts, mostly(*[""] * 4).map(lambda t: [t] if t else []))
+
+        matrices = st.lists(st.lists(small, max_size=3), max_size=3)
+        group = st.lists(mostly("Z", "0", "Z/2", "Z/4", "Z/3", "Z^2", "Z^99999999999", "Z/0", "Z/-2"),
+                         min_size=1, max_size=3).map(" + ".join)
+        tables = st.fixed_dictionaries(
+            {"window": st.tuples(small, small).map(sorted) | st.lists(ints, max_size=3),
+             "groups": st.dictionaries(small.map(str), group, max_size=4)},
+            optional={"period": ints | small | st.none()})
+        forms = st.fixed_dictionaries({
+            "factors": st.sampled_from([[], [2], [4], [2, 2], [2, 4], [3]]) | st.lists(ints, max_size=3),
+            "q": st.dictionaries(st.lists(small, max_size=3).map(lambda v: f"({','.join(map(str, v))})"),
+                                 usually(st.builds(lambda a, b: f"{a}/{b}", small, small), junk), max_size=8)})
+        complexes = st.fixed_dictionaries({
+            "ranks": st.dictionaries((small | ints).map(str), small | ints, max_size=3),
+            "differentials": st.dictionaries(small.map(str), matrices, max_size=2),
+            "kind": mostly("quadratic", "symmetric"),
+            "dimension": small | ints,
+            "psi": st.dictionaries(st.builds(lambda lv, k: f"{lv},{k}", small | ints, small), matrices, max_size=3)})
+        anything = st.recursive(st.none() | st.booleans() | ints | st.floats() | junk,
+                                lambda c: st.lists(c, max_size=3) | st.dictionaries(junk, c, max_size=3),
+                                max_leaves=8)
+        documents = {kind: usually(docs, anything) for kind, docs in
+                     (("table", tables), ("beta", forms | complexes), ("matrix", matrices))}
+        return mostly(*TestFuzz.OPTIONS).flatmap(command), documents
+
+    def _check(self, hypothesis, cases, path, examples):
+        """Run main on each drawn (argv, document) pair and check the contract."""
+        @hypothesis.settings(derandomize=True, max_examples=examples, deadline=timedelta(seconds=5),
+                             database=None, suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(case=cases)
+        def contract(case):
+            argv, doc = case
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2) and (code != 1 or argv[0] in ("verify", "certify-ef")), argv
+            assert "Traceback" not in err.getvalue()
+            assert lines == [] if code != 2 else len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+        contract()
+
+    def test_every_verb_and_option(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = str(tmp_path / "input.json")
+        argvs, documents = self._strategies(st, path, str(tmp_path))
+        self._check(hypothesis, st.tuples(argvs, st.one_of(*documents.values())), path, examples=120)
+
+    def test_every_loader(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = str(tmp_path / "input.json")
+        _, documents = self._strategies(st, path, str(tmp_path))
+        loaders = [(["dual"], "table"), (["torsor"], "table"), (["torsor", "--period", "4"], "table"),
+                   (["invariant", "--name", "beta"], "beta"), (["invariant", "--name", "beta"], "beta"),
+                   (["invariant", "--name", "signature"], "matrix"), (["invariant", "--name", "arf"], "matrix")]
+        cases = st.sampled_from(loaders).flatmap(
+            lambda loader: st.tuples(st.just(loader[0] + ["--input", path]), documents[loader[1]]))
+        self._check(hypothesis, cases, path, examples=200)

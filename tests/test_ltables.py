@@ -166,6 +166,15 @@ class TestPresentations:
     def test_lq_ring_structure(self, window):
         assert ltables.verify_lq_ring(window)
 
+    def test_lq_ring_builds_tables_only_where_it_reads(self, monkeypatch):
+        # one period for the left factor, and the window widened by it for the right and the product;
+        # the tables once spanned every degree back to 0
+        built = []
+        genuine = ltables.table
+        monkeypatch.setattr(ltables, "table", lambda name, window: built.append((name, window)) or genuine(name, window))
+        assert ltables.verify_lq_ring((-2000, -1996))
+        assert sorted(built) == [("Lq", (-2004, -1993)), ("Lq", (-4, 3)), ("Ls", (-2004, -1993)), ("Ls", (-4, 3))]
+
     def test_lq_ring_detects_wrong_symmetrisation(self, monkeypatch):
         genuine = ltables.symmetrisation_map
 
