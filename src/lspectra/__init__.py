@@ -38,7 +38,6 @@ from .graded import (
 )
 from .ltables import boundary_map, mult_by, table, verify_presentation, verify_classical, verify_genuine
 from .poincare import (
-    PoincareStructure,
     StructuredComplex,
     certify_ef,
     linking_form,

@@ -787,13 +787,13 @@ DEFAULT_ENUMERATION_BOUND = 1 << 12
 
 
 @cache
-def extension_candidates(A: FgAbGroup, B: FgAbGroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> frozenset:
+def extension_candidates(A: FgAbGroup, B: FgAbGroup) -> frozenset:
     """Isomorphism classes of middle terms of 0 -> A -> E -> B -> 0.
 
     Extensions are classified by Ext(B, A); each class is enumerated by
     choosing, for every torsion generator of B of order b, an element of
     A/bA, and the middle term is read off an explicit presentation.  Inputs
-    whose enumeration exceeds ``bound`` are rejected.
+    whose enumeration exceeds ``DEFAULT_ENUMERATION_BOUND`` are rejected.
     """
     b_tors = B.torsion
     if not b_tors:
@@ -806,9 +806,9 @@ def extension_candidates(A: FgAbGroup, B: FgAbGroup, bound: int = DEFAULT_ENUMER
         size = prod(len(r) for r in ranges) if ranges else 1
         total *= size
         rep_ranges.append(ranges)
-    if total > bound:
+    if total > DEFAULT_ENUMERATION_BOUND:
         raise EnumerationBoundError(
-            f"extension enumeration size {total} exceeds bound {bound}"
+            f"extension enumeration size {total} exceeds bound {DEFAULT_ENUMERATION_BOUND}"
         )
     gA = A.gens()
     n_gens = gA + len(b_tors)

@@ -32,7 +32,7 @@ class IntComplex:
 
     __slots__ = ("_ranks", "_diffs")
 
-    def __init__(self, ranks, differentials=None, check=True):
+    def __init__(self, ranks, differentials=None):
         rk = {int(n): int(r) for n, r in dict(ranks).items() if int(r) > 0}
         diffs = {}
         for n, m in dict(differentials or {}).items():
@@ -47,11 +47,10 @@ class IntComplex:
                 diffs[n] = m
         self._ranks = rk
         self._diffs = diffs
-        if check:
-            for n in diffs:
-                if n - 1 in diffs:
-                    if not (diffs[n - 1] @ diffs[n]).is_zero():
-                        raise ValueError(f"d.d != 0 at degree {n}")
+        for n in diffs:
+            if n - 1 in diffs:
+                if not (diffs[n - 1] @ diffs[n]).is_zero():
+                    raise ValueError(f"d.d != 0 at degree {n}")
 
     # -- structural access ---------------------------------------------------
 

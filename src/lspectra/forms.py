@@ -316,9 +316,6 @@ class CycEight:
 # Quadratic linking forms on finite 2-groups
 # ---------------------------------------------------------------------------
 
-LINKING_ORDER_BOUND = 1 << 12
-
-
 class LinkingForm:
     """A quadratic linking form on a finite 2-group, stored as its generator data.
 
@@ -369,7 +366,7 @@ class LinkingForm:
         of a value.  This is the one enumeration of the values, so the one place
         the desk-scale bound is checked.
         """
-        if self.group.order() > LINKING_ORDER_BOUND:
+        if self.group.order() > DEFAULT_ENUMERATION_BOUND:
             raise EnumerationBoundError("group order exceeds the desk-scale bound")
         d = self.group.torsion
         den = lcm(*(v.denominator for v in self.a), *(v.denominator for v in self.pairs.values()))

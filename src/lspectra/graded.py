@@ -180,20 +180,17 @@ class GradedMap:
         return self.component(n), self.source[n], self.target[n + self.degree_shift]
 
 
-def scalar_map(sources, targets, shift, coeffs, *, src=None, tgt=None) -> GradedMap:
+def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
     """The graded map between the direct sums of two lists of summands.
 
     Each summand has at most one generator per degree.  ``coeffs(n)[i][j]``
     is the integer that takes the generator of ``sources[j]`` in degree n to
     that of ``targets[i]`` in degree n + shift; a block is zero where a
     summand has no generator.  The generators of a sum are those of its
-    summands in order, which must be the sum's canonical order.  ``src`` and
-    ``tgt`` pass in sums the caller has already formed.
+    summands in order, which must be the sum's canonical order.
     """
-    if src is None:
-        src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
-    if tgt is None:
-        tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
+    src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
+    tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
     lo, hi = tgt.window
     comps = {}
     for n in src.degrees():

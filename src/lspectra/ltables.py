@@ -439,9 +439,9 @@ def table(name: str, window=(-16, 16)) -> GradedGroup:
     if name == "KO":
         ko = [FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(2), FgAbGroup(),
               FgAbGroup.free(1), FgAbGroup(), FgAbGroup(), FgAbGroup()]
-        groups = {n: ko[n % 8] for n in range(lo, hi + 1)}
-        period = 8 if hi - lo + 1 >= 8 else None
-        return GradedGroup(window, groups, period)
+        period = PERIODS["KO"]  # KO's own rule: a window of one period shows it, not period + 1
+        groups = {n: ko[n % period] for n in range(lo, hi + 1)}
+        return GradedGroup(window, groups, period if hi - lo + 1 >= period else None)
     if name in MODULE_NAMES:
         groups = {n: _group_from_basis(module_basis(name, n)) for n in range(lo, hi + 1)}
     elif name in RING_NAMES:
@@ -878,9 +878,8 @@ def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
 
 def _genuine_square_item(lgs, ls, ln) -> CheckResult:
     tau = _truncate_below(ln, -1)
-    mid = direct_sum_graded(ls, tau)
-    alpha = scalar_map([lgs], [ls, tau], 0, lambda n: [[8 if n % 4 == 0 and n < 0 else 1], [1]], tgt=mid)
-    beta = scalar_map([ls, tau], [ln], 0, lambda n: [[1, -1]], src=mid)
+    alpha = scalar_map([lgs], [ls, tau], 0, lambda n: [[8 if n % 4 == 0 and n < 0 else 1], [1]])
+    beta = scalar_map([ls, tau], [ln], 0, lambda n: [[1, -1]])
     bdry = scalar_map([ln], [lgs], -1, lambda n: [[int(n % 4 == 3 and n <= -5)]])
     ok = check_exact(alpha, beta) and check_exact(beta, bdry) and check_exact(bdry, alpha)
     return CheckResult("genuine-pullback-square", ok, "Mayer-Vietoris for L^gs -> L^s x_(L^n) tau L^n")
@@ -889,8 +888,7 @@ def _genuine_square_item(lgs, ls, ln) -> CheckResult:
 def _script_square_item(script, lr, l_r) -> CheckResult:
     """The middle term is summed over the window of its mod-8 summand, one shorter than the rest."""
     B = [lr, mod_table(l_r, 8)]
-    mid = direct_sum_graded(*B)
-    alpha = scalar_map([script], B, 0, lambda n: [[8 if n < 0 else 1], [1]], tgt=mid)
-    beta = scalar_map(B, [mod_table(lr, 8)], 0, lambda n: [[1, -1]], src=mid)
+    alpha = scalar_map([script], B, 0, lambda n: [[8 if n < 0 else 1], [1]])
+    beta = scalar_map(B, [mod_table(lr, 8)], 0, lambda n: [[1, -1]])
     return CheckResult("scriptL-square", _short_exact(alpha, beta),
                        "Mayer-Vietoris for scriptL -> L(R) x_(L(R)/8) l(R)/8")

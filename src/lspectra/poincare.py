@@ -12,6 +12,10 @@ The extra twist t(n) is the skew-suspension sign; it is the single free
 sign choice of the theory and is pinned end to end by the linking-form
 oracles (the (a^2+b^2+ab)/2 table and beta = 4, plus the odd/2^(k+1)
 values of the cyclic examples).
+
+The linking form of a 1-dimensional quadratic complex lives on its carrier
+homology H_0; its values divide by 2^(K+1) with K = log2 of the exponent of
+that group, read off the homology rather than searched for.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .chain import IntComplex, cone, dual, tensor, tensor_layout
 from .forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 
 __all__ = [
-    "PoincareStructure",
     "StructuredComplex",
     "InvalidStructureError",
     "poincare_check",
@@ -47,19 +50,23 @@ def _flipped(S: "StructuredComplex", level: int, k: int) -> IntMatrix:
 
     This is the one place the C2 flip sign is applied.
     """
-    kp = S.structure.partner_degree(level, k)
+    kp = S.partner_degree(level, k)
     t = -1 if S.dimension % 4 == 1 else 1
     return S.psi_matrix(level, kp).transpose().scale(t * (-1 if (k * kp) % 2 else 1))
 
 
-class PoincareStructure:
-    """kind 'quadratic' or 'symmetric', duality dimension, pairing matrices."""
+class StructuredComplex:
+    """A bounded free complex with a validated structure: kind 'quadratic' or
+    'symmetric', duality dimension, and pairing matrices by (level, degree)."""
 
-    __slots__ = ("kind", "dimension", "psi")
+    __slots__ = ("complex", "kind", "dimension", "psi")
 
-    def __init__(self, kind, dimension, psi):
+    def __init__(self, complex: IntComplex, kind, dimension, psi, check=True):
         if kind not in ("quadratic", "symmetric"):
             raise InvalidStructureError(f"unknown kind {kind!r}")
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dimension", int(dimension))
         table = {}
         for (level, k), m in psi.items():
             level, k = int(level), int(k)
@@ -68,12 +75,21 @@ class PoincareStructure:
             m = m if isinstance(m, IntMatrix) else IntMatrix(m)
             if not m.is_zero():
                 table[(level, k)] = m
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", int(dimension))
+        for (level, k), m in table.items():
+            expected = (complex.rank(k), complex.rank(self.partner_degree(level, k)))
+            if (m.rows, m.cols) != expected:
+                raise InvalidStructureError(
+                    f"matrix at level {level}, degree {k} has shape {(m.rows, m.cols)},"
+                    f" expected {expected}"
+                )
         object.__setattr__(self, "psi", table)
+        if check:
+            bad = structure_relation_failures(self)
+            if bad:
+                raise InvalidStructureError(f"structure relations fail at {bad[:3]}")
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("PoincareStructure is immutable")
+        raise AttributeError("StructuredComplex is immutable")
 
     def partner_degree(self, level: int, k: int) -> int:
         if self.kind == "quadratic":
@@ -83,53 +99,18 @@ class PoincareStructure:
     def max_level(self) -> int:
         return max((lv for lv, _ in self.psi), default=0)
 
-    def matrix(self, level, k, ranks) -> IntMatrix:
+    def psi_matrix(self, level, k) -> IntMatrix:
         m = self.psi.get((level, k))
         if m is None:
-            return IntMatrix.zero(ranks(k), ranks(self.partner_degree(level, k)))
+            return IntMatrix.zero(self.complex.rank(k), self.complex.rank(self.partner_degree(level, k)))
         return m
-
-
-class StructuredComplex:
-    """A bounded free complex together with a validated structure."""
-
-    __slots__ = ("complex", "structure")
-
-    def __init__(self, complex: IntComplex, structure: PoincareStructure, check=True):
-        for (level, k), m in structure.psi.items():
-            expected = (complex.rank(k), complex.rank(structure.partner_degree(level, k)))
-            if (m.rows, m.cols) != expected:
-                raise InvalidStructureError(
-                    f"matrix at level {level}, degree {k} has shape {(m.rows, m.cols)},"
-                    f" expected {expected}"
-                )
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "structure", structure)
-        if check:
-            bad = structure_relation_failures(self)
-            if bad:
-                raise InvalidStructureError(f"structure relations fail at {bad[:3]}")
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("StructuredComplex is immutable")
-
-    @property
-    def dimension(self):
-        return self.structure.dimension
-
-    @property
-    def kind(self):
-        return self.structure.kind
-
-    def psi_matrix(self, level, k) -> IntMatrix:
-        return self.structure.matrix(level, k, self.complex.rank)
 
     def to_json(self) -> dict:
         doc = self.complex.to_json()
         doc["kind"] = self.kind
         doc["dimension"] = self.dimension
         doc["psi"] = {
-            f"{lv},{k}": m.tolist() for (lv, k), m in sorted(self.structure.psi.items())
+            f"{lv},{k}": m.tolist() for (lv, k), m in sorted(self.psi.items())
         }
         return doc
 
@@ -142,7 +123,7 @@ class StructuredComplex:
             if lv > MAX_LEVEL:
                 raise InvalidStructureError(f"structure level {lv} exceeds the bound {MAX_LEVEL}")
             psi[(lv, k)] = IntMatrix(m)
-        return cls(cx, PoincareStructure(doc["kind"], doc["dimension"], psi))
+        return cls(cx, doc["kind"], doc["dimension"], psi)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +146,7 @@ def structure_relation_failures(S: StructuredComplex):
     n = S.dimension
     lo, hi = C.window()
     failures = []
-    max_level = S.structure.max_level() + 1
+    max_level = S.max_level() + 1
     for level in range(0, max_level + 1):
         for k in range(lo, hi + 2):
             if S.kind == "quadratic":
@@ -271,13 +252,13 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
     N = nC + T.dimension
     G = tensor(C, D)
     psi = {}
-    for p in range(T.structure.max_level() + 1):
+    for p in range(T.max_level() + 1):
         for g in G.degrees():
             gp = N + p - g  # level p pairs G_g with G_gp
             rows, cols = tensor_layout(C, D, g), tensor_layout(C, D, gp)
             blocks = []
             for a, (top, _, _) in rows.items():
-                for q in range(S.structure.max_level() + 1):
+                for q in range(S.max_level() + 1):
                     ya = nC - q - a  # phi_q pairs x in C_a with y in C_ya, u in D_(g-a) with v
                     if ya in cols:
                         phi = _flipped(S, q, a) if p % 2 else S.psi_matrix(q, a)
@@ -285,7 +266,7 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
                         quad = T.psi_matrix(p + q, g - a)
                         blocks.append((top, cols[ya][0], phi.kron(quad, sign)))
             psi[(p, g)] = IntMatrix.from_blocks(G.rank(g), G.rank(gp), blocks)
-    return StructuredComplex(G, PoincareStructure("quadratic", N, psi))
+    return StructuredComplex(G, "quadratic", N, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +274,16 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
 # ---------------------------------------------------------------------------
 
 
-def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None) -> LinkingForm:
-    """Extract the quadratic linking form on H_carrier(C).
+def linking_form(S: StructuredComplex, lift_rng=None) -> LinkingForm:
+    """Extract the quadratic linking form on the carrier homology H = H_0(C).
 
-    For a quadratic structure of dimension 2*carrier + 1 whose carrier
-    homology is a finite 2-group, the value on a class [y] is
+    For a quadratic structure of dimension 1 whose carrier homology is a
+    finite 2-group, the value on a class [y] is
 
         (psi_1(z, z) + psi_0(dz, z)) / 2^(K+1),   d z = 2^K y,
 
-    evaluated with one uniform exponent K for the whole group and with
+    evaluated with one uniform exponent K = log2 of the exponent of H (a
+    class of order 2^j has 2^k y a boundary exactly when k >= j) and with
     lifts extended linearly from a fixed solution z_i per generator, so it
     is the quadratic polynomial with a_i = M_ii / 2^(K+1) and
     b_ij = (M_ij + M_ji) / 2^(K+1), M_ij = psi_1(z_i, z_j) + psi_0(dz_i, z_j).
@@ -311,25 +293,15 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None) -> Linki
     if S.kind != "quadratic":
         raise InvalidStructureError("linking forms need a quadratic structure")
     n = S.dimension
-    if n != 2 * carrier + 1:
-        raise InvalidStructureError(
-            f"dimension {n} does not match carrier degree {carrier} (need {2 * carrier + 1})"
-        )
+    if n != 1:
+        raise InvalidStructureError(f"dimension {n} does not match carrier degree 0 (need 1)")
     C = S.complex
-    H, gens, orders = C.homology_with_gens(carrier)
+    H, gens, _ = C.homology_with_gens(0)
     if H.free_rank or not H.is_two_primary():
         raise DegenerateFormError("carrier homology is not a finite 2-group")
-    d = C.diff(carrier + 1)
+    d = C.diff(1)
     snf = smith_normal_form(d)  # one factorisation serves every lift below
-    # one uniform 2-power exponent K for every class
-    K = 0
-    for g in gens:
-        k = 0
-        while snf.solve([(1 << k) * v for v in g]) is None:
-            k += 1
-            if 1 << k > 2 * H.order():
-                raise DegenerateFormError("no 2-power lift found; invalid input")
-        K = max(K, k)
+    K = H.exponent().bit_length() - 1
     lifts = [snf.solve([(1 << K) * v for v in g]) for g in gens]
     if lift_rng is not None:
         ker = snf.kernel_basis()
@@ -339,8 +311,8 @@ def linking_form(S: StructuredComplex, carrier: int = 0, lift_rng=None) -> Linki
                 for i in range(len(z)):
                     z[i] += c * ker[i, j]
     Z = IntMatrix.from_columns(lifts, d.cols)
-    M = Z.transpose() @ S.psi_matrix(1, carrier + 1) @ Z
-    M = M + (d @ Z).transpose() @ S.psi_matrix(0, carrier) @ Z
+    M = Z.transpose() @ S.psi_matrix(1, 1) @ Z
+    M = M + (d @ Z).transpose() @ S.psi_matrix(0, 0) @ Z
     denom = 1 << (K + 1)
     a = [Fraction(M[i, i], denom) for i in range(M.rows)]
     b = {(i, j): Fraction(M[i, j] + M[j, i], denom) for i, j in combinations(range(M.rows), 2)}
@@ -393,22 +365,11 @@ def representative(name: str) -> StructuredComplex:
     """
     if name == "E":
         cx = IntComplex({0: 1, -1: 1}, {0: [[2]]})
-        st = PoincareStructure(
-            "symmetric",
-            -1,
-            {(0, 0): [[1]], (0, -1): [[-1]], (1, -1): [[1]]},
-        )
-        return StructuredComplex(cx, st)
+        return StructuredComplex(cx, "symmetric", -1, {(0, 0): [[1]], (0, -1): [[-1]], (1, -1): [[1]]})
     if name == "F":
-        cx = IntComplex({1: 2})
-        st = PoincareStructure("quadratic", 2, {(0, 1): [[1, 1], [0, 1]]})
-        return StructuredComplex(cx, st)
+        return StructuredComplex(IntComplex({1: 2}), "quadratic", 2, {(0, 1): [[1, 1], [0, 1]]})
     if name == "hyperbolic":
-        cx = IntComplex({1: 2})
-        st = PoincareStructure("quadratic", 2, {(0, 1): [[0, 1], [0, 0]]})
-        return StructuredComplex(cx, st)
+        return StructuredComplex(IntComplex({1: 2}), "quadratic", 2, {(0, 1): [[0, 1], [0, 0]]})
     if name == "unit":
-        cx = IntComplex({0: 1})
-        st = PoincareStructure("symmetric", 0, {(0, 0): [[1]]})
-        return StructuredComplex(cx, st)
+        return StructuredComplex(IntComplex({0: 1}), "symmetric", 0, {(0, 0): [[1]]})
     raise KeyError(f"unknown representative {name!r}")

@@ -9,7 +9,8 @@ exhaustive enumeration, Ext by an explicit free resolution, Kunneth groups
 from closed formulas, Gauss sums in floating point and one root of unity
 at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
-sums of linking forms element by element.
+sums of linking forms element by element; the lift exponent of a linking
+form by a search over 2-powers per generator.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from lspectra.abelian import FgAbGroup, IntMatrix, cokernel
+from lspectra.abelian import FgAbGroup, IntMatrix, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
 from lspectra.forms import F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup
 from lspectra.ltables import ONE, RingPresentation, mono, mono_div, mono_mul, presentation
-from lspectra.poincare import PoincareStructure, StructuredComplex, representative, tensor_structured
+from lspectra.poincare import StructuredComplex, representative, tensor_structured
 
 
 # -- canonical form by prime-power regrouping ---------------------------------------
@@ -602,7 +603,7 @@ def hidden_e_tensor_f_plus_h(rng):
     1 -> 0 and 0 -> -1, transported along random unimodular bases."""
     f_plus_h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     plane = StructuredComplex(
-        IntComplex({1: 4}), PoincareStructure("quadratic", 2, {(0, 1): f_plus_h})
+        IntComplex({1: 4}), "quadratic", 2, {(0, 1): f_plus_h}
     )
     T = tensor_structured(representative("E"), plane)
     C = T.complex
@@ -625,7 +626,7 @@ def hidden_e_tensor_f_plus_h(rng):
     }
     psi = {
         (lv, k): grow(m, ranks[k], ranks[1 + lv - k])
-        for (lv, k), m in T.structure.psi.items()
+        for (lv, k), m in T.psi.items()
     }
 
     def unimodular(n):
@@ -645,7 +646,25 @@ def hidden_e_tensor_f_plus_h(rng):
         (lv, k): bases[k][1].transpose() @ m @ bases[1 + lv - k][1]
         for (lv, k), m in psi.items()
     }
-    return StructuredComplex(IntComplex(ranks, d), PoincareStructure("quadratic", 1, psi))
+    return StructuredComplex(IntComplex(ranks, d), "quadratic", 1, psi)
+
+
+# -- the lift exponent of a linking form by search ---------------------------------
+
+
+def lift_exponent_by_search(S: StructuredComplex) -> int:
+    """The least K with 2^K g a boundary for every carrier generator g of S,
+    found per generator by trying 2^0, 2^1, ... up to twice the group order."""
+    H, gens, _ = S.complex.homology_with_gens(0)
+    snf = smith_normal_form(S.complex.diff(1))
+    K = 0
+    for g in gens:
+        k = 0
+        while snf.solve([(1 << k) * v for v in g]) is None:
+            k += 1
+            assert 1 << k <= 2 * H.order(), "no 2-power lift found"
+        K = max(K, k)
+    return K
 
 
 # -- graded tables on another window -----------------------------------------------

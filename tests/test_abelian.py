@@ -528,7 +528,7 @@ class TestExtensionCandidates:
     def test_bound(self):
         for _ in range(2):  # the memo keeps no error: the second call enumerates and raises again
             with pytest.raises(EnumerationBoundError):
-                extension_candidates(FgAbGroup.free(13), FgAbGroup.cyclic(2), bound=4096)
+                extension_candidates(FgAbGroup.free(13), FgAbGroup.cyclic(2))
 
 
 class TestMemo:

@@ -214,18 +214,18 @@ def test_criterion_8_property_suites():
         assert (d.diff(k) @ d.diff(k + 1)).is_zero()
     # beta invariance under randomized lift choices
     base = tensor_structured(representative("E"), representative("F"))
-    from lspectra.poincare import PoincareStructure, StructuredComplex
+    from lspectra.poincare import StructuredComplex
 
     cx = IntComplex({1: 3, 0: 2}, {1: [[2, 0, 0], [0, 2, 0]]})
     psi = {}
-    for (lv, k), m in base.structure.psi.items():
+    for (lv, k), m in base.psi.items():
         rows, cols = cx.rank(k), cx.rank(1 + lv - k)
         grown = [[0] * cols for _ in range(rows)]
         for i in range(m.rows):
             for j in range(m.cols):
                 grown[i][j] = m[i, j]
         psi[(lv, k)] = IntMatrix(grown, shape=(rows, cols))
-    padded = StructuredComplex(cx, PoincareStructure("quadratic", 1, psi))
+    padded = StructuredComplex(cx, "quadratic", 1, psi)
     betas = {brown_kervaire(linking_form(padded, lift_rng=random.Random(s))) for s in range(8)}
     assert betas == {4}
     _report(8, "SNF identity x500, Hom/Ext vs enumeration, 100 double duals, d.d=0 closure, beta lift-invariance")

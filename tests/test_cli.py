@@ -16,7 +16,6 @@ from lspectra.graded import MAX_WIDTH, GradedGroup
 from lspectra.ltables import TABLE_NAMES
 from lspectra.forms import LinkingForm, nondegenerate
 from lspectra.poincare import (
-    PoincareStructure,
     StructuredComplex,
     linking_form,
     representative,
@@ -225,7 +224,7 @@ def _e_tensor_planes(k):
     """E (x) (F + hyperbolic + F + ...) with k planes: carrier homology (Z/2)^(2k)."""
     planes = [IntMatrix([[1, 1], [0, 1]] if i % 2 == 0 else [[0, 1], [0, 0]]) for i in range(k)]
     psi = {(0, 1): IntMatrix.block_diagonal(*planes)}
-    f = StructuredComplex(IntComplex({1: 2 * k}), PoincareStructure("quadratic", 2, psi))
+    f = StructuredComplex(IntComplex({1: 2 * k}), "quadratic", 2, psi)
     return tensor_structured(representative("E"), f)
 
 

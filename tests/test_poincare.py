@@ -9,7 +9,6 @@ from lspectra.chain import IntComplex
 from lspectra.forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 from lspectra.poincare import (
     InvalidStructureError,
-    PoincareStructure,
     StructuredComplex,
     certify_ef,
     linking_form,
@@ -18,6 +17,8 @@ from lspectra.poincare import (
     structure_relation_failures,
     tensor_structured,
 )
+
+from helpers import hidden_e_tensor_f_plus_h, lift_exponent_by_search
 
 
 class TestStructureValidation:
@@ -29,15 +30,28 @@ class TestStructureValidation:
     def test_shape_mismatch(self):
         cx = IntComplex({1: 2})
         with pytest.raises(InvalidStructureError):
-            StructuredComplex(cx, PoincareStructure("quadratic", 2, {(0, 1): [[1]]}))
+            StructuredComplex(cx, "quadratic", 2, {(0, 1): [[1]]})
 
     def test_relation_violation(self):
         # on E's complex, dropping the level-1 matrix breaks the relations
         cx = IntComplex({0: 1, -1: 1}, {0: [[2]]})
         with pytest.raises(InvalidStructureError):
             StructuredComplex(
-                cx, PoincareStructure("symmetric", -1, {(0, 0): [[1]], (0, -1): [[-1]]})
+                cx, "symmetric", -1, {(0, 0): [[1]], (0, -1): [[-1]]}
             )
+
+    def test_zero_matrix_of_wrong_shape_is_dropped(self):
+        doc = {"ranks": {"1": 2}, "kind": "quadratic", "dimension": 2, "psi": {"0,1": [[0]]}}
+        assert StructuredComplex.from_json(doc).to_json()["psi"] == {}
+
+    def test_rejections_keep_their_order(self):
+        # the kind is checked first, then the levels, then the shapes
+        doc = {"ranks": {"1": 2}, "kind": "bogus", "dimension": 2, "psi": {"0,1": [[1]], "-1,1": [[1]]}}
+        with pytest.raises(InvalidStructureError, match="unknown kind 'bogus'"):
+            StructuredComplex.from_json(doc)
+        doc["kind"] = "quadratic"
+        with pytest.raises(InvalidStructureError, match="levels are indexed from 0"):
+            StructuredComplex.from_json(doc)
 
     def test_bounded_search_pins_e_structure(self):
         # search all small symmetric structures on Z --2--> Z: the valid
@@ -47,7 +61,7 @@ class TestStructureValidation:
         for u0, u1, w in itertools.product(range(-2, 3), repeat=3):
             psi = {(0, 0): [[u0]], (0, -1): [[u1]], (1, -1): [[w]]}
             try:
-                s = StructuredComplex(cx, PoincareStructure("symmetric", -1, psi))
+                s = StructuredComplex(cx, "symmetric", -1, psi)
             except InvalidStructureError:
                 continue
             if poincare_check(s):
@@ -64,7 +78,7 @@ class TestPoincareCheck:
 
     def test_zero_structure_fails(self):
         cx = IntComplex({1: 2})
-        s = StructuredComplex(cx, PoincareStructure("quadratic", 2, {}))
+        s = StructuredComplex(cx, "quadratic", 2, {})
         assert not poincare_check(s)
 
     def test_f_symmetrisation_is_skew_unimodular(self):
@@ -89,7 +103,7 @@ class TestTensor:
             t = tensor_structured(representative("unit"), f)
             assert t.complex == f.complex
             assert t.dimension == f.dimension
-            assert t.structure.psi == f.structure.psi
+            assert t.psi == f.psi
 
     def test_preserves_poincare_on_builtin_pairs(self):
         for right in ("F", "hyperbolic"):
@@ -104,10 +118,10 @@ class TestTensor:
         cx = IntComplex({1: 1, 0: 1}, {1: [[4]]})
         q = StructuredComplex(
             cx,
-            PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]}),
+            "quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]},
         )
         t = tensor_structured(representative("unit"), q)
-        assert t.structure.psi == q.structure.psi
+        assert t.psi == q.psi
 
     def test_higher_level_factor_fails_loudly(self):
         # products with a level->=1 quadratic factor and a nontrivial
@@ -116,7 +130,7 @@ class TestTensor:
         cx = IntComplex({1: 1, 0: 1}, {1: [[4]]})
         q = StructuredComplex(
             cx,
-            PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]}),
+            "quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]},
         )
         with pytest.raises(InvalidStructureError):
             tensor_structured(representative("E"), q)
@@ -137,7 +151,7 @@ class TestLinkingForm:
 
     def test_trivial_homology(self):
         cx = IntComplex({1: 1, 0: 1}, {1: [[1]]})
-        s = StructuredComplex(cx, PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]]}))
+        s = StructuredComplex(cx, "quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]]})
         assert linking_form(s).group.is_trivial()
 
     def test_z4_formula_example(self):
@@ -146,8 +160,9 @@ class TestLinkingForm:
         cx = IntComplex({1: 1, 0: 1}, {1: [[4]]})
         s = StructuredComplex(
             cx,
-            PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]}),
+            "quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]},
         )
+        assert lift_exponent_by_search(s) == _derived_lift_exponent(s) == 2
         form = linking_form(s)
         assert form.q((1,)) in {Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)}
         assert form.q((1,)) == Fraction(5, 8)
@@ -163,7 +178,7 @@ class TestLinkingForm:
 
     def test_odd_torsion_rejected(self):
         cx = IntComplex({1: 1, 0: 1}, {1: [[3]]})
-        s = StructuredComplex(cx, PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]]}))
+        s = StructuredComplex(cx, "quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]]})
         with pytest.raises(DegenerateFormError):
             linking_form(s)
 
@@ -173,7 +188,7 @@ class TestLinkingForm:
         cx = IntComplex({1: 2, 0: 2}, {1: [[2, 0], [0, 4]]})
         psi = {(0, 0): IntMatrix.identity(2), (0, 1): IntMatrix.identity(2),
                (1, 1): [[0, 1], [0, 0]]}
-        s = StructuredComplex(cx, PoincareStructure("quadratic", 1, psi), check=False)
+        s = StructuredComplex(cx, "quadratic", 1, psi, check=False)
         assert s.complex.homology(0) == FgAbGroup.from_divisors([2, 4])
         with pytest.raises(InvalidStructureError, match="not a quadratic function"):
             linking_form(s)
@@ -183,7 +198,7 @@ class TestLinkingForm:
         base = tensor_structured(representative("E"), representative("F"))
         cx = IntComplex({1: 3, 0: 2}, {1: [[2, 0, 0], [0, 2, 0]]})
         psi = {}
-        for (lv, k), m in base.structure.psi.items():
+        for (lv, k), m in base.psi.items():
             rows = cx.rank(k)
             cols = cx.rank(1 + lv - k)
             grown = [[0] * cols for _ in range(rows)]
@@ -191,7 +206,7 @@ class TestLinkingForm:
                 for j in range(m.cols):
                     grown[i][j] = m[i, j]
             psi[(lv, k)] = IntMatrix(grown, shape=(rows, cols))
-        padded = StructuredComplex(cx, PoincareStructure("quadratic", 1, psi))
+        padded = StructuredComplex(cx, "quadratic", 1, psi)
         reference = brown_kervaire(linking_form(padded))
         assert reference == 4
         for seed in range(10):
@@ -224,14 +239,26 @@ class TestRandomizedTwoTorsion:
                         block[2 * t + i][2 * t + j] = m[i][j]
             f = StructuredComplex(
                 IntComplex({1: size}),
-                PoincareStructure("quadratic", 2, {(0, 1): IntMatrix(block)}),
+                "quadratic", 2, {(0, 1): IntMatrix(block)},
             )
             t = tensor_structured(e, f)
             assert poincare_check(t)
+            assert lift_exponent_by_search(t) == _derived_lift_exponent(t)
             form = linking_form(t)
             assert LinkingForm.from_table(form.group, form.qvals) == form
             assert nondegenerate(form)
             assert brown_kervaire(form) == expected
+
+
+    def test_lift_exponent_is_read_off_the_homology(self):
+        for seed in range(6):
+            S = hidden_e_tensor_f_plus_h(random.Random(seed))
+            assert lift_exponent_by_search(S) == _derived_lift_exponent(S) == 1
+
+
+def _derived_lift_exponent(S):
+    """log2 of the exponent of the carrier homology, the K linking_form uses."""
+    return S.complex.homology(0).exponent().bit_length() - 1
 
 
 class TestCertify:
@@ -256,7 +283,7 @@ class TestCertify:
             # only well defined up to (1-T)-shifts, which this realises
             a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
             folded = IntMatrix([[a, b + c], [0, d]])
-            f = StructuredComplex(cx, PoincareStructure("quadratic", 2, {(0, 1): folded}))
+            f = StructuredComplex(cx, "quadratic", 2, {(0, 1): folded})
             assert certify_ef(e, f) == 4
 
 
@@ -275,5 +302,5 @@ class TestSerialisation:
         doc = t.to_json()
         back = StructuredComplex.from_json(doc)
         assert back.complex == t.complex
-        assert back.structure.psi == t.structure.psi
+        assert back.psi == t.psi
         assert back.dimension == 1

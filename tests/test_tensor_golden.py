@@ -20,7 +20,6 @@ from pathlib import Path
 from lspectra.abelian import IntMatrix
 from lspectra.chain import IntComplex, cone, tensor
 from lspectra.poincare import (
-    PoincareStructure,
     StructuredComplex,
     poincare_check,
     representative,
@@ -49,7 +48,7 @@ def _two_term(rng):
 def _level_one_z4():
     cx = IntComplex({1: 1, 0: 1}, {1: [[4]]})
     return StructuredComplex(
-        cx, PoincareStructure("quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]})
+        cx, "quadratic", 1, {(0, 0): [[1]], (0, 1): [[1]], (1, 1): [[1]]}
     )
 
 
