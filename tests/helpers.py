@@ -9,8 +9,9 @@ exhaustive enumeration, Ext by an explicit free resolution, Kunneth groups
 from closed formulas, Gauss sums in floating point and one root of unity
 at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
-sums of linking forms element by element; the lift exponent of a linking
-form by a search over 2-powers per generator.
+sums of linking forms element by element; the Arf invariant by counting
+the zeros of q; the lift exponent of a linking form by a search over
+2-powers per generator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import gcd
 
 from lspectra.abelian import FgAbGroup, IntMatrix, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
-from lspectra.forms import F2QuadForm, LinkingForm, SymForm
+from lspectra.forms import DegenerateFormError, F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup
 from lspectra.ltables import ONE, RingPresentation, mono, mono_div, mono_mul, presentation
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
@@ -562,6 +563,30 @@ def f2_nondegenerate_by_elimination(matrix: IntMatrix):
                 b[r] = [(x + y) % 2 for x, y in zip(b[r], b[rank])]
         rank += 1
     return rank == n
+
+
+def arf_by_counting(f: F2QuadForm) -> int:
+    """Democratic Arf invariant: the majority value of q over all 2^dim vectors, 0 at dimension 0.
+
+    A nondegenerate q of dimension n = 2h vanishes on 2^(n-1) + 2^(h-1) vectors
+    when its Arf invariant is 0, and on 2^(n-1) - 2^(h-1) when it is 1.  With a
+    radical of rank r > 0 the count is 2^(n-1) or 2^(n-1) +- 2^((n+r)/2 - 1),
+    so the count alone rejects a degenerate q.
+    """
+    n, m = f.dim, f.matrix
+    if n % 2:
+        raise DegenerateFormError("odd dimension")
+    if n == 0:
+        return 0
+    zeros = 0
+    for v in itertools.product((0, 1), repeat=n):
+        zeros += sum(m[i, j] for i in range(n) if v[i] for j in range(i, n) if v[j]) % 2 == 0
+    half, excess = 1 << (n - 1), 1 << (n // 2 - 1)
+    if zeros == half + excess:
+        return 0
+    if zeros == half - excess:
+        return 1
+    raise DegenerateFormError("value distribution is not that of a nondegenerate form")
 
 
 def random_generator_data(rng, max_order):

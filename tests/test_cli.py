@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from datetime import timedelta
@@ -122,11 +123,13 @@ class TestInvariant:
         assert json.loads(out)["value"] == 2
 
     def test_arf(self, tmp_path, capsys):
-        path = tmp_path / "q.json"
-        path.write_text(json.dumps([[1, 1], [0, 1]]))
-        code, out = run(["invariant", "--name", "arf", "--input", str(path)], capsys)
-        assert code == 0
-        assert json.loads(out)["value"] == 1
+        # the zero form has Arf 0, as it has beta and signature 0
+        for matrix, value in (([[1, 1], [0, 1]], 1), ([], 0)):
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps(matrix))
+            code, out = run(["invariant", "--name", "arf", "--input", str(path)], capsys)
+            assert code == 0
+            assert json.loads(out) == {"invariant": "arf", "value": value}
 
     def test_beta_roundtrip(self, tmp_path, capsys):
         form = skew_unit(1)
@@ -421,6 +424,12 @@ def _complex(ranks, psi=None):
     return {"ranks": ranks, "differentials": {}, "kind": "quadratic", "dimension": 1, "psi": psi or {}}
 
 
+def _dense_upper_triangular(n, seed):
+    """A random n x n 0/1 matrix, zero below the diagonal: an F2 quadratic form of dimension n."""
+    rng = random.Random(seed)
+    return [[rng.randint(0, 1) if j >= i else 0 for j in range(n)] for i in range(n)]
+
+
 def _with_input(argv, doc, tmp_path):
     """argv, reading ``doc`` as its --input file unless it is None."""
     if doc is None:
@@ -442,6 +451,7 @@ class TestSizeBounds:
         "wide-window": (["table", "--name", "Lgs", "--window", "0..3000000"], None),
         "large-rank": (["invariant", "--name", "beta"], _complex({"0": 30000, "1": 1})),
         "wide-span": (["invariant", "--name", "beta"], _complex({"0": 1, "1000000000": 1})),
+        "dense-arf": (["invariant", "--name", "arf"], _dense_upper_triangular(400, seed=400)),
     }
 
     @pytest.mark.parametrize("case", sorted(PAST_THE_BOUNDS))

@@ -22,6 +22,7 @@ from lspectra.forms import (
 )
 
 from helpers import (
+    arf_by_counting,
     block_sum,
     check_quadratic_by_pairs,
     direct_sum_by_elements,
@@ -131,6 +132,43 @@ class TestArf:
                 for j in range(i + 1, n):
                     folded[i][j] = (m[i, j] + m[j, i]) % 2
             assert arf(F2QuadForm(IntMatrix(folded))) == value
+
+    def test_matches_counting_on_every_small_form(self):
+        # every upper-triangular 0/1 matrix of dimension 0-4
+        outcomes = []
+        for n in range(5):
+            slots = [(i, j) for i in range(n) for j in range(i, n)]
+            for bits in itertools.product((0, 1), repeat=len(slots)):
+                m = [[0] * n for _ in range(n)]
+                for (i, j), v in zip(slots, bits):
+                    m[i][j] = v
+                form = F2QuadForm(IntMatrix(m, shape=(n, n)))
+                value = _arf_or_degenerate(arf, form)
+                assert value == _arf_or_degenerate(arf_by_counting, form), m
+                outcomes.append(value)
+        assert len(outcomes) == 1099 and {0, 1, None} <= set(outcomes)
+
+    def test_matches_counting_on_seeded_forms(self):
+        # entries 0-3 on and above the diagonal, even entries below
+        rng = random.Random(41)
+        outcomes = set()
+        for n in range(5, 13):
+            for _ in range(10):
+                m = [[rng.randint(0, 3) if j >= i else 2 * rng.randint(-2, 2) for j in range(n)]
+                     for i in range(n)]
+                form = F2QuadForm(IntMatrix(m))
+                value = _arf_or_degenerate(arf, form)
+                assert value == _arf_or_degenerate(arf_by_counting, form), m
+                outcomes.add(value)
+        assert outcomes == {0, 1, None}
+
+
+def _arf_or_degenerate(invariant, form):
+    """The Arf invariant, or None where ``invariant`` raises DegenerateFormError."""
+    try:
+        return invariant(form)
+    except DegenerateFormError:
+        return None
 
 
 def _random_gl_f2(rng, n):
@@ -384,7 +422,7 @@ class TestGeneratorData:
                 for (i, j), v in zip(slots, bits):
                     m[i][j] = v
                 matrix = IntMatrix(m, shape=(n, n))
-                assert (F2QuadForm(matrix).polarization_nondegenerate()
+                assert (nondegenerate(F2QuadForm(matrix).linking_form())
                         == f2_nondegenerate_by_elimination(matrix)), m
 
 
