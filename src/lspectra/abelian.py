@@ -116,15 +116,6 @@ class IntMatrix:
                         target[left + j] += v
         return cls(m, shape=(rows, cols))
 
-    @classmethod
-    def block_diagonal(cls, *blocks):
-        """The matrix with ``blocks`` down its diagonal and zeros elsewhere."""
-        placed, top, left = [], 0, 0
-        for b in blocks:
-            placed.append((top, left, b))
-            top, left = top + b.rows, left + b.cols
-        return cls.from_blocks(top, left, placed)
-
     def kron(self, other, sign=1):
         """The signed Kronecker product: sign·self[i, j]·other[r, s] at
         (i·other.rows + r, j·other.cols + s)."""

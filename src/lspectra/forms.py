@@ -162,9 +162,11 @@ class F2QuadForm:
 def arf(f: F2QuadForm) -> int:
     """The Arf invariant: beta of q/2 is 4 Arf(q) (Brown, Ann. Math. 95, 1972).
 
-    beta carries the bound and the degeneracy test: an odd-dimensional or
-    degenerate q fails the Gauss-sum norm identity.
+    The bound on the 2^dim values is checked before q/2 is built.  beta
+    carries the degeneracy test: an odd-dimensional or degenerate q fails
+    the Gauss-sum norm identity.
     """
+    _check_enumerable(1 << f.dim)
     return brown_kervaire(f.linking_form()) // 4
 
 
@@ -331,8 +333,7 @@ class LinkingForm:
         of a value.  This is the one enumeration of the values, so the one place
         the desk-scale bound is checked.
         """
-        if self.group.order() > DEFAULT_ENUMERATION_BOUND:
-            raise EnumerationBoundError("group order exceeds the desk-scale bound")
+        _check_enumerable(self.group.order())
         d = self.group.torsion
         den = lcm(*(v.denominator for v in self.a), *(v.denominator for v in self.pairs.values()))
         values = [0]  # den q(x) for x on the first m generators, in product order
@@ -417,7 +418,7 @@ class LinkingForm:
         if list(doc["factors"]) != list(group.torsion):
             raise ValueError(f"factors {doc['factors']} must be the ascending invariant "
                              f"factors {list(group.torsion)} that the keys are written in")
-        qvals = {tuple(map(int, filter(None, key.strip("()").split(",")))): Fraction(val)
+        qvals = {tuple(map(int, filter(None, key.strip("()").split(",")))): _parse_value(val)
                  for key, val in doc["q"].items()}
         if len(qvals) != len(doc["q"]):
             raise ValueError("two keys name the same element")
@@ -430,6 +431,26 @@ class LinkingForm:
 
     def __repr__(self):
         return f"LinkingForm(group={self.group.render()!r})"
+
+
+def _check_enumerable(order: int):
+    """Refuse a group of more elements than the desk-scale bound lets a form enumerate."""
+    if order > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError("group order exceeds the desk-scale bound")
+
+
+def _parse_value(val) -> Fraction:
+    """Fraction(val): the documented strings p/q and p, in ASCII digits, are split and read with int.
+
+    Every other value goes to Fraction, so the values accepted, and the
+    error raised for the others, are Fraction's.
+    """
+    if type(val) is str:
+        num, slash, den = val.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit() and int(den)):
+            return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(val)
 
 
 def _table_value(qvals, x):

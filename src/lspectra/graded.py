@@ -1,13 +1,30 @@
-"""Graded abelian groups over a finite degree window, and graded maps.
+"""Graded abelian groups and graded maps, each stored on a finite core.
 
 This is the bookkeeping layer for homotopy-group tables: Anderson duals at
 the level of graded groups, exactness of long exact sequences, cofibres of
 multiplication maps, splitting comparisons and torsor counts.
+
+Every table of the package repeats outside a finite core, so a table is its
+core and a periodic tail at each end, and answers any degree; its window
+only says which degrees it reports.  The combinators derive the core and
+tails of their result from those of their inputs, at a cost that does not
+depend on the window.  What a check reads rests on one lemma:
+
+    If every object of a check is periodic with period p outside [a, b],
+    then the degrees a - p ... b + p decide every degree.
+
+Below a, each degree n repeats at n + p, n + 2p, ... until it lands in
+a - p ... a - 1, and likewise above b; so a check that holds there holds
+everywhere.  Maps are rules in the degree that the package does not see
+into, so maps and checks read every degree of the report's window, which
+the verifiers widen by one period, and the cores: a rule corrupted at one
+degree is then seen at any window that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .abelian import (
     FgAbGroup,
@@ -24,6 +41,7 @@ from .abelian import (
 __all__ = [
     "GradedGroup",
     "GradedMap",
+    "read_degrees",
     "scalar_map",
     "SesDatum",
     "OutOfWindowError",
@@ -33,21 +51,25 @@ __all__ = [
     "cofibre_of_mult",
     "torsor_count",
     "compare_graded",
+    "deciding_degrees",
     "shift_graded",
+    "reflect_graded",
     "direct_sum_graded",
+    "derive_table",
     "mult_by_int",
     "mod_table",
 ]
 
 
 class OutOfWindowError(KeyError):
-    """A degree lookup left the window and periodicity cannot recover it."""
+    """A degree lookup left the core and no tail repeats it there."""
 
 
 _ZERO = FgAbGroup()  # every degree a table leaves out
 
-# Bounds on a window given from outside: verify presentations takes 17 s at -2048..-1048, and
-# verify B, which pads the window reflected through 0, 1.4 s at 2044..2048.
+# Bounds on a window given from outside: verify presentations takes 17 s at -2048..-1048.  Tables, duals
+# and verify A|B cost the same at any distance from 0 (verify B: 0.15 s at 2044..2048 and 0.18 s at
+# -16..16, a subprocess on a shared 2-core VM); the ends stay bounded as part of the input contract.
 MAX_WIDTH = 1000  # degrees a window spans, and the longest period read
 MAX_DEGREE = 2048  # size of a window's ends
 
@@ -61,14 +83,24 @@ def bounded_window(lo: int, hi: int) -> tuple[int, int]:
 
 
 class GradedGroup:
-    """Degree-indexed finitely generated abelian groups on [d_min, d_max].
+    """Degree-indexed finitely generated abelian groups: a core and two periodic tails.
 
-    ``period`` is checked metadata: declaring it asserts the table repeats
-    with that period inside the window, and lookups outside the window are
-    folded back in using it.
+    The groups are stored on the ``core`` degrees [a, b].  Below a the table
+    repeats with the period ``tails[0]``, read off the core's first degrees,
+    and above b with ``tails[1]``, read off its last; an end whose tail is
+    None answers no degree past the core.  ``window`` is the degrees the
+    table reports: ``degrees()``, ``to_json`` and ``==`` read it, and so do
+    the rules that derive a window from it.  ``period`` is metadata: the
+    constructor checks it on the window, and the combinators derive it.
+
+    The constructor makes a finite table: its core is the window, or, where
+    a period is declared and the window spans it, the window's first period
+    with both tails that period, so every lookup is folded back into it.
+    ``from_core`` makes a table that answers any degree from a core and
+    its tails, whatever its window.
     """
 
-    __slots__ = ("window", "_groups", "period")
+    __slots__ = ("window", "period", "core", "tails", "_groups")
 
     def __init__(self, window, groups, period=None):
         lo, hi = int(window[0]), int(window[1])
@@ -92,37 +124,63 @@ class GradedGroup:
                     raise ValueError(
                         f"declared period {period} fails at degree {n}"
                     )
-        object.__setattr__(self, "window", (lo, hi))
-        object.__setattr__(self, "_groups", table)
-        object.__setattr__(self, "period", period)
+        if period is not None and hi - lo + 1 >= period:  # one period holds every group
+            core = (lo, lo + period - 1)
+            self._set((lo, hi), period, core, (period, period), {n: table[n] for n in range(lo, lo + period)})
+        else:
+            self._set((lo, hi), period, (lo, hi), (None, None), table)
+
+    @classmethod
+    def from_core(cls, window, period, core, at, tails) -> "GradedGroup":
+        """The table on ``window`` with at(n) in each degree n of ``core``, repeating past it with ``tails``.
+
+        Each tail that is not None must fit in the core.  Nothing is
+        checked against ``period``: the caller derives it.
+        """
+        a, b = core
+        if any(p is not None and p > b - a + 1 for p in tails):
+            raise ValueError(f"core {core} is shorter than a tail period {tails}")
+        G = object.__new__(cls)
+        G._set(tuple(window), period, (a, b), tuple(tails), {n: at(n) for n in range(a, b + 1)})
+        return G
+
+    def _set(self, window, period, core, tails, groups):
+        for name, value in zip(self.__slots__, (window, period, core, tails, groups)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("GradedGroup is immutable")
 
+    def _slot(self, n: int):
+        """The core degree that degree n reads its group from, or None where it has none."""
+        (a, b), (below, above) = self.core, self.tails
+        if n < a:
+            return a + (n - a) % below if below else None
+        if n > b:
+            return b - (b - n) % above if above else None
+        return n
+
+    def _slots(self, degrees) -> list:
+        return list(map(self._slot, degrees))
+
     def __getitem__(self, n: int) -> FgAbGroup:
-        lo, hi = self.window
-        if lo <= n <= hi:
-            return self._groups[n]
-        if self.period:
-            m = lo + (n - lo) % self.period
-            if lo <= m <= hi:
-                return self._groups[m]
-        raise OutOfWindowError(f"degree {n} outside window {self.window}")
+        m = self._slot(n)
+        if m is None:
+            raise OutOfWindowError(f"degree {n} outside window {self.window}")
+        return self._groups[m]
 
     def degrees(self):
         lo, hi = self.window
         return range(lo, hi + 1)
 
-    def groups(self):
-        return dict(self._groups)
-
     def __eq__(self, other):
         if not isinstance(other, GradedGroup):
             return NotImplemented
-        return self.window == other.window and self._groups == other._groups
+        return self.window == other.window and all(
+            self[n] == other[n] for n in deciding_degrees(self.window, (self, other)))
 
     def __hash__(self):
-        return hash((self.window, tuple(sorted((k, v) for k, v in self._groups.items()))))
+        return hash(self.window)
 
     def __repr__(self):
         return f"GradedGroup(window={self.window}, period={self.period})"
@@ -131,7 +189,7 @@ class GradedGroup:
         return {
             "window": list(self.window),
             "period": self.period,
-            "groups": {str(n): self._groups[n].render() for n in self.degrees()},
+            "groups": {str(n): self[n].render() for n in self.degrees()},
         }
 
     @classmethod
@@ -141,43 +199,132 @@ class GradedGroup:
         return cls(window, groups, doc.get("period"))
 
 
+def deciding_degrees(window, tables):
+    """The degrees of ``window`` that decide a degreewise statement about ``tables``.
+
+    This is the periodicity lemma of the module docstring: below every core
+    the tables repeat with the lcm L of their lower tails, so the top L
+    degrees of the window there decide the rest, and above every core the
+    bottom L degrees there; the window's part inside the cores is read
+    whole.  Where some table has no tail, every degree past the cores is read.
+    """
+    lo, hi = window
+    a, b = min(t.core[0] for t in tables), max(t.core[1] for t in tables)
+    below, above = (None if None in periods else lcm(*periods)
+                    for periods in zip(*(t.tails for t in tables)))
+    top_below, bottom_above = min(hi, a - 1), max(lo, b + 1)
+    yield from range(lo if below is None else max(lo, top_below - below + 1), top_below + 1)
+    yield from range(max(lo, a), min(hi, b) + 1)
+    yield from range(bottom_above, (hi if above is None else min(hi, bottom_above + above - 1)) + 1)
+
+
+def derive_table(window, period, tables, offsets, at, fixed=()) -> GradedGroup:
+    """The table on ``window`` whose degree n is at(n), read off ``tables`` in the degrees n + o, o in ``offsets``.
+
+    ``at`` may single out the degrees in ``fixed``, and otherwise depends on
+    n only through the tables.  When every table has both tails, at(n)
+    repeats with the lcm of their lower (upper) periods wherever every
+    degree it reads lies in the tables' lower (upper) tails or first (last)
+    core period and n is past ``fixed``; the core is what lies between one
+    such period at each end, and only the core is computed.  Otherwise the
+    result is finite: at(n) is computed on the window.
+    """
+    if not all(None not in t.tails for t in tables):
+        return GradedGroup.from_core(window, period, window, at, (None, None))
+    below, above = (lcm(*periods) for periods in zip(*(t.tails for t in tables)))
+    a = min([t.core[0] + t.tails[0] - max(offsets) for t in tables] + list(fixed)) - below
+    b = max([t.core[1] - t.tails[1] - min(offsets) for t in tables] + list(fixed)) + above
+    return GradedGroup.from_core(window, period, (a, b), at, (below, above))
+
+
 class GradedMap:
-    """Degreewise homomorphisms source_n -> target_{n + degree_shift}.
+    """Degreewise homomorphisms source_n -> target_{n + degree_shift}, at the degrees it is read.
 
     Components are integer matrices on the presentation generators (free
-    generators first, then torsion generators in invariant-factor order);
-    well-definedness against torsion orders is checked on construction.
+    generators first, then torsion generators in invariant-factor order),
+    given at each degree the map is read; a degree without one reads as the
+    zero map.  Each distinct (matrix, source group, target group) datum is
+    kept once and checked once to be well defined against the torsion
+    orders, and the checks built on maps work once per datum.
     """
 
-    __slots__ = ("source", "target", "degree_shift", "components")
+    __slots__ = ("source", "target", "degree_shift", "_which", "_data")
 
     def __init__(self, source, target, degree_shift, components):
-        comps = {}
-        for n, m in components.items():
-            n = int(n)
-            src = source[n]
-            tgt = target[n + degree_shift]
-            m = m if isinstance(m, IntMatrix) else IntMatrix(m, shape=(tgt.gens(), src.gens()))
-            if not hom_is_well_defined(m, src, tgt):
-                raise ValueError(f"component at degree {n} is not a homomorphism")
-            comps[n] = m
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree_shift", int(degree_shift))
-        object.__setattr__(self, "components", comps)
+        given = {int(n): m for n, m in components.items()}
+        shift = int(degree_shift)
+        slots = zip(source._slots(given), target._slots([n + shift for n in given]))
+
+        def matrix(n, key):
+            m = given[n]
+            return m if isinstance(m, IntMatrix) else IntMatrix(m, shape=(target[n + shift].gens(), source[n].gens()))
+
+        # a given component is known by its identity, which ``given`` keeps alive
+        self._fill(source, target, shift, ((n, (id(given[n]),) + ij) for n, ij in zip(given, slots)), matrix)
+
+    @classmethod
+    def from_keys(cls, source, target, degree_shift, keyed, matrix) -> "GradedMap":
+        """The map with the component matrix(n, key) at each degree n of the (n, key) pairs ``keyed``.
+
+        ``matrix`` is called once per distinct key, which must determine the
+        component and the groups at both ends.
+        """
+        f = object.__new__(cls)
+        f._fill(source, target, int(degree_shift), keyed, matrix)
+        return f
+
+    def _fill(self, source, target, shift, keyed, matrix):
+        which, by_key, index, data = {}, {}, {}, []
+        for n, key in keyed:
+            k = by_key.get(key)
+            if k is None:
+                datum = (matrix(n, key), source[n], target[n + shift])
+                k = index.get(datum)
+                if k is None:
+                    if not hom_is_well_defined(*datum):
+                        raise ValueError(f"component at degree {n} is not a homomorphism")
+                    k = index[datum] = len(data)
+                    data.append(datum)
+                by_key[key] = k
+            which[n] = k
+        for name, value in zip(self.__slots__, (source, target, shift, which, data)):
+            object.__setattr__(self, name, value)  # _which: degree -> index of its datum in _data
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("GradedMap is immutable")
 
+    @property
+    def components(self) -> dict:
+        return {n: self._data[k][0] for n, k in self._which.items()}
+
     def component(self, n: int) -> IntMatrix:
-        m = self.components.get(n)
-        if m is None:
-            return IntMatrix.zero(self.target[n + self.degree_shift].gens(), self.source[n].gens())
-        return m
+        return self._datum(n)[0]
 
     def _datum(self, n: int) -> tuple:
         """(component, source group, target group) at degree n: all its kernel and cokernel read."""
-        return self.component(n), self.source[n], self.target[n + self.degree_shift]
+        i = self._which.get(n)
+        if i is not None:
+            return self._data[i]
+        src, tgt = self.source[n], self.target[n + self.degree_shift]
+        return IntMatrix.zero(tgt.gens(), src.gens()), src, tgt
+
+
+def read_degrees(source: GradedGroup, target: GradedGroup, shift: int) -> list[int]:
+    """The degrees n a map source_n -> target_(n + shift) is read at.
+
+    They are the degrees of either end's window or core (the target's moved
+    by the shift) where both ends have a group: on finite tables, the
+    source's window where the shift stays in the target's.
+    """
+    def spans(G):
+        (lo, hi), (a, b) = G.window, G.core
+        return set(range(lo, hi + 1)).union(range(a, b + 1))
+
+    ends = sorted(spans(source).union(m - shift for m in spans(target)))
+    if None not in source.tails + target.tails:  # both ends answer every degree
+        return ends
+    return [n for n, i, j in zip(ends, source._slots(ends), target._slots([n + shift for n in ends]))
+            if i is not None and j is not None]
 
 
 def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
@@ -187,19 +334,24 @@ def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
     is the integer that takes the generator of ``sources[j]`` in degree n to
     that of ``targets[i]`` in degree n + shift; a block is zero where a
     summand has no generator.  The generators of a sum are those of its
-    summands in order, which must be the sum's canonical order.
+    summands in order, which must be the sum's canonical order.  The rule is
+    called at every degree the map is read; a matrix is built once per
+    distinct coefficients and core degrees the summands read their groups from.
     """
     src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
     tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
-    lo, hi = tgt.window
-    comps = {}
-    for n in src.degrees():
-        if lo <= n + shift <= hi:
-            rows = _summands_present(targets, tgt, n + shift)
-            cols = _summands_present(sources, src, n)
-            c = coeffs(n)
-            comps[n] = IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
-    return GradedMap(src, tgt, shift, comps)
+    degrees = read_degrees(src, tgt, shift)
+    src_slots = zip(*(s._slots(degrees) for s in sources))
+    tgt_slots = zip(*(t._slots([n + shift for n in degrees]) for t in targets))
+
+    def matrix(n, key):
+        c = key[0]
+        rows = _summands_present(targets, tgt, n + shift)
+        cols = _summands_present(sources, src, n)
+        return IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
+
+    keyed = ((n, (tuple(map(tuple, coeffs(n))), ss, ts)) for n, ss, ts in zip(degrees, src_slots, tgt_slots))
+    return GradedMap.from_keys(src, tgt, shift, keyed, matrix)
 
 
 def _summands_present(summands, total: GradedGroup, n: int) -> list[int]:
@@ -235,7 +387,8 @@ def anderson_dual(G: GradedGroup) -> GradedGroup:
     Degree n of the dual is Hom(G[-n], Z) (+) Ext(G[-n-1], Z); a universal
     coefficient sequence splits this way degree by degree.  The output
     window is the reflected one, shrunk by one at the bottom when no
-    periodicity is available to resolve the Ext lookup.
+    periodicity is available to resolve the Ext lookup.  The dual's tails
+    are G's, reflected.
     """
     lo, hi = G.window
     window = (-hi, -lo) if G.period else (-hi, -lo - 1)
@@ -243,49 +396,39 @@ def anderson_dual(G: GradedGroup) -> GradedGroup:
     if wlo > whi:
         raise OutOfWindowError(f"{lo}..{hi}: window too small to dualise")
     z = FgAbGroup.free(1)
-    groups = {n: hom_group(G[-n], z).direct_sum(ext_group(G[-n - 1], z)) for n in range(wlo, whi + 1)}
-    return GradedGroup(window, groups, G.period)
+    return derive_table(window, G.period, [reflect_graded(G)], (0, 1),
+                        lambda n: hom_group(G[-n], z).direct_sum(ext_group(G[-n - 1], z)))
 
 
 def double_dual_check(G: GradedGroup) -> bool:
     """Degreewise: the double Anderson dual reproduces the table."""
-    d1 = anderson_dual(G)
-    d2 = anderson_dual(d1)
-    lo, hi = d2.window
-    for n in range(lo, hi + 1):
-        if d2[n] != G[n]:
-            return False
-    return True
+    d2 = anderson_dual(anderson_dual(G))
+    return all(d2[n] == G[n] for n in deciding_degrees(d2.window, (d2, G)))
 
 
 def compare_graded(A: GradedGroup, B: GradedGroup) -> bool:
     """Degreewise isomorphism test over identical windows."""
     if A.window != B.window:
         raise ValueError(f"window mismatch: {A.window} vs {B.window}")
-    return all(A[n] == B[n] for n in A.degrees())
+    return A == B
 
 
 def check_exact(f: GradedMap, g: GradedMap) -> bool:
-    """image(f) = kernel(g) in every middle degree both maps reach.
+    """image(f) = kernel(g) in every middle degree both maps are read at.
 
     A periodic map repeats its data, so each distinct (map, groups, map,
     groups) datum is tested once, in the order of its first degree.
     """
     if f.target != g.source:
         raise ValueError("target of f must be the source of g")
-    mid = f.target
-    data = {}
-    for m in mid.degrees():
-        n_f = m - f.degree_shift
-        if not (f.source.window[0] <= n_f <= f.source.window[1]):
-            continue
-        if not (g.target.window[0] <= m + g.degree_shift <= g.target.window[1]):
-            continue
-        groups_f, groups_g = (f.source[n_f], mid[m]), (mid[m], g.target[m + g.degree_shift])
-        data[(f.component(n_f), groups_f, g.component(m), groups_g)] = None
-    if not data:
+    pairs = {}
+    for n, i in f._which.items():
+        j = g._which.get(n + f.degree_shift)
+        if j is not None:
+            pairs[i, j] = None
+    if not pairs:
         raise ValueError("no common degree to check")
-    return all(maps_exact(*datum) for datum in data)
+    return all(maps_exact(f._data[i][0], f._data[i][1:], g._data[j][0], g._data[j][1:]) for i, j in pairs)
 
 
 def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
@@ -294,27 +437,28 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
     For a multiplication-style map of degree shift s the long exact
     sequence collapses to 0 -> coker(mul)_n -> pi_n(cofibre) ->
     ker(mul at n-1-s) -> 0; the middle term is resolved only when the
-    extension-candidate set is a singleton.  A periodic map repeats its
-    data, so each kernel and cokernel is computed once per distinct datum.
+    extension-candidate set is a singleton.  Degree n is given where the
+    map is read at n - s and n - 1 - s.  A periodic map repeats its data, so
+    each kernel, cokernel and extension is worked out once per distinct datum.
     """
     s = mul.degree_shift
-    memo = {}
-
-    def once(fn, *args):
-        if (fn, args) not in memo:
-            memo[fn, args] = fn(*args)
-        return memo[fn, args]
-
+    which, data = mul._which, mul._data
+    subs, quots, seqs = {}, {}, {}
     out = {}
-    lo, hi = M.window
-    for n in range(lo, hi + 1):
-        if not (lo <= n - s <= hi and lo <= n - 1 - s <= hi):
+    for d in sorted(which):  # d = n - s
+        j = which.get(d - 1)
+        if j is None:
             continue
-        sub = once(map_cokernel_group, *mul._datum(n - s))
-        quot = once(map_kernel_group, *mul._datum(n - 1 - s))
-        candidates = extension_candidates(sub, quot)
-        resolved = next(iter(candidates)) if len(candidates) == 1 else None
-        out[n] = SesDatum(sub=sub, quotient=quot, resolved=resolved)
+        i = which[d]
+        if (i, j) not in seqs:
+            if i not in subs:
+                subs[i] = map_cokernel_group(*data[i])
+            if j not in quots:
+                quots[j] = map_kernel_group(*data[j])
+            candidates = extension_candidates(subs[i], quots[j])
+            resolved = next(iter(candidates)) if len(candidates) == 1 else None
+            seqs[i, j] = SesDatum(sub=subs[i], quotient=quots[j], resolved=resolved)
+        out[d + s] = seqs[i, j]
     return out
 
 
@@ -344,12 +488,14 @@ def torsor_count(G: GradedGroup, period: int) -> FgAbGroup:
 
 def shift_graded(G: GradedGroup, k: int) -> GradedGroup:
     """G[k] with (G[k])_n = G_{n-k}."""
-    lo, hi = G.window
-    return GradedGroup(
-        (lo + k, hi + k),
-        {n + k: G[n] for n in G.degrees()},
-        G.period,
-    )
+    (lo, hi), (a, b) = G.window, G.core
+    return GradedGroup.from_core((lo + k, hi + k), G.period, (a + k, b + k), lambda n: G[n - k], G.tails)
+
+
+def reflect_graded(G: GradedGroup) -> GradedGroup:
+    """The table n -> G_{-n}, on the reflected window and with the tails swapped."""
+    (lo, hi), (a, b), (below, above) = G.window, G.core, G.tails
+    return GradedGroup.from_core((-hi, -lo), None, (-b, -a), lambda n: G[-n], (above, below))
 
 
 def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
@@ -364,19 +510,24 @@ def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
     hi = min(t.window[1] for t in tables)
     if lo > hi:
         raise ValueError("summands share no degree in direct sum")
-    groups = {
-        n: FgAbGroup.from_divisors([o for t in tables for o in t[n].gen_orders()])
-        for n in range(lo, hi + 1)
-    }
-    return GradedGroup((lo, hi), groups, None)
+    return derive_table((lo, hi), None, tables, (0,),
+                    lambda n: FgAbGroup.from_divisors([o for t in tables for o in t[n].gen_orders()]))
 
 
 def mult_by_int(G: GradedGroup, m: int) -> GradedMap:
-    """The degree-0 self-map multiplying every group by the integer m."""
+    """The degree-0 self-map multiplying every group by the integer m.
+
+    It is given on the degrees that decide G: its core widened by one
+    period of each tail, which on a finite table is its window.
+    """
+    (a, b), (below, above) = G.core, G.tails
+    made = {}
     comps = {}
-    for n in G.degrees():
-        g = G[n].gens()
-        comps[n] = IntMatrix.diagonal([m] * g, rows=g, cols=g)
+    for n in range(a - (below or 0), b + (above or 0) + 1):
+        g = G[n]
+        if g not in made:
+            made[g] = IntMatrix.diagonal([m] * g.gens(), rows=g.gens(), cols=g.gens())
+        comps[n] = made[g]
     return GradedMap(G, G, 0, comps)
 
 
@@ -385,15 +536,15 @@ def mod_table(G: GradedGroup, m: int) -> GradedGroup:
 
     Every degree must resolve to a unique extension; that holds whenever
     coker and ker are never both nontrivial in adjacent degrees, which is
-    the case for all tables this library builds it from.
+    the case for all tables this library builds it from.  The cofibre is
+    worked out where ``mult_by_int`` is given, which is the core of the
+    result, and repeats past it with G's tails.
     """
     ses = cofibre_of_mult(G, mult_by_int(G, m))
-    groups = {}
     for n, datum in ses.items():
         if datum.resolved is None:
             raise ValueError(f"mod-{m} table ambiguous at degree {n}")
-        groups[n] = datum.resolved
     lo, hi = G.window
     wlo = lo + 1
     p = G.period if (G.period and hi - wlo >= G.period) else None
-    return GradedGroup((wlo, hi), groups, p)
+    return GradedGroup.from_core((wlo, hi), p, (min(ses), max(ses)), lambda n: ses[n].resolved, G.tails)

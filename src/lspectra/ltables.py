@@ -27,9 +27,13 @@ from .graded import (
     check_exact,
     cofibre_of_mult,
     compare_graded,
+    deciding_degrees,
+    derive_table,
     direct_sum_graded,
     double_dual_check,
     mod_table,
+    read_degrees,
+    reflect_graded,
     scalar_map,
     shift_graded,
     torsor_count,
@@ -70,7 +74,12 @@ def mono(*pairs) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return mono(*(list(a) + list(b)))
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for s, e in b:
+        exps[s] = exps.get(s, 0) + e
+    return tuple(sorted((s, e) for s, e in exps.items() if e))
 
 
 def mono_div(m: Monomial, pattern: Monomial) -> Monomial:
@@ -177,8 +186,10 @@ class RingPresentation:
     and rewriting is linear in the terms.  Each normal form is memoised per
     instance, and ``reduce`` sums c * NF(m) over the terms before it reduces
     the coefficients; a chain of rewrites that returns to a monomial raises
-    ValueError.  The compiled rules and the memos take no part in ``==``,
-    ``hash`` or ``repr``.
+    ValueError.  A plain generator that no pattern names, such as x on L^s,
+    decides no rewrite and no torsion modulus, so both are memoised with its
+    power split off and multiplied back.  The compiled rules and the memos
+    take no part in ``==``, ``hash`` or ``repr``.
     """
 
     name: str
@@ -191,10 +202,13 @@ class RingPresentation:
     _torsion: tuple = field(init=False, compare=False, repr=False)
     _normal_forms: dict = field(init=False, compare=False, repr=False)
     _moduli: dict = field(init=False, compare=False, repr=False)
+    _inert: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in self.rewrites))
         object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in self.torsion_patterns))
+        named = {s for p in [p for p, _, _ in self.rewrites] + [p for p, _ in self.torsion_patterns] for s, _ in p}
+        object.__setattr__(self, "_inert", frozenset(s for s, d in self.generators if isinstance(d, int)) - named)
         object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
         object.__setattr__(self, "_moduli", {})  # m -> the moduli its coefficient is reduced by
 
@@ -202,10 +216,19 @@ class RingPresentation:
         degs = dict(self.generators)
         return sum(_generator_degree(degs, s) * e for s, e in m)
 
+    def _split_inert(self, m: Monomial):
+        """(m without its inert generators, their power), each a monomial."""
+        if not self._inert:
+            return m, ONE
+        rest, unit = [], []
+        for factor in m:
+            (unit if factor[0] in self._inert else rest).append(factor)
+        return tuple(rest), tuple(unit)
+
     def _coeff_reduce(self, m: Monomial, c: int) -> int:
         moduli = self._moduli.get(m)
         if moduli is None:
-            moduli = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, m)]
+            moduli = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, self._split_inert(m)[0])]
             if self.coeff_modulus:
                 moduli.append(self.coeff_modulus)
             self._moduli[m] = moduli
@@ -220,6 +243,8 @@ class RingPresentation:
         every monomial on the way is memoised with its accumulated coefficient.
         """
         forms = self._normal_forms
+        if m in forms:
+            return forms[m]
         chain = {}  # monomial -> coefficient of the rule that rewrote it
         while m not in forms:
             if m in chain:
@@ -242,15 +267,17 @@ class RingPresentation:
         return form
 
     def reduce(self, element: dict) -> dict:
-        work = {}
+        work = {}  # monomial -> [coefficient, its normal form without the inert power, which has its moduli]
         for m, c in element.items():
+            m, unit = self._split_inert(m)
             form = self._normal_form(m)
             if form is not None:
                 k, nf = form
-                work[nf] = work.get(nf, 0) + c * k
+                term = work.setdefault(mono_mul(nf, unit), [0, nf])
+                term[0] += c * k
         out = {}
-        for m, c in work.items():
-            c = self._coeff_reduce(m, c)
+        for m, (c, nf) in work.items():
+            c = self._coeff_reduce(nf, c)
             if c:
                 out[m] = c
         return out
@@ -428,30 +455,37 @@ def _group_from_basis(basis) -> FgAbGroup:
     return FgAbGroup.from_divisors([o for _, o in basis])
 
 
+CORE = (-8, 7)  # the degrees a table is computed on; it repeats past them with period PERIODS.get(name, 4)
+
+
 def table(name: str, window=(-16, 16)) -> GradedGroup:
-    """The homotopy-group table of a named theory over a window."""
+    """The homotopy-group table of a named theory over a window.
+
+    Only the CORE degrees are computed, whatever the window: past them each
+    table repeats with its period, and L^gs, scriptL and l(R), which declare
+    none, with period 4.
+    """
     lo, hi = window
     if name == "Lgq":
         return shift_graded(table("Lgs", (lo - 4, hi - 4)), 4)
     if name == "lR":
-        groups = {n: FgAbGroup.free(1) if n % 4 == 0 and n >= 0 else FgAbGroup() for n in range(lo, hi + 1)}
-        return GradedGroup(window, groups, None)
-    if name == "KO":
+        at = lambda n: FgAbGroup.free(1) if n % 4 == 0 and n >= 0 else FgAbGroup()
+    elif name == "KO":
         ko = [FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(2), FgAbGroup(),
               FgAbGroup.free(1), FgAbGroup(), FgAbGroup(), FgAbGroup()]
-        period = PERIODS["KO"]  # KO's own rule: a window of one period shows it, not period + 1
-        groups = {n: ko[n % period] for n in range(lo, hi + 1)}
-        return GradedGroup(window, groups, period if hi - lo + 1 >= period else None)
-    if name in MODULE_NAMES:
-        groups = {n: _group_from_basis(module_basis(name, n)) for n in range(lo, hi + 1)}
+        at = lambda n: ko[n % len(ko)]
+    elif name in MODULE_NAMES:
+        at = lambda n: _group_from_basis(module_basis(name, n))
     elif name in RING_NAMES:
-        groups = {n: _group_from_basis(ring_basis(name, n)) for n in range(lo, hi + 1)}
+        at = lambda n: _group_from_basis(ring_basis(name, n))
     else:
         raise KeyError(f"unknown table {name!r}; choose from {', '.join(TABLE_NAMES)}")
     period = PERIODS.get(name)
-    if period is not None and hi - lo + 1 < period + 1:
+    # a window declares the period when it shows it: period + 1 degrees, and by KO's own rule one period
+    if period is not None and hi - lo + 1 < period + (name != "KO"):
         period = None
-    return GradedGroup(window, groups, period)
+    tail = PERIODS.get(name, 4)
+    return GradedGroup.from_core(window, period, CORE, at, (tail, tail))
 
 
 def golden_table(name: str) -> GradedGroup:
@@ -463,29 +497,31 @@ def golden_table(name: str) -> GradedGroup:
 def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
     """Degreewise matrices of multiplication by a generator on the table ``tab`` of ``name``.
 
-    On the modules e acts by zero and x by the evident isomorphism.
+    The product is worked out in the presentation at every degree the map is
+    read.  On the modules e acts by zero and x by the evident isomorphism.
     """
     if name in MODULE_NAMES:
         if sym not in _MODULE_DEGREES:
             raise KeyError(f"unknown generator {sym!r} of {name}")
         return scalar_map([tab], [tab], _MODULE_DEGREES[sym], lambda n: [[int(sym == "x")]])
-    lo, hi = tab.window
-    comps = {}
     pres = presentation(name)
     try:
         shiftd = pres.degree(mono((sym, 1)))
     except KeyError:
         raise KeyError(f"unknown generator {sym!r} of {name}") from None
-    bases = {n: ring_basis(name, n) for n in range(lo, hi + 1)}
-    for n in range(lo, hi + 1):
-        if not lo <= n + shiftd <= hi:
-            continue
-        src, tgt = bases[n], bases[n + shiftd]
-        m = _generator_products(pres, sym, src, tgt)
-        if m is None:
-            raise ValueError(f"product leaves the stated basis at degree {n}")
-        comps[n] = IntMatrix(m, shape=(len(tgt), len(src)))
-    return GradedMap(tab, tab, shiftd, comps)
+    degrees = read_degrees(tab, tab, shiftd)
+    ends = sorted(set(degrees).union(n + shiftd for n in degrees))
+    bases, slots = {n: ring_basis(name, n) for n in ends}, dict(zip(ends, tab._slots(ends)))
+
+    def keyed():
+        for n in degrees:
+            src, tgt = bases[n], bases[n + shiftd]
+            m = _generator_products(pres, sym, src, tgt)
+            if m is None:
+                raise ValueError(f"product leaves the stated basis at degree {n}")
+            yield n, (tuple(map(tuple, m)), len(tgt), len(src), slots[n], slots[n + shiftd])
+
+    return GradedMap.from_keys(tab, tab, shiftd, keyed(), lambda n, key: IntMatrix(key[0], shape=key[1:3]))
 
 
 def _generator_products(pres: RingPresentation, sym: str, src, tgt):
@@ -495,8 +531,9 @@ def _generator_products(pres: RingPresentation, sym: str, src, tgt):
     """
     rows = [tm for tm, _ in tgt]
     m = [[0] * len(src) for _ in rows]
+    generator = mono((sym, 1))
     for j, (bm, _) in enumerate(src):
-        for pm, c in pres.multiply({mono((sym, 1)): 1}, {bm: 1}).items():
+        for pm, c in pres.reduce({mono_mul(generator, bm): 1}).items():
             if pm not in rows:
                 return None
             m[rows.index(pm)][j] = c
@@ -636,9 +673,15 @@ def _compare_item(name: str, A: GradedGroup, B: GradedGroup, detail: str, W) -> 
     """A[n] against B[n] for every degree n of the report window W.
 
     The tables are read over W in place, whatever windows they were built
-    on.  The first degree where they differ, or where one of them has no
-    group, fails the item with that degree named.
+    on; the degrees of W that decide the rest are read first.  The first
+    degree where they differ, or where one of them has no group, fails the
+    item with that degree named.
     """
+    try:
+        if all(A[n] == B[n] for n in deciding_degrees(W, (A, B))):
+            return CheckResult(name, True, detail)
+    except OutOfWindowError:
+        pass
     for n in range(W[0], W[1] + 1):
         try:
             a, b = A[n], B[n]
@@ -665,7 +708,12 @@ def verify_presentations_report(window=(-16, 16)) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _pad(window):
+def _read_window(window):
+    """The window the suites build their tables on: W and one 8-degree period past each end.
+
+    A table costs the same on any window, so this only says which degrees
+    the maps and checks read, besides the cores.
+    """
     lo, hi = window
     return (lo - 8, hi + 8)
 
@@ -678,11 +726,11 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
     the full long exact sequence of the fibre sequence, the splitting of
     L^n induced by it, the torsor counts, and the multiplication-by-e
     kernel argument whose input is ef = 4.  Each table is built once on the
-    padded window P, every map is built from the tables it joins, and the
+    read window P, every map is built from the tables it joins, and the
     items read them over W.
     """
     W = window
-    P = _pad(window)
+    P = _read_window(window)
     ls, lq, ln, lr = (table(n, P) for n in ("Ls", "Lq", "Ln", "LR"))
     out = []
 
@@ -698,8 +746,9 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
                              "I(L^n) has the homotopy of L^n[-1]", W))
 
     sym = symmetrisation_map(lq, ls)
+    eight = IntMatrix([[8]])
     matrix_ok = all(
-        (n % 4 == 0 and sym.component(n) == IntMatrix([[8]]))
+        (n % 4 == 0 and sym.component(n) == eight)
         or (n % 4 != 0 and sym.component(n).is_zero())
         for n in range(W[0], W[1] + 1)
     )
@@ -732,18 +781,24 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
 def _uct_item(lq: GradedGroup, dual_lq: GradedGroup, W) -> CheckResult:
     """I(L^q)_n is a middle term of 0 -> Ext(L^q_(-n-1), Z) -> ? -> Hom(L^q_(-n), Z) -> 0.
 
-    The dual is the one the Anderson row compares.
+    The dual is the one the Anderson row compares.  The row reads the degrees
+    of W that decide the rest for the three tables n -> I(L^q)_n, L^q_(-n)
+    and L^q_(-n-1).
     """
     z = FgAbGroup.free(1)
-    ok = all(dual_lq[n] in extension_candidates(ext_group(lq[-n - 1], z), hom_group(lq[-n], z))
-             for n in range(W[0], W[1] + 1))
+    reflected = reflect_graded(lq)
+    ok = all(dual_lq[n] in extension_candidates(ext_group(reflected[n + 1], z), hom_group(reflected[n], z))
+             for n in deciding_degrees(W, (dual_lq, reflected, shift_graded(reflected, -1))))
     return CheckResult("uct-exactness", ok, "universal coefficient sequence for I(L^q)")
 
 
 def _short_exact(f: GradedMap, g: GradedMap) -> bool:
-    """0 -> A -> B -> C -> 0 is exact for f: A -> B and g: B -> C."""
-    z_in = scalar_map([GradedGroup(f.source.window, {})], [f.source], 0, lambda n: [[0]])
-    z_out = scalar_map([g.target], [GradedGroup(g.target.window, {})], 0, lambda n: [[0]])
+    """0 -> A -> B -> C -> 0 is exact for f: A -> B and g: B -> C.
+
+    The zero tables have period 1, so they answer every degree f and g are read at.
+    """
+    z_in = scalar_map([GradedGroup(f.source.window, {}, 1)], [f.source], 0, lambda n: [[0]])
+    z_out = scalar_map([g.target], [GradedGroup(g.target.window, {}, 1)], 0, lambda n: [[0]])
     return check_exact(z_in, f) and check_exact(f, g) and check_exact(g, z_out)
 
 
@@ -756,7 +811,7 @@ def e_multiplication_report(window=(-12, 12), e_map: GradedMap | None = None) ->
     injected e-map with ef = 0 must flip the kernel item and with it the
     resolution.
     """
-    P = _pad(window)
+    P = _read_window(window)
     ls, lq, ln = (table(n, P) for n in ("Ls", "Lq", "Ln"))
     return _e_multiplication_items(window, ls, lq, ln, e_map or mult_by("Ln", "e", ln))
 
@@ -809,15 +864,12 @@ def _e_multiplication_items(W, ls, lq, ln, e_ln: GradedMap) -> list[CheckResult]
 
 def _coconnective_mod2_lr(window) -> GradedGroup:
     """The table of L(R)/(l(R), 2): Z/2 in degrees 4k <= -4."""
-    lo, hi = window
-    groups = {n: FgAbGroup.cyclic(2) if (n % 4 == 0 and n <= -4) else FgAbGroup()
-              for n in range(lo, hi + 1)}
-    return GradedGroup(window, groups, None)
+    z2 = FgAbGroup.cyclic(2)
+    return GradedGroup.from_core(window, None, CORE, lambda n: z2 if n % 4 == 0 and n <= -4 else FgAbGroup(), (4, 4))
 
 
 def _truncate_below(G: GradedGroup, cut: int) -> GradedGroup:
-    groups = {n: (G[n] if n >= cut else FgAbGroup()) for n in G.degrees()}
-    return GradedGroup(G.window, groups, None)
+    return derive_table(G.window, None, [G], (0,), lambda n: G[n] if n >= cut else FgAbGroup(), fixed=(cut,))
 
 
 def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
@@ -829,8 +881,7 @@ def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
     degree -4, and self-duality of the two-fold shift (the skew variant).
     """
     W = window
-    # pad a window closed under n -> -n: the duals below reflect degrees
-    P = _pad((min(W[0], -W[1]), max(W[1], -W[0])))
+    P = _read_window(W)  # the duals below reflect degrees, and answer them from their tails
     lgs, ls, lq, ln, lr, l_r, script, ko = (table(n, P)
                                              for n in ("Lgs", "Ls", "Lq", "Ln", "LR", "lR", "scriptL", "KO"))
     lgq = shift_graded(lgs, 4)
@@ -851,17 +902,21 @@ def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
     out.append(_genuine_square_item(lgs, ls, ln))
     out.append(_script_square_item(script, lr, l_r))
 
-    below2 = all(lq[n] == lgq[n] for n in range(W[0], 2))
-    outside = all(lgq[n] == lgs[n] for n in range(W[0], W[1] + 1) if not -2 <= n <= 1)
-    nonneg = all(lgs[n] == ls[n] for n in range(0, W[1] + 1))
+    def agree(A, B, lo, hi):  # A = B on lo..hi, read where it is decided
+        return all(A[n] == B[n] for n in deciding_degrees((lo, hi), (A, B)))
+
+    below2 = agree(lq, lgq, W[0], 1)
+    outside = agree(lgq, lgs, W[0], -3) and agree(lgq, lgs, 2, W[1])
+    nonneg = agree(lgs, ls, 0, W[1])
     out.append(CheckResult("comparison-ranges", below2 and outside and nonneg,
                            "iso ranges of the comparison maps"))
 
     x_lgs = mult_by("Lgs", "x", lgs)
     out.append(CheckResult("mult-x-minus4", x_lgs.component(-4) == IntMatrix([[8]]),
                            "x: L^gs_(-4) -> L^gs_0 is multiplication by 8"))
+    one = IntMatrix([[1]])
     iso_elsewhere = all(
-        x_lgs.component(n) == IntMatrix([[1]])
+        x_lgs.component(n) == one
         for n in range(W[0], W[1] - 3)
         if n % 4 == 0 and n != -4
     )

@@ -409,15 +409,24 @@ def kunneth_parts(C, D, n):
     return tens, tor
 
 
-# -- forms built only by the tests -------------------------------------------------
+# -- matrices and forms built only by the tests ------------------------------------
+
+
+def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
+    """The matrix with ``blocks`` down its diagonal and zeros elsewhere."""
+    placed, top, left = [], 0, 0
+    for b in blocks:
+        placed.append((top, left, b))
+        top, left = top + b.rows, left + b.cols
+    return IntMatrix.from_blocks(top, left, placed)
 
 
 def block_sum(f: SymForm, g: SymForm) -> SymForm:
-    return SymForm(IntMatrix.block_diagonal(f.gram, g.gram))
+    return SymForm(block_diagonal(f.gram, g.gram))
 
 
 def orthogonal_sum(f: F2QuadForm, g: F2QuadForm) -> F2QuadForm:
-    return F2QuadForm(IntMatrix.block_diagonal(f.matrix, g.matrix))
+    return F2QuadForm(block_diagonal(f.matrix, g.matrix))
 
 
 def skew_unit(k: int) -> LinkingForm:
@@ -705,3 +714,86 @@ def restrict(G: GradedGroup, window) -> GradedGroup:
     groups = {n: G[n] for n in range(lo, hi + 1)}
     p = G.period if G.period is not None and hi - lo >= G.period else None
     return GradedGroup(window, groups, p)
+
+
+# -- graded tables degree by degree ---------------------------------------------------
+
+
+class TableByDegree:
+    """A table as a dict over its window, every degree computed on its own.
+
+    A degree outside the window is folded into it by the period, if one is
+    declared, and is otherwise missing (KeyError).
+    """
+
+    def __init__(self, window, groups, period=None):
+        self.window, self.groups, self.period = tuple(window), groups, period
+
+    def __getitem__(self, n):
+        lo, hi = self.window
+        if not lo <= n <= hi and self.period:
+            n = lo + (n - lo) % self.period
+        return self.groups[n]
+
+    def matches(self, G: GradedGroup) -> bool:
+        """G has this window and period, and this group in every degree of the window."""
+        lo, hi = self.window
+        return (G.window, G.period) == (self.window, self.period) and all(
+            G[n] == self.groups[n] for n in range(lo, hi + 1))
+
+
+def table_by_degree(name: str, window) -> TableByDegree:
+    """table(name, window), each degree of the window read off the basis rules."""
+    from lspectra.ltables import MODULE_NAMES, PERIODS, module_basis, ring_basis
+
+    lo, hi = window
+    if name == "Lgq":
+        return shift_by_degree(table_by_degree("Lgs", (lo - 4, hi - 4)), 4)
+    if name == "lR":
+        return TableByDegree(window, {n: FgAbGroup.free(1) if n % 4 == 0 and n >= 0 else FgAbGroup()
+                                      for n in range(lo, hi + 1)})
+    if name == "KO":
+        ko = [FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(2), FgAbGroup(),
+              FgAbGroup.free(1), FgAbGroup(), FgAbGroup(), FgAbGroup()]
+        return TableByDegree(window, {n: ko[n % 8] for n in range(lo, hi + 1)}, 8 if hi - lo + 1 >= 8 else None)
+    basis = module_basis if name in MODULE_NAMES else ring_basis
+    groups = {n: FgAbGroup.from_divisors([o for _, o in basis(name, n)]) for n in range(lo, hi + 1)}
+    period = PERIODS.get(name)
+    return TableByDegree(window, groups, period if period is not None and hi - lo >= period else None)
+
+
+def dual_by_degree(T: TableByDegree) -> TableByDegree:
+    """The Anderson dual, Hom(T[-n], Z) + Ext(T[-n-1], Z) in each degree n of the reflected window."""
+    from lspectra.abelian import ext_group, hom_group
+
+    lo, hi = T.window
+    window = (-hi, -lo) if T.period else (-hi, -lo - 1)
+    z = FgAbGroup.free(1)
+    return TableByDegree(window, {n: hom_group(T[-n], z).direct_sum(ext_group(T[-n - 1], z))
+                                  for n in range(window[0], window[1] + 1)}, T.period)
+
+
+def shift_by_degree(T: TableByDegree, k: int) -> TableByDegree:
+    lo, hi = T.window
+    return TableByDegree((lo + k, hi + k), {n + k: T[n] for n in range(lo, hi + 1)}, T.period)
+
+
+def sum_by_degree(*tables: TableByDegree) -> TableByDegree:
+    lo, hi = max(t.window[0] for t in tables), min(t.window[1] for t in tables)
+    return TableByDegree((lo, hi), {n: FgAbGroup.from_divisors([o for t in tables for o in t[n].gen_orders()])
+                                    for n in range(lo, hi + 1)})
+
+
+def mod_by_degree(T: TableByDegree, m: int) -> TableByDegree:
+    """The cofibre of multiplication by m: the one extension of ker(m) in degree n - 1 by coker(m) in degree n."""
+    from lspectra.abelian import extension_candidates, map_cokernel_group, map_kernel_group
+
+    def times_m(g):
+        return IntMatrix.diagonal([m] * g.gens()), g, g
+
+    lo, hi = T.window
+    groups = {}
+    for n in range(lo + 1, hi + 1):
+        (middle,) = extension_candidates(map_cokernel_group(*times_m(T[n])), map_kernel_group(*times_m(T[n - 1])))
+        groups[n] = middle
+    return TableByDegree((lo + 1, hi), groups, T.period if T.period and hi - lo - 1 >= T.period else None)

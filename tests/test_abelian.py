@@ -31,6 +31,7 @@ from lspectra.poincare import linking_form
 
 from helpers import (
     add_in,
+    block_diagonal,
     canonical_by_primes,
     elements_of,
     ext_by_resolution,
@@ -227,7 +228,7 @@ class TestBlockDiagonal:
     def test_places_each_block_on_the_diagonal(self):
         blocks = [IntMatrix([[1, 2, 3], [4, 5, 6]]), IntMatrix.zero(0, 2), IntMatrix([[7]]),
                   IntMatrix.zero(2, 0)]
-        made = IntMatrix.block_diagonal(*blocks)
+        made = block_diagonal(*blocks)
         assert made == IntMatrix([
             [1, 2, 3, 0, 0, 0],
             [4, 5, 6, 0, 0, 0],
@@ -235,7 +236,7 @@ class TestBlockDiagonal:
             [0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0],
         ])
-        assert IntMatrix.block_diagonal() == IntMatrix.zero(0, 0)
+        assert block_diagonal() == IntMatrix.zero(0, 0)
 
 
 class TestBlocks:

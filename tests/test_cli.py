@@ -15,7 +15,7 @@ from lspectra.chain import IntComplex
 from lspectra.cli import main, parse_window, UsageError
 from lspectra.graded import MAX_WIDTH, GradedGroup
 from lspectra.ltables import TABLE_NAMES
-from lspectra.forms import LinkingForm, nondegenerate
+from lspectra.forms import F2QuadForm, LinkingForm, nondegenerate
 from lspectra.poincare import (
     StructuredComplex,
     linking_form,
@@ -23,7 +23,7 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
-from helpers import skew_unit
+from helpers import block_diagonal, skew_unit
 
 
 def run(argv, capsys):
@@ -226,7 +226,7 @@ class TestTorsor:
 def _e_tensor_planes(k):
     """E (x) (F + hyperbolic + F + ...) with k planes: carrier homology (Z/2)^(2k)."""
     planes = [IntMatrix([[1, 1], [0, 1]] if i % 2 == 0 else [[0, 1], [0, 0]]) for i in range(k)]
-    psi = {(0, 1): IntMatrix.block_diagonal(*planes)}
+    psi = {(0, 1): block_diagonal(*planes)}
     f = StructuredComplex(IntComplex({1: 2 * k}), "quadratic", 2, psi)
     return tensor_structured(representative("E"), f)
 
@@ -261,7 +261,7 @@ class TestDeskScaleBound:
         blocks = [IntMatrix([[1, 1], [0, 1]] if i % 2 == 0 else [[0, 1], [0, 0]])
                   for i in range(planes)]
         path = tmp_path / "q.json"
-        path.write_text(json.dumps(IntMatrix.block_diagonal(*blocks).tolist()))
+        path.write_text(json.dumps(block_diagonal(*blocks).tolist()))
         code = main(["invariant", "--name", "arf", "--input", str(path)])
         captured = capsys.readouterr()
         if value is None:
@@ -453,6 +453,17 @@ class TestSizeBounds:
         "wide-span": (["invariant", "--name", "beta"], _complex({"0": 1, "1000000000": 1})),
         "dense-arf": (["invariant", "--name", "arf"], _dense_upper_triangular(400, seed=400)),
     }
+
+    def test_dense_arf_is_refused_before_its_linking_form(self, tmp_path, monkeypatch, capsys):
+        # q/2 of a dense form of dimension 1000 has about 250 000 pairs, 3.5 s to build and then refuse
+        def built(form):
+            raise AssertionError("the linking form was built")
+
+        monkeypatch.setattr(F2QuadForm, "linking_form", built)
+        argv = _with_input(["invariant", "--name", "arf"], _dense_upper_triangular(1000, seed=1000), tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {argv[-1]}: EnumerationBoundError: "
+                                           "group order exceeds the desk-scale bound\n")
 
     @pytest.mark.parametrize("case", sorted(PAST_THE_BOUNDS))
     def test_exits_two_at_once(self, case, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lspectra import forms
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.forms import (
     CycEight,
@@ -270,6 +271,28 @@ class TestLinkingForms:
         doc = q.to_json()
         assert LinkingForm.from_json(doc) == q
         assert doc["factors"] == [4, 4]
+
+    def test_values_parse_as_fraction_does(self):
+        # p/q and p in ASCII digits are read with int; any other text must get Fraction's value or error
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        digits = st.text("0123456789\u0663_.e", max_size=3)
+        numerals = st.tuples(st.sampled_from(["", "-", "+", " "]), digits, st.sampled_from(["", "/", " / "]),
+                             st.sampled_from(["", "-", "+"]), digits).map("".join)
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @hypothesis.given(text=st.text() | numerals | st.integers(-10 ** 20, 10 ** 20) | st.none())
+        def agrees(text):
+            assert outcome(forms._parse_value, text) == outcome(Fraction, text), repr(text)
+
+        agrees()
 
 
 def _accepted(group, table):

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from lspectra import graded
-from lspectra.abelian import FgAbGroup, IntMatrix, ext_group
+from lspectra.abelian import FgAbGroup, IntMatrix, ext_group, hom_group
 from lspectra.graded import (
     GradedGroup,
     GradedMap,
@@ -13,6 +14,7 @@ from lspectra.graded import (
     check_exact,
     cofibre_of_mult,
     compare_graded,
+    deciding_degrees,
     direct_sum_graded,
     double_dual_check,
     mod_table,
@@ -21,9 +23,10 @@ from lspectra.graded import (
     shift_graded,
     torsor_count,
 )
-from lspectra.ltables import _compare_item, table
+from lspectra.ltables import TABLE_NAMES, _compare_item, table
 
-from helpers import random_group, restrict
+from helpers import (dual_by_degree, mod_by_degree, random_group, restrict, shift_by_degree, sum_by_degree,
+                     table_by_degree)
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -304,3 +307,101 @@ class TestCompareItem:
     def test_mismatch_names_the_degree(self):
         item = _compare_item("row", GradedGroup((0, 2), {1: Z}), GradedGroup((0, 2), {1: Z2}), "d", (0, 2))
         assert (item.passed, item.detail) == (False, "d; mismatch at degree 1: Z vs Z/2")
+
+
+class TestQuasiPeriodicTables:
+    """Tables built from a core and two tails against the same tables worked out degree by degree."""
+
+    WINDOWS = [(-12, 12), (-139, 139), (-2048, -1049), (1049, 2048)]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_tables_and_duals_match_the_oracle(self, window):
+        for name in TABLE_NAMES:
+            made, oracle = table(name, window), table_by_degree(name, window)
+            assert oracle.matches(made), name
+            assert dual_by_degree(oracle).matches(anderson_dual(made)), name
+            assert dual_by_degree(dual_by_degree(oracle)).matches(anderson_dual(anderson_dual(made))), name
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_combinators_match_the_oracle(self, window):
+        made = {name: table(name, window) for name in ("LR", "lR", "Ls", "KO", "Lgs", "scriptL")}
+        oracle = {name: table_by_degree(name, window) for name in made}
+        for name in made:
+            for k in (-2, 1, 4):
+                assert shift_by_degree(oracle[name], k).matches(shift_graded(made[name], k)), (name, k)
+            for m in (2, 8):
+                if name in ("LR", "lR", "scriptL"):
+                    assert mod_by_degree(oracle[name], m).matches(mod_table(made[name], m)), (name, m)
+        for names in (("LR", "Ls"), ("Ls", "KO"), ("Lgs", "scriptL", "lR")):
+            assert sum_by_degree(*(oracle[n] for n in names)).matches(
+                direct_sum_graded(*(made[n] for n in names))), names
+        split = direct_sum_graded(made["LR"], shift_graded(mod_table(made["LR"], 2), 1))
+        assert sum_by_degree(oracle["LR"], shift_by_degree(mod_by_degree(oracle["LR"], 2), 1)).matches(split)
+
+    def test_far_tables_and_duals_cost_what_near_ones_do(self, monkeypatch):
+        from lspectra import ltables
+
+        calls = Counter()
+        for module, fn in ((ltables, "ring_basis"), (graded, "hom_group")):
+            genuine = getattr(module, fn)
+            monkeypatch.setattr(module, fn, lambda *a, _g=genuine, _f=fn: calls.update([_f]) or _g(*a))
+
+        def counted(window):
+            calls.clear()
+            anderson_dual(table("Lgs", window))
+            return dict(calls)
+
+        near = counted((-12, 12))
+        assert counted((-2048, -1049)) == counted((1049, 2048)) == near
+        assert near["ring_basis"] <= 16 and near["hom_group"] <= 32, near
+
+    def test_a_finite_table_keeps_its_lookups(self):
+        g = GradedGroup((0, 5), {0: Z, 1: Z2, 4: Z, 5: Z2}, period=4)
+        assert [g[n] for n in (-4, -3, 8, 9, 10)] == [Z, Z2, Z, Z2, FgAbGroup()]
+        short = GradedGroup((0, 2), {0: Z}, period=4)  # the window does not span its period
+        assert short[2] == FgAbGroup()
+        with pytest.raises(OutOfWindowError, match=r"degree 4 outside window \(0, 2\)"):
+            short[4]
+        assert GradedGroup((0, 2), {0: Z}) == GradedGroup((0, 2), {0: Z}, 4)
+
+
+def _tight_table(rng, window=(-40, 40)):
+    """A table whose core, somewhere near 0, is one period of each tail plus up to 5 free degrees."""
+    below, above = rng.randint(1, 4), rng.randint(1, 4)
+    a = rng.randint(-8, 4)
+    b = a + max(below, above) - 1 + rng.randint(0, 5)
+    groups = {n: random_group(rng, max_order=16) for n in range(a, b + 1)}
+    return GradedGroup.from_core(window, None, (a, b), groups.__getitem__, (below, above))
+
+
+class TestTightCores:
+    """Combinators on tables whose cores have no slack, against their degreewise definitions."""
+
+    FAR = list(range(-70, 71)) + [-2048, -1001, 999, 2047]
+
+    def test_combinators_repeat_where_their_inputs_do(self):
+        from lspectra.ltables import _truncate_below
+
+        rng = random.Random(2044)
+        for _ in range(60):
+            A, B = _tight_table(rng), _tight_table(rng)
+            dual, k, cut = anderson_dual(A), rng.randint(-9, 9), rng.randint(-9, 9)
+            shifted, summed, cut_off = shift_graded(A, k), direct_sum_graded(A, B), _truncate_below(A, cut)
+            for n in self.FAR:
+                assert dual[n] == hom_group(A[-n], Z).direct_sum(ext_group(A[-n - 1], Z)), n
+                assert shifted[n] == A[n - k] and cut_off[n] == (A[n] if n >= cut else FgAbGroup()), n
+                assert summed[n] == FgAbGroup.from_divisors(A[n].gen_orders() + B[n].gen_orders()), n
+
+    def test_deciding_degrees_decide(self):
+        # a table and a copy with a larger core, one of them changed in a single degree
+        rng = random.Random(4096)
+        for _ in range(300):
+            A = _tight_table(rng)
+            B = direct_sum_graded(A)
+            if rng.random() < 0.5:
+                m, other = rng.randint(B.core[0], B.core[1]), random_group(rng)
+                B = GradedGroup.from_core(B.window, None, B.core, lambda n: other if n == m else A[n], B.tails)
+            lo = rng.randint(-60, 40)
+            W = (lo, lo + rng.randint(0, 30))
+            assert all(A[n] == B[n] for n in deciding_degrees(W, (A, B))) == all(
+                A[n] == B[n] for n in range(W[0], W[1] + 1)), W

@@ -11,6 +11,7 @@ import pytest
 
 from lspectra import ltables
 from lspectra.abelian import FgAbGroup, IntMatrix
+from lspectra.cli import main
 from lspectra.graded import (
     GradedMap,
     SesDatum,
@@ -538,6 +539,23 @@ class TestTheoremSuites:
         verdicts = {i.name: i.passed for i in suite()}
         assert verdicts.pop(row) is False
         assert all(verdicts.values()), verdicts
+
+    @pytest.mark.parametrize("window,code", [("2040..2048", 1), ("-16..16", 0)])
+    def test_rule_corrupted_at_one_far_degree_fails_its_row_there(self, window, code, monkeypatch, capsys):
+        # L^gs -> L^s by 2 instead of 1 in degree 2044 alone: the tables repeat there, so the row must
+        # read the rule at 2044 itself to see it
+        genuine = ltables.scalar_map
+
+        def patched(sources, targets, shift, coeffs):
+            if sys._getframe(1).f_code.co_name == "_genuine_square_item":
+                return genuine(sources, targets, shift,
+                               lambda n: [[2], [1]] if n == 2044 and coeffs(n) == [[1], [1]] else coeffs(n))
+            return genuine(sources, targets, shift, coeffs)
+
+        monkeypatch.setattr(ltables, "scalar_map", patched)
+        assert main(["verify", "B", "--window", window, "--format", "tsv"]) == code
+        failed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines() if "\tFAIL\t" in line]
+        assert failed == (["genuine-pullback-square"] if code else [])
 
     def test_uct_row_reads_the_dual(self, monkeypatch):
         # I(L^q) shifted up one degree: I_1 = L^s_0 = Z is no extension of Hom(0, Z) by Ext(Z/2, Z)
