@@ -12,10 +12,12 @@ sequences, and the kernel argument that hinges on ef = 4.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from importlib import resources
 from itertools import product
+from operator import itemgetter, le
 
 from .abelian import (FgAbGroup, IntMatrix, _respects_orders, ext_group, extension_candidates, hom_group,
                       map_kernel_group)
@@ -66,11 +68,16 @@ Monomial = tuple  # tuple of (symbol, exponent), sorted by symbol
 ONE: Monomial = ()
 
 
+def _monomial(exps: dict) -> Monomial:
+    """The monomial of a symbol -> exponent dict, its zero exponents dropped."""
+    return tuple(sorted(filter(itemgetter(1), exps.items())))
+
+
 def mono(*pairs) -> Monomial:
     d = {}
     for s, e in pairs:
         d[s] = d.get(s, 0) + e
-    return tuple(sorted((s, e) for s, e in d.items() if e))
+    return _monomial(d)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -79,14 +86,23 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps = dict(a)
     for s, e in b:
         exps[s] = exps.get(s, 0) + e
-    return tuple(sorted((s, e) for s, e in exps.items() if e))
+    return _monomial(exps)
+
+
+def _times(m: Monomial, s: str) -> Monomial:
+    """``mono_mul(m, mono((s, 1)))``, with the factor inserted into the sorted tuple m."""
+    k = bisect_left(m, (s,))
+    if k == len(m) or m[k][0] != s:
+        return m[:k] + ((s, 1),) + m[k:]
+    e = m[k][1] + 1
+    return m[:k] + ((s, e),) + m[k + 1:] if e else m[:k] + m[k + 1:]
 
 
 def mono_div(m: Monomial, pattern: Monomial) -> Monomial:
     exps = dict(m)
     for s, e in pattern:
         exps[s] = exps.get(s, 0) - e
-    return tuple(sorted((s, e) for s, e in exps.items() if e))
+    return _monomial(exps)
 
 
 @lru_cache(maxsize=1 << 16)  # bounded: every family member is a new symbol
@@ -116,6 +132,12 @@ def _instance(factors, names: tuple, values: tuple) -> Monomial:
                   for s, e in factors))
 
 
+@lru_cache(maxsize=1 << 16)
+def _quotient(pattern, repl, names: tuple, values: tuple) -> Monomial:
+    """The instance of pattern / repl at the index values: dividing by it rewrites the pattern to repl."""
+    return mono(*_instance(pattern, names, values), *((s, -e) for s, e in _instance(repl, names, values)))
+
+
 def _compiled(pattern):
     """(pattern, plain factors, index names, per name the (family, offset) of the factors it indexes alone)."""
     names = sorted({n for s, _ in pattern if not isinstance(s, str) for n in s[1]})
@@ -133,11 +155,7 @@ def _matches(rules, m: Monomial):
     it indexes alone on a family member in m.
     """
     exps = dict(m)
-    members = {}
-    for s in exps:
-        family, i = _split(s)
-        if i is not None:
-            members.setdefault(family, []).append(i)
+    members = None  # family -> indices of its members in m, built when a pattern with index names is reached
     for position, (pattern, plain, names, keys) in enumerate(rules):
         for s, e in plain:
             if exps.get(s, 0) < e:
@@ -146,12 +164,27 @@ def _matches(rules, m: Monomial):
             if not names:
                 yield position, ()
                 continue
-            choices = [sorted({i - offset for family, offset in key for i in members.get(family, ())})
-                       for key in keys]
-            for values in product(*choices):
-                if values[0] >= 1 and all(a <= b for a, b in zip(values, values[1:])):
-                    if all(exps.get(s, 0) >= e for s, e in _instance(pattern, names, values)):
-                        yield position, values
+            if members is None:
+                members = {}
+                for s in exps:
+                    family, i = _split(s)
+                    if i is not None:
+                        members.setdefault(family, []).append(i)
+            choices = []
+            for key in keys:
+                choice = sorted({i - offset for family, offset in key
+                                 for i in members.get(family, ()) if i > offset})
+                if not choice:
+                    break
+                choices.append(choice)
+            else:
+                for values in product(*choices):
+                    if all(map(le, values, values[1:])):
+                        for s, e in _instance(pattern, names, values):
+                            if exps.get(s, 0) < e:
+                                break
+                        else:
+                            yield position, values
 
 
 def _index_tuples(slopes, lo: int, hi: int, least: int = 1):
@@ -258,13 +291,26 @@ class RingPresentation:
                 forms[m] = None
                 break
             chain[m] = coeff
-            m = mono_mul(mono_div(m, _instance(pattern, names, found[1])), _instance(repl, names, found[1]))
+            m = mono_div(m, _quotient(pattern, repl, names, found[1]))
         form = forms[m]
         for link, coeff in reversed(chain.items()):
             if form is not None:
                 form = (coeff * form[0], form[1])
             forms[link] = form
         return form
+
+    def _reduce_term(self, m: Monomial, c: int):
+        """(coeff, monomial) when ``reduce({m: c})`` is {monomial: coeff}, or None when it is {}.
+
+        The moduli apply to c times the rewriting coefficient, as in ``reduce``.
+        """
+        m, unit = self._split_inert(m)
+        form = self._normal_form(m)
+        if form is None:
+            return None
+        k, nf = form
+        c = self._coeff_reduce(nf, c * k)
+        return (c, mono_mul(nf, unit)) if c else None
 
     def reduce(self, element: dict) -> dict:
         work = {}  # monomial -> [coefficient, its normal form without the inert power, which has its moduli]
@@ -516,7 +562,7 @@ def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
     def keyed():
         for n in degrees:
             src, tgt = bases[n], bases[n + shiftd]
-            m = _generator_products(pres, sym, src, tgt)
+            m = _generator_products(pres, sym, src, _rows(tgt))
             if m is None:
                 raise ValueError(f"product leaves the stated basis at degree {n}")
             yield n, (tuple(map(tuple, m)), len(tgt), len(src), slots[n], slots[n + shiftd])
@@ -524,19 +570,24 @@ def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
     return GradedMap.from_keys(tab, tab, shiftd, keyed(), lambda n, key: IntMatrix(key[0], shape=key[1:3]))
 
 
-def _generator_products(pres: RingPresentation, sym: str, src, tgt):
-    """The matrix of the generator ``sym`` from basis ``src`` to basis ``tgt``.
+def _rows(basis) -> dict:
+    """The row of each monomial of a basis."""
+    return {bm: i for i, (bm, _) in enumerate(basis)}
+
+
+def _generator_products(pres: RingPresentation, sym: str, src, rows: dict):
+    """The matrix of the generator ``sym`` from basis ``src`` to the basis whose ``_rows`` are ``rows``.
 
     It is None when a product leaves the target basis.
     """
-    rows = [tm for tm, _ in tgt]
     m = [[0] * len(src) for _ in rows]
-    generator = mono((sym, 1))
     for j, (bm, _) in enumerate(src):
-        for pm, c in pres.reduce({mono_mul(generator, bm): 1}).items():
-            if pm not in rows:
+        term = pres._reduce_term(_times(bm, sym), 1)
+        if term is not None:
+            i = rows.get(term[1])
+            if i is None:
                 return None
-            m[rows.index(pm)][j] = c
+            m[i][j] = term[0]
     return m
 
 
@@ -577,21 +628,32 @@ def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | No
         return _verify_module(name, window, build)
     trusted = presentation(name)
     pres = pres or trusted
-    lo, hi = window
     for elem in trusted._relations(window):
         if pres.reduce(elem):
             return False
+    return _products_in_basis(pres, window) and _matches_golden(name, build)
+
+
+def _products_in_basis(pres: RingPresentation, window) -> bool:
+    """Each generator times each basis element of the window lands in ``ring_basis`` and respects the orders.
+
+    The generators are those of degree at most the window's width in size,
+    and a product is checked when its degree lies in the window, whether the
+    target degree has a basis or not.  A source degree without a basis is
+    skipped: its matrix has no columns, so it could not fail.
+    """
+    lo, hi = window
     bases = {n: ring_basis(pres.name, n) for n in range(lo, hi + 1)}
+    rows = {n: _rows(basis) for n, basis in bases.items()}
+    orders = {n: [o for _, o in basis] for n, basis in bases.items()}
+    occupied = [n for n, basis in bases.items() if basis]
     for sym, sdeg in pres._generators_within(hi - lo):
-        for n in range(max(lo, lo - sdeg), min(hi, hi - sdeg) + 1):
-            src, tgt = bases[n], bases[n + sdeg]
-            m = _generator_products(pres, sym, src, tgt)
-            if m is None:
-                return False
+        for n in occupied[bisect_left(occupied, lo - sdeg):bisect_right(occupied, hi - sdeg)]:
+            m = _generator_products(pres, sym, bases[n], rows[n + sdeg])
             # the product of a torsion class must respect its order
-            if not _respects_orders(m, [o for _, o in src], [o for _, o in tgt]):
+            if m is None or not _respects_orders(m, orders[n], orders[n + sdeg]):
                 return False
-    return _matches_golden(name, build)
+    return True
 
 
 def _matches_golden(name: str, build) -> bool:
@@ -622,6 +684,16 @@ def _verify_module(name: str, window, build) -> bool:
     return _matches_golden(name, build)
 
 
+def _lq_ring() -> RingPresentation:
+    """Z[t^±1, g] with the coefficients of g reduced mod 16 and of g^2 mod 64.
+
+    ``verify_lq_ring`` computes 8Z[t^±1, g]/(16g, 64g^2) in it: an L^q class
+    is 8 times the monomial that labels it.
+    """
+    return RingPresentation("Lq", (("t", 4), ("g", -2)), frozenset({"t"}), None, (),
+                            ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
+
+
 def verify_lq_ring(window=(-16, 16)) -> bool:
     """Symmetrisation is multiplicative on the ring 8Z[t^±1, g]/(16g, 64g^2).
 
@@ -631,9 +703,7 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     L^q basis, goes through ``symmetrisation_map`` and must equal the
     product of the two images in L^s.
     """
-    lq = RingPresentation("Lq", (("t", 4), ("g", -2)), frozenset({"t"}), None, (),
-                          ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
-    ls = presentation("Ls")
+    lq, ls = _lq_ring(), presentation("Ls")
     lo, hi = window
     # the degrees of the factors and the product: one period, and the window widened by it
     maps = (symmetrisation_map(table("Lq", w), table("Ls", w)) for w in ((-4, 3), (lo - 4, hi + 3)))
@@ -650,11 +720,12 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     right = classes(lo, hi)
     for a, ma in classes(-4, 3):
         for b, mb in right:
-            prod = lq.multiply({ma: 8}, {mb: 8})
-            coords = [prod.pop(mc, 0) for mc, _ in module_basis("Lq", a + b)]
-            if prod or any(c % 8 for c in coords):
+            c, mc = lq._reduce_term(mono_mul(ma, mb), 64) or (0, ONE)  # (8 ma)(8 mb), reduced
+            labels = [m for m, _ in module_basis("Lq", a + b)]
+            if c % 8 or c and mc not in labels:
                 return False  # the product leaves the L^q classes
-            if image(a + b, [c // 8 for c in coords]) != ls.multiply(image(a, [1]), image(b, [1])):
+            coords = [c // 8 if m == mc else 0 for m in labels]
+            if image(a + b, coords) != ls.multiply(image(a, [1]), image(b, [1])):
                 return False
     return True
 

@@ -4,7 +4,8 @@ Each oracle recomputes an expected value along a different route from the
 implementation it checks: canonical groups from elementary divisors found
 by trial division, invariant factors from gcds of minors, lattice
 equality by Hermite reduction, rewriting by a scan of every rule of a
-presentation whose families are expanded into plain rules, Hom/Ext by
+presentation whose families are expanded into plain rules, the
+generator-product check at every degree through ``reduce``, Hom/Ext by
 exhaustive enumeration, Ext by an explicit free resolution, Kunneth groups
 from closed formulas, Gauss sums in floating point and one root of unity
 at a time, quadratic functions by checking homogeneity and
@@ -21,7 +22,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from lspectra.abelian import FgAbGroup, IntMatrix, cokernel, smith_normal_form
+from lspectra import ltables
+from lspectra.abelian import FgAbGroup, IntMatrix, _respects_orders, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
 from lspectra.forms import DegenerateFormError, F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup
@@ -219,6 +221,32 @@ def _first_rule(rewrites, m):
         else:
             return pattern, coeff, repl
     return None
+
+
+def products_in_basis_by_scan(pres, window) -> bool:
+    """The generator-product check of ``verify_presentation``, at every source degree of the window.
+
+    Each generator and family member of degree at most the window's width in
+    size times each basis element of every degree d, with d and the
+    product's degree in the window, is reduced by ``reduce`` and must land in
+    ``ltables.ring_basis``; the matrix of each (generator, d) must respect
+    the orders.  Empty source degrees are visited too, and the target row is
+    found by a list search.
+    """
+    lo, hi = window
+    for sym, sdeg in pres._generators_within(hi - lo):
+        for n in range(max(lo, lo - sdeg), min(hi, hi - sdeg) + 1):
+            src, tgt = ltables.ring_basis(pres.name, n), ltables.ring_basis(pres.name, n + sdeg)
+            rows = [tm for tm, _ in tgt]
+            m = [[0] * len(src) for _ in rows]
+            for j, (bm, _) in enumerate(src):
+                for pm, c in pres.reduce({mono_mul(mono((sym, 1)), bm): 1}).items():
+                    if pm not in rows:
+                        return False
+                    m[rows.index(pm)][j] = c
+            if not _respects_orders(m, [o for _, o in src], [o for _, o in tgt]):
+                return False
+    return True
 
 
 def random_ring_element(rng, symbols) -> dict:

@@ -39,7 +39,8 @@ from lspectra.ltables import (
     verify_genuine,
 )
 
-from helpers import expanded_presentation, random_ring_element, reduce_by_scan, restrict
+from helpers import (expanded_presentation, products_in_basis_by_scan, random_ring_element, reduce_by_scan,
+                     restrict)
 
 class TestTables:
     def test_golden_windows(self):
@@ -228,6 +229,115 @@ class TestPresentations:
     def test_verify_presentation_true(self):
         assert verify_presentation("Ln", (-16, 16))
         assert verify_presentation("Lgs", (-16, 16))
+
+
+def _corrupted_rule(name: str) -> RingPresentation:
+    """The presentation of ``name`` with the one rule that ``test_corrupted_rule_detected`` corrupts."""
+    good = presentation(name)
+    if name == "Ls":
+        return dataclasses.replace(good, torsion_patterns=((mono(("e", 1)), 4),))
+    if name == "Ln":
+        return dataclasses.replace(good, rewrites=tuple(
+            (p, 2 if p == mono(("e", 1), ("f", 1)) else c, r) for p, c, r in good.rewrites))
+    if name == "LC":
+        return dataclasses.replace(good, coeff_modulus=4)
+    xy1 = mono(("x", 1), ("y1", 1))
+    return dataclasses.replace(good, rewrites=tuple((p, 4 if p == xy1 else c, r) for p, c, r in good.rewrites))
+
+
+def _basis_with(ring: str, degree: int, basis):
+    """``ring_basis`` with the basis of one degree of one ring replaced."""
+    genuine = ltables.ring_basis
+    return lambda r, d: list(basis) if (r, d) == (ring, degree) else genuine(r, d)
+
+
+class TestProductCheck:
+    """The generator-product check of ``verify_presentation`` against the scan of every degree."""
+
+    @pytest.mark.parametrize("window", [(-16, 16), (-50, 50), (-400, -396)])
+    def test_verdict_is_relations_and_scan_and_golden(self, window, monkeypatch):
+        genuine = ltables.ring_basis
+        cases = [(name, None, genuine) for name in ltables.RING_NAMES]
+        cases += [(name, _corrupted_rule(name), genuine) for name in ("Ls", "Ln", "LC", "Lgs", "scriptL")]
+        # the bases of test_torsion_order_check_can_fail, and z11 dropped from degree -46
+        cases += [(name, None, _basis_with(name, degree, [(label, 4)]))
+                  for name, degree, label in (("Ls", 41, mono(("e", 1), ("x", 10))), ("Ln", 40, mono(("x", 10))))]
+        cases += [("Lgs", None, _basis_with("Lgs", -46, []))]
+        verdicts = []
+        for name, bad, basis in cases:
+            monkeypatch.setattr(ltables, "ring_basis", basis)
+            pres = bad or presentation(name)
+            relations = not any(pres.reduce(elem) for elem in presentation(name)._relations(window))
+            products = products_in_basis_by_scan(pres, window)
+            # the fast check alone, on a fresh memo, whatever the relations say
+            assert ltables._products_in_basis(dataclasses.replace(pres), window) == products, (name, bad, window)
+            expected = relations and products and ltables._matches_golden(name, table)
+            assert verify_presentation(name, window, pres=bad) == expected, (name, bad, window)
+            verdicts.append((expected, products))
+        genuine_rows = len(ltables.RING_NAMES)
+        assert all(all(v) for v in verdicts[:genuine_rows])
+        if window == (-50, 50):
+            # every corruption lies in the window; the products alone see ef = 2 and the three bases
+            assert not any(expected for expected, _ in verdicts[genuine_rows:])
+            seen = [not products for _, products in verdicts[genuine_rows:]]
+            assert seen == [False, True, False, False, False] + [True] * 3
+
+    def test_an_empty_target_degree_still_fails(self, monkeypatch):
+        # z11 lies outside the +-16 golden window, and dropping it leaves every
+        # rule and every other basis monomial intact: only the products that
+        # land in degree -46, such as x z12 = z11, see it
+        assert ltables.ring_basis("Lgs", -46) == [(mono(("z11", 1)), 2)]
+        assert verify_presentation("Lgs", (-50, 50))
+        monkeypatch.setattr(ltables, "ring_basis", _basis_with("Lgs", -46, []))
+        assert not verify_presentation("Lgs", (-50, 50))
+        assert verify_presentation("Lgs", (-40, 40))
+
+    def test_one_term_reduction_is_reduce_of_one_term(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rings = {name: presentation(name) for name in ltables.RING_NAMES}
+        rings["Lq ring"] = ltables._lq_ring()
+        symbols = {name: [s if isinstance(d, int) else f"{s}{i}" for s, d in pres.generators
+                          for i in ([None] if isinstance(d, int) else range(1, 7))]
+                   for name, pres in rings.items()}
+
+        def cases(name):
+            factors = st.lists(st.tuples(st.sampled_from(symbols[name]), st.integers(-3, 4)), max_size=4)
+            return st.tuples(st.just(name), factors, st.integers(-200, 200))
+
+        @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None)
+        @hypothesis.given(case=st.sampled_from(sorted(rings)).flatmap(cases))
+        def agrees(case):
+            name, factors, c = case
+            m = mono(*factors)
+            term = rings[name]._reduce_term(m, c)
+            assert rings[name].reduce({m: c}) == ({} if term is None else {term[1]: term[0]}), (name, m, c)
+
+        agrees()
+        # the moduli apply to the product with the coefficient: 64 g t^2 = 0, though g t^2 is not
+        lq, gt2 = ltables._lq_ring(), mono(("g", 1), ("t", 2))
+        assert lq._reduce_term(gt2, 64) is None and lq.reduce({gt2: 64}) == {}
+        assert lq._reduce_term(gt2, 1) == (1, gt2)
+        # the inert x of L^s at a negative power is split off and multiplied back
+        ls, ex = presentation("Ls"), mono(("e", 1), ("x", -5))
+        assert ls._reduce_term(ex, 3) == (1, ex) and ls._reduce_term(mono(("e", 2), ("x", -5)), 1) is None
+
+    def test_one_generator_product_is_mono_mul(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        symbols = ["e", "f", "g", "t", "x", "y1", "y2", "y10", "z3"]
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @hypothesis.given(factors=st.lists(st.tuples(st.sampled_from(symbols), st.integers(-3, 3)), max_size=5),
+                          s=st.sampled_from(symbols))
+        def agrees(factors, s):
+            m = mono(*factors)
+            assert ltables._times(m, s) == mono_mul(m, mono((s, 1)))
+
+        agrees()
+        # x x^-1 = 1: the factor cancels and leaves no zero power behind
+        assert ltables._times(mono(("x", -1)), "x") == ONE
+        assert ltables._times(mono(("e", 1), ("x", -1), ("y2", 1)), "x") == mono(("e", 1), ("y2", 1))
 
 
 class TestSchemata:
