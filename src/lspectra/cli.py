@@ -42,11 +42,9 @@ def parse_window(text: str):
 
 def _emit_table(tab: GradedGroup, fmt: str, out):
     if fmt == "json":
-        json.dump(tab.to_json(), out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(tab.to_json(), indent=2) + "\n")
     else:
-        for n in tab.degrees():
-            out.write(f"{n}\t{tab[n].render()}\n")
+        out.write("".join(f"{n}\t{text}\n" for n, text in tab.rendered()))
 
 
 def _emit_report(report, fmt: str, out) -> bool:
@@ -78,19 +76,26 @@ def _load_json_file(path):
     return doc
 
 
+def _named_or_input_table(args):
+    """The table that dual and torsor read: --name's on --window, or the --input file's."""
+    if args.name is not None and args.input is not None:
+        raise UsageError(f"{args.command} takes --name or --input, not both")
+    if args.input:
+        return GradedGroup.from_json(_load_json_file(args.input))
+    if args.name:
+        return table(args.name, parse_window(args.window))
+    raise UsageError(f"{args.command} needs --name or --input")
+
+
 def cmd_table(args, out):
+    if not args.name:
+        raise UsageError("table needs --name")
     _emit_table(table(args.name, parse_window(args.window)), args.format, out)
     return 0
 
 
 def cmd_dual(args, out):
-    if args.input:
-        tab = GradedGroup.from_json(_load_json_file(args.input))
-    elif args.name:
-        tab = table(args.name, parse_window(args.window))
-    else:
-        raise UsageError("dual needs --name or --input")
-    _emit_table(anderson_dual(tab), args.format, out)
+    _emit_table(anderson_dual(_named_or_input_table(args)), args.format, out)
     return 0
 
 
@@ -137,10 +142,7 @@ def cmd_verify(args, out):
 
 
 def cmd_torsor(args, out):
-    if args.input:
-        tab = GradedGroup.from_json(_load_json_file(args.input))
-    else:
-        tab = table(args.name, parse_window(args.window))
+    tab = _named_or_input_table(args)
     period = tab.period if args.period is None else args.period
     if period is None:
         raise UsageError("table declares no period; pass --period")
@@ -153,32 +155,38 @@ def cmd_torsor(args, out):
     return 0
 
 
+# Each verb once: its command, summary and default --format, the string options it reads with
+# their defaults, and the arguments it adds after --format with theirs.
+_VERBS = {
+    "table": (cmd_table, "print a homotopy-group table", "json", {"window": "-16..16", "name": None}, {}),
+    "dual": (cmd_dual, "Anderson dual of a table", "json", {"window": "-16..16", "name": None, "input": None}, {}),
+    "invariant": (cmd_invariant, "signature, arf or beta of a form file", "json", {"name": None, "input": None}, {}),
+    "certify-ef": (cmd_certify_ef, "run the chain-level ef = 4 certificate", "tsv", {}, {}),
+    "verify": (cmd_verify, "run a verification suite", "json", {"window": None},
+               {"suite": {"choices": tuple(_SUITES)}}),
+    "torsor": (cmd_torsor, "splitting-torsor count of a table", "json",
+               {"window": "-16..16", "name": None, "input": None}, {"--period": {"type": int}}),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=tuple(_VERBS)) -> argparse.ArgumentParser:
+    """The parser with a subcommand for each verb in ``names``, every verb by default."""
     p = _Parser(prog="lspectra", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def verb(command, func, summary, fmt="json", **options):
-        """A subcommand with --format and the string options it reads, with their defaults."""
+    for command in names:
+        func, summary, fmt, options, arguments = _VERBS[command]
         sp = sub.add_parser(command, help=summary)
         for option, default in options.items():
             sp.add_argument(f"--{option}", default=default)
         sp.add_argument("--format", choices=("json", "tsv"), default=fmt)
+        for argument, spec in arguments.items():
+            sp.add_argument(argument, **spec)
         sp.set_defaults(func=func)
-        return sp
-
-    verb("table", cmd_table, "print a homotopy-group table", window="-16..16", name=None)
-    verb("dual", cmd_dual, "Anderson dual of a table", window="-16..16", name=None, input=None)
-    verb("invariant", cmd_invariant, "signature, arf or beta of a form file", name=None, input=None)
-    verb("certify-ef", cmd_certify_ef, "run the chain-level ef = 4 certificate", fmt="tsv")
-    sp = verb("verify", cmd_verify, "run a verification suite", window=None)
-    sp.add_argument("suite", choices=tuple(_SUITES))
-    sp = verb("torsor", cmd_torsor, "splitting-torsor count of a table", window="-16..16", name=None, input=None)
-    sp.add_argument("--period", type=int)
     return p
 
 
@@ -209,7 +217,11 @@ def _reason(exc, args) -> str:
 def main(argv=None) -> int:
     args = None
     try:
-        args = build_parser().parse_args(_glue_window(sys.argv[1:] if argv is None else argv))
+        argv = _glue_window(sys.argv[1:] if argv is None else argv)
+        # Before its verb the parser reads only -h, and argparse matches a verb exactly, so a line
+        # that starts with a verb parses alike with that verb's subparser alone; any other line
+        # (no verb, help, an unknown verb) meets every verb, for the help and errors that list them.
+        args = build_parser(argv[:1] if argv and argv[0] in _VERBS else tuple(_VERBS)).parse_args(argv)
         return args.func(args, sys.stdout)
     except SystemExit:  # --help has been printed; every parse error is a UsageError
         return 0

@@ -67,9 +67,10 @@ class OutOfWindowError(KeyError):
 
 _ZERO = FgAbGroup()  # every degree a table leaves out
 
-# Bounds on a window given from outside: verify presentations takes 17 s at -2048..-1048.  Tables, duals
-# and verify A|B cost the same at any distance from 0 (verify B: 0.15 s at 2044..2048 and 0.18 s at
-# -16..16, a subprocess on a shared 2-core VM); the ends stay bounded as part of the input contract.
+# Bounds on a window given from outside, each set from the slowest verb at it (the bounds table of
+# README.md): verify presentations takes 8.7 s at -2048..-1048.  Tables, duals and verify A|B cost the
+# same at any distance from 0 (verify B: 0.15 s at 2044..2048); the ends stay bounded as part of the
+# input contract.
 MAX_WIDTH = 1000  # degrees a window spans, and the longest period read
 MAX_DEGREE = 2048  # size of a window's ends
 
@@ -185,11 +186,20 @@ class GradedGroup:
     def __repr__(self):
         return f"GradedGroup(window={self.window}, period={self.period})"
 
+    def rendered(self) -> list:
+        """(n, self[n].render()) for each degree n of the window, each core group rendered once."""
+        text, out = {}, []
+        for n, m in zip(self.degrees(), self._slots(self.degrees())):
+            if m not in text:
+                text[m] = self[n].render()
+            out.append((n, text[m]))
+        return out
+
     def to_json(self) -> dict:
         return {
             "window": list(self.window),
             "period": self.period,
-            "groups": {str(n): self[n].render() for n in self.degrees()},
+            "groups": {str(n): text for n, text in self.rendered()},
         }
 
     @classmethod

@@ -12,7 +12,7 @@ at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
 sums of linking forms element by element; the Arf invariant by counting
 the zeros of q; the lift exponent of a linking form by a search over
-2-powers per generator.
+2-powers per generator; the text of a table by rendering each degree.
 """
 
 from __future__ import annotations
@@ -742,6 +742,11 @@ def restrict(G: GradedGroup, window) -> GradedGroup:
     groups = {n: G[n] for n in range(lo, hi + 1)}
     p = G.period if G.period is not None and hi - lo >= G.period else None
     return GradedGroup(window, groups, p)
+
+
+def rendered_by_degree(G: GradedGroup) -> list:
+    """(n, G[n].render()) for each degree n of G's window, each rendered on its own."""
+    return [(n, G[n].render()) for n in G.degrees()]
 
 
 # -- graded tables degree by degree ---------------------------------------------------

@@ -1,5 +1,8 @@
+import argparse
 import contextlib
+import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -12,9 +15,10 @@ import pytest
 
 from lspectra.abelian import MAX_SUMMANDS, FgAbGroup, IntMatrix
 from lspectra.chain import IntComplex
-from lspectra.cli import main, parse_window, UsageError
-from lspectra.graded import MAX_WIDTH, GradedGroup
-from lspectra.ltables import TABLE_NAMES
+from lspectra import cli
+from lspectra.cli import _emit_table, _glue_window, build_parser, main, parse_window, UsageError
+from lspectra.graded import MAX_WIDTH, GradedGroup, anderson_dual
+from lspectra.ltables import TABLE_NAMES, table
 from lspectra.forms import F2QuadForm, LinkingForm, nondegenerate
 from lspectra.poincare import (
     StructuredComplex,
@@ -23,7 +27,7 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
-from helpers import block_diagonal, skew_unit
+from helpers import block_diagonal, random_group, rendered_by_degree, skew_unit
 
 
 def run(argv, capsys):
@@ -46,6 +50,158 @@ class TestParsing:
     def test_option_the_verb_does_not_read_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+
+# every verb, suite and option, their abbreviations and --opt=value forms, the end of options, help and junk
+TOKENS = (*cli._VERBS, "A", "B", "presentations", "--window", "--name", "--input", "--format", "--period",
+          "--win", "--n", "--i", "--f", "--p", "--window=-4..4", "--name=Ls", "--format=tsv", "--period=4",
+          "--", "-h", "--help", "X", "-4..4", "json")
+
+
+class _Parsed(BaseException):
+    """Carries what main's parser made of a command line out of main, before any verb runs."""
+
+
+def _outcome(parse, argv):
+    """("parsed", the values with func by name, stdout), ("error", the UsageError text, stdout)
+    or ("exit", the exit code, stdout) of parse(argv)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            ns = parse(argv)
+    except UsageError as exc:
+        return "error", str(exc), out.getvalue()
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return "parsed", {**vars(ns), "func": ns.func.__name__}, out.getvalue()
+
+
+class TestParserDifferential:
+    """main builds only the subparser of a leading verb, and every command line reads as it does
+    with all of them: the same values, the same error and the same help."""
+
+    @pytest.fixture
+    def main_parse(self, monkeypatch):
+        """argv -> (what main's parser makes of it, the verbs main built that parser with); no verb runs."""
+        calls, built = [], {}
+
+        def spy(names=tuple(cli._VERBS)):
+            names = tuple(names)
+            calls.append(names)
+            if names not in built:  # one parser per set of verbs: parsing leaves a parser as it was
+                parser = built[names] = build_parser(names)
+
+                def parse_args(argv, parser=parser):
+                    raise _Parsed(_outcome(functools.partial(argparse.ArgumentParser.parse_args, parser), argv))
+
+                parser.parse_args = parse_args
+            return built[names]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+
+        def parse(argv):
+            calls.clear()
+            try:
+                main(argv)
+            except _Parsed as stop:
+                (names,) = calls
+                return stop.args[0], names
+            raise AssertionError(f"main returned without parsing {argv}")
+
+        return parse
+
+    def test_every_line_of_at_most_three_tokens(self, main_parse):
+        oracle = build_parser()
+        for k in range(4):
+            for argv in map(list, itertools.product(TOKENS, repeat=k)):
+                got, names = main_parse(argv)
+                assert got == _outcome(oracle.parse_args, _glue_window(argv)), argv
+                assert names == ((argv[0],) if argv and argv[0] in cli._VERBS else tuple(cli._VERBS)), argv
+
+    def test_longer_lines(self, main_parse):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        oracle = build_parser()
+
+        @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(argv=st.lists(st.sampled_from(TOKENS) | st.text(max_size=6), min_size=4, max_size=10))
+        def same(argv):
+            assert main_parse(argv)[0] == _outcome(oracle.parse_args, _glue_window(argv))
+
+        same()
+
+    def test_a_leading_verb_builds_its_subparser_alone(self, monkeypatch, capsys):
+        added, add_parser = [], argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+        assert main(["table", "--name", "Lgs", "--window", "-376..375"]) == 0
+        assert added == ["table"]
+        added.clear()
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert added == list(cli._VERBS)
+        assert "{table,dual,invariant,certify-ef,verify,torsor}" in capsys.readouterr().out
+
+
+class TestRendering:
+    """A table's text, each core group rendered once, is each degree's group rendered on its own."""
+
+    @staticmethod
+    def _check(G):
+        expected = rendered_by_degree(G)
+        doc = {"window": list(G.window), "period": G.period, "groups": {str(n): text for n, text in expected}}
+        assert G.rendered() == expected
+        assert G.to_json() == doc
+        tsv, js, old = io.StringIO(), io.StringIO(), io.StringIO()
+        _emit_table(G, "tsv", tsv)
+        assert tsv.getvalue() == "".join(f"{n}\t{text}\n" for n, text in expected)
+        _emit_table(G, "json", js)
+        json.dump(doc, old, indent=2)
+        assert js.getvalue() == old.getvalue() + "\n"
+
+    @pytest.mark.parametrize("window", [(-376, 375), (1648, 2048), (-2048, -1649)])
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_named_tables_and_their_duals(self, name, window):
+        tab = table(name, window)
+        self._check(tab)
+        self._check(anderson_dual(tab))
+
+    def test_random_finite_tables(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            lo = rng.randint(-60, 60)
+            hi = lo + rng.randint(0, 40)
+            period = rng.choice([None, None, 1, 2, 3, 4, 8])
+            base = [random_group(rng) if rng.random() < 0.7 else FgAbGroup() for _ in range(period or hi - lo + 1)]
+            groups = {str(n): base[(n - lo) % len(base)].render() for n in range(lo, hi + 1) if rng.random() < 0.8}
+            if period:  # a periodic table states every degree
+                groups = {str(n): base[(n - lo) % period].render() for n in range(lo, hi + 1)}
+            self._check(GradedGroup.from_json({"window": [lo, hi], "period": period, "groups": groups}))
+
+
+class TestNameOrInput:
+    """table needs --name; dual and torsor read --name or --input, and refuse both."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table"], "table needs --name"), (["table", "--window", "-4..4", "--format", "tsv"], "table needs --name"),
+        (["torsor"], "torsor needs --name or --input"), (["torsor", "--period", "4"], "torsor needs --name or --input"),
+        (["dual", "--window", "-4..4"], "dual needs --name or --input")])
+    def test_missing_name_is_named(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("verb", ["dual", "torsor"])
+    @pytest.mark.parametrize("extra", [[], ["--window", "-4..4"], ["--format", "tsv"]])
+    def test_name_and_input_together_are_refused(self, verb, extra, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"window": [0, 7], "period": 4, "groups": {"0": "Z/5", "4": "Z/5"}}))
+        assert main([verb, "--input", str(path)] + extra) == 0  # the file alone is read
+        capsys.readouterr()
+        code = main([verb, "--name", "Ls", "--input", str(path)] + extra)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {verb} takes --name or --input, not both\n")
 
 
 class TestTable:
