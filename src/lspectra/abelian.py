@@ -19,6 +19,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
+from operator import add, index, mul, sub
 
 __all__ = [
     "IntMatrix",
@@ -48,19 +49,21 @@ class IntMatrix:
     """Immutable integer matrix, row major.
 
     Zero-row or zero-column shapes are legal; they occur constantly as
-    differentials in and out of trivial chain groups.
+    differentials in and out of trivial chain groups.  The constructor
+    checks the shape of outside data and reads entries with ``operator.index``,
+    refusing floats and strings; the class's own results skip both (``_matrix``).
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, shape=None):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(map(index, row)) for row in entries)
         if shape is not None:
             rows, cols = shape
             if len(data) == 0 and rows > 0:
                 if cols:
                     raise ValueError("missing entries for nonempty shape")
-                data = tuple(() for _ in range(rows))
+                data = ((),) * rows
             elif len(data) != rows:
                 raise ValueError("row count does not match shape")
         else:
@@ -78,16 +81,18 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
+        return _matrix(((0,) * cols,) * rows, rows, cols)
 
     @classmethod
     def from_columns(cls, cols, rows):
-        """The rows x len(cols) matrix whose j-th column is ``cols[j]``."""
-        return cls([[c[i] for c in cols] for i in range(rows)], shape=(rows, len(cols)))
+        """The rows x len(cols) matrix whose j-th column is ``cols[j]``, a sequence of ints."""
+        if any(len(c) != rows for c in cols):
+            raise ValueError(f"a column's length is not {rows}")
+        return _matrix(tuple(zip(*cols)) if cols else ((),) * rows, rows, len(cols))
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def diagonal(cls, diag, rows=None, cols=None):
@@ -95,8 +100,8 @@ class IntMatrix:
         cols = len(diag) if cols is None else cols
         m = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(diag):
-            m[i][i] = int(d)
-        return cls(m, shape=(rows, cols))
+            m[i][i] = index(d)
+        return _matrix(tuple(map(tuple, m)), rows, cols)
 
     @classmethod
     def from_blocks(cls, rows, cols, blocks):
@@ -109,20 +114,18 @@ class IntMatrix:
         for top, left, b in blocks:
             if top < 0 or left < 0 or top + b.rows > rows or left + b.cols > cols:
                 raise ValueError(f"block at ({top}, {left}) outside the {rows}x{cols} matrix")
-            for i, row in enumerate(b.entries):
-                target = m[top + i]
-                for j, v in enumerate(row):
-                    if v:
-                        target[left + j] += v
-        return cls(m, shape=(rows, cols))
+            right = left + b.cols
+            for target, row in zip(m[top:], b.entries):
+                target[left:right] = map(add, target[left:right], row)
+        return _matrix(tuple(map(tuple, m)), rows, cols)
 
     def kron(self, other, sign=1):
         """The signed Kronecker product: sign·self[i, j]·other[r, s] at
         (i·other.rows + r, j·other.cols + s)."""
-        return IntMatrix(
-            [[sign * a * b for a in row for b in o_row]
-             for row in self.entries for o_row in other.entries],
-            shape=(self.rows * other.rows, self.cols * other.cols),
+        return _matrix(
+            tuple(tuple([sign * a * b for a in row for b in o_row])
+                  for row in self.entries for o_row in other.entries),
+            self.rows * other.rows, self.cols * other.cols,
         )
 
     def tolist(self):
@@ -143,19 +146,22 @@ class IntMatrix:
         i, j = idx
         return self.entries[i][j]
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            shape=(self.rows, self.cols),
-        )
+        return _matrix(tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+                       self.rows, self.cols)
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._entrywise(other, sub)
 
     def scale(self, c):
-        return IntMatrix([[c * x for x in row] for row in self.entries], shape=(self.rows, self.cols))
+        if c == 1:
+            return self
+        return _matrix(tuple(tuple(map(mul, row, itertools.repeat(c))) for row in self.entries), self.rows, self.cols)
 
     def __neg__(self):
         return self.scale(-1)
@@ -163,31 +169,20 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.transpose().entries
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
-            shape=(self.rows, other.cols),
-        )
+        cols = other.transpose().entries
+        return _matrix(tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries),
+                       self.rows, other.cols)
 
     def transpose(self):
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            shape=(self.cols, self.rows),
-        )
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
+        return _matrix(tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, self.cols, self.rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return list(map(list, self.transpose().entries))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
-            [list(r1) + list(r2) for r1, r2 in zip(self.entries, other.entries)],
-            shape=(self.rows, self.cols + other.cols),
-        )
+        return _matrix(tuple(map(add, self.entries, other.entries)), self.rows, self.cols + other.cols)
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
@@ -217,6 +212,15 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
+
+
+def _matrix(data, rows, cols) -> IntMatrix:
+    """The IntMatrix of ``data``, ``rows`` tuples of ``cols`` ints, unchecked: for results computed here."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", data)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +416,7 @@ def _smith(a, m, n, u=False, uinv=False, v=False):
 
     diag = [M[t][t] for t in range(r)]
     _divisibility_chain(diag, gcd_lcm_move)
-    return diag, U, Ui, None if VT is None else [list(row) for row in zip(*VT)]
+    return diag, U, Ui, None if VT is None else list(zip(*VT))
 
 
 def _divisibility_chain(d, move=None):
@@ -438,16 +442,16 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     """Smith normal form with transforms; total on all integer matrices."""
     diag, U, _, V = _smith(A.entries, A.rows, A.cols, u=True, v=True)
     return SnfResult(
-        U=IntMatrix(U, shape=(A.rows, A.rows)),
+        U=_matrix(tuple(map(tuple, U)), A.rows, A.rows),
         D=IntMatrix.diagonal(diag, A.rows, A.cols),
-        V=IntMatrix(V, shape=(A.cols, A.cols)),
+        V=_matrix(tuple(V), A.cols, A.cols),
     )
 
 
 def _kernel_columns(diag, V) -> IntMatrix:
     """Kernel basis from one factorisation: the columns of V past the rank."""
     rank, n = sum(1 for d in diag if d), len(V)
-    return IntMatrix([row[rank:] for row in V], shape=(n, n - rank))
+    return _matrix(tuple(row[rank:] for row in V), n, n - rank)
 
 
 def _back_substitute(U, diag, V, b) -> list[int] | None:
@@ -457,7 +461,7 @@ def _back_substitute(U, diag, V, b) -> list[int] | None:
         raise ValueError("right-hand side length does not match the row count")
     y = [0] * n
     for i, row in enumerate(U):
-        ub = sum(u * x for u, x in zip(row, b))
+        ub = sum(map(mul, row, b))
         d = diag[i] if i < len(diag) else 0
         if d == 0:
             if ub != 0:
@@ -466,7 +470,7 @@ def _back_substitute(U, diag, V, b) -> list[int] | None:
             if ub % d:
                 return None
             y[i] = ub // d
-    return [sum(v * yk for v, yk in zip(row, y)) for row in V]
+    return [sum(map(mul, row, y)) for row in V]
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -702,7 +706,7 @@ def _kernel_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:
     """
     R = tgt.relation_matrix()
     K = kernel_basis(M.hstack(R) if R.cols else M)
-    return IntMatrix(K.entries[: src.gens()], shape=(src.gens(), K.cols))
+    return _matrix(K.entries[: src.gens()], src.gens(), K.cols)
 
 
 def _image_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:

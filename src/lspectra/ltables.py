@@ -717,15 +717,16 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     def classes(lo, hi):
         return [(d, m) for d in range(lo, hi + 1) for m, _ in module_basis("Lq", d)]
 
-    right = classes(lo, hi)
-    for a, ma in classes(-4, 3):
+    left, right = classes(-4, 3), classes(lo, hi)
+    unit = {n: image(n, [1]) for n, _ in left + right}  # the image of the class in degree n
+    for a, ma in left:
         for b, mb in right:
             c, mc = lq._reduce_term(mono_mul(ma, mb), 64) or (0, ONE)  # (8 ma)(8 mb), reduced
             labels = [m for m, _ in module_basis("Lq", a + b)]
             if c % 8 or c and mc not in labels:
                 return False  # the product leaves the L^q classes
             coords = [c // 8 if m == mc else 0 for m in labels]
-            if image(a + b, coords) != ls.multiply(image(a, [1]), image(b, [1])):
+            if image(a + b, coords) != ls.multiply(unit[a], unit[b]):
                 return False
     return True
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .abelian import IntMatrix, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_layout
@@ -42,7 +43,7 @@ class InvalidStructureError(ValueError):
     """Structure data violating the relations or the expected shapes."""
 
 
-MAX_LEVEL = 1000  # of a structure read: its relations take 0.5 s at level 1000 over 1000 degrees
+MAX_LEVEL = 1000  # of a structure read: beta takes 0.5 s at level 1000 over 1000 degrees, half in the relations
 
 
 def _flipped(S: "StructuredComplex", level: int, k: int) -> IntMatrix:
@@ -172,14 +173,15 @@ def structure_relation_failures(S: StructuredComplex):
 
 
 def _lhs(S: StructuredComplex, level, k, kp) -> IntMatrix:
+    """-(-1)^level [d_k^T psi_{level,k-1} + (-1)^k psi_{level,k} d_kp]; an absent psi block adds nothing."""
     C = S.complex
-    d_k = C.diff(k)
-    d_y = C.diff(kp)
-    first = d_k.transpose() @ S.psi_matrix(level, k - 1)
-    second = S.psi_matrix(level, k) @ d_y
-    combined = first + second.scale(-1 if k % 2 else 1)
     outer = -1 if level % 2 == 0 else 1  # -(-1)^level
-    return combined.scale(outer)
+    lhs = IntMatrix.zero(C.rank(k), C.rank(kp))
+    if (level, k - 1) in S.psi:
+        lhs = lhs + (C.diff(k).transpose() @ S.psi[level, k - 1]).scale(outer)
+    if (level, k) in S.psi:
+        lhs = lhs + (S.psi[level, k] @ C.diff(kp)).scale(-outer if k % 2 else outer)
+    return lhs
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +307,13 @@ def linking_form(S: StructuredComplex, lift_rng=None) -> LinkingForm:
     lifts = [snf.solve([(1 << K) * v for v in g]) for g in gens]
     if lift_rng is not None:
         ker = snf.kernel_basis()
-        for z in lifts:
-            for j in range(ker.cols):
-                c = lift_rng.randint(-3, 3)
-                for i in range(len(z)):
-                    z[i] += c * ker[i, j]
+        for i, z in enumerate(lifts):
+            c = [lift_rng.randint(-3, 3) for _ in range(ker.cols)]
+            lifts[i] = [x + sum(map(mul, row, c)) for x, row in zip(z, ker.entries)]
     Z = IntMatrix.from_columns(lifts, d.cols)
-    M = Z.transpose() @ S.psi_matrix(1, 1) @ Z
-    M = M + (d @ Z).transpose() @ S.psi_matrix(0, 0) @ Z
+    M = (d @ Z).transpose() @ S.psi_matrix(0, 0) @ Z
+    if (1, 1) in S.psi:  # an absent psi_1 adds nothing
+        M = Z.transpose() @ S.psi[1, 1] @ Z + M
     denom = 1 << (K + 1)
     a = [Fraction(M[i, i], denom) for i in range(M.rows)]
     b = {(i, j): Fraction(M[i, j] + M[j, i], denom) for i, j in combinations(range(M.rows), 2)}

@@ -12,7 +12,10 @@ at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
 sums of linking forms element by element; the Arf invariant by counting
 the zeros of q; the lift exponent of a linking form by a search over
-2-powers per generator; the text of a table by rendering each degree.
+2-powers per generator; the text of a table by rendering each degree;
+the integer-matrix kernels (products, transposes, sums, Kronecker products,
+blocks, solves, kernels, homology lifts) and the structure relations entry
+by entry.
 """
 
 from __future__ import annotations
@@ -709,6 +712,124 @@ def hidden_e_tensor_f_plus_h(rng):
         for (lv, k), m in psi.items()
     }
     return StructuredComplex(IntComplex(ranks, d), "quadratic", 1, psi)
+
+
+# -- integer-matrix kernels entry by entry ------------------------------------------
+#
+# Each reference reads its operands through ``m[i, j]`` and the shape alone and
+# returns (rows, cols, list of rows), the value ``shaped`` gives for a result.
+
+
+def shaped(m: IntMatrix):
+    return m.rows, m.cols, m.tolist()
+
+
+def by_entry(rows, cols, entry):
+    """The (rows, cols, list of rows) of the matrix with ``entry(i, j)`` at (i, j)."""
+    return rows, cols, [[entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def product_by_entry(a, b):
+    return by_entry(a.rows, b.cols, lambda i, j: sum(a[i, k] * b[k, j] for k in range(a.cols)))
+
+
+def transpose_by_entry(a):
+    return by_entry(a.cols, a.rows, lambda i, j: a[j, i])
+
+
+def combination_by_entry(a, b, x, y):
+    """x·a + y·b."""
+    return by_entry(a.rows, a.cols, lambda i, j: x * a[i, j] + y * b[i, j])
+
+
+def hstack_by_entry(a, b):
+    return by_entry(a.rows, a.cols + b.cols, lambda i, j: a[i, j] if j < a.cols else b[i, j - a.cols])
+
+
+def kron_by_entry(a, b, sign):
+    return by_entry(a.rows * b.rows, a.cols * b.cols,
+                    lambda i, j: sign * a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols])
+
+
+def from_columns_by_entry(cols, rows):
+    return by_entry(rows, len(cols), lambda i, j: cols[j][i])
+
+
+def from_blocks_by_entry(rows, cols, blocks):
+    return by_entry(rows, cols, lambda i, j: sum(b[i - top, j - left] for top, left, b in blocks
+                                                 if 0 <= i - top < b.rows and 0 <= j - left < b.cols))
+
+
+def solve_by_entry(snf, b):
+    """SnfResult.solve read off U, D and V entry by entry: x = V·y where D·y = U·b."""
+    U, D, V = snf.U, snf.D, snf.V
+    y = [0] * V.rows
+    for i in range(U.rows):
+        ub = sum(U[i, k] * b[k] for k in range(U.cols))
+        d = D[i, i] if i < min(D.rows, D.cols) else 0
+        if ub % d if d else ub:
+            return None
+        if d:
+            y[i] = ub // d
+    return [sum(V[i, k] * y[k] for k in range(V.cols)) for i in range(V.rows)]
+
+
+def kernel_by_entry(snf):
+    """The columns of V past the rank of D."""
+    V, D = snf.V, snf.D
+    rank = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i])
+    return by_entry(V.rows, V.cols - rank, lambda i, j: V[i, rank + j])
+
+
+def homology_lifts_by_entry(C: IntComplex, n: int):
+    """The generator representatives of H_n(C) in C_n: each coordinate vector
+    of a homology generator times the cycle basis K, entry by entry."""
+    from lspectra.abelian import _lattice_coordinates, cokernel_with_gens, kernel_basis
+
+    if C.rank(n) == 0:
+        return []
+    K = kernel_basis(C.diff(n))
+    if K.cols == 0:
+        return []
+    _, gens, _ = cokernel_with_gens(_lattice_coordinates(K, C.diff(n + 1)))
+    return [[sum(K[i, j] * g[j] for j in range(K.cols)) for i in range(K.rows)] for g in gens]
+
+
+def structure_failures_by_entry(S: StructuredComplex):
+    """The slots where S's structure relations fail, every psi block read
+    through ``psi_matrix`` (zeros where absent) and every product entry by
+    entry; the relations are those of ``structure_relation_failures``."""
+    C, n = S.complex, S.dimension
+    t = -1 if n % 4 == 1 else 1
+    lo, hi = C.window()
+    failures = []
+    for level in range(S.max_level() + 2):
+        for k in range(lo, hi + 2):
+            kp = n + level + 1 - k if S.kind == "quadratic" else n - level + 1 - k
+            if C.rank(k) == 0 or C.rank(kp) == 0:
+                continue
+            d_k, d_y = C.diff(k), C.diff(kp)
+            first, second = S.psi_matrix(level, k - 1), S.psi_matrix(level, k)
+            outer = -(-1) ** level
+            eps = t * (-1) ** (k * kp)
+            if S.kind == "quadratic":
+                top, flip, own = S.psi_matrix(level + 1, k), S.psi_matrix(level + 1, kp), (-1) ** (level + 1)
+            elif level:
+                top, flip, own, eps = S.psi_matrix(level - 1, k), S.psi_matrix(level - 1, kp), 1, eps * (-1) ** level
+            else:
+                top = flip = None
+            for x in range(C.rank(k)):
+                for y in range(C.rank(kp)):
+                    lhs = outer * (sum(d_k[a, x] * first[a, y] for a in range(d_k.rows))
+                                   + (-1) ** k * sum(second[x, b] * d_y[b, y] for b in range(d_y.rows)))
+                    rhs = 0 if top is None else own * top[x, y] + eps * flip[y, x]
+                    if lhs != rhs:
+                        break
+                else:
+                    continue
+                failures.append((level, k))
+                break
+    return failures
 
 
 # -- the lift exponent of a linking form by search ---------------------------------

@@ -3,6 +3,7 @@ import json
 import random
 import signal
 import time
+from fractions import Fraction
 from math import gcd, log2
 
 import pytest
@@ -24,6 +25,7 @@ from lspectra.abelian import (
     smith_normal_form,
 )
 
+from lspectra.chain import IntComplex
 from lspectra.cli import main
 from lspectra.forms import brown_kervaire
 from lspectra.ltables import verify_classical
@@ -33,16 +35,26 @@ from helpers import (
     add_in,
     block_diagonal,
     canonical_by_primes,
+    combination_by_entry,
     elements_of,
     ext_by_resolution,
+    from_blocks_by_entry,
+    from_columns_by_entry,
     group_from_annihilator_counts,
     hidden_e_tensor_f_plus_h,
     lattice_eq,
     hom_by_enumeration,
+    hstack_by_entry,
+    kernel_by_entry,
+    kron_by_entry,
     minors_gcd_invariant_factors,
+    product_by_entry,
     random_group,
     random_matrix,
     scale_in,
+    shaped,
+    solve_by_entry,
+    transpose_by_entry,
 )
 
 
@@ -273,6 +285,122 @@ class TestBlocks:
     def test_from_blocks_rejects_a_block_outside(self, top, left):
         with pytest.raises(ValueError):
             IntMatrix.from_blocks(2, 3, [(top, left, IntMatrix([[1]]))])
+
+
+BIG = 1 << 200
+
+
+def _hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None,
+                                   suppress_health_check=list(hypothesis.HealthCheck))
+    return hypothesis, hypothesis.strategies, settings
+
+
+def _draw_matrix(data, st, rows, cols, bound=BIG):
+    entries = st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                       min_size=rows, max_size=rows)
+    return IntMatrix(data.draw(entries), shape=(rows, cols))
+
+
+class TestKernelsByEntry:
+    """Every IntMatrix kernel against its entry-by-entry reference in helpers,
+    on shapes from 0 to 4 (0 x n and n x 0 included), entries up to ±2^200."""
+
+    def test_products_transposes_sums_and_stacks(self):
+        hypothesis, st, settings = _hypothesis()
+        dim = st.integers(0, 4)
+
+        @settings
+        @hypothesis.given(data=st.data())
+        def check(data):
+            r, c, k = data.draw(dim), data.draw(dim), data.draw(dim)
+            a, b = _draw_matrix(data, st, r, c), _draw_matrix(data, st, r, c)
+            e, h = _draw_matrix(data, st, c, k), _draw_matrix(data, st, r, k)
+            x = data.draw(st.integers(-BIG, BIG))
+            assert shaped(a @ e) == product_by_entry(a, e)
+            assert shaped(a.transpose()) == transpose_by_entry(a)
+            assert shaped(a + b) == combination_by_entry(a, b, 1, 1)
+            assert shaped(a - b) == combination_by_entry(a, b, 1, -1)
+            assert shaped(-a) == combination_by_entry(a, b, -1, 0)
+            assert shaped(a.scale(x)) == combination_by_entry(a, b, x, 0)
+            assert shaped(a.hstack(h)) == hstack_by_entry(a, h)
+            assert shaped(a.kron(e, -1)) == kron_by_entry(a, e, -1)
+            assert shaped(a.kron(e)) == kron_by_entry(a, e, 1)
+            assert a.columns() == [[a[i, j] for i in range(r)] for j in range(c)]
+            assert shaped(IntMatrix.from_columns(a.columns(), r)) == from_columns_by_entry(a.columns(), r)
+
+        check()
+
+    def test_from_blocks(self):
+        hypothesis, st, settings = _hypothesis()
+        dim = st.integers(0, 4)
+
+        @settings
+        @hypothesis.given(data=st.data())
+        def check(data):
+            rows, cols = data.draw(dim), data.draw(dim)
+            blocks = []
+            for _ in range(data.draw(st.integers(0, 4))):
+                r, c = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+                top, left = data.draw(st.integers(0, rows - r)), data.draw(st.integers(0, cols - c))
+                blocks.append((top, left, _draw_matrix(data, st, r, c)))
+            made = IntMatrix.from_blocks(rows, cols, blocks)
+            assert shaped(made) == from_blocks_by_entry(rows, cols, blocks)
+
+        check()
+
+    def test_solve_and_kernel(self):
+        hypothesis, st, settings = _hypothesis()
+        dim = st.integers(0, 4)
+
+        @settings
+        @hypothesis.given(data=st.data())
+        def check(data):
+            r, c, k = data.draw(dim), data.draw(dim), data.draw(st.integers(0, 3))
+            if data.draw(st.booleans()):  # rank at most k: a product through Z^k, so kernels are common
+                a = _draw_matrix(data, st, r, k, 1 << 100) @ _draw_matrix(data, st, k, c, 1 << 100)
+            else:
+                a = _draw_matrix(data, st, r, c)
+            snf = smith_normal_form(a)
+            K = snf.kernel_basis()
+            assert shaped(K) == kernel_by_entry(snf)
+            assert kernel_basis(a) == K
+            assert product_by_entry(a, K) == (r, K.cols, [[0] * K.cols] * r)
+            x0 = data.draw(st.lists(st.integers(-BIG, BIG), min_size=c, max_size=c))
+            b = _apply(a, x0)
+            shifted = b[:]
+            if shifted:
+                shifted[0] += data.draw(st.integers(1, 3))
+            for rhs in (b, shifted):
+                x = snf.solve(rhs)
+                assert x == solve_by_entry(snf, rhs)
+                if x is None:
+                    assert rhs is shifted
+                else:
+                    assert _apply(a, x) == rhs
+
+        check()
+
+
+class TestIntegerEntries:
+    """The public constructor reads entries with operator.index: non-integers are refused, not truncated."""
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "2", Fraction(7, 2), Fraction(4, 1), None])
+    def test_non_integer_entry_is_refused(self, entry):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, entry]])
+        with pytest.raises(TypeError):
+            IntMatrix([[entry]], shape=(1, 1))
+
+    def test_integer_entries_are_read_as_ints(self):
+        m = IntMatrix([[True, -(1 << 200)], [0, 3]])
+        assert m.tolist() == [[1, -(1 << 200)], [0, 3]] and type(m[0, 0]) is int
+
+    def test_complex_with_a_float_differential_is_refused(self):
+        # 2.9 was truncated to 2, and H_{-1} came out as Z/2
+        with pytest.raises(TypeError):
+            IntComplex({0: 1, -1: 1}, {0: [[2.9]]})
 
 
 class TestFactorOnce:

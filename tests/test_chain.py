@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from lspectra.abelian import FgAbGroup, IntMatrix, extension_candidates
+from lspectra.abelian import FgAbGroup, IntMatrix, extension_candidates, kernel_basis
 from lspectra.chain import IntComplex, dual, tensor
 
-from helpers import kunneth_parts
+from helpers import homology_lifts_by_entry, kunneth_parts, product_by_entry
 
 
 def two_term(d, top=0):
@@ -38,6 +38,36 @@ class TestHomology:
     def test_d_squared_enforced(self):
         with pytest.raises(ValueError):
             IntComplex({2: 1, 1: 1, 0: 1}, {2: [[1]], 1: [[1]]})
+
+
+class TestHomologyLifts:
+    def test_lifts_match_the_entrywise_product(self):
+        # C_2 --d2--> C_1 --d1--> C_0, d2 = K·B with K a kernel basis of d1,
+        # entries of d1 and B up to 2^200 and every rank from 0 to 3
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        big = 1 << 200
+
+        def matrix(data, rows, cols):
+            entries = st.lists(st.lists(st.integers(-big, big), min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)
+            return IntMatrix(data.draw(entries), shape=(rows, cols))
+
+        @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(data=st.data())
+        def check(data):
+            r0, r1, r2 = (data.draw(st.integers(0, 3)) for _ in range(3))
+            d1 = matrix(data, r0, r1)
+            K = kernel_basis(d1)
+            d2 = K @ matrix(data, K.cols, r2)
+            c = IntComplex({0: r0, 1: r1, 2: r2}, {1: d1, 2: d2})
+            for n in (0, 1, 2):
+                _, lifts, _ = c.homology_with_gens(n)
+                assert lifts == homology_lifts_by_entry(c, n)
+                assert all(not any(row) for row in product_by_entry(c.diff(n), IntMatrix.from_columns(lifts, c.rank(n)))[2])
+
+        check()
 
 
 class TestTensor:

@@ -484,6 +484,10 @@ MALFORMED_INPUTS = {
     "structure-relations-fail": (["invariant", "--name", "beta"], {
         "ranks": {"0": 1, "-1": 1}, "differentials": {"0": [[2]]},
         "kind": "symmetric", "dimension": -1, "psi": {"0,0": [[1]], "0,-1": [[-1]]}}),
+    # E (x) F with a string entry, once read as the integer it spells
+    "string-differential-entry": (["invariant", "--name", "beta"], {
+        "ranks": {"0": 2, "1": 2}, "differentials": {"1": [["2", 0], [0, 2]]},
+        "kind": "quadratic", "dimension": 1, "psi": {"0,0": [[-1, -1], [0, -1]], "0,1": [[-1, -1], [0, -1]]}}),
     # documents of the wrong JSON shape
     "list-as-form": (["invariant", "--name", "beta"], [1, 2]),
     "number-as-factors": (["invariant", "--name", "beta"], {"factors": 2, "q": {}}),
@@ -557,6 +561,8 @@ class TestMalformedInput:
         assert "Traceback" not in captured.err
         if case in ("descending-factors", "unit-in-factors"):
             assert "factors" in captured.err
+        if case == "string-differential-entry":
+            assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
 
     def test_nesting_deeper_than_the_json_parser_goes(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -18,7 +18,7 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
-from helpers import hidden_e_tensor_f_plus_h, lift_exponent_by_search
+from helpers import hidden_e_tensor_f_plus_h, lift_exponent_by_search, structure_failures_by_entry
 
 
 class TestStructureValidation:
@@ -67,6 +67,51 @@ class TestStructureValidation:
             if poincare_check(s):
                 found.append((u0, u1, w))
         assert sorted(found) == [(-1, 1, -1), (1, -1, 1)]
+
+
+def _valid_structures():
+    return [representative("E"), tensor_structured(representative("E"), representative("F")),
+            hidden_e_tensor_f_plus_h(random.Random(3))]
+
+
+def _one_entry_corruptions():
+    """(psi key, structure) for +1 at each entry of each psi block of each valid structure."""
+    for S in _valid_structures():
+        for key, m in sorted(S.psi.items()):
+            for i, j in itertools.product(range(m.rows), range(m.cols)):
+                entries = m.tolist()
+                entries[i][j] += 1
+                yield key, StructuredComplex(S.complex, S.kind, S.dimension, {**S.psi, key: IntMatrix(entries)},
+                                             check=False)
+
+
+class TestStructureFaults:
+    """The relation check skips absent psi blocks; it must still see every wrong entry."""
+
+    def test_one_wrong_entry_fails_where_its_block_is_read(self):
+        seen = 0
+        for (level, k), bad in _one_entry_corruptions():
+            failures = structure_relation_failures(bad)
+            assert failures == structure_failures_by_entry(bad)
+            assert {(level, k), (level, k + 1)} & set(failures), ((level, k), failures)
+            seen += 1
+        assert seen > 50
+
+    def test_a_present_zero_block_fails_as_an_absent_one(self):
+        added = 0
+        for S in _valid_structures() + [bad for _, bad in _one_entry_corruptions()]:
+            C = S.complex
+            lo, hi = C.window()
+            padded = StructuredComplex(C, S.kind, S.dimension, S.psi, check=False)
+            for level, k in itertools.product(range(S.max_level() + 2), range(lo, hi + 1)):
+                shape = (C.rank(k), C.rank(S.partner_degree(level, k)))
+                if (level, k) not in padded.psi and all(shape):
+                    padded.psi[(level, k)] = IntMatrix.zero(*shape)
+            added += len(padded.psi) - len(S.psi)
+            assert structure_relation_failures(padded) == structure_relation_failures(S)
+            if S.dimension == 1 and not structure_relation_failures(S):
+                assert (1, 1) in padded.psi and linking_form(padded) == linking_form(S)
+        assert added > 50
 
 
 class TestPoincareCheck:
