@@ -77,13 +77,15 @@ def _load_json_file(path):
 
 
 def _named_or_input_table(args):
-    """The table that dual and torsor read: --name's on --window, or the --input file's."""
+    """The table that dual and torsor read: --name's on --window (-16..16 unless given), or the --input file's."""
     if args.name is not None and args.input is not None:
         raise UsageError(f"{args.command} takes --name or --input, not both")
+    if args.window is not None and args.input is not None:
+        raise UsageError(f"{args.command} takes --window or --input, not both")
     if args.input:
         return GradedGroup.from_json(_load_json_file(args.input))
     if args.name:
-        return table(args.name, parse_window(args.window))
+        return table(args.name, parse_window("-16..16" if args.window is None else args.window))
     raise UsageError(f"{args.command} needs --name or --input")
 
 
@@ -159,13 +161,13 @@ def cmd_torsor(args, out):
 # their defaults, and the arguments it adds after --format with theirs.
 _VERBS = {
     "table": (cmd_table, "print a homotopy-group table", "json", {"window": "-16..16", "name": None}, {}),
-    "dual": (cmd_dual, "Anderson dual of a table", "json", {"window": "-16..16", "name": None, "input": None}, {}),
+    "dual": (cmd_dual, "Anderson dual of a table", "json", {"window": None, "name": None, "input": None}, {}),
     "invariant": (cmd_invariant, "signature, arf or beta of a form file", "json", {"name": None, "input": None}, {}),
     "certify-ef": (cmd_certify_ef, "run the chain-level ef = 4 certificate", "tsv", {}, {}),
     "verify": (cmd_verify, "run a verification suite", "json", {"window": None},
                {"suite": {"choices": tuple(_SUITES)}}),
     "torsor": (cmd_torsor, "splitting-torsor count of a table", "json",
-               {"window": "-16..16", "name": None, "input": None}, {"--period": {"type": int}}),
+               {"window": None, "name": None, "input": None}, {"--period": {"type": int}}),
 }
 
 

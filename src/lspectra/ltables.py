@@ -392,8 +392,29 @@ def _member(family: str, *names: str, plus: int = 0):
     return (family, names, plus), 1
 
 
+MEMO_BOUND = 1 << 14  # normal forms a shared presentation may hold and still be handed out again
+_SHARED: dict = {}  # ring name -> its one presentation in this process
+
+
 def presentation(name: str) -> RingPresentation:
     """The built-in presentation of a ring, whatever window it is read on.
+
+    It is one instance per ring per process, so every caller reads and fills
+    the same memos: a normal form depends only on the rules.  A call first
+    drops each shared instance whose memo holds more than MEMO_BOUND normal
+    forms, so the next call for that ring builds it afresh.
+    """
+    for ring, pres in list(_SHARED.items()):  # a copy: another thread may add a ring meanwhile
+        if len(pres._normal_forms) > MEMO_BOUND:
+            _SHARED.pop(ring, None)
+    pres = _SHARED.get(name)
+    if pres is None:
+        pres = _SHARED[name] = _build_presentation(name)
+    return pres
+
+
+def _build_presentation(name: str) -> RingPresentation:
+    """A new instance of the built-in presentation of a ring, with empty memos.
 
     L^gs has the families y_i in degree -4i and z_i in degree -4i-2, and
     scriptL the y_i; each family of relations is one rule schema.
@@ -534,8 +555,9 @@ def table(name: str, window=(-16, 16)) -> GradedGroup:
     return GradedGroup.from_core(window, period, CORE, at, (tail, tail))
 
 
+@cache
 def golden_table(name: str) -> GradedGroup:
-    """The hard-coded golden window shipped with the package."""
+    """The hard-coded golden window shipped with the package, read once per process."""
     path = resources.files("lspectra").joinpath(f"data/golden/{name}.json")
     return GradedGroup.from_json(json.loads(path.read_text()))
 
@@ -618,8 +640,9 @@ def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | No
     ``presentation(name)`` whose degree lies in it, and the products of each
     generator and family member of ``pres`` of degree at most its width in
     size with the basis elements it holds.  Passing ``pres`` reduces them
-    under a (possibly corrupted) presentation instead, which is how fault
-    injection is tested; an instance outside the window is not examined.
+    under a (possibly corrupted) presentation and its own memos instead,
+    which is how fault injection is tested; an instance outside the window
+    is not examined.
     ``build(name, window)`` makes the tables compared, ``table`` unless
     given; a report passes one that builds each (name, window) once.
     """

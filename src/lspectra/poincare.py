@@ -145,21 +145,21 @@ def structure_relation_failures(S: StructuredComplex):
     """
     C = S.complex
     n = S.dimension
-    lo, hi = C.window()
+    degrees = C.degrees()  # the slots of nonzero rank, in the order of lo..hi+1
     failures = []
     max_level = S.max_level() + 1
     for level in range(0, max_level + 1):
-        for k in range(lo, hi + 2):
+        for k in degrees:
             if S.kind == "quadratic":
                 kp = n + level + 1 - k  # degree of y
-                if C.rank(k) == 0 or C.rank(kp) == 0:
+                if C.rank(kp) == 0:
                     continue
                 lhs = _lhs(S, level, k, kp)
                 sgn = -1 if (level + 1) % 2 else 1
                 rhs = S.psi_matrix(level + 1, k).scale(sgn) + _flipped(S, level + 1, k)
             else:
                 kp = n - level + 1 - k
-                if C.rank(k) == 0 or C.rank(kp) == 0:
+                if C.rank(kp) == 0:
                     continue
                 lhs = _lhs(S, level, k, kp)
                 sgn = -1 if level % 2 else 1

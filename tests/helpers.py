@@ -15,7 +15,7 @@ the zeros of q; the lift exponent of a linking form by a search over
 2-powers per generator; the text of a table by rendering each degree;
 the integer-matrix kernels (products, transposes, sums, Kronecker products,
 blocks, solves, kernels, homology lifts) and the structure relations entry
-by entry.
+by entry, and at every degree of the window.
 """
 
 from __future__ import annotations
@@ -829,6 +829,35 @@ def structure_failures_by_entry(S: StructuredComplex):
                     continue
                 failures.append((level, k))
                 break
+    return failures
+
+
+def structure_failures_by_range(S: StructuredComplex):
+    """The slots where S's structure relations fail, visiting every degree of
+    lo..hi+1 at every level and skipping those where either rank is 0: the
+    loop ``structure_relation_failures`` ran before it visited the degrees of
+    nonzero rank alone."""
+    from lspectra.poincare import _flipped, _lhs
+
+    C, n = S.complex, S.dimension
+    lo, hi = C.window()
+    failures = []
+    for level in range(S.max_level() + 2):
+        for k in range(lo, hi + 2):
+            kp = n + level + 1 - k if S.kind == "quadratic" else n - level + 1 - k
+            if C.rank(k) == 0 or C.rank(kp) == 0:
+                continue
+            lhs = _lhs(S, level, k, kp)
+            if S.kind == "quadratic":
+                sgn = -1 if (level + 1) % 2 else 1
+                rhs = S.psi_matrix(level + 1, k).scale(sgn) + _flipped(S, level + 1, k)
+            elif level == 0:
+                rhs = IntMatrix.zero(C.rank(k), C.rank(kp))
+            else:
+                sgn = -1 if level % 2 else 1
+                rhs = S.psi_matrix(level - 1, k) + _flipped(S, level - 1, k).scale(sgn)
+            if lhs != rhs:
+                failures.append((level, k))
     return failures
 
 

@@ -181,7 +181,7 @@ class TestRendering:
 
 
 class TestNameOrInput:
-    """table needs --name; dual and torsor read --name or --input, and refuse both."""
+    """table needs --name; dual and torsor read --name or --input, and refuse both, or --window beside --input."""
 
     @pytest.mark.parametrize("argv, message", [
         (["table"], "table needs --name"), (["table", "--window", "-4..4", "--format", "tsv"], "table needs --name"),
@@ -197,8 +197,13 @@ class TestNameOrInput:
     def test_name_and_input_together_are_refused(self, verb, extra, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"window": [0, 7], "period": 4, "groups": {"0": "Z/5", "4": "Z/5"}}))
-        assert main([verb, "--input", str(path)] + extra) == 0  # the file alone is read
-        capsys.readouterr()
+        code = main([verb, "--input", str(path)] + extra)
+        captured = capsys.readouterr()
+        if "--window" in extra:  # the file's own window is read, so a window beside it is refused
+            assert (code, captured.out, captured.err) == (
+                2, "", f"error: {verb} takes --window or --input, not both\n")
+        else:
+            assert code == 0  # the file alone is read
         code = main([verb, "--name", "Ls", "--input", str(path)] + extra)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {verb} takes --name or --input, not both\n")
@@ -454,7 +459,7 @@ class TestLargePrimeOrders:
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"window": [0, 7], "period": 4,
                                     "groups": {"0": f"Z/{M61}", "4": f"Z/{M61}"}}))
-        code, out, _ = run_cli(["torsor", "--input", str(path), "--window", "0..7"])
+        code, out, _ = run_cli(["torsor", "--input", str(path)])  # the file's own window, 0..7
         assert code == 0
         assert json.loads(out) == {"torsor": "0"}
 

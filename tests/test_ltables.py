@@ -4,6 +4,7 @@ import random
 import re
 import signal
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -500,7 +501,7 @@ class TestIndexedReduce:
     def test_index_is_not_part_of_the_value(self):
         pres = presentation("Lgs")
         pres.reduce({mono(("x", 2), ("y3", 1)): 1})  # fills the memo
-        fresh = presentation("Lgs")
+        fresh = dataclasses.replace(presentation("Lgs"))  # presentation("Lgs") is pres itself
         assert pres == fresh and hash(pres) == hash(fresh) and repr(pres) == repr(fresh)
         assert "_rules" not in repr(pres)
         # replace compiles the new rules
@@ -548,13 +549,113 @@ class TestIndexedReduce:
             return genuine(m, pattern)
 
         monkeypatch.setattr(ltables, "mono_div", counted)
-        assert verify_presentation("Lgs", (-150, 150))
+        fresh = dataclasses.replace(presentation("Lgs"))  # the shared instance may hold these forms already
+        assert verify_presentation("Lgs", (-150, 150), pres=fresh)
         assert 0 < applied <= 8721
 
     def test_far_and_wide_windows_verify(self):
         # 25 s and more than 100 s with a scan of every rule per monomial
         for window in ((-400, -396), (-150, 150)):
             assert all(item.passed for item in verify_presentations_report(window))
+
+
+class TestSharedPresentations:
+    """One presentation per ring per process: shared memos change no verdict and no matrix."""
+
+    def test_one_instance_per_ring(self):
+        for name in ltables.RING_NAMES:
+            assert presentation(name) is presentation(name) == ltables._build_presentation(name)
+        assert golden_table("Lgs") is golden_table("Lgs")
+
+    def test_reports_and_maps_match_fresh_instances(self, monkeypatch):
+        # nested, overlapping and disjoint windows, in a seeded order, one process
+        windows = [(-16, 16), (-40, 40), (-75, 75), (-30, 50), (-20, -4), (60, 90), (-400, -396), (-50, 10),
+                   (-12, 12), (100, 120)]
+        random.Random(25).shuffle(windows)
+        maps = (("Lgs", "x"), ("Ln", "e"), ("Ls", "e"))
+
+        def run():
+            reports = [[item.to_json() for item in verify_presentations_report(w)] for w in windows]
+            matrices = [mult_by(name, sym, table(name, w)).components for w in windows for name, sym in maps]
+            return reports, matrices
+
+        shared = run()
+        # every presentation and golden table built anew, as when each call had a process of its own
+        monkeypatch.setattr(ltables, "presentation", ltables._build_presentation)
+        monkeypatch.setattr(ltables, "golden_table", golden_table.__wrapped__)
+        fresh = run()
+        for window, got, expected in zip(windows, shared[0], fresh[0]):
+            assert got == expected, window
+        assert all(row["passed"] for report in shared[0] for row in report)
+        assert shared[1] == fresh[1]
+
+    def test_corruptions_fail_after_warm_up(self, monkeypatch):
+        window = (-50, 50)
+        for name in ("Lgs", "scriptL"):
+            assert verify_presentation(name, window)  # warms the shared memo over the window
+        # the corruption of test_every_rule_is_checked, on the expansion over the window
+        good = expanded_presentation("Lgs", window)
+        target = mono(("z1", 1), ("y2", 1))
+        cases = [("Lgs", dataclasses.replace(good, rewrites=tuple(
+            (p, 1, mono(("z3", 1))) if p == target else (p, c, r) for p, c, r in good.rewrites)))]
+        # y2 y5 -> 4 y7 in degree -28, listed before the schemata
+        for name in ("Lgs", "scriptL"):
+            pres = presentation(name)
+            rule = (mono(("y2", 1), ("y5", 1)), 4, mono(("y7", 1)))
+            cases.append((name, dataclasses.replace(pres, rewrites=(rule,) + pres.rewrites)))
+        genuine = ltables.verify_presentation
+        for name, bad in cases:
+            monkeypatch.setattr(ltables, "verify_presentation", lambda n, w, **kw: genuine(
+                n, w, pres=bad if n == name else None, **kw))
+            rows = {i.name: i.passed for i in verify_presentations_report(window)}
+            assert [row for row, passed in rows.items() if not passed] == [f"presentation-{name}"], (name, bad)
+        monkeypatch.setattr(ltables, "verify_presentation", genuine)
+        assert verify_presentation("Lgs", window, pres=good)
+
+    def test_a_memo_past_the_bound_is_built_afresh(self, monkeypatch):
+        windows = [(-16, 16), (-40, 40)]
+        expected = [[item.to_json() for item in verify_presentations_report(w)] for w in windows]
+        monkeypatch.setattr(ltables, "MEMO_BOUND", 3)
+        got = []
+        for w in windows:
+            before = presentation("Lgs")
+            got.append([item.to_json() for item in verify_presentations_report(w)])
+            assert len(before._normal_forms) > 3  # the report filled the shared instance
+            after = presentation("Lgs")
+            assert after is not before and not after._normal_forms and presentation("Lgs") is after
+        assert got == expected
+
+    def test_threads_share_and_rebuild_the_presentations(self, monkeypatch):
+        # more threads than cores, switching often: each reduces through presentation() while the
+        # others fill the shared memos past the bound and so drop and rebuild the instances
+        monkeypatch.setattr(ltables, "MEMO_BOUND", 20)
+        rng = random.Random(25)
+        cases = [(name, mono(("x", rng.randint(0, 6)), (f"y{rng.randint(1, 9)}", 1), (f"y{rng.randint(1, 9)}", 1)))
+                 for name in ("Lgs", "scriptL") for _ in range(40)]
+        expected = [ltables._build_presentation(name).reduce({m: 1}) for name, m in cases]
+        agreed, errors = [], []
+
+        def work(k):
+            try:
+                for _ in range(10):
+                    agreed.append([presentation(name).reduce({m: 1}) for name, m in cases[k:] + cases[:k]]
+                                  == expected[k:] + expected[:k])
+            except Exception as exc:  # a thread's error fails the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and agreed == [True] * 80
+        assert all(verify_presentation(name, (-40, 40)) for name in ("Lgs", "scriptL"))
 
 
 class TestTheoremSuites:

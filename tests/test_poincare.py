@@ -18,7 +18,8 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
-from helpers import hidden_e_tensor_f_plus_h, lift_exponent_by_search, structure_failures_by_entry
+from helpers import (hidden_e_tensor_f_plus_h, lift_exponent_by_search, structure_failures_by_entry,
+                     structure_failures_by_range)
 
 
 class TestStructureValidation:
@@ -112,6 +113,56 @@ class TestStructureFaults:
             if S.dimension == 1 and not structure_relation_failures(S):
                 assert (1, 1) in padded.psi and linking_form(padded) == linking_form(S)
         assert added > 50
+
+
+def _block_sum(picks) -> StructuredComplex:
+    """E tensored with the orthogonal sum of the named quadratic planes."""
+    planes = {"F": [[1, 1], [0, 1]], "hyp": [[0, 1], [0, 0]]}
+    size = 2 * len(picks)
+    block = [[0] * size for _ in range(size)]
+    for t, name in enumerate(picks):
+        for i, j in itertools.product(range(2), repeat=2):
+            block[2 * t + i][2 * t + j] = planes[name][i][j]
+    f = StructuredComplex(IntComplex({1: size}), "quadratic", 2, {(0, 1): IntMatrix(block)})
+    return tensor_structured(representative("E"), f)
+
+
+def _level_1000() -> StructuredComplex:
+    """A structure of level 1000 on Z in degrees 1 and 1000, the level and span at the CLI's bounds."""
+    cx = IntComplex({1: 1, 1000: 1})
+    return StructuredComplex(cx, "quadratic", 1, {(1000, 1): [[1]], (1000, 1000): [[2]]}, check=False)
+
+
+def _injected(S: StructuredComplex, rng, count):
+    """S with a nonzero integer added to one entry of each of ``count`` seeded slots of nonzero shape."""
+    C = S.complex
+    slots = [(level, k) for level in range(S.max_level() + 3) for k in C.degrees()
+             if C.rank(S.partner_degree(level, k))]
+    psi = dict(S.psi)
+    for level, k in rng.sample(slots, min(count, len(slots))):
+        entries = S.psi_matrix(level, k).tolist()
+        row = entries[rng.randrange(len(entries))]
+        row[rng.randrange(len(row))] += rng.choice((-3, -1, 1, 2))
+        psi[level, k] = IntMatrix(entries)
+    return StructuredComplex(C, S.kind, S.dimension, psi, check=False)
+
+
+class TestStructureRelationDegrees:
+    """The relation check visits the degrees of nonzero rank alone; the loop over lo..hi+1 is its oracle."""
+
+    def test_same_failures_as_every_degree_of_the_window(self):
+        rng = random.Random(61)
+        structures = [representative(name) for name in ("E", "F", "hyperbolic", "unit")]
+        structures += [tensor_structured(representative("E"), representative("F")), _level_1000()]
+        structures += [_block_sum([rng.choice(("F", "hyp")) for _ in range(rng.randint(1, 3))]) for _ in range(4)]
+        structures += [hidden_e_tensor_f_plus_h(random.Random(seed)) for seed in range(4)]
+        failing = 0
+        for S in structures:
+            for bad in [S] + [_injected(S, rng, count) for count in (1, 2, 4)]:
+                failures = structure_relation_failures(bad)
+                assert failures == structure_failures_by_range(bad)
+                failing += bool(failures)
+        assert failing > 30
 
 
 class TestPoincareCheck:
@@ -266,27 +317,11 @@ class TestRandomizedTwoTorsion:
         # randomized 2-torsion Poincare complexes; the extracted form must
         # always pass both checks and beta must add
         rng = random.Random(77)
-        e = representative("E")
-        planes = {
-            "F": ([[1, 1], [0, 1]], 4),
-            "hyp": ([[0, 1], [0, 0]], 0),
-        }
+        beta = {"F": 4, "hyp": 0}
         for _ in range(8):
-            picks = [rng.choice(list(planes)) for _ in range(rng.randint(1, 3))]
-            size = 2 * len(picks)
-            block = [[0] * size for _ in range(size)]
-            expected = 0
-            for t, name in enumerate(picks):
-                m, beta = planes[name]
-                expected = (expected + beta) % 8
-                for i in range(2):
-                    for j in range(2):
-                        block[2 * t + i][2 * t + j] = m[i][j]
-            f = StructuredComplex(
-                IntComplex({1: size}),
-                "quadratic", 2, {(0, 1): IntMatrix(block)},
-            )
-            t = tensor_structured(e, f)
+            picks = [rng.choice(list(beta)) for _ in range(rng.randint(1, 3))]
+            expected = sum(beta[name] for name in picks) % 8
+            t = _block_sum(picks)
             assert poincare_check(t)
             assert lift_exponent_by_search(t) == _derived_lift_exponent(t)
             form = linking_form(t)
