@@ -13,7 +13,7 @@ is the one place the dualisation sign lives.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 
 from .abelian import (
     FgAbGroup,
@@ -130,7 +130,7 @@ class IntComplex:
     @classmethod
     def from_json(cls, doc) -> "IntComplex":
         """The complex of a document, refused before any matrix is read if it exceeds the bounds."""
-        ranks = {int(n): int(r) for n, r in doc.get("ranks", {}).items() if int(r) > 0}
+        ranks = {int(n): index(r) for n, r in doc.get("ranks", {}).items() if index(r) > 0}
         if sum(ranks.values()) > MAX_RANK or ranks and max(ranks) - min(ranks) > MAX_SPAN:
             raise ValueError(f"a complex exceeds the bounds: total rank {MAX_RANK}, degrees {MAX_SPAN} apart")
         return cls(ranks, {int(n): IntMatrix(m) for n, m in doc.get("differentials", {}).items()})

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import index
 
 from .abelian import (
     FgAbGroup,
@@ -68,7 +69,7 @@ class OutOfWindowError(KeyError):
 _ZERO = FgAbGroup()  # every degree a table leaves out
 
 # Bounds on a window given from outside, each set from the slowest verb at it (the bounds table of
-# README.md): verify presentations takes 8.7 s at -2048..-1048.  Tables, duals and verify A|B cost the
+# README.md): verify presentations takes 7.6 s at -2048..-1048.  Tables, duals and verify A|B cost the
 # same at any distance from 0 (verify B: 0.15 s at 2044..2048); the ends stay bounded as part of the
 # input contract.
 MAX_WIDTH = 1000  # degrees a window spans, and the longest period read
@@ -117,7 +118,7 @@ class GradedGroup:
             if not lo <= int(n) <= hi:
                 raise ValueError(f"degree {n} outside window {window}")
         if period is not None:
-            period = int(period)
+            period = index(period)
             if period <= 0:
                 raise ValueError("period must be positive")
             for n in range(lo, hi + 1 - period):
@@ -204,7 +205,7 @@ class GradedGroup:
 
     @classmethod
     def from_json(cls, doc) -> "GradedGroup":
-        window = bounded_window(*map(int, doc["window"]))
+        window = bounded_window(*map(index, doc["window"]))
         groups = {int(n): FgAbGroup.parse(s) for n, s in doc.get("groups", {}).items()}
         return cls(window, groups, doc.get("period"))
 

@@ -1,10 +1,10 @@
 """Graded ring and module presentations for the integral L-theory tables.
 
 Tables are generated from small rewriting presentations (generators,
-relations, per-degree bases) and cross-checked against golden windows
-shipped as data files; multiplication maps on the rings come out of the
-same presentations, and every other graded map is a coefficient rule passed
-to ``graded.scalar_map``.  The two theorem verifiers replay every
+rewrites, torsion relations, per-degree bases) and cross-checked against
+golden windows shipped as data files; multiplication maps on the rings come
+out of the same presentations, and every other graded map is a coefficient
+rule passed to ``graded.scalar_map``.  The two theorem verifiers replay every
 graded-level claim: splittings, Anderson duals, exactness of the fibre
 sequences, and the kernel argument that hinges on ef = 4.
 """
@@ -211,37 +211,32 @@ class RingPresentation:
     values >= 1 that do not decrease in alphabetical order, and each indexes
     some factor of its pattern alone.
 
-    The rules (rewrites, torsion patterns, coefficient modulus) are the only
-    statement of the ring's relations; the checked relations derive from them.
-    A monomial is rewritten by the first instance, in rule order and then in
-    ascending order of index tuples, whose pattern divides it.  So every
-    monomial has exactly one normal form, a multiple of one monomial or 0,
-    and rewriting is linear in the terms.  Each normal form is memoised per
-    instance, and ``reduce`` sums c * NF(m) over the terms before it reduces
-    the coefficients; a chain of rewrites that returns to a monomial raises
-    ValueError.  A plain generator that no pattern names, such as x on L^s,
-    decides no rewrite and no torsion modulus, so both are memoised with its
-    power split off and multiplied back.  The compiled rules and the memos
-    take no part in ``==``, ``hash`` or ``repr``.
+    The rewrites and torsion patterns are the only statement of the ring's
+    relations; the checked relations derive from them.  A modulus of every
+    coefficient, such as 8 on L^n, is the torsion pattern 1, which divides
+    every monomial.  A monomial is rewritten by the first instance, in rule
+    order and then in ascending order of index tuples, whose pattern divides
+    it.  So every monomial has exactly one normal form, a multiple of one
+    monomial or 0, and rewriting is linear in the terms.  Each normal form is
+    memoised per instance, and ``reduce`` sums c * NF(m) over the terms
+    before it reduces the coefficients by the moduli of the torsion patterns
+    dividing NF(m), in list order; a chain of rewrites that returns to a
+    monomial raises ValueError.  The compiled rules and the memos take no
+    part in ``==``, ``hash`` or ``repr``.
     """
 
     name: str
     generators: tuple  # ((symbol, degree or (step, offset)), ...)
-    invertible: frozenset
-    coeff_modulus: int | None
     rewrites: tuple  # ((pattern, coeff, replacement), ...)
     torsion_patterns: tuple  # ((pattern, modulus), ...)
     _rules: tuple = field(init=False, compare=False, repr=False)
     _torsion: tuple = field(init=False, compare=False, repr=False)
     _normal_forms: dict = field(init=False, compare=False, repr=False)
     _moduli: dict = field(init=False, compare=False, repr=False)
-    _inert: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in self.rewrites))
         object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in self.torsion_patterns))
-        named = {s for p in [p for p, _, _ in self.rewrites] + [p for p, _ in self.torsion_patterns] for s, _ in p}
-        object.__setattr__(self, "_inert", frozenset(s for s, d in self.generators if isinstance(d, int)) - named)
         object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
         object.__setattr__(self, "_moduli", {})  # m -> the moduli its coefficient is reduced by
 
@@ -249,22 +244,10 @@ class RingPresentation:
         degs = dict(self.generators)
         return sum(_generator_degree(degs, s) * e for s, e in m)
 
-    def _split_inert(self, m: Monomial):
-        """(m without its inert generators, their power), each a monomial."""
-        if not self._inert:
-            return m, ONE
-        rest, unit = [], []
-        for factor in m:
-            (unit if factor[0] in self._inert else rest).append(factor)
-        return tuple(rest), tuple(unit)
-
     def _coeff_reduce(self, m: Monomial, c: int) -> int:
         moduli = self._moduli.get(m)
         if moduli is None:
-            moduli = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, self._split_inert(m)[0])]
-            if self.coeff_modulus:
-                moduli.append(self.coeff_modulus)
-            self._moduli[m] = moduli
+            moduli = self._moduli[m] = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, m)]
         for d in moduli:
             c %= d
         return c
@@ -304,26 +287,23 @@ class RingPresentation:
 
         The moduli apply to c times the rewriting coefficient, as in ``reduce``.
         """
-        m, unit = self._split_inert(m)
         form = self._normal_form(m)
         if form is None:
             return None
         k, nf = form
         c = self._coeff_reduce(nf, c * k)
-        return (c, mono_mul(nf, unit)) if c else None
+        return (c, nf) if c else None
 
     def reduce(self, element: dict) -> dict:
-        work = {}  # monomial -> [coefficient, its normal form without the inert power, which has its moduli]
+        work = {}  # normal form -> coefficient
         for m, c in element.items():
-            m, unit = self._split_inert(m)
             form = self._normal_form(m)
             if form is not None:
                 k, nf = form
-                term = work.setdefault(mono_mul(nf, unit), [0, nf])
-                term[0] += c * k
+                work[nf] = work.get(nf, 0) + c * k
         out = {}
-        for m, (c, nf) in work.items():
-            c = self._coeff_reduce(nf, c)
+        for m, c in work.items():
+            c = self._coeff_reduce(m, c)
             if c:
                 out[m] = c
         return out
@@ -337,15 +317,13 @@ class RingPresentation:
         return self.reduce(out)
 
     def _relations(self, window) -> list:
-        """pattern - coeff*repl, d*pattern and the modulus, one per instance of a degree in the window."""
+        """pattern - coeff*repl and d*pattern, one per instance of a degree in the window."""
         rels = [{_instance(p, names, v): 1, _instance(r, names, v): -c}
                 for (p, c, r), (_, _, names, _) in zip(self.rewrites, self._rules)
                 for v in self._bindings_in(p, names, window)]
         rels += [{_instance(p, names, v): d}
                  for (p, d), (_, _, names, _) in zip(self.torsion_patterns, self._torsion)
                  for v in self._bindings_in(p, names, window)]
-        if self.coeff_modulus and window[0] <= 0 <= window[1]:
-            rels.append({ONE: self.coeff_modulus})
         return rels
 
     def _bindings_in(self, pattern, names, window) -> list:
@@ -417,32 +395,33 @@ def _build_presentation(name: str) -> RingPresentation:
     """A new instance of the built-in presentation of a ring, with empty memos.
 
     L^gs has the families y_i in degree -4i and z_i in degree -4i-2, and
-    scriptL the y_i; each family of relations is one rule schema.
+    scriptL the y_i; each family of relations is one rule schema.  The
+    moduli of L^n and L(C), 8 and 2, are torsion relations on 1, listed last.
     """
     x, e, f = ("x", 1), ("e", 1), ("f", 1)
     e2 = (mono(("e", 2)), 0, ONE)
     if name == "Ls":
-        return RingPresentation("Ls", (("x", 4), ("e", 1)), frozenset({"x"}), None, (e2,), ((mono(e), 2),))
+        return RingPresentation("Ls", (("x", 4), ("e", 1)), (e2,), ((mono(e), 2),))
     if name == "Ln":
         rewrites = (e2, (mono(("f", 2)), 0, ONE), (mono(e, f), 4, ONE))
-        return RingPresentation("Ln", (("x", 4), ("e", 1), ("f", -1)), frozenset({"x"}), 8, rewrites,
-                                ((mono(e), 2), (mono(f), 2)))
+        return RingPresentation("Ln", (("x", 4), ("e", 1), ("f", -1)), rewrites,
+                                ((mono(e), 2), (mono(f), 2), (ONE, 8)))
     if name == "LR":
-        return RingPresentation("LR", (("x", 4),), frozenset({"x"}), None, (), ())
+        return RingPresentation("LR", (("x", 4),), (), ())
     if name == "LC":
-        return RingPresentation("LC", (("x", 4),), frozenset({"x"}), 2, (), ())
+        return RingPresentation("LC", (("x", 4),), (), ((ONE, 2),))
     if name == "LCc":
-        return RingPresentation("LCc", (("s", 2),), frozenset({"s"}), None, (), ())
+        return RingPresentation("LCc", (("s", 2),), (), ())
     if name in ("Lgs", "scriptL"):
         y_i, y_j, z_i, z_j = _member("y", "i"), _member("y", "j"), _member("z", "i"), _member("z", "j")
         x_y = [(mono(x, ("y1", 1)), 8, ONE), ((x, _member("y", "i", plus=1)), 1, (y_i,))]
         y_y = [((y_i, y_j), 8, (_member("y", "i", "j"),))]
         if name == "scriptL":
-            return RingPresentation(name, (("x", 4), ("y", (-4, 0))), frozenset(), None, tuple(x_y + y_y), ())
+            return RingPresentation(name, (("x", 4), ("y", (-4, 0))), tuple(x_y + y_y), ())
         x_z = [(mono(x, ("z1", 1)), 0, ONE), ((x, _member("z", "i", plus=1)), 1, (z_i,))]
         zero = [(p, 0, ONE)
                 for p in ((e, y_i), (e, z_i), (y_i, z_j), (z_i, _member("y", "j", plus=1)), (z_i, z_j))]
-        return RingPresentation(name, (("x", 4), ("e", 1), ("y", (-4, 0)), ("z", (-4, -2))), frozenset(), None,
+        return RingPresentation(name, (("x", 4), ("e", 1), ("y", (-4, 0)), ("z", (-4, -2))),
                                 tuple([e2] + x_y + x_z + y_y + zero), ((mono(e), 2), ((z_i,), 2)))
     raise KeyError(f"unknown ring presentation {name!r}")
 
@@ -489,9 +468,6 @@ def ring_basis(name: str, degree: int):
             return [(mono(("x", d // 4)), 0)]
         return [(mono((f"y{-d // 4}", 1)), 0)]
     raise KeyError(f"unknown ring {name!r}")
-
-
-_MODULE_DEGREES = {"x": 4, "e": 1}
 
 
 def module_basis(name: str, degree: int):
@@ -566,17 +542,16 @@ def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
     """Degreewise matrices of multiplication by a generator on the table ``tab`` of ``name``.
 
     The product is worked out in the presentation at every degree the map is
-    read.  On the modules e acts by zero and x by the evident isomorphism.
+    read.  The modules are L^s-modules: on them e acts by zero and x by the
+    evident isomorphism.
     """
-    if name in MODULE_NAMES:
-        if sym not in _MODULE_DEGREES:
-            raise KeyError(f"unknown generator {sym!r} of {name}")
-        return scalar_map([tab], [tab], _MODULE_DEGREES[sym], lambda n: [[int(sym == "x")]])
-    pres = presentation(name)
+    pres = presentation("Ls" if name in MODULE_NAMES else name)
     try:
         shiftd = pres.degree(mono((sym, 1)))
     except KeyError:
         raise KeyError(f"unknown generator {sym!r} of {name}") from None
+    if name in MODULE_NAMES:
+        return scalar_map([tab], [tab], shiftd, lambda n: [[int(sym == "x")]])
     degrees = read_degrees(tab, tab, shiftd)
     ends = sorted(set(degrees).union(n + shiftd for n in degrees))
     bases, slots = {n: ring_basis(name, n) for n in ends}, dict(zip(ends, tab._slots(ends)))
@@ -713,8 +688,7 @@ def _lq_ring() -> RingPresentation:
     ``verify_lq_ring`` computes 8Z[t^±1, g]/(16g, 64g^2) in it: an L^q class
     is 8 times the monomial that labels it.
     """
-    return RingPresentation("Lq", (("t", 4), ("g", -2)), frozenset({"t"}), None, (),
-                            ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
+    return RingPresentation("Lq", (("t", 4), ("g", -2)), (), ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
 
 
 def verify_lq_ring(window=(-16, 16)) -> bool:

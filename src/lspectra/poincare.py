@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import index, mul
 
 from .abelian import IntMatrix, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_layout
@@ -67,7 +67,7 @@ class StructuredComplex:
             raise InvalidStructureError(f"unknown kind {kind!r}")
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", int(dimension))
+        object.__setattr__(self, "dimension", index(dimension))
         table = {}
         for (level, k), m in psi.items():
             level, k = int(level), int(k)

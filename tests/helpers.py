@@ -164,8 +164,6 @@ def expanded_presentation(name: str, window=(-16, 16)) -> RingPresentation:
     return RingPresentation(
         name=name,
         generators=tuple(gens),
-        invertible=frozenset(),
-        coeff_modulus=None,
         rewrites=tuple(rewrites),
         torsion_patterns=tuple(torsion),
     )
@@ -181,9 +179,9 @@ def reduce_by_scan(pres, element: dict, memo=None) -> dict:
 
     A monomial is rewritten by the first rule, in list order, whose pattern
     divides it; a coefficient is reduced by every torsion pattern dividing
-    its monomial, in list order, then by the coefficient modulus.  ``memo``,
-    when given, keeps each monomial's scan result (its first rule, or None)
-    across calls; it belongs to the rule list of one presentation.
+    its monomial, in list order.  ``memo``, when given, keeps each
+    monomial's scan result (its first rule, or None) across calls; it
+    belongs to the rule list of one presentation.
     """
     memo = {} if memo is None else memo
     work = dict(element)
@@ -207,8 +205,6 @@ def reduce_by_scan(pres, element: dict, memo=None) -> dict:
         for pattern, modulus in pres.torsion_patterns:
             if mono_divides(pattern, m):
                 c %= modulus
-        if pres.coeff_modulus:
-            c %= pres.coeff_modulus
         if c:
             out[m] = c
     return out

@@ -472,6 +472,10 @@ class TestLargePrimeOrders:
         assert len(err.splitlines()) == 1
 
 
+# E (x) F as a structured complex, whose beta is 4; the text- cases below change one field of it
+_E_TENSOR_F = {"ranks": {"0": 2, "1": 2}, "differentials": {"1": [[2, 0], [0, 2]]}, "kind": "quadratic",
+               "dimension": 1, "psi": {"0,0": [[-1, -1], [0, -1]], "0,1": [[-1, -1], [0, -1]]}}
+
 MALFORMED_INPUTS = {
     "odd-order-form": (["invariant", "--name", "beta"],
                        {"factors": [3], "q": {"(0)": "0", "(1)": "1/3", "(2)": "1/3"}}),
@@ -525,6 +529,12 @@ MALFORMED_INPUTS = {
         "kind": "quadratic", "dimension": 1, "psi": {"0,0": [[1]], "0,1": [[1]], "1,1": [[1]]}}),
     "bool-period-dual": (["dual"], {"window": [-2, 2], "period": True, "groups": {}}),
     "float-period-torsor": (["torsor"], {"window": [0, 7], "period": 4.0, "groups": {}}),
+    # integer fields that hold text, once read as the integers they spell
+    "text-window-dual": (["dual"], {"window": [" 0", "\u0663"], "period": None, "groups": {"0": "Z"}}),
+    "text-period-dual": (["dual"], {"window": [0, 7], "period": "4", "groups": {}}),
+    "text-period-torsor": (["torsor"], {"window": [0, 7], "period": "4", "groups": {}}),
+    "text-rank-complex": (["invariant", "--name", "beta"], {**_E_TENSOR_F, "ranks": {"0": "2", "1": 2}}),
+    "text-dimension-complex": (["invariant", "--name", "beta"], {**_E_TENSOR_F, "dimension": "1"}),
     # a zero denominator, and a free rank whose list of generators does not fit in memory
     "zero-denominator-form": (["invariant", "--name", "beta"], {"factors": [2], "q": {"(0)": "0", "(1)": "1/0"}}),
     "huge-free-rank-dual": (["dual"], {"window": [0, 3], "groups": {"0": "Z^99999999999"}}),
@@ -567,6 +577,8 @@ class TestMalformedInput:
         if case in ("descending-factors", "unit-in-factors"):
             assert "factors" in captured.err
         if case == "string-differential-entry":
+            assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
+        if case.startswith("text-"):
             assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
 
     def test_nesting_deeper_than_the_json_parser_goes(self, tmp_path, capsys):

@@ -103,6 +103,27 @@ class TestMultiplication:
         with pytest.raises(KeyError):
             mult_by("Ls", "q", table("Ls", (-4, 4)))
 
+    def test_module_generators_are_those_of_ls(self):
+        lq = table("Lq", (-4, 4))
+        assert [mult_by("Lq", sym, lq).degree_shift for sym in ("x", "e")] == [4, 1]
+        with pytest.raises(KeyError, match="unknown generator 'q' of Lq"):
+            mult_by("Lq", "q", lq)
+
+    @pytest.mark.parametrize("window", [(2036, 2048), (-2048, -2036)])
+    def test_far_tables_repeat_the_pattern(self, window):
+        # far from 0 every power of x is a normal form of its own
+        lo, hi = window
+        e, x = mult_by("Ln", "e", table("Ln", window)), mult_by("Ls", "x", table("Ls", window))
+        e_by_residue = {3: IntMatrix([[4]]), 0: IntMatrix([[1]])}
+        for n in range(lo, hi):
+            if n % 4 == 1:
+                assert e.component(n).is_zero(), n
+            elif n % 4 in e_by_residue:
+                assert e.component(n) == e_by_residue[n % 4], n
+        for n in range(lo, hi - 3):
+            if n % 4 in (0, 1):
+                assert x.component(n) == IntMatrix([[1]]), n
+
 
 class TestBoundaryMap:
     def test_stated_values(self):
@@ -126,8 +147,6 @@ class TestPresentations:
         bad = RingPresentation(
             name="Ln",
             generators=good.generators,
-            invertible=good.invertible,
-            coeff_modulus=good.coeff_modulus,
             rewrites=rewrites,
             torsion_patterns=good.torsion_patterns,
         )
@@ -144,7 +163,7 @@ class TestPresentations:
             bad = dataclasses.replace(good, rewrites=tuple(
                 (p, 2 if p == mono(("e", 1), ("f", 1)) else c, r) for p, c, r in good.rewrites))
         elif name == "LC":
-            bad = dataclasses.replace(good, coeff_modulus=4)
+            bad = dataclasses.replace(good, torsion_patterns=((ONE, 4),))
         else:
             bad = dataclasses.replace(good, rewrites=tuple(
                 (p, 4 if p == xy1 else c, r) for p, c, r in good.rewrites))
@@ -232,6 +251,53 @@ class TestPresentations:
         assert verify_presentation("Lgs", (-16, 16))
 
 
+class TestDataModel:
+    """A presentation is its generators, rewrites and torsion relations, and nothing else."""
+
+    def test_four_init_fields(self):
+        fields = [f.name for f in dataclasses.fields(RingPresentation) if f.init]
+        assert fields == ["name", "generators", "rewrites", "torsion_patterns"]
+
+    def test_coefficient_moduli_are_torsion_relations_on_one(self):
+        assert presentation("Ln").torsion_patterns[-1] == (ONE, 8)
+        assert presentation("LC").torsion_patterns == ((ONE, 2),)
+
+    @pytest.mark.parametrize("modulus", [None, 16])
+    def test_a_wrong_modulus_fails_its_row_only(self, modulus, monkeypatch):
+        good = presentation("Ln")
+        torsion = good.torsion_patterns[:-1] + (((ONE, modulus),) if modulus else ())
+        bad = dataclasses.replace(good, torsion_patterns=torsion)
+        genuine = ltables.verify_presentation
+        monkeypatch.setattr(ltables, "verify_presentation", lambda n, w, **kw: genuine(
+            n, w, pres=bad if n == "Ln" else None, **kw))
+        rows = {i.name: i.passed for i in verify_presentations_report((-16, 16))}
+        assert [row for row, passed in rows.items() if not passed] == ["presentation-Ln"]
+
+    def test_far_x_powers_reduce_as_the_scan(self):
+        rings = {name: ltables._build_presentation(name) for name in ("Ls", "Ln", "LC", "LR")}
+        rings["Lq ring"] = ltables._lq_ring()
+        rng = random.Random("far x powers")
+        for name, pres in rings.items():
+            unit = "t" if name == "Lq ring" else "x"
+            others = [s for s, _ in pres.generators if s != unit]
+            memo = {}
+            for _ in range(200):
+                element = {}
+                for _ in range(rng.randint(1, 4)):
+                    factors = [(s, rng.randint(0, 3)) for s in rng.sample(others, rng.randint(0, len(others)))]
+                    m = mono((unit, rng.randint(-600, 600)), *factors)
+                    element[m] = element.get(m, 0) + rng.randint(-9, 9)
+                assert pres.reduce(element) == reduce_by_scan(pres, element, memo), (name, element)
+
+    def test_far_windows_keep_the_shared_memos_bounded(self, capsys):
+        for argv in (["verify", "A", "--window", "-2048..-1049"], ["verify", "B", "--window", "1049..2048"],
+                     ["verify", "presentations", "--window", "-500..500"]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        sizes = {name: len(pres._normal_forms) for name, pres in ltables._SHARED.items()}
+        assert max(sizes.values()) <= ltables.MEMO_BOUND, sizes
+
+
 def _corrupted_rule(name: str) -> RingPresentation:
     """The presentation of ``name`` with the one rule that ``test_corrupted_rule_detected`` corrupts."""
     good = presentation(name)
@@ -241,7 +307,7 @@ def _corrupted_rule(name: str) -> RingPresentation:
         return dataclasses.replace(good, rewrites=tuple(
             (p, 2 if p == mono(("e", 1), ("f", 1)) else c, r) for p, c, r in good.rewrites))
     if name == "LC":
-        return dataclasses.replace(good, coeff_modulus=4)
+        return dataclasses.replace(good, torsion_patterns=((ONE, 4),))
     xy1 = mono(("x", 1), ("y1", 1))
     return dataclasses.replace(good, rewrites=tuple((p, 4 if p == xy1 else c, r) for p, c, r in good.rewrites))
 
@@ -319,7 +385,7 @@ class TestProductCheck:
         lq, gt2 = ltables._lq_ring(), mono(("g", 1), ("t", 2))
         assert lq._reduce_term(gt2, 64) is None and lq.reduce({gt2: 64}) == {}
         assert lq._reduce_term(gt2, 1) == (1, gt2)
-        # the inert x of L^s at a negative power is split off and multiplied back
+        # x of L^s at a negative power stays in the normal form of e x^-5 and of e^2 x^-5 = 0
         ls, ex = presentation("Ls"), mono(("e", 1), ("x", -5))
         assert ls._reduce_term(ex, 3) == (1, ex) and ls._reduce_term(mono(("e", 2), ("x", -5)), 1) is None
 
@@ -372,7 +438,6 @@ class TestSchemata:
         oracle = expanded_presentation(name, window)
         relations = [{p: 1, r: -c} for p, c, r in oracle.rewrites]
         relations += [{p: d} for p, d in oracle.torsion_patterns]
-        relations += [{ONE: oracle.coeff_modulus}] if oracle.coeff_modulus else []
         lo, hi = window
         expected = {frozenset(r.items()) for r in relations if lo <= oracle.degree(next(iter(r))) <= hi}
         assert set(reduced) == expected and len(reduced) == len(expected)
@@ -470,7 +535,7 @@ class TestIndexedReduce:
     @staticmethod
     def _ring(rewrites=(), torsion=()):
         gens = (("a", 1), ("b", 1), ("c", 2))
-        return RingPresentation("abc", gens, frozenset(), None, tuple(rewrites), tuple(torsion))
+        return RingPresentation("abc", gens, tuple(rewrites), tuple(torsion))
 
     def test_first_rule_wins_over_the_most_specific(self):
         ab_to_c = (mono(("a", 1), ("b", 1)), 1, mono(("c", 1)))
