@@ -501,6 +501,20 @@ def _lattice_coordinates(L: IntMatrix, N: IntMatrix) -> IntMatrix | None:
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(text: str) -> int:
+    """The integer that ``text`` spells in ASCII digits with an optional leading minus.
+
+    It reads the integers of the CLI's text options, table degrees, group
+    strings and complex keys.  int() would also take surrounding space,
+    underscores, a plus sign and any Unicode decimal digit; such text is
+    refused with the error int() gives for a non-number.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class FgAbGroup:
     """Isomorphism class of a finitely generated abelian group.
@@ -634,9 +648,9 @@ class FgAbGroup:
             if part == "Z":
                 divisors.append(0)
             elif part.startswith("Z^"):
-                divisors.extend([0] * min(int(part[2:]), MAX_PARSED_GENERATORS + 1))  # enough to refuse
+                divisors.extend([0] * min(_parse_int(part[2:]), MAX_PARSED_GENERATORS + 1))  # enough to refuse
             elif part.startswith("Z/"):
-                divisors.append(int(part[2:]))
+                divisors.append(_parse_int(part[2:]))
             else:
                 raise ValueError(f"cannot parse group term {part!r}")
             if len(divisors) > MAX_PARSED_GENERATORS:

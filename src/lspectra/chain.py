@@ -19,6 +19,7 @@ from .abelian import (
     FgAbGroup,
     IntMatrix,
     _lattice_coordinates,
+    _parse_int,
     cokernel_with_gens,
     kernel_basis,
 )
@@ -130,10 +131,10 @@ class IntComplex:
     @classmethod
     def from_json(cls, doc) -> "IntComplex":
         """The complex of a document, refused before any matrix is read if it exceeds the bounds."""
-        ranks = {int(n): index(r) for n, r in doc.get("ranks", {}).items() if index(r) > 0}
+        ranks = {_parse_int(n): index(r) for n, r in doc.get("ranks", {}).items() if index(r) > 0}
         if sum(ranks.values()) > MAX_RANK or ranks and max(ranks) - min(ranks) > MAX_SPAN:
             raise ValueError(f"a complex exceeds the bounds: total rank {MAX_RANK}, degrees {MAX_SPAN} apart")
-        return cls(ranks, {int(n): IntMatrix(m) for n, m in doc.get("differentials", {}).items()})
+        return cls(ranks, {_parse_int(n): IntMatrix(m) for n, m in doc.get("differentials", {}).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
-from .abelian import IntMatrix
+from .abelian import IntMatrix, _parse_int
 from .forms import F2QuadForm, LinkingForm, SymForm, arf, brown_kervaire, signature
 from .graded import GradedGroup, anderson_dual, bounded_window, torsor_count
 from .ltables import (
@@ -23,21 +22,27 @@ from .ltables import (
 )
 from .poincare import StructuredComplex, certify_ef, linking_form, representative
 
-_WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-
 class UsageError(Exception):
     """A complaint about the command line itself, reported as it reads."""
 
 
 def parse_window(text: str):
-    m = _WINDOW_RE.match(text)
-    if not m:
-        raise UsageError(f"window must look like a..b, got {text!r}")
-    a, b = int(m.group(1)), int(m.group(2))
+    lo, _, hi = text.partition("..")
+    try:
+        a, b = _parse_int(lo), _parse_int(hi)
+    except ValueError:
+        raise UsageError(f"window must look like a..b, got {text!r}") from None
     if a > b:
         raise UsageError(f"window start exceeds end in {text!r}")
     return bounded_window(a, b)
+
+
+def _period(text: str) -> int:
+    """The --period option's integer, refused as argparse refuses an int it cannot read."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit_table(tab: GradedGroup, fmt: str, out):
@@ -167,7 +172,7 @@ _VERBS = {
     "verify": (cmd_verify, "run a verification suite", "json", {"window": None},
                {"suite": {"choices": tuple(_SUITES)}}),
     "torsor": (cmd_torsor, "splitting-torsor count of a table", "json",
-               {"window": None, "name": None, "input": None}, {"--period": {"type": int}}),
+               {"window": None, "name": None, "input": None}, {"--period": {"type": _period}}),
 }
 
 

@@ -492,16 +492,16 @@ def brown_kervaire(L: LinkingForm) -> int:
     """The Z/8-valued Gauss-sum invariant beta.
 
     Solves sum_x exp(2 pi i q(x)) = |G|^(1/2) zeta_8^beta exactly in the
-    cyclotomic ring; if no beta satisfies it (equivalently the Milgram norm
-    identity |sum|^2 = |G| fails) the form is degenerate and an error is
-    raised.
+    cyclotomic ring.  Where the polarisation has radical R, |sum|^2 is
+    |G| |R| when q vanishes on R and 0 otherwise, so the Milgram norm
+    identity |sum|^2 = |G| holds exactly when the form is nondegenerate,
+    and then Milgram's formula gives a beta; where no beta satisfies it the
+    form is degenerate and an error is raised.
     """
     order = L.group.order()
     if order == 1:
         return 0
     s = gauss_sum(L)
-    if s.norm_squared() != order:
-        raise DegenerateFormError("Gauss-sum norm identity fails; form is degenerate")
     t = order.bit_length() - 1
     n = s.conductor
     if t % 2 == 0:
@@ -513,4 +513,4 @@ def brown_kervaire(L: LinkingForm) -> int:
     for beta in range(8):
         if magnitude * CycEight.root_power(beta * (n // 8), n) == s:
             return beta
-    raise DegenerateFormError("Gauss sum is not |G|^(1/2) times an 8th root of unity")
+    raise DegenerateFormError("Gauss-sum norm identity fails; form is degenerate")

@@ -18,7 +18,9 @@ a - p ... a - 1, and likewise above b; so a check that holds there holds
 everywhere.  Maps are rules in the degree that the package does not see
 into, so maps and checks read every degree of the report's window, which
 the verifiers widen by one period, and the cores: a rule corrupted at one
-degree is then seen at any window that holds it.
+degree is then seen at any window that holds it.  Every map of
+``ltables`` is a coefficient rule passed to ``scalar_map``, and this module
+alone picks the degrees a map is read at and keys its components.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from operator import index
 from .abelian import (
     FgAbGroup,
     IntMatrix,
+    _parse_int,
     ext_group,
     hom_group,
     hom_is_well_defined,
@@ -42,7 +45,6 @@ from .abelian import (
 __all__ = [
     "GradedGroup",
     "GradedMap",
-    "read_degrees",
     "scalar_map",
     "SesDatum",
     "OutOfWindowError",
@@ -162,9 +164,6 @@ class GradedGroup:
             return b - (b - n) % above if above else None
         return n
 
-    def _slots(self, degrees) -> list:
-        return list(map(self._slot, degrees))
-
     def __getitem__(self, n: int) -> FgAbGroup:
         m = self._slot(n)
         if m is None:
@@ -190,7 +189,7 @@ class GradedGroup:
     def rendered(self) -> list:
         """(n, self[n].render()) for each degree n of the window, each core group rendered once."""
         text, out = {}, []
-        for n, m in zip(self.degrees(), self._slots(self.degrees())):
+        for n, m in zip(self.degrees(), map(self._slot, self.degrees())):
             if m not in text:
                 text[m] = self[n].render()
             out.append((n, text[m]))
@@ -206,7 +205,7 @@ class GradedGroup:
     @classmethod
     def from_json(cls, doc) -> "GradedGroup":
         window = bounded_window(*map(index, doc["window"]))
-        groups = {int(n): FgAbGroup.parse(s) for n, s in doc.get("groups", {}).items()}
+        groups = {_parse_int(n): FgAbGroup.parse(s) for n, s in doc.get("groups", {}).items()}
         return cls(window, groups, doc.get("period"))
 
 
@@ -264,40 +263,36 @@ class GradedMap:
     def __init__(self, source, target, degree_shift, components):
         given = {int(n): m for n, m in components.items()}
         shift = int(degree_shift)
-        slots = zip(source._slots(given), target._slots([n + shift for n in given]))
 
         def matrix(n, key):
             m = given[n]
             return m if isinstance(m, IntMatrix) else IntMatrix(m, shape=(target[n + shift].gens(), source[n].gens()))
 
         # a given component is known by its identity, which ``given`` keeps alive
-        self._fill(source, target, shift, ((n, (id(given[n]),) + ij) for n, ij in zip(given, slots)), matrix)
+        self._fill(source, target, shift, given, lambda n: id(given[n]), matrix)
 
-    @classmethod
-    def from_keys(cls, source, target, degree_shift, keyed, matrix) -> "GradedMap":
-        """The map with the component matrix(n, key) at each degree n of the (n, key) pairs ``keyed``.
+    def _fill(self, source, target, shift, degrees, key, matrix):
+        """Set the map with the component matrix(n, key(n)) at each degree n of ``degrees``.
 
-        ``matrix`` is called once per distinct key, which must determine the
+        ``matrix`` is called once per distinct key(n) and core degrees of n
+        and n + shift in the two ends, which together must determine the
         component and the groups at both ends.
         """
-        f = object.__new__(cls)
-        f._fill(source, target, int(degree_shift), keyed, matrix)
-        return f
-
-    def _fill(self, source, target, shift, keyed, matrix):
         which, by_key, index, data = {}, {}, {}, []
-        for n, key in keyed:
-            k = by_key.get(key)
-            if k is None:
-                datum = (matrix(n, key), source[n], target[n + shift])
-                k = index.get(datum)
-                if k is None:
+        for n in degrees:
+            k = key(n)
+            known = (k, source._slot(n), target._slot(n + shift))
+            i = by_key.get(known)
+            if i is None:
+                datum = (matrix(n, k), source[n], target[n + shift])
+                i = index.get(datum)
+                if i is None:
                     if not hom_is_well_defined(*datum):
                         raise ValueError(f"component at degree {n} is not a homomorphism")
-                    k = index[datum] = len(data)
+                    i = index[datum] = len(data)
                     data.append(datum)
-                by_key[key] = k
-            which[n] = k
+                by_key[known] = i
+            which[n] = i
         for name, value in zip(self.__slots__, (source, target, shift, which, data)):
             object.__setattr__(self, name, value)  # _which: degree -> index of its datum in _data
 
@@ -309,18 +304,13 @@ class GradedMap:
         return {n: self._data[k][0] for n, k in self._which.items()}
 
     def component(self, n: int) -> IntMatrix:
-        return self._datum(n)[0]
-
-    def _datum(self, n: int) -> tuple:
-        """(component, source group, target group) at degree n: all its kernel and cokernel read."""
         i = self._which.get(n)
         if i is not None:
-            return self._data[i]
-        src, tgt = self.source[n], self.target[n + self.degree_shift]
-        return IntMatrix.zero(tgt.gens(), src.gens()), src, tgt
+            return self._data[i][0]
+        return IntMatrix.zero(self.target[n + self.degree_shift].gens(), self.source[n].gens())
 
 
-def read_degrees(source: GradedGroup, target: GradedGroup, shift: int) -> list[int]:
+def _read_degrees(source: GradedGroup, target: GradedGroup, shift: int) -> list[int]:
     """The degrees n a map source_n -> target_(n + shift) is read at.
 
     They are the degrees of either end's window or core (the target's moved
@@ -334,8 +324,7 @@ def read_degrees(source: GradedGroup, target: GradedGroup, shift: int) -> list[i
     ends = sorted(spans(source).union(m - shift for m in spans(target)))
     if None not in source.tails + target.tails:  # both ends answer every degree
         return ends
-    return [n for n, i, j in zip(ends, source._slots(ends), target._slots([n + shift for n in ends]))
-            if i is not None and j is not None]
+    return [n for n in ends if source._slot(n) is not None and target._slot(n + shift) is not None]
 
 
 def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
@@ -347,22 +336,20 @@ def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
     summand has no generator.  The generators of a sum are those of its
     summands in order, which must be the sum's canonical order.  The rule is
     called at every degree the map is read; a matrix is built once per
-    distinct coefficients and core degrees the summands read their groups from.
+    distinct coefficients and core degrees of the two sums, which fix those
+    of their summands: a sum repeats wherever all its summands do.
     """
     src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
     tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
-    degrees = read_degrees(src, tgt, shift)
-    src_slots = zip(*(s._slots(degrees) for s in sources))
-    tgt_slots = zip(*(t._slots([n + shift for n in degrees]) for t in targets))
 
-    def matrix(n, key):
-        c = key[0]
+    def matrix(n, c):
         rows = _summands_present(targets, tgt, n + shift)
         cols = _summands_present(sources, src, n)
         return IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
 
-    keyed = ((n, (tuple(map(tuple, coeffs(n))), ss, ts)) for n, ss, ts in zip(degrees, src_slots, tgt_slots))
-    return GradedMap.from_keys(src, tgt, shift, keyed, matrix)
+    f = object.__new__(GradedMap)
+    f._fill(src, tgt, shift, _read_degrees(src, tgt, shift), lambda n: tuple(map(tuple, coeffs(n))), matrix)
+    return f
 
 
 def _summands_present(summands, total: GradedGroup, n: int) -> list[int]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import index, mul
 
-from .abelian import IntMatrix, smith_normal_form
+from .abelian import IntMatrix, _parse_int, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_layout
 from .forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 
@@ -120,7 +120,7 @@ class StructuredComplex:
         cx = IntComplex.from_json(doc)
         psi = {}
         for key, m in doc.get("psi", {}).items():
-            lv, k = map(int, key.split(","))
+            lv, k = map(_parse_int, key.split(","))
             if lv > MAX_LEVEL:
                 raise InvalidStructureError(f"structure level {lv} exceeds the bound {MAX_LEVEL}")
             psi[(lv, k)] = IntMatrix(m)

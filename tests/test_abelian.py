@@ -850,3 +850,11 @@ def test_doctests():
 
     failures, _ = doctest.testmod(mod)
     assert failures == 0
+
+
+class TestWellDefinedShapes:
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (0, 1), (1, 0)])
+    def test_a_matrix_of_the_wrong_shape_is_no_homomorphism(self, shape):
+        Z = FgAbGroup.free(1)
+        assert hom_is_well_defined(IntMatrix.zero(1, 1), Z, Z)
+        assert not hom_is_well_defined(IntMatrix.zero(*shape), Z, Z)

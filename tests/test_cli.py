@@ -539,6 +539,27 @@ MALFORMED_INPUTS = {
     "zero-denominator-form": (["invariant", "--name", "beta"], {"factors": [2], "q": {"(0)": "0", "(1)": "1/0"}}),
     "huge-free-rank-dual": (["dual"], {"window": [0, 3], "groups": {"0": "Z^99999999999"}}),
     "huge-free-rank-torsor": (["torsor", "--period", "4"], {"window": [0, 3], "groups": {"0": "Z^99999999999"}}),
+    # integer text other than ASCII digits with an optional leading minus, once read by int()
+    "digit-degree-dual": (["dual"], {"window": [0, 3], "groups": {"\u0663": "Z"}}),
+    "spaced-degree-dual": (["dual"], {"window": [0, 3], "groups": {" 0": "Z/2"}}),
+    "plus-degree-dual": (["dual"], {"window": [0, 3], "groups": {"+0": "Z/2"}}),
+    "spaced-order-dual": (["dual"], {"window": [0, 3], "groups": {"0": "Z/ 2"}}),
+    "underscored-order-dual": (["dual"], {"window": [0, 3], "groups": {"0": "Z/1_6"}}),
+    "digit-free-rank-dual": (["dual"], {"window": [0, 3], "groups": {"0": "Z^\u0662"}}),
+    "spaced-rank-key-complex": (["invariant", "--name", "beta"], {**_E_TENSOR_F, "ranks": {" 0": 2, "1": 2}}),
+    "digit-differential-key-complex": (["invariant", "--name", "beta"],
+                                       {**_E_TENSOR_F, "differentials": {"\u0661": [[2, 0], [0, 2]]}}),
+    "spaced-psi-key-complex": (["invariant", "--name", "beta"],
+                               {**_E_TENSOR_F, "psi": {"0, 0": [[-1, -1], [0, -1]], "0,1": [[-1, -1], [0, -1]]}}),
+    "underscored-psi-key-complex": (["invariant", "--name", "beta"],
+                                    {**_E_TENSOR_F, "psi": {"0,0": [[-1, -1], [0, -1]], "0,0_1": [[-1, -1], [0, -1]]}}),
+    # a reversed window, a matrix that is not symmetric, and one that is not upper triangular mod 2
+    "reversed-window-dual": (["dual"], {"window": [3, 1], "groups": {}}),
+    "asymmetric-signature": (["invariant", "--name", "signature"], [[1, 2], [3, 4]]),
+    "lower-triangular-arf": (["invariant", "--name", "arf"], [[0, 0], [1, 0]]),
+    # a complex whose extracted linking form is degenerate: Z/2 with q = 0
+    "degenerate-extraction-complex": (["invariant", "--name", "beta"], {
+        "ranks": {"1": 1, "0": 1}, "differentials": {"1": [[2]]}, "kind": "quadratic", "dimension": 1, "psi": {}}),
 }
 
 
@@ -580,6 +601,22 @@ class TestMalformedInput:
             assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
         if case.startswith("text-"):
             assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
+
+    @pytest.mark.parametrize("argv,line", [
+        (["table", "--name", "Ls", "--window", "\u0660..\u0663"], "window must look like a..b, got '\u0660..\u0663'"),
+        (["table", "--name", "Ls", "--window", "0..2\n"], "window must look like a..b, got '0..2\\n'"),
+        (["verify", "A", "--window", " -4..4"], "window must look like a..b, got ' -4..4'"),
+        (["dual", "--name", "Ls", "--window", "+0..4"], "window must look like a..b, got '+0..4'"),
+        (["torsor", "--name", "Ls", "--period", "\u0664"], "argument --period: invalid int value: '\u0664'"),
+        (["torsor", "--name", "Ls", "--period", "4_0"], "argument --period: invalid int value: '4_0'"),
+        (["torsor", "--name", "Ls", "--period", " 4"], "argument --period: invalid int value: ' 4'"),
+    ], ids=["digit-window", "newline-window", "spaced-window", "plus-window", "digit-period", "underscored-period",
+            "spaced-period"])
+    def test_integer_text_of_an_option_is_ascii_digits(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
 
     def test_nesting_deeper_than_the_json_parser_goes(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -461,3 +461,29 @@ class TestGaussSum:
             n = 8 * max(v.denominator for v in table.values())
             for conductor in (n, 2 * n):
                 assert gauss_sum(L, conductor) == gauss_sum_by_elements(L.group, table, conductor)
+
+
+class TestBetaOnEveryForm:
+    """beta exists exactly on the nondegenerate forms, where the Milgram norm identity holds."""
+
+    @pytest.mark.parametrize("factors", [(2,), (4,), (8,), (2, 2), (2, 4), (4, 4)])
+    def test_every_quadratic_function_on_small_groups(self, factors):
+        group = FgAbGroup(0, factors)
+        steps = [[Fraction(k, 2 * d) for k in range(2 * d)] for d in factors]  # 2 d a = 0 mod 1
+        pair_steps = [Fraction(k, min(factors)) for k in range(min(factors))]  # gcd(d_0, d_1) b = 0 mod 1
+        seen = set()
+        for a in itertools.product(*steps):
+            for b in (pair_steps if len(factors) == 2 else [0]):
+                form = LinkingForm(group, a, {(0, 1): b} if len(factors) == 2 else {})
+                norm = gauss_sum(form).norm_squared()
+                if nondegenerate(form):
+                    assert norm == group.order()
+                    assert brown_kervaire(form) in range(8)
+                else:
+                    # |G| |R| on the radical R where q vanishes on it, and 0 otherwise
+                    assert norm != group.order()
+                    with pytest.raises(DegenerateFormError, match="^Gauss-sum norm identity fails; form is "
+                                                                 "degenerate$"):
+                        brown_kervaire(form)
+                seen.add(nondegenerate(form))
+        assert seen == {True, False}

@@ -405,3 +405,24 @@ class TestTightCores:
             W = (lo, lo + rng.randint(0, 30))
             assert all(A[n] == B[n] for n in deciding_degrees(W, (A, B))) == all(
                 A[n] == B[n] for n in range(W[0], W[1] + 1)), W
+
+
+class TestFailureBranches:
+    """Each refusal of the graded layer below is reached by some input."""
+
+    def test_an_ambiguous_mod_table_is_refused(self):
+        # coker of 2 on Z/2 in degree 1 and its kernel in degree 0: Z/4 or Z/2 + Z/2
+        with pytest.raises(ValueError, match="mod-2 table ambiguous at degree 1"):
+            mod_table(GradedGroup((0, 1), {0: "Z/2", 1: "Z/2"}), 2)
+
+    def test_maps_with_no_common_degree_are_refused(self):
+        G = GradedGroup((0, 3), {0: "Z", 2: "Z"})
+        with pytest.raises(ValueError, match="no common degree to check"):
+            check_exact(GradedMap(G, G, 0, {0: [[1]]}), GradedMap(G, G, 0, {2: [[1]]}))
+
+    def test_a_degree_not_given_reads_as_the_zero_map(self):
+        G = GradedGroup((0, 3), {0: "Z", 2: "Z + Z/2"})
+        f = GradedMap(G, G, 0, {0: [[3]]})
+        assert f.component(0) == IntMatrix([[3]])
+        assert f.component(2) == IntMatrix.zero(2, 2) and f.component(3) == IntMatrix.zero(0, 0)
+        assert sorted(f.components) == [0]

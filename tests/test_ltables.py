@@ -876,3 +876,68 @@ class TestTheoremSuites:
         assert compare_graded(restrict(anderson_dual(up), w), restrict(up, w))
         down = shift_graded(lgs, -2)
         assert not compare_graded(restrict(anderson_dual(down), w), restrict(down, w))
+
+
+class TestOneMapBuilder:
+    """Every package map is a coefficient rule passed to ``scalar_map``, ring multiplication included."""
+
+    @pytest.mark.parametrize("name", ltables.RING_NAMES)
+    @pytest.mark.parametrize("window", [(-24, 24), (-2048, -2024), (2024, 2048)])
+    def test_ring_products_are_read_off_reduce(self, name, window):
+        pres = presentation(name)
+        plain = [(sym, d) for sym, d in pres.generators if isinstance(d, int)]
+        tab = table(name, window)
+        for sym, d in plain:
+            f = mult_by(name, sym, tab)
+            for n in range(window[0], window[1] + 1):
+                src, tgt = ltables.ring_basis(name, n), ltables.ring_basis(name, n + d)
+                got = f.component(n)
+                if not src or not tgt:
+                    assert got == IntMatrix.zero(len(tgt), len(src)), (name, sym, n)
+                    continue
+                product = pres.reduce({mono_mul(src[0][0], mono((sym, 1))): 1})
+                assert set(product) <= {tgt[0][0]}, (name, sym, n)
+                assert got == IntMatrix([[product.get(tgt[0][0], 0)]]), (name, sym, n)
+
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_the_sums_slots_key_the_components(self, shift):
+        # LCc repeats with period 2 and Ls with period 4; the coefficients have period 3
+        def rule(n):
+            return [[n % 3, 1 + n % 3], [2, n % 3 - 1]]
+
+        for window in ((-70, 70), (2040, 2048), (-2048, -2040)):
+            sources = [table("LCc", window), table("Ls", window)]
+            targets = [table("Ls", window), table("LCc", window)]
+            f = scalar_map(sources, targets, shift, rule)
+            for n in range(window[0], window[1] + 1):
+                rows = [i for i, t in enumerate(targets) if t[n + shift].gens()]
+                cols = [j for j, s in enumerate(sources) if s[n].gens()]
+                expected = IntMatrix([[rule(n)[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
+                assert f.component(n) == expected, (window, n)
+
+
+class TestFailureBranches:
+    """Each failure branch of the map builders and verifiers below is reached by some input."""
+
+    def test_a_product_outside_the_stated_basis_is_refused(self, monkeypatch):
+        monkeypatch.setattr(ltables, "ring_basis", _basis_with("Ln", 0, []))
+        # f in degree -1 times e is 4, and degree 0 no longer holds 1
+        with pytest.raises(ValueError, match="product leaves the stated basis at degree -1$"):
+            mult_by("Ln", "e", table("Ln", (-8, 8)))
+
+    def test_an_lq_product_outside_the_lq_classes_fails(self, monkeypatch):
+        # (8 t)(8 g) = 64 g, which is 4 g once g's coefficients are read mod 12: not 8 times a label
+        wrong = RingPresentation("Lq", (("t", 4), ("g", -2)), (), ((mono(("g", 1)), 12), (mono(("g", 2)), 64)))
+        assert ltables.verify_lq_ring((-16, 16))
+        monkeypatch.setattr(ltables, "_lq_ring", lambda: wrong)
+        assert not ltables.verify_lq_ring((-16, 16))
+
+    def test_a_missing_golden_file_is_an_error(self, monkeypatch, capsys):
+        def missing(name):
+            raise FileNotFoundError(f"no golden window for {name}")
+
+        monkeypatch.setattr(ltables, "golden_table", missing)
+        assert main(["verify", "presentations"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no golden window for Ls\n"

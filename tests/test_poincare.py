@@ -384,3 +384,17 @@ class TestSerialisation:
         assert back.complex == t.complex
         assert back.psi == t.psi
         assert back.dimension == 1
+
+
+class TestFailureBranches:
+    def test_a_pairing_that_is_no_chain_map_fails_the_poincare_check(self):
+        # E with psi_(0,-1) = 1 instead of -1: the adjoint no longer commutes with d = 2
+        S = StructuredComplex(IntComplex({0: 1, -1: 1}, {0: [[2]]}), "symmetric", -1,
+                              {(0, 0): [[1]], (0, -1): [[1]]}, check=False)
+        assert poincare_check(representative("E"))
+        assert not poincare_check(S)
+
+    def test_an_even_dimensional_product_with_two_torsion_is_refused(self):
+        E = representative("E")
+        with pytest.raises(DegenerateFormError, match="even-dimensional product with 2-torsion homology"):
+            certify_ef(E, tensor_structured(E, representative("F")))
