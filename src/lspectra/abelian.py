@@ -647,10 +647,9 @@ class FgAbGroup:
             part = part.strip()
             if part == "Z":
                 divisors.append(0)
-            elif part.startswith("Z^"):
-                divisors.extend([0] * min(_parse_int(part[2:]), MAX_PARSED_GENERATORS + 1))  # enough to refuse
-            elif part.startswith("Z/"):
-                divisors.append(_parse_int(part[2:]))
+            elif part[:2] in ("Z^", "Z/") and part[2:3] != "-":  # a rank or an order is never negative
+                k = _parse_int(part[2:])
+                divisors.extend([0] * min(k, MAX_PARSED_GENERATORS + 1) if part[1] == "^" else [k])  # enough to refuse
             else:
                 raise ValueError(f"cannot parse group term {part!r}")
             if len(divisors) > MAX_PARSED_GENERATORS:

@@ -36,7 +36,9 @@ class IntComplex:
     __slots__ = ("_ranks", "_diffs")
 
     def __init__(self, ranks, differentials=None):
-        rk = {int(n): int(r) for n, r in dict(ranks).items() if int(r) > 0}
+        rk = {int(n): int(r) for n, r in dict(ranks).items() if int(r)}  # a zero rank is an empty degree
+        for n in (n for n, r in rk.items() if r < 0):
+            raise ValueError(f"negative rank {rk[n]} at degree {n}")
         diffs = {}
         for n, m in dict(differentials or {}).items():
             n = int(n)
@@ -131,7 +133,7 @@ class IntComplex:
     @classmethod
     def from_json(cls, doc) -> "IntComplex":
         """The complex of a document, refused before any matrix is read if it exceeds the bounds."""
-        ranks = {_parse_int(n): index(r) for n, r in doc.get("ranks", {}).items() if index(r) > 0}
+        ranks = cls({_parse_int(n): index(r) for n, r in doc.get("ranks", {}).items()}).ranks
         if sum(ranks.values()) > MAX_RANK or ranks and max(ranks) - min(ranks) > MAX_SPAN:
             raise ValueError(f"a complex exceeds the bounds: total rank {MAX_RANK}, degrees {MAX_SPAN} apart")
         return cls(ranks, {_parse_int(n): IntMatrix(m) for n, m in doc.get("differentials", {}).items()})

@@ -1,12 +1,13 @@
 """Graded ring and module presentations for the integral L-theory tables.
 
-Tables are generated from small rewriting presentations (generators,
-rewrites, torsion relations, per-degree bases) and cross-checked against
-golden windows shipped as data files.  Every graded map is a coefficient
-rule passed to ``graded.scalar_map``; multiplication on the rings reads its
-coefficients off the same presentations.  The two theorem verifiers replay
-every graded-level claim: splittings, Anderson duals, exactness of the fibre
-sequences, and the kernel argument that hinges on ef = 4.
+Tables are read off small rewriting presentations (generators, rewrites,
+torsion relations) and cross-checked against golden windows shipped as
+data files: a ring's basis in a degree is its irreducible monomials there.
+Every graded map is a coefficient rule passed to ``graded.scalar_map``;
+multiplication on the rings reads its coefficients off the same
+presentations.  The two theorem verifiers replay every graded-level claim:
+splittings, Anderson duals, exactness of the fibre sequences, and the
+kernel argument that hinges on ef = 4.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from importlib import resources
 from itertools import product
+from math import gcd
 from operator import itemgetter, le
 
 from .abelian import (FgAbGroup, IntMatrix, _respects_orders, ext_group, extension_candidates, hom_group,
@@ -200,7 +202,7 @@ def _index_tuples(slopes, lo: int, hi: int, least: int = 1):
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """A graded ring given by generators, rewrite rules and a basis rule.
+    """A graded ring given by generators, rewrite rules and torsion relations.
 
     A generator is a symbol and its degree, or a family (y, (step, offset))
     whose members y1, y2, ... have degree step * i + offset.  A factor of a
@@ -211,9 +213,9 @@ class RingPresentation:
     some factor of its pattern alone.
 
     The rewrites and torsion patterns are the only statement of the ring's
-    relations; the checked relations derive from them.  A modulus of every
-    coefficient, such as 8 on L^n, is the torsion pattern 1, which divides
-    every monomial.  A monomial is rewritten by the first instance, in rule
+    relations; the checked relations and the bases (``ring_basis``) derive
+    from them.  A modulus of every coefficient, such as 8 on L^n, is the
+    torsion pattern 1, which divides every monomial.  A monomial is rewritten by the first instance, in rule
     order and then in ascending order of index tuples, whose pattern divides
     it.  So every monomial has exactly one normal form, a multiple of one
     monomial or 0, and rewriting is linear in the terms.  Each normal form is
@@ -237,17 +239,20 @@ class RingPresentation:
         object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in self.rewrites))
         object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in self.torsion_patterns))
         object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
-        object.__setattr__(self, "_moduli", {})  # m -> the moduli its coefficient is reduced by
+        object.__setattr__(self, "_moduli", {})  # m -> moduli of the torsion patterns dividing it, in list order
 
     def degree(self, m: Monomial) -> int:
         degs = dict(self.generators)
         return sum(_generator_degree(degs, s) * e for s, e in m)
 
-    def _coeff_reduce(self, m: Monomial, c: int) -> int:
+    def _moduli_of(self, m: Monomial) -> list:
         moduli = self._moduli.get(m)
         if moduli is None:
             moduli = self._moduli[m] = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, m)]
-        for d in moduli:
+        return moduli
+
+    def _coeff_reduce(self, m: Monomial, c: int) -> int:
+        for d in self._moduli_of(m):
             c %= d
         return c
 
@@ -370,6 +375,7 @@ def _member(family: str, *names: str, plus: int = 0):
 
 
 MEMO_BOUND = 1 << 14  # normal forms a shared presentation may hold and still be handed out again
+BASIS_BOUND = 64  # irreducible monomials a ring may have in its plain generators besides x
 _SHARED: dict = {}  # ring name -> its one presentation in this process
 
 
@@ -425,48 +431,45 @@ def _build_presentation(name: str) -> RingPresentation:
     raise KeyError(f"unknown ring presentation {name!r}")
 
 
-def ring_basis(name: str, degree: int):
-    """Per-degree basis monomials with torsion orders (0 meaning free)."""
-    d = degree
-    if name == "Ls":
-        if d % 4 == 0:
-            return [(mono(("x", d // 4)), 0)]
-        if d % 4 == 1:
-            return [(mono(("e", 1), ("x", (d - 1) // 4)), 2)]
-        return []
-    if name == "Ln":
-        if d % 4 == 0:
-            return [(mono(("x", d // 4)), 8)]
-        if d % 4 == 1:
-            return [(mono(("e", 1), ("x", (d - 1) // 4)), 2)]
-        if d % 4 == 3:
-            return [(mono(("f", 1), ("x", (d + 1) // 4)), 2)]
-        return []
-    if name == "LR":
-        return [(mono(("x", d // 4)), 0)] if d % 4 == 0 else []
-    if name == "LC":
-        return [(mono(("x", d // 4)), 2)] if d % 4 == 0 else []
-    if name == "LCc":
-        return [(mono(("s", d // 2)), 0)] if d % 2 == 0 else []
-    if name == "Lgs":
-        if d >= 0:
-            if d % 4 == 0:
-                return [(mono(("x", d // 4)), 0)]
-            if d % 4 == 1:
-                return [(mono(("e", 1), ("x", (d - 1) // 4)), 2)]
-            return []
-        if d % 4 == 0:
-            return [(mono((f"y{-d // 4}", 1)), 0)]
-        if (-d - 2) % 4 == 0 and (-d - 2) // 4 >= 1:
-            return [(mono((f"z{(-d - 2) // 4}", 1)), 2)]
-        return []
-    if name == "scriptL":
-        if d % 4 != 0:
-            return []
-        if d >= 0:
-            return [(mono(("x", d // 4)), 0)]
-        return [(mono((f"y{-d // 4}", 1)), 0)]
-    raise KeyError(f"unknown ring {name!r}")
+@cache
+def _basis_parts(name: str):
+    """(presentation, x, [(m, degree of m)], families) of a ring, which ``ring_basis`` reads.
+
+    x has the tail period's degree; the m are the irreducible monomials in the
+    other plain generators.  The presentation is an instance of its own, so
+    reading a basis never drops or fills a shared one.
+    """
+    pres = _build_presentation(name)
+    x = next(s for s, d in pres.generators if d == PERIODS.get(name, 4))
+    found = [ONE]
+    for m in found:  # from 1 up, one generator at a time: a divisor of an irreducible monomial is one
+        for n in (_times(m, s) for s, d in pres.generators if isinstance(d, int) and s != x):
+            if n not in found and pres._normal_form(n) == (1, n):
+                if len(found) == BASIS_BOUND:
+                    raise ValueError(f"{name} has more than {BASIS_BOUND} irreducible monomials without {x}")
+                found.append(n)
+    return pres, x, [(m, pres.degree(m)) for m in found], [g for g in pres.generators if isinstance(g[1], tuple)]
+
+
+@lru_cache(maxsize=1 << 16)
+def ring_basis(name: str, degree: int) -> list:
+    """The (monomial, order) pairs of a ring's basis in a degree, 0 meaning free; callers only read the list.
+
+    They are the irreducible monomials x^k m, k < 0 only where the ring declares
+    a period, and m times the family member the degree fixes (``_basis_parts``).
+    An order is the gcd of the moduli of the torsion patterns dividing it.
+    """
+    pres, x, found, families = _basis_parts(name)
+    candidates = []
+    for m, dm in found:
+        k, r = divmod(degree - dm, PERIODS.get(name, 4))
+        if not r and (k >= 0 or name in PERIODS):
+            candidates.append(mono_mul(m, mono((x, k))))
+        for y, (a, b) in families:
+            i, r = divmod(degree - dm - b, a)
+            if not r and i >= 1:
+                candidates.append(_times(m, f"{y}{i}"))
+    return [(m, gcd(*pres._moduli_of(m))) for m in candidates if pres._normal_form(m) == (1, m)]
 
 
 def module_basis(name: str, degree: int):
@@ -493,10 +496,6 @@ def module_basis(name: str, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def _group_from_basis(basis) -> FgAbGroup:
-    return FgAbGroup.from_divisors([o for _, o in basis])
-
-
 CORE = (-8, 7)  # the degrees a table is computed on; it repeats past them with period PERIODS.get(name, 4)
 
 
@@ -516,10 +515,9 @@ def table(name: str, window=(-16, 16)) -> GradedGroup:
         ko = [FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(2), FgAbGroup(),
               FgAbGroup.free(1), FgAbGroup(), FgAbGroup(), FgAbGroup()]
         at = lambda n: ko[n % len(ko)]
-    elif name in MODULE_NAMES:
-        at = lambda n: _group_from_basis(module_basis(name, n))
-    elif name in RING_NAMES:
-        at = lambda n: _group_from_basis(ring_basis(name, n))
+    elif name in MODULE_NAMES + RING_NAMES:
+        basis = module_basis if name in MODULE_NAMES else ring_basis
+        at = lambda n: FgAbGroup.from_divisors([o for _, o in basis(name, n)])
     else:
         raise KeyError(f"unknown table {name!r}; choose from {', '.join(TABLE_NAMES)}")
     period = PERIODS.get(name)
@@ -625,10 +623,10 @@ def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | No
 def _products_in_basis(pres: RingPresentation, window) -> bool:
     """Each generator times each basis element of the window lands in ``ring_basis`` and respects the orders.
 
-    The generators are those of degree at most the window's width in size,
-    and a product is checked when its degree lies in the window, whether the
-    target degree has a basis or not.  A source degree without a basis is
-    skipped: its matrix has no columns, so it could not fail.
+    ``ring_basis`` lists the irreducible monomials of two shapes, so this sees
+    one of neither, such as y1^2 without its rule.  The generators are those
+    of degree at most the window's width in size, and a product is checked
+    when its degree lies in the window, whether the target has a basis or not.
     """
     lo, hi = window
     bases = {n: ring_basis(pres.name, n) for n in range(lo, hi + 1)}

@@ -15,7 +15,8 @@ the zeros of q; the lift exponent of a linking form by a search over
 2-powers per generator; the text of a table by rendering each degree;
 the integer-matrix kernels (products, transposes, sums, Kronecker products,
 blocks, solves, kernels, homology lifts) and the structure relations entry
-by entry, and at every degree of the window.
+by entry, and at every degree of the window; the ring bases as written out
+by hand, ring by ring.
 """
 
 from __future__ import annotations
@@ -895,6 +896,56 @@ def rendered_by_degree(G: GradedGroup) -> list:
     return [(n, G[n].render()) for n in G.degrees()]
 
 
+# -- ring bases by hand ----------------------------------------------------------------
+
+
+def ring_basis_by_hand(name: str, degree: int):
+    """Per-degree basis monomials with torsion orders (0 meaning free), written out ring by ring.
+
+    It is the oracle of ``ltables.ring_basis``, which reads them off the presentations.
+    """
+    d = degree
+    if name == "Ls":
+        if d % 4 == 0:
+            return [(mono(("x", d // 4)), 0)]
+        if d % 4 == 1:
+            return [(mono(("e", 1), ("x", (d - 1) // 4)), 2)]
+        return []
+    if name == "Ln":
+        if d % 4 == 0:
+            return [(mono(("x", d // 4)), 8)]
+        if d % 4 == 1:
+            return [(mono(("e", 1), ("x", (d - 1) // 4)), 2)]
+        if d % 4 == 3:
+            return [(mono(("f", 1), ("x", (d + 1) // 4)), 2)]
+        return []
+    if name == "LR":
+        return [(mono(("x", d // 4)), 0)] if d % 4 == 0 else []
+    if name == "LC":
+        return [(mono(("x", d // 4)), 2)] if d % 4 == 0 else []
+    if name == "LCc":
+        return [(mono(("s", d // 2)), 0)] if d % 2 == 0 else []
+    if name == "Lgs":
+        if d >= 0:
+            if d % 4 == 0:
+                return [(mono(("x", d // 4)), 0)]
+            if d % 4 == 1:
+                return [(mono(("e", 1), ("x", (d - 1) // 4)), 2)]
+            return []
+        if d % 4 == 0:
+            return [(mono((f"y{-d // 4}", 1)), 0)]
+        if (-d - 2) % 4 == 0 and (-d - 2) // 4 >= 1:
+            return [(mono((f"z{(-d - 2) // 4}", 1)), 2)]
+        return []
+    if name == "scriptL":
+        if d % 4 != 0:
+            return []
+        if d >= 0:
+            return [(mono(("x", d // 4)), 0)]
+        return [(mono((f"y{-d // 4}", 1)), 0)]
+    raise KeyError(f"unknown ring {name!r}")
+
+
 # -- graded tables degree by degree ---------------------------------------------------
 
 
@@ -922,8 +973,8 @@ class TableByDegree:
 
 
 def table_by_degree(name: str, window) -> TableByDegree:
-    """table(name, window), each degree of the window read off the basis rules."""
-    from lspectra.ltables import MODULE_NAMES, PERIODS, module_basis, ring_basis
+    """table(name, window), each degree of the window read off the bases written by hand."""
+    from lspectra.ltables import MODULE_NAMES, PERIODS, module_basis
 
     lo, hi = window
     if name == "Lgq":
@@ -935,7 +986,7 @@ def table_by_degree(name: str, window) -> TableByDegree:
         ko = [FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(2), FgAbGroup(),
               FgAbGroup.free(1), FgAbGroup(), FgAbGroup(), FgAbGroup()]
         return TableByDegree(window, {n: ko[n % 8] for n in range(lo, hi + 1)}, 8 if hi - lo + 1 >= 8 else None)
-    basis = module_basis if name in MODULE_NAMES else ring_basis
+    basis = module_basis if name in MODULE_NAMES else ring_basis_by_hand
     groups = {n: FgAbGroup.from_divisors([o for _, o in basis(name, n)]) for n in range(lo, hi + 1)}
     period = PERIODS.get(name)
     return TableByDegree(window, groups, period if period is not None and hi - lo >= period else None)

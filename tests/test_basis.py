@@ -1,0 +1,122 @@
+"""Ring bases read off the presentations: the rules and torsion relations are their only statement."""
+
+import dataclasses
+import time
+
+import pytest
+
+from lspectra import ltables
+from lspectra.cli import main
+from lspectra.ltables import ONE, mono, presentation, verify_presentation, verify_presentations_report
+
+from helpers import ring_basis_by_hand
+
+E = mono(("e", 1))
+Z_I = (ltables._member("z", "i"),)
+Y_I_Y_J = (ltables._member("y", "i"), ltables._member("y", "j"))
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    """Makes ``shared(ring, change)`` the shared presentation of ``ring``, and its bases the ones read off it.
+
+    Every presentation is built afresh, ``ring``'s through ``change``, and the
+    basis memos are emptied before and after the test.
+    """
+    genuine = ltables._build_presentation
+
+    def install(ring, change):
+        monkeypatch.setattr(ltables, "_build_presentation",
+                            lambda name: change(genuine(name)) if name == ring else genuine(name))
+        monkeypatch.setattr(ltables, "_SHARED", {})
+        ltables.ring_basis.cache_clear()
+        ltables._basis_parts.cache_clear()
+
+    yield install
+    ltables.ring_basis.cache_clear()
+    ltables._basis_parts.cache_clear()
+
+
+def with_modulus(pattern, modulus):
+    """The change of a presentation that sets the modulus of its torsion pattern ``pattern``."""
+    def change(pres):
+        assert pattern in [p for p, _ in pres.torsion_patterns]
+        return dataclasses.replace(pres, torsion_patterns=tuple(
+            (p, modulus if p == pattern else d) for p, d in pres.torsion_patterns))
+    return change
+
+
+def without_rewrite(pattern):
+    def change(pres):
+        assert pattern in [p for p, _, _ in pres.rewrites]
+        return dataclasses.replace(pres, rewrites=tuple(r for r in pres.rewrites if r[0] != pattern))
+    return change
+
+
+class TestDerivedBasis:
+    @pytest.mark.parametrize("name", ltables.RING_NAMES)
+    def test_matches_the_bases_written_by_hand(self, name):
+        # every degree the verifiers read: MAX_DEGREE, their 8-degree padding, and a tail period more
+        for n in range(-2060, 2061):
+            assert set(ltables.ring_basis(name, n)) == set(ring_basis_by_hand(name, n)), (name, n)
+
+    def test_names_no_ring(self):
+        import inspect
+
+        source = inspect.getsource(ltables.ring_basis) + inspect.getsource(ltables._basis_parts)
+        assert not any(f'"{name}"' in source for name in ltables.RING_NAMES)
+
+    def test_a_warm_call_is_a_lookup(self):
+        ltables.ring_basis("Lgs", -2046)
+        hits = ltables.ring_basis.cache_info().hits
+        assert ltables.ring_basis("Lgs", -2046) == [(mono(("z511", 1)), 2)]
+        assert ltables.ring_basis.cache_info().hits == hits + 1
+
+    def test_reading_a_basis_leaves_the_shared_presentations_alone(self, shared):
+        shared("Ls", lambda pres: pres)
+        before = presentation("Lgs")
+        for n in range(-60, 61):
+            ltables.ring_basis("Lgs", n)
+        assert presentation("Lgs") is before and not before._normal_forms and set(ltables._SHARED) == {"Lgs"}
+
+
+class TestTorsionRelationsAreChecked:
+    """A wrong torsion relation in the shared presentation fails its own row; each passed every row before."""
+
+    @pytest.mark.parametrize("ring,pattern,modulus", [
+        ("Ls", E, 4),
+        ("LC", ONE, 4),
+        ("Lgs", Z_I, 4),
+        ("Ln", ONE, 16),
+        ("Ln", E, 4),
+    ], ids=["Ls-4e", "LC-4", "Lgs-4z", "Ln-16", "Ln-4e"])
+    def test_fails_its_own_row_only(self, ring, pattern, modulus, shared, capsys):
+        shared(ring, with_modulus(pattern, modulus))
+        assert dict(presentation(ring).torsion_patterns)[pattern] == modulus
+        rows = {i.name: i.passed for i in verify_presentations_report((-16, 16))}
+        assert [row for row, passed in rows.items() if not passed] == [f"presentation-{ring}"]
+        assert main(["verify", "presentations", "--format", "tsv"]) == 1
+        failed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines() if "\tFAIL" in line]
+        assert failed == [f"presentation-{ring}"]
+
+
+class TestShapesOutsideTheDerivation:
+    def test_infinitely_many_irreducible_monomials_are_refused(self, shared):
+        # without e^2 -> 0 every power of e is irreducible
+        shared("Ls", without_rewrite(mono(("e", 2))))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^Ls has more than 64 irreducible monomials"):
+            ltables.ring_basis("Ls", 1)
+        assert time.perf_counter() - start < 2
+
+    def test_an_irreducible_monomial_of_neither_shape_fails_through_the_products(self, shared):
+        # without y_i y_j -> 8 y_(i+j), y1^2 is irreducible in degree -8 beside y2, but no basis lists it
+        shared("Lgs", without_rewrite(Y_I_Y_J))
+        pres, window = presentation("Lgs"), (-16, 16)
+        y1_squared = mono(("y1", 2))
+        assert pres.reduce({y1_squared: 1}) == {y1_squared: 1}
+        assert ltables.ring_basis("Lgs", -8) == [(mono(("y2", 1)), 0)]
+        assert not any(pres.reduce(elem) for elem in pres._relations(window))
+        assert ltables._matches_golden("Lgs", ltables.table)
+        assert not ltables._products_in_basis(pres, window)
+        assert not verify_presentation("Lgs", window)

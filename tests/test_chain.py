@@ -176,3 +176,15 @@ def _random_complex(rng):
             cols.append(col)
         diffs[lo + 2] = IntMatrix([[col[i] for col in cols] for i in range(r1)], shape=(r1, r2))
     return IntComplex(ranks, diffs)
+
+
+class TestRanks:
+    def test_a_negative_rank_is_refused_by_its_degree(self):
+        with pytest.raises(ValueError, match="negative rank -1 at degree 0"):
+            IntComplex({0: -1})
+        with pytest.raises(ValueError, match="negative rank -3 at degree 5"):
+            IntComplex.from_json({"ranks": {"1": 1, "0": 1, "5": -3}, "differentials": {"1": [[2]]}})
+
+    def test_a_zero_rank_is_an_empty_degree(self):
+        assert IntComplex({0: 0, 1: 1}) == IntComplex({1: 1})
+        assert IntComplex.from_json({"ranks": {"0": 0, "1": 1}}).degrees() == [1]

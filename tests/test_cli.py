@@ -560,6 +560,15 @@ MALFORMED_INPUTS = {
     # a complex whose extracted linking form is degenerate: Z/2 with q = 0
     "degenerate-extraction-complex": (["invariant", "--name", "beta"], {
         "ranks": {"1": 1, "0": 1}, "differentials": {"1": [[2]]}, "kind": "quadratic", "dimension": 1, "psi": {}}),
+    # a negative rank or order in a group string, once read as the trivial group or as its size
+    "negative-rank-group": (["dual"], {"window": [0, 1], "period": None, "groups": {"0": "Z^-1", "1": "Z"}}),
+    "negative-rank-beside-torsion": (["dual"], {"window": [0, 1], "period": None,
+                                                "groups": {"0": "Z^-3 + Z/2", "1": "Z"}}),
+    "negative-order-group": (["dual"], {"window": [0, 1], "period": None, "groups": {"0": "Z/-2", "1": "Z"}}),
+    # a negative rank in a complex, once dropped
+    "negative-rank-complex": (["invariant", "--name", "beta"], {
+        "ranks": {"1": 1, "0": 1, "5": -3}, "differentials": {"1": [[2]]}, "kind": "quadratic", "dimension": 1,
+        "psi": {"1,1": [[1]]}}),
 }
 
 
