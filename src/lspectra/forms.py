@@ -179,8 +179,8 @@ class CycEight:
     """Element of Z[zeta_N] for a 2-power conductor N (N = 8 by default).
 
     Coordinates are taken in the power basis 1, zeta, ..., zeta^(N/2 - 1)
-    with zeta^(N/2) = -1; all arithmetic is exact integer arithmetic, and
-    conjugation and |.|^2 stay inside the ring.
+    with zeta^(N/2) = -1; sums and products are exact integer arithmetic
+    and stay inside the ring.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -248,19 +248,6 @@ class CycEight:
         return CycEight(out, self.conductor)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "CycEight":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        dim = self.conductor // 2
-        out = [0] * dim
-        out[0] = self.coeffs[0]
-        for i in range(1, dim):
-            # zeta^(-i) = -zeta^(dim - i)
-            out[dim - i] -= self.coeffs[i]
-        return CycEight(out, self.conductor)
-
-    def norm_squared(self) -> "CycEight":
-        return self * self.conjugate()
 
     def is_integer(self):
         return all(c == 0 for c in self.coeffs[1:])

@@ -15,12 +15,16 @@ depend on the window.  What a check reads rests on one lemma:
 
 Below a, each degree n repeats at n + p, n + 2p, ... until it lands in
 a - p ... a - 1, and likewise above b; so a check that holds there holds
-everywhere.  Maps are rules in the degree that the package does not see
-into, so maps and checks read every degree of the report's window, which
-the verifiers widen by one period, and the cores: a rule corrupted at one
-degree is then seen at any window that holds it.  Every map of
-``ltables`` is a coefficient rule passed to ``scalar_map``, and this module
-alone picks the degrees a map is read at and keys its components.
+everywhere.  A map is stored the same way: its components on a finite
+core, repeating past it with a tail period at each end, and a lookup folds
+a degree back into the core.  Its coefficient rule states its own core and
+tails as data and is read on that core alone; ``deciding_core`` widens the
+cores of the two ends and of the rule by one lcm period at each end, and
+the components are built there and nowhere else.  Checks on maps pair their
+data over those degrees, so a wrong coefficient in the core or in a tail
+fails a check at any window.  Every map of ``ltables`` is a coefficient
+rule passed to ``scalar_map``, and this module alone picks the degrees a
+map is built on and keys its components.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ __all__ = [
     "torsor_count",
     "compare_graded",
     "deciding_degrees",
+    "deciding_core",
+    "MapError",
     "shift_graded",
     "reflect_graded",
     "direct_sum_graded",
@@ -228,37 +234,68 @@ def deciding_degrees(window, tables):
     yield from range(bottom_above, (hi if above is None else min(hi, bottom_above + above - 1)) + 1)
 
 
+def deciding_core(reads):
+    """((a, b), (below, above)): the degrees that decide a datum reading each object of ``reads`` at n + o.
+
+    ``reads`` holds (object, offsets) pairs, each object with a ``core`` and
+    ``tails``.  Below every core the datum repeats with the lcm ``below`` of
+    the lower tails wherever each degree it reads lies in a lower tail or a
+    first core period, and likewise above; a..b is what lies between one
+    such period at each end, so its first and last periods repeat.  An
+    object whose core is one period of both its tails repeats everywhere,
+    so only its period counts.  Where some object has no tail, both tails
+    are None and a..b spans the cores of such objects: the datum is then
+    given at the degrees there where every object answers.
+    """
+    bounded = [(t, o) for t, o in reads if None in t.tails]
+    if bounded:
+        return (min(t.core[0] - max(o) for t, o in bounded), max(t.core[1] - min(o) for t, o in bounded)), (None, None)
+    below, above = (lcm(*periods) for periods in zip(*(t.tails for t, _ in reads)))
+    ends = [(t.core[0] + t.tails[0] - max(o), t.core[1] - t.tails[1] - min(o)) for t, o in reads
+            if not t.tails[0] == t.tails[1] == t.core[1] - t.core[0] + 1]
+    if not ends:
+        return (0, max(below, above) - 1), (below, above)
+    return (min(lo for lo, _ in ends) - below, max(hi for _, hi in ends) + above), (below, above)
+
+
 def derive_table(window, period, tables, offsets, at, fixed=()) -> GradedGroup:
     """The table on ``window`` whose degree n is at(n), read off ``tables`` in the degrees n + o, o in ``offsets``.
 
     ``at`` may single out the degrees in ``fixed``, and otherwise depends on
-    n only through the tables.  When every table has both tails, at(n)
-    repeats with the lcm of their lower (upper) periods wherever every
-    degree it reads lies in the tables' lower (upper) tails or first (last)
-    core period and n is past ``fixed``; the core is what lies between one
-    such period at each end, and only the core is computed.  Otherwise the
-    result is finite: at(n) is computed on the window.
+    n only through the tables.  When every table has both tails, only the
+    core that ``deciding_core`` derives, widened to hold ``fixed``, is
+    computed.  Otherwise the result is finite: at(n) is computed on the window.
     """
-    if not all(None not in t.tails for t in tables):
+    (a, b), (below, above) = deciding_core([(t, offsets) for t in tables])
+    if below is None:
         return GradedGroup.from_core(window, period, window, at, (None, None))
-    below, above = (lcm(*periods) for periods in zip(*(t.tails for t in tables)))
-    a = min([t.core[0] + t.tails[0] - max(offsets) for t in tables] + list(fixed)) - below
-    b = max([t.core[1] - t.tails[1] - min(offsets) for t in tables] + list(fixed)) + above
+    if fixed:
+        a, b = min(a, min(fixed) - below), max(b, max(fixed) + above)
     return GradedGroup.from_core(window, period, (a, b), at, (below, above))
 
 
+class MapError(ValueError):
+    """A graded map cannot be built: a component is no homomorphism, or the summands do not lay out the sum."""
+
+
 class GradedMap:
-    """Degreewise homomorphisms source_n -> target_{n + degree_shift}, at the degrees it is read.
+    """Degreewise homomorphisms source_n -> target_{n + degree_shift}: a core and two periodic tails.
 
     Components are integer matrices on the presentation generators (free
-    generators first, then torsion generators in invariant-factor order),
-    given at each degree the map is read; a degree without one reads as the
-    zero map.  Each distinct (matrix, source group, target group) datum is
-    kept once and checked once to be well defined against the torsion
-    orders, and the checks built on maps work once per datum.
+    generators first, then torsion generators in invariant-factor order).
+    They are stored on the ``core`` degrees and repeat past it with
+    ``tails``, as a ``GradedGroup``'s groups do, through the same fold; a
+    degree of the core without a component, or past an end whose tail is
+    None, reads as the zero map.  Each distinct (matrix, source group,
+    target group) datum is kept once and checked once to be well defined
+    against the torsion orders, and the checks built on maps work once per
+    datum.  The constructor makes a finite map from components given at
+    some degrees; ``scalar_map`` and ``mult_by_int`` make maps that repeat
+    wherever their ends and rule do.
     """
 
-    __slots__ = ("source", "target", "degree_shift", "_which", "_data")
+    __slots__ = ("source", "target", "degree_shift", "core", "tails", "_which", "_data")
+    _slot = GradedGroup._slot
 
     def __init__(self, source, target, degree_shift, components):
         given = {int(n): m for n, m in components.items()}
@@ -269,11 +306,12 @@ class GradedMap:
             return m if isinstance(m, IntMatrix) else IntMatrix(m, shape=(target[n + shift].gens(), source[n].gens()))
 
         # a given component is known by its identity, which ``given`` keeps alive
-        self._fill(source, target, shift, given, lambda n: id(given[n]), matrix)
+        self._fill(source, target, shift, (None, None), sorted(given), lambda n: id(given[n]), matrix)
 
-    def _fill(self, source, target, shift, degrees, key, matrix):
-        """Set the map with the component matrix(n, key(n)) at each degree n of ``degrees``.
+    def _fill(self, source, target, shift, tails, degrees, key, matrix):
+        """Set the map with the component matrix(n, key(n)) at each degree n of ``degrees``, in ascending order.
 
+        Its core spans ``degrees``, and it repeats past them with ``tails``.
         ``matrix`` is called once per distinct key(n) and core degrees of n
         and n + shift in the two ends, which together must determine the
         component and the groups at both ends.
@@ -288,46 +326,55 @@ class GradedMap:
                 i = index.get(datum)
                 if i is None:
                     if not hom_is_well_defined(*datum):
-                        raise ValueError(f"component at degree {n} is not a homomorphism")
+                        raise MapError(f"component at degree {n} is not a homomorphism")
                     i = index[datum] = len(data)
                     data.append(datum)
                 by_key[known] = i
             which[n] = i
-        for name, value in zip(self.__slots__, (source, target, shift, which, data)):
-            object.__setattr__(self, name, value)  # _which: degree -> index of its datum in _data
+        core = (degrees[0], degrees[-1]) if degrees else (0, -1)
+        for name, value in zip(self.__slots__, (source, target, shift, core, tails, which, data)):
+            object.__setattr__(self, name, value)  # _which: core degree -> index of its datum in _data
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("GradedMap is immutable")
 
+    def _index(self, n: int):
+        """The index in ``_data`` of the component at degree n, or None where it reads as the zero map."""
+        m = self._slot(n)
+        return None if m is None else self._which.get(m)
+
     @property
     def components(self) -> dict:
+        """The components on the core, by degree."""
         return {n: self._data[k][0] for n, k in self._which.items()}
 
     def component(self, n: int) -> IntMatrix:
-        i = self._which.get(n)
+        i = self._index(n)
         if i is not None:
             return self._data[i][0]
         return IntMatrix.zero(self.target[n + self.degree_shift].gens(), self.source[n].gens())
 
 
-def _read_degrees(source: GradedGroup, target: GradedGroup, shift: int) -> list[int]:
-    """The degrees n a map source_n -> target_(n + shift) is read at.
+def _rule_map(source, target, shift, rule, matrix) -> GradedMap:
+    """The map with the component matrix(n, m) at n, m the degree of the rule's core that n folds to.
 
-    They are the degrees of either end's window or core (the target's moved
-    by the shift) where both ends have a group: on finite tables, the
-    source's window where the shift stays in the target's.
+    ``rule`` is a table of zero groups on the core and tails of the
+    coefficient rule: it stands for the degrees the rule is stated on.  The
+    map is built on the degrees that decide it (``deciding_core`` of the two
+    ends and the rule) and repeats past them; where some of the three has
+    no tail, it is built on the degrees where all three answer, and reads
+    as zero past them.
     """
-    def spans(G):
-        (lo, hi), (a, b) = G.window, G.core
-        return set(range(lo, hi + 1)).union(range(a, b + 1))
+    (a, b), tails = deciding_core([(source, (0,)), (target, (shift,)), (rule, (0,))])
+    degrees = range(a, b + 1)
+    if None in tails:
+        degrees = [n for n in degrees if None not in (source._slot(n), target._slot(n + shift), rule._slot(n))]
+    f = object.__new__(GradedMap)
+    f._fill(source, target, shift, tails, degrees, rule._slot, matrix)
+    return f
 
-    ends = sorted(spans(source).union(m - shift for m in spans(target)))
-    if None not in source.tails + target.tails:  # both ends answer every degree
-        return ends
-    return [n for n in ends if source._slot(n) is not None and target._slot(n + shift) is not None]
 
-
-def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
+def scalar_map(sources, targets, shift, coeffs, *, core, tails) -> GradedMap:
     """The graded map between the direct sums of two lists of summands.
 
     Each summand has at most one generator per degree.  ``coeffs(n)[i][j]``
@@ -335,29 +382,50 @@ def scalar_map(sources, targets, shift, coeffs) -> GradedMap:
     that of ``targets[i]`` in degree n + shift; a block is zero where a
     summand has no generator.  The generators of a sum are those of its
     summands in order, which must be the sum's canonical order.  The rule is
-    called at every degree the map is read; a matrix is built once per
-    distinct coefficients and core degrees of the two sums, which fix those
-    of their summands: a sum repeats wherever all its summands do.
+    data: it is stated on the degrees of ``core`` and repeats past them with
+    ``tails``, so ``coeffs`` is called once per degree of ``core`` that the
+    map reads and never outside it.  A matrix is built once per distinct
+    rule degree and core degrees of the two sums, which fix those of their
+    summands: a sum repeats wherever all its summands do.
     """
     src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
     tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
+    values = {}
 
-    def matrix(n, c):
+    def matrix(n, m):
+        c = values.get(m)
+        if c is None:
+            c = values[m] = tuple(map(tuple, coeffs(m)))
         rows = _summands_present(targets, tgt, n + shift)
         cols = _summands_present(sources, src, n)
         return IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
 
-    f = object.__new__(GradedMap)
-    f._fill(src, tgt, shift, _read_degrees(src, tgt, shift), lambda n: tuple(map(tuple, coeffs(n))), matrix)
-    return f
+    return _rule_map(src, tgt, shift, GradedGroup.from_core(core, None, core, lambda n: _ZERO, tails), matrix)
 
 
 def _summands_present(summands, total: GradedGroup, n: int) -> list[int]:
     """Indices of the summands with a generator in degree n, in the layout of the sum."""
     orders = [s[n].gen_orders() for s in summands]
     if any(len(o) > 1 for o in orders) or sum(orders, ()) != total[n].gen_orders():
-        raise ValueError(f"summand generators at degree {n} are not those of their sum")
+        raise MapError(f"summand generators at degree {n} are not those of their sum")
     return [i for i, o in enumerate(orders) if o]
+
+
+class _Folded(dict):
+    """Data on the degrees of a core, answering a degree past it with the datum its tail repeats there."""
+
+    __slots__ = ("core", "tails")
+    _slot = GradedGroup._slot
+
+    def __missing__(self, n):
+        m = self._slot(n)
+        if m is None or m == n:
+            raise KeyError(n)
+        return self[m]
+
+    def __contains__(self, n):
+        m = self._slot(n)
+        return m is not None and dict.__contains__(self, m)
 
 
 @dataclass(frozen=True)
@@ -412,17 +480,20 @@ def compare_graded(A: GradedGroup, B: GradedGroup) -> bool:
 
 
 def check_exact(f: GradedMap, g: GradedMap) -> bool:
-    """image(f) = kernel(g) in every middle degree both maps are read at.
+    """image(f) = kernel(g) in every middle degree where both maps have a component.
 
-    A periodic map repeats its data, so each distinct (map, groups, map,
-    groups) datum is tested once, in the order of its first degree.
+    The pairs of components are read over the degrees that decide both
+    maps (``deciding_core``); past them they repeat.  Each distinct (map,
+    groups, map, groups) datum is tested once, in the order of its first degree.
     """
     if f.target != g.source:
         raise ValueError("target of f must be the source of g")
+    s = f.degree_shift
     pairs = {}
-    for n, i in f._which.items():
-        j = g._which.get(n + f.degree_shift)
-        if j is not None:
+    (a, b), _ = deciding_core([(f, (0,)), (g, (s,))])
+    for n in range(a, b + 1):
+        i, j = f._index(n), g._index(n + s)
+        if i is not None and j is not None:
             pairs[i, j] = None
     if not pairs:
         raise ValueError("no common degree to check")
@@ -436,18 +507,21 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
     sequence collapses to 0 -> coker(mul)_n -> pi_n(cofibre) ->
     ker(mul at n-1-s) -> 0; the middle term is resolved only when the
     extension-candidate set is a singleton.  Degree n is given where the
-    map is read at n - s and n - 1 - s.  A periodic map repeats its data, so
-    each kernel, cokernel and extension is worked out once per distinct datum.
+    map has components at n - s and n - 1 - s.  The data are worked out on
+    the degrees that decide them and repeat past them with the map's tails:
+    the result answers every degree they repeat to, though it lists only
+    its core.  Each kernel, cokernel and extension is worked out once per
+    distinct datum.
     """
     s = mul.degree_shift
-    which, data = mul._which, mul._data
+    data = mul._data
+    (a, b), tails = deciding_core([(mul, (0, -1))])
     subs, quots, seqs = {}, {}, {}
-    out = {}
-    for d in sorted(which):  # d = n - s
-        j = which.get(d - 1)
-        if j is None:
+    out = _Folded()
+    for d in range(a, b + 1):  # d = n - s
+        i, j = mul._index(d), mul._index(d - 1)
+        if i is None or j is None:
             continue
-        i = which[d]
         if (i, j) not in seqs:
             if i not in subs:
                 subs[i] = map_cokernel_group(*data[i])
@@ -457,6 +531,8 @@ def cofibre_of_mult(M: GradedGroup, mul: GradedMap) -> dict[int, SesDatum]:
             resolved = next(iter(candidates)) if len(candidates) == 1 else None
             seqs[i, j] = SesDatum(sub=subs[i], quotient=quots[j], resolved=resolved)
         out[d + s] = seqs[i, j]
+    out.core = (min(out), max(out)) if out else (0, -1)
+    out.tails = tails
     return out
 
 
@@ -515,18 +591,14 @@ def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
 def mult_by_int(G: GradedGroup, m: int) -> GradedMap:
     """The degree-0 self-map multiplying every group by the integer m.
 
-    It is given on the degrees that decide G: its core widened by one
-    period of each tail, which on a finite table is its window.
+    Its rule is one constant: the map is built on the degrees that decide
+    G, which on a finite table are its window, and repeats with G's tails.
     """
-    (a, b), (below, above) = G.core, G.tails
-    made = {}
-    comps = {}
-    for n in range(a - (below or 0), b + (above or 0) + 1):
-        g = G[n]
-        if g not in made:
-            made[g] = IntMatrix.diagonal([m] * g.gens(), rows=g.gens(), cols=g.gens())
-        comps[n] = made[g]
-    return GradedMap(G, G, 0, comps)
+    def matrix(n, _):
+        g = G[n].gens()
+        return IntMatrix.diagonal([m] * g, rows=g, cols=g)
+
+    return _rule_map(G, G, 0, GradedGroup((0, 0), {}, 1), matrix)
 
 
 def mod_table(G: GradedGroup, m: int) -> GradedGroup:

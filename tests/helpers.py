@@ -29,7 +29,7 @@ from math import gcd
 from lspectra import ltables
 from lspectra.abelian import FgAbGroup, IntMatrix, _respects_orders, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
-from lspectra.forms import DegenerateFormError, F2QuadForm, LinkingForm, SymForm
+from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup
 from lspectra.ltables import ONE, RingPresentation, mono, mono_div, mono_mul, presentation
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
@@ -876,6 +876,25 @@ def lift_exponent_by_search(S: StructuredComplex) -> int:
     return K
 
 
+# -- the Milgram norm: |x|^2 in Z[zeta_N] -------------------------------------------
+
+
+def conjugate(x: CycEight) -> CycEight:
+    """Complex conjugation zeta -> zeta^(-1) of a cyclotomic integer."""
+    dim = x.conductor // 2
+    out = [0] * dim
+    out[0] = x.coeffs[0]
+    for i in range(1, dim):
+        # zeta^(-i) = -zeta^(dim - i)
+        out[dim - i] -= x.coeffs[i]
+    return CycEight(out, x.conductor)
+
+
+def norm_squared(x: CycEight) -> CycEight:
+    """|x|^2 = x times its conjugate; Milgram's theorem makes it |G| for the Gauss sum of a nondegenerate form."""
+    return x * conjugate(x)
+
+
 # -- graded tables on another window -----------------------------------------------
 
 
@@ -889,6 +908,18 @@ def restrict(G: GradedGroup, window) -> GradedGroup:
     groups = {n: G[n] for n in range(lo, hi + 1)}
     p = G.period if G.period is not None and hi - lo >= G.period else None
     return GradedGroup(window, groups, p)
+
+
+def component_read_at(sources, targets, shift, coeffs, n) -> IntMatrix:
+    """The component at n of ``scalar_map(sources, targets, shift, coeffs, ...)``, with the rule read at n itself.
+
+    This is how maps were once read, at every degree and with no core or
+    tails: coeffs(n)[i][j] on the summands with a generator at n and n + shift.
+    """
+    c = coeffs(n)
+    rows = [i for i, t in enumerate(targets) if t[n + shift].gens()]
+    cols = [j for j, s in enumerate(sources) if s[n].gens()]
+    return IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
 
 
 def rendered_by_degree(G: GradedGroup) -> list:

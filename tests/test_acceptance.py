@@ -47,6 +47,7 @@ from lspectra.poincare import (
 from helpers import (
     hom_by_enumeration,
     ext_by_resolution,
+    norm_squared,
     random_group,
     random_linking_form,
     random_matrix,
@@ -105,7 +106,7 @@ def test_criterion_4_classical_invariants():
         s = a.direct_sum(b)
         assert s.group.order() <= 256
         assert nondegenerate(s)
-        assert gauss_sum(s).norm_squared() == s.group.order()
+        assert norm_squared(gauss_sum(s)) == s.group.order()
         assert brown_kervaire(s) == (brown_kervaire(a) + brown_kervaire(b)) % 8
     _report(4, "signature(E8)=8, arf values, beta additive with exact norm identity on 50 random forms")
 

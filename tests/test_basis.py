@@ -1,6 +1,7 @@
 """Ring bases read off the presentations: the rules and torsion relations are their only statement."""
 
 import dataclasses
+import re
 import time
 
 import pytest
@@ -98,6 +99,29 @@ class TestTorsionRelationsAreChecked:
         assert main(["verify", "presentations", "--format", "tsv"]) == 1
         failed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines() if "\tFAIL" in line]
         assert failed == [f"presentation-{ring}"]
+
+
+class TestWrongPresentationsFailTheSuites:
+    """A map that a wrong ring cannot carry fails the rows that build it, naming the degree; each once exited 2."""
+
+    @pytest.mark.parametrize("suite,ring,pattern,modulus,reason", [
+        ("A", "Ln", ONE, 16, "not a homomorphism"),
+        ("A", "Ln", E, 4, "not a homomorphism"),
+        ("B", "Lgs", Z_I, 4, "not a homomorphism"),
+        ("B", "Ls", E, 4, "not those of their sum"),
+    ], ids=["A-Ln-16", "A-Ln-4e", "B-Lgs-4z", "B-Ls-4e"])
+    def test_fails_rows_with_the_reason(self, suite, ring, pattern, modulus, reason, shared, capsys):
+        assert main(["verify", suite, "--format", "tsv"]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        shared(ring, with_modulus(pattern, modulus))
+        assert main(["verify", suite, "--format", "tsv"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and len(lines) == len(clean)
+        # the rows that pass print the bytes they print on the genuine ring
+        assert all(line in clean for line in lines if "\tPASS\t" in line)
+        details = [line.split("\t")[2] for line in lines if "\tFAIL\t" in line]
+        assert any(re.search(f"; .*at degree -?\\d+ (are|is) {reason}$", d) for d in details), details
 
 
 class TestShapesOutsideTheDerivation:

@@ -159,12 +159,12 @@ class TestScalarMap:
         w = (0, 2)
         a = GradedGroup(w, {0: Z, 1: Z2})
         b = GradedGroup(w, {0: FgAbGroup.cyclic(8), 2: Z})
-        f = scalar_map([a], [a, b], 0, lambda n: [[1], [n - 3]])
+        f = scalar_map([a], [a, b], 0, lambda n: [[1], [n - 3]], core=w, tails=(None, None))
         assert f.target == GradedGroup(w, {0: FgAbGroup(1, (8,)), 1: Z2, 2: Z})
         assert f.component(0) == IntMatrix([[1], [-3]])
         assert f.component(1) == IntMatrix([[1]])
         assert f.component(2) == IntMatrix.zero(1, 0)
-        up = scalar_map([b], [a], 1, lambda n: [[5]])
+        up = scalar_map([b], [a], 1, lambda n: [[5]], core=(0, 0), tails=(1, 1))
         assert up.components.keys() == {0, 1}  # degree 2 leaves the target window
 
     @pytest.mark.parametrize("summands", [
@@ -175,7 +175,7 @@ class TestScalarMap:
     def test_layout_other_than_the_sums_rejected(self, summands):
         parts = [GradedGroup((0, 0), {0: g}) for g in summands]
         with pytest.raises(ValueError, match="not those of their sum"):
-            scalar_map(parts, [GradedGroup((0, 0), {})], 0, lambda n: [[0] * len(parts)])
+            scalar_map(parts, [GradedGroup((0, 0), {})], 0, lambda n: [[0] * len(parts)], core=(0, 0), tails=(1, 1))
 
 
 class TestCofibre:

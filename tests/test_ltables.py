@@ -10,12 +10,13 @@ from collections import Counter
 
 import pytest
 
-from lspectra import ltables
+from lspectra import graded, ltables
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.cli import main
 from lspectra.graded import (
     GradedMap,
     SesDatum,
+    check_exact,
     compare_graded,
     double_dual_check,
     scalar_map,
@@ -32,6 +33,7 @@ from lspectra.ltables import (
     mono_mul,
     mult_by,
     presentation,
+    projection_to_ln,
     symmetrisation_map,
     table,
     verify_presentation,
@@ -40,8 +42,8 @@ from lspectra.ltables import (
     verify_genuine,
 )
 
-from helpers import (expanded_presentation, products_in_basis_by_scan, random_ring_element, reduce_by_scan,
-                     restrict)
+from helpers import (component_read_at, expanded_presentation, products_in_basis_by_scan, random_ring_element,
+                     reduce_by_scan, restrict)
 
 class TestTables:
     def test_golden_windows(self):
@@ -218,7 +220,7 @@ class TestPresentations:
 
         def x_by_three(name, sym, tab):
             if (name, sym) == ("Lq", "x"):
-                return scalar_map([tab], [tab], 4, lambda n: [[3]])
+                return scalar_map([tab], [tab], 4, lambda n: [[3]], core=(0, 0), tails=(1, 1))
             return genuine(name, sym, tab)
 
         assert verify_presentation("Lq", window)
@@ -816,22 +818,31 @@ class TestTheoremSuites:
         assert verdicts.pop(row) is False
         assert all(verdicts.values()), verdicts
 
-    @pytest.mark.parametrize("window,code", [("2040..2048", 1), ("-16..16", 0)])
-    def test_rule_corrupted_at_one_far_degree_fails_its_row_there(self, window, code, monkeypatch, capsys):
-        # L^gs -> L^s by 2 instead of 1 in degree 2044 alone: the tables repeat there, so the row must
-        # read the rule at 2044 itself to see it
+    @pytest.mark.parametrize("window", ["-16..16", "2040..2048"])
+    @pytest.mark.parametrize("degree,entry", [(-4, [[2]]), (0, [[2], [1]])], ids=["core", "tail"])
+    def test_wrong_rule_entry_fails_its_row(self, window, degree, entry, monkeypatch, capsys):
+        # the L^gs -> L^s x tau L^n rule is stated on -4..0 with tails 4 below and 1 above.  Its entry at -4
+        # (8, by 2 here) lies in the core, which no window above 0 holds; its entry at 0 (1, by 2 here) is
+        # the one the upper tail repeats to 2040..2048.  Either fails the row, and only it, at both windows
         genuine = ltables.scalar_map
+        corrupted = []
 
-        def patched(sources, targets, shift, coeffs):
-            if sys._getframe(1).f_code.co_name == "_genuine_square_item":
-                return genuine(sources, targets, shift,
-                               lambda n: [[2], [1]] if n == 2044 and coeffs(n) == [[1], [1]] else coeffs(n))
-            return genuine(sources, targets, shift, coeffs)
+        def patched(sources, targets, shift, coeffs, **rule):
+            if sys._getframe(1).f_code.co_name == "_genuine_square_item" and len(targets) == 2:
+                assert rule == {"core": (-4, 0), "tails": (4, 1)}
+
+                def wrong(n):
+                    corrupted.append(n)
+                    return entry if n == degree else coeffs(n)
+
+                return genuine(sources, targets, shift, wrong, **rule)
+            return genuine(sources, targets, shift, coeffs, **rule)
 
         monkeypatch.setattr(ltables, "scalar_map", patched)
-        assert main(["verify", "B", "--window", window, "--format", "tsv"]) == code
+        assert main(["verify", "B", "--window", window, "--format", "tsv"]) == 1
         failed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines() if "\tFAIL\t" in line]
-        assert failed == (["genuine-pullback-square"] if code else [])
+        assert failed == ["genuine-pullback-square"]
+        assert degree in corrupted and set(corrupted) <= set(range(-4, 1))
 
     def test_uct_row_reads_the_dual(self, monkeypatch):
         # I(L^q) shifted up one degree: I_1 = L^s_0 = Z is no extension of Hom(0, Z) by Ext(Z/2, Z)
@@ -848,7 +859,7 @@ class TestTheoremSuites:
         def patched(M, mul):
             ses = genuine(M, mul)
             if M == table("Ls", M.window):
-                ses = {n: torsion if n % 4 == 0 else datum for n, datum in ses.items()}
+                ses.update({n: torsion for n in ses if n % 4 == 0})  # in place: it answers past its core
             return ses
 
         monkeypatch.setattr(ltables, "cofibre_of_mult", patched)
@@ -901,19 +912,77 @@ class TestOneMapBuilder:
 
     @pytest.mark.parametrize("shift", [0, 2])
     def test_the_sums_slots_key_the_components(self, shift):
-        # LCc repeats with period 2 and Ls with period 4; the coefficients have period 3
+        # LCc repeats with period 2 and Ls with period 4; the coefficients have period 3, stated as data
         def rule(n):
             return [[n % 3, 1 + n % 3], [2, n % 3 - 1]]
 
         for window in ((-70, 70), (2040, 2048), (-2048, -2040)):
             sources = [table("LCc", window), table("Ls", window)]
             targets = [table("Ls", window), table("LCc", window)]
-            f = scalar_map(sources, targets, shift, rule)
+            f = scalar_map(sources, targets, shift, rule, core=(0, 2), tails=(3, 3))
             for n in range(window[0], window[1] + 1):
                 rows = [i for i, t in enumerate(targets) if t[n + shift].gens()]
                 cols = [j for j, s in enumerate(sources) if s[n].gens()]
                 expected = IntMatrix([[rule(n)[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
                 assert f.component(n) == expected, (window, n)
+
+
+    @pytest.mark.parametrize("window", [(-24, 24), (-2048, -2024), (2024, 2048)])
+    def test_a_rule_is_called_on_its_core_alone(self, window):
+        # the symmetrisation rule stated on 0..3 with period 4, raising anywhere else
+        def rule(n):
+            if not 0 <= n <= 3:
+                raise AssertionError(f"rule called at degree {n}")
+            return [[8 if n % 4 == 0 else 0]]
+
+        lq, ls = table("Lq", window), table("Ls", window)
+        f = scalar_map([lq], [ls], 0, rule, core=(0, 3), tails=(4, 4))
+        for n in range(window[0], window[1] + 1):
+            assert f.component(n) == symmetrisation_map(lq, ls).component(n), n
+        assert check_exact(f, projection_to_ln(ls, table("Ln", window)))
+
+    @pytest.mark.parametrize("suite,window", [(verify_classical, (-12, 12)), (verify_classical, (2040, 2048)),
+                                              (verify_genuine, (-16, 16)), (verify_genuine, (-2048, -2040)),
+                                              (verify_presentations_report, (-16, 16))])
+    def test_no_suite_reads_a_rule_outside_its_core(self, suite, window, monkeypatch):
+        genuine = ltables.scalar_map
+        calls = []
+
+        def guarded(sources, targets, shift, coeffs, *, core, tails):
+            def rule(n):
+                assert core[0] <= n <= core[1], (n, core)
+                calls.append(n)
+                return coeffs(n)
+
+            return genuine(sources, targets, shift, rule, core=core, tails=tails)
+
+        monkeypatch.setattr(ltables, "scalar_map", guarded)
+        assert all(item.passed for item in suite(window))
+        assert calls
+
+    @pytest.mark.parametrize("window", [(-24, 24), (-2048, -2024), (2024, 2048)])
+    def test_every_suite_map_equals_the_rule_read_at_each_degree(self, window, monkeypatch):
+        # the oracle reads each rule at every degree itself, ring products included, as maps were once read
+        built, ints = [], []
+        genuine, genuine_int = ltables.scalar_map, graded.mult_by_int
+
+        def recorded(sources, targets, shift, coeffs, **rule):
+            f = genuine(sources, targets, shift, coeffs, **rule)
+            built.append((sources, targets, shift, coeffs, f))
+            return f
+
+        monkeypatch.setattr(ltables, "scalar_map", recorded)
+        monkeypatch.setattr(graded, "mult_by_int", lambda G, m: ints.append((G, m)) or genuine_int(G, m))
+        for suite in (verify_classical, verify_genuine, verify_presentations_report):
+            assert all(item.passed for item in suite())
+        assert len(built) >= 15 and ints
+        for sources, targets, shift, coeffs, f in built:
+            for n in range(window[0], window[1] + 1):
+                assert f.component(n) == component_read_at(sources, targets, shift, coeffs, n), (f.source, n)
+        for G, m in ints:
+            for n in range(window[0], window[1] + 1):
+                g = G[n].gens()
+                assert genuine_int(G, m).component(n) == IntMatrix.diagonal([m] * g, rows=g, cols=g), n
 
 
 class TestFailureBranches:
