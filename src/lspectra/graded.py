@@ -65,7 +65,6 @@ __all__ = [
     "reflect_graded",
     "direct_sum_graded",
     "derive_table",
-    "mult_by_int",
     "mod_table",
 ]
 
@@ -290,8 +289,8 @@ class GradedMap:
     target group) datum is kept once and checked once to be well defined
     against the torsion orders, and the checks built on maps work once per
     datum.  The constructor makes a finite map from components given at
-    some degrees; ``scalar_map`` and ``mult_by_int`` make maps that repeat
-    wherever their ends and rule do.
+    some degrees; ``scalar_map``, the one builder from a coefficient rule,
+    makes maps that repeat wherever their ends and rule do.
     """
 
     __slots__ = ("source", "target", "degree_shift", "core", "tails", "_which", "_data")
@@ -355,25 +354,6 @@ class GradedMap:
         return IntMatrix.zero(self.target[n + self.degree_shift].gens(), self.source[n].gens())
 
 
-def _rule_map(source, target, shift, rule, matrix) -> GradedMap:
-    """The map with the component matrix(n, m) at n, m the degree of the rule's core that n folds to.
-
-    ``rule`` is a table of zero groups on the core and tails of the
-    coefficient rule: it stands for the degrees the rule is stated on.  The
-    map is built on the degrees that decide it (``deciding_core`` of the two
-    ends and the rule) and repeats past them; where some of the three has
-    no tail, it is built on the degrees where all three answer, and reads
-    as zero past them.
-    """
-    (a, b), tails = deciding_core([(source, (0,)), (target, (shift,)), (rule, (0,))])
-    degrees = range(a, b + 1)
-    if None in tails:
-        degrees = [n for n in degrees if None not in (source._slot(n), target._slot(n + shift), rule._slot(n))]
-    f = object.__new__(GradedMap)
-    f._fill(source, target, shift, tails, degrees, rule._slot, matrix)
-    return f
-
-
 def scalar_map(sources, targets, shift, coeffs, *, core, tails) -> GradedMap:
     """The graded map between the direct sums of two lists of summands.
 
@@ -384,12 +364,16 @@ def scalar_map(sources, targets, shift, coeffs, *, core, tails) -> GradedMap:
     summands in order, which must be the sum's canonical order.  The rule is
     data: it is stated on the degrees of ``core`` and repeats past them with
     ``tails``, so ``coeffs`` is called once per degree of ``core`` that the
-    map reads and never outside it.  A matrix is built once per distinct
-    rule degree and core degrees of the two sums, which fix those of their
-    summands: a sum repeats wherever all its summands do.
+    map reads and never outside it.  The map is built on the degrees that
+    decide it (``deciding_core`` of the two sums and the rule) where all
+    three answer, and repeats past them, or reads as zero where one of the
+    three has no tail.  A matrix is built once per distinct rule degree and
+    core degrees of the two sums, which fix those of their summands: a sum
+    repeats wherever all its summands do.
     """
     src = sources[0] if len(sources) == 1 else direct_sum_graded(*sources)
     tgt = targets[0] if len(targets) == 1 else direct_sum_graded(*targets)
+    rule = GradedGroup.from_core(core, None, core, lambda n: _ZERO, tails)  # the degrees the rule is stated on
     values = {}
 
     def matrix(n, m):
@@ -400,7 +384,11 @@ def scalar_map(sources, targets, shift, coeffs, *, core, tails) -> GradedMap:
         cols = _summands_present(sources, src, n)
         return IntMatrix([[c[i][j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
 
-    return _rule_map(src, tgt, shift, GradedGroup.from_core(core, None, core, lambda n: _ZERO, tails), matrix)
+    (a, b), map_tails = deciding_core([(src, (0,)), (tgt, (shift,)), (rule, (0,))])
+    degrees = [n for n in range(a, b + 1) if None not in (src._slot(n), tgt._slot(n + shift), rule._slot(n))]
+    f = object.__new__(GradedMap)
+    f._fill(src, tgt, shift, map_tails, degrees, rule._slot, matrix)
+    return f
 
 
 def _summands_present(summands, total: GradedGroup, n: int) -> list[int]:
@@ -588,33 +576,24 @@ def direct_sum_graded(*tables: GradedGroup) -> GradedGroup:
                     lambda n: FgAbGroup.from_divisors([o for t in tables for o in t[n].gen_orders()]))
 
 
-def mult_by_int(G: GradedGroup, m: int) -> GradedMap:
-    """The degree-0 self-map multiplying every group by the integer m.
-
-    Its rule is one constant: the map is built on the degrees that decide
-    G, which on a finite table are its window, and repeats with G's tails.
-    """
-    def matrix(n, _):
-        g = G[n].gens()
-        return IntMatrix.diagonal([m] * g, rows=g, cols=g)
-
-    return _rule_map(G, G, 0, GradedGroup((0, 0), {}, 1), matrix)
-
-
 def mod_table(G: GradedGroup, m: int) -> GradedGroup:
-    """Homotopy of the cofibre of multiplication by m on a table.
+    """Homotopy of the Moore quotient G/m: the cofibre of multiplication by m on a table.
 
-    Every degree must resolve to a unique extension; that holds whenever
-    coker and ker are never both nontrivial in adjacent degrees, which is
-    the case for all tables this library builds it from.  The cofibre is
-    worked out where ``mult_by_int`` is given, which is the core of the
-    result, and repeats past it with G's tails.
+    The universal coefficient sequence 0 -> G_n (x) Z/m -> (G/m)_n ->
+    Tor(G_{n-1}, Z/m) -> 0 makes degree n the extension of Hom(Z/m, G_{n-1})
+    by Ext(Z/m, G_n); for m = 0, Z/0 = Z and the cokernel is G_n itself.
+    Every degree must resolve to a unique extension; that holds whenever the
+    two ends are never both nontrivial in adjacent degrees, which is the
+    case for all tables this library builds it from.
     """
-    ses = cofibre_of_mult(G, mult_by_int(G, m))
-    for n, datum in ses.items():
-        if datum.resolved is None:
+    zm = FgAbGroup.cyclic(abs(m))
+
+    def at(n):
+        candidates = extension_candidates(G[n] if m == 0 else ext_group(zm, G[n]), hom_group(zm, G[n - 1]))
+        if len(candidates) != 1:
             raise ValueError(f"mod-{m} table ambiguous at degree {n}")
+        return next(iter(candidates))
+
     lo, hi = G.window
-    wlo = lo + 1
-    p = G.period if (G.period and hi - wlo >= G.period) else None
-    return GradedGroup.from_core((wlo, hi), p, (min(ses), max(ses)), lambda n: ses[n].resolved, G.tails)
+    p = G.period if (G.period and hi - lo - 1 >= G.period) else None
+    return derive_table((lo + 1, hi), p, [G], (0, -1), at)

@@ -695,13 +695,12 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     """
     lq, ls = _lq_ring(), presentation("Ls")
     lo, hi = window
-    # the degrees of the factors and the product: one period, and the window widened by it
-    maps = (symmetrisation_map(table("Lq", w), table("Ls", w)) for w in ((-4, 3), (lo - 4, hi + 3)))
-    sym = {n: m.component(n) for m in maps for n in m.source.degrees()}
+    # one map, on the window widened by a period (right factors and products); it answers the left ones too
+    w = (lo - 4, hi + 3)
+    sym = symmetrisation_map(table("Lq", w), table("Ls", w))
 
     def image(n, coords):
-        comp = sym[n]
-        values = (sum(a * c for a, c in zip(row, coords)) for row in comp.entries)
+        values = (sum(a * c for a, c in zip(row, coords)) for row in sym.component(n).entries)
         return ls.reduce({bm: v for (bm, _), v in zip(ring_basis("Ls", n), values)})
 
     def classes(lo, hi):

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from lspectra import graded, ltables
+from lspectra import ltables
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.cli import main
 from lspectra.graded import (
@@ -191,13 +191,13 @@ class TestPresentations:
         assert ltables.verify_lq_ring(window)
 
     def test_lq_ring_builds_tables_only_where_it_reads(self, monkeypatch):
-        # one period for the left factor, and the window widened by it for the right and the product;
-        # the tables once spanned every degree back to 0
+        # one map on the window widened by a period, read at the left factors' degrees too; the tables
+        # once spanned every degree back to 0
         built = []
         genuine = ltables.table
         monkeypatch.setattr(ltables, "table", lambda name, window: built.append((name, window)) or genuine(name, window))
         assert ltables.verify_lq_ring((-2000, -1996))
-        assert sorted(built) == [("Lq", (-2004, -1993)), ("Lq", (-4, 3)), ("Ls", (-2004, -1993)), ("Ls", (-4, 3))]
+        assert sorted(built) == [("Lq", (-2004, -1993)), ("Ls", (-2004, -1993))]
 
     def test_lq_ring_detects_wrong_symmetrisation(self, monkeypatch):
         genuine = ltables.symmetrisation_map
@@ -867,6 +867,20 @@ class TestTheoremSuites:
         assert verdicts.pop("mult-e-resolved-Z") is False
         assert all(verdicts.values()), verdicts
 
+    def test_wrong_mod_tables_fail_the_rows_that_read_them(self, monkeypatch, capsys):
+        # G/2m in place of G/m: the splittings through Moore quotients, and the square over L(R)/8, fail
+        genuine = ltables.mod_table
+        monkeypatch.setattr(ltables, "mod_table", lambda G, m: genuine(G, 2 * m))
+        for suite, rows in (("A", ["splitting-Ls", "splitting-Lq", "splitting-Ln"]),
+                            ("B", ["splitting-Lgs", "scriptL-square"])):
+            assert main(["verify", suite, "--format", "tsv"]) == 1
+            lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+            assert [name for name, verdict, _ in lines if verdict == "FAIL"] == rows, suite
+            assert {verdict for _, verdict, _ in lines} == {"PASS", "FAIL"}
+            for name, _, detail in lines:
+                if name in rows and name.startswith("splitting-"):
+                    assert re.search(r"; mismatch at degree -?\d+: ", detail), detail
+
     def test_symmetrisation_map_values(self):
         s = symmetrisation_map(table("Lq", (-8, 8)), table("Ls", (-8, 8)))
         assert s.component(0) == IntMatrix([[8]])
@@ -962,9 +976,10 @@ class TestOneMapBuilder:
 
     @pytest.mark.parametrize("window", [(-24, 24), (-2048, -2024), (2024, 2048)])
     def test_every_suite_map_equals_the_rule_read_at_each_degree(self, window, monkeypatch):
-        # the oracle reads each rule at every degree itself, ring products included, as maps were once read
-        built, ints = [], []
-        genuine, genuine_int = ltables.scalar_map, graded.mult_by_int
+        # the oracle reads each rule at every degree itself, ring products included, as maps were once read;
+        # every map a suite builds goes through scalar_map, so the maps made are the maps recorded
+        built, made = [], []
+        genuine, genuine_fill = ltables.scalar_map, GradedMap._fill
 
         def recorded(sources, targets, shift, coeffs, **rule):
             f = genuine(sources, targets, shift, coeffs, **rule)
@@ -972,17 +987,13 @@ class TestOneMapBuilder:
             return f
 
         monkeypatch.setattr(ltables, "scalar_map", recorded)
-        monkeypatch.setattr(graded, "mult_by_int", lambda G, m: ints.append((G, m)) or genuine_int(G, m))
+        monkeypatch.setattr(GradedMap, "_fill", lambda f, *a: made.append(f) or genuine_fill(f, *a))
         for suite in (verify_classical, verify_genuine, verify_presentations_report):
             assert all(item.passed for item in suite())
-        assert len(built) >= 15 and ints
+        assert len(built) >= 15 and [f for *_, f in built] == made
         for sources, targets, shift, coeffs, f in built:
             for n in range(window[0], window[1] + 1):
                 assert f.component(n) == component_read_at(sources, targets, shift, coeffs, n), (f.source, n)
-        for G, m in ints:
-            for n in range(window[0], window[1] + 1):
-                g = G[n].gens()
-                assert genuine_int(G, m).component(n) == IntMatrix.diagonal([m] * g, rows=g, cols=g), n
 
 
 class TestFailureBranches:
