@@ -692,22 +692,19 @@ def hom_is_well_defined(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> bool:
     """Does the matrix on presentation generators give a homomorphism?"""
     if M.rows != tgt.gens() or M.cols != src.gens():
         return False
-    return _respects_orders(M.entries, src.gen_orders(), tgt.gen_orders())
+    src_orders = src.gen_orders()
+    return all(_respects_order(m, o, t) for row, t in zip(M.entries, tgt.gen_orders())
+               for m, o in zip(row, src_orders))
 
 
-def _respects_orders(rows, src_orders, tgt_orders) -> bool:
-    """o_j * M[i][j] = 0 mod t_i for the matrix with these ``rows``.
+def _respects_order(m: int, o: int, t: int) -> bool:
+    """o * m = 0 mod t for the entry m from a source generator of order o to a target one of order t.
 
-    o_j and t_i are the orders of the source and target generators, 0 for a
-    free one: a free source generator imposes nothing, and a free target
-    generator needs o_j * M[i][j] = 0 exactly.
+    An order 0 means free: a free source generator imposes nothing, and a
+    free target generator needs o * m = 0 exactly.
     """
-    for row, t in zip(rows, tgt_orders):
-        for m, o in zip(row, src_orders):
-            v = o * m
-            if v % t if t else v:
-                return False
-    return True
+    v = o * m
+    return not (v % t if t else v)
 
 
 def _kernel_lattice(M: IntMatrix, src: FgAbGroup, tgt: FgAbGroup) -> IntMatrix:

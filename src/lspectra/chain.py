@@ -113,15 +113,6 @@ class IntComplex:
     def homology(self, n: int) -> FgAbGroup:
         return self.homology_with_gens(n)[0]
 
-    def acyclic_after_inverting_two(self) -> bool:
-        """True iff every homology group is finite of 2-power order."""
-        lo, hi = self.window()
-        for n in range(lo, hi + 1):
-            h = self.homology(n)
-            if h.free_rank or not h.is_two_primary():
-                return False
-        return True
-
     # -- serialisation -----------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd
 from operator import itemgetter, le
 
-from .abelian import (FgAbGroup, IntMatrix, _respects_orders, ext_group, extension_candidates, hom_group,
+from .abelian import (FgAbGroup, IntMatrix, _respects_order, ext_group, extension_candidates, hom_group,
                       map_kernel_group)
 from .graded import (
     GradedGroup,
@@ -93,20 +93,30 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _monomial(exps)
 
 
-def _times(m: Monomial, s: str) -> Monomial:
-    """``mono_mul(m, mono((s, 1)))``, with the factor inserted into the sorted tuple m."""
+def _times(m: Monomial, s: str, e: int = 1) -> Monomial:
+    """``mono_mul(m, mono((s, e)))``, with the factor merged into the sorted tuple m."""
     k = bisect_left(m, (s,))
-    if k == len(m) or m[k][0] != s:
-        return m[:k] + ((s, 1),) + m[k:]
-    e = m[k][1] + 1
-    return m[:k] + ((s, e),) + m[k + 1:] if e else m[:k] + m[k + 1:]
+    if k < len(m) and m[k][0] == s:
+        e += m[k][1]
+        return m[:k] + ((s, e),) + m[k + 1:] if e else m[:k] + m[k + 1:]
+    return m[:k] + ((s, e),) + m[k:] if e else m
 
 
 def mono_div(m: Monomial, pattern: Monomial) -> Monomial:
-    exps = dict(m)
+    """m / pattern, the two sorted tuples merged."""
+    out, k, n = [], 0, len(m)
     for s, e in pattern:
-        exps[s] = exps.get(s, 0) - e
-    return _monomial(exps)
+        while k < n and m[k][0] < s:
+            out.append(m[k])
+            k += 1
+        if k < n and m[k][0] == s:
+            e = m[k][1] - e
+            k += 1
+            if e:
+                out.append((s, e))
+        elif e:
+            out.append((s, -e))
+    return (*out, *m[k:])
 
 
 @lru_cache(maxsize=1 << 16)  # bounded: every family member is a new symbol
@@ -131,23 +141,38 @@ def _generator_degree(degrees: dict, symbol: str) -> int:
 @lru_cache(maxsize=1 << 16)
 def _instance(factors, names: tuple, values: tuple) -> Monomial:
     """The monomial that a pattern or a replacement names when its index names take the values."""
-    binding = dict(zip(names, values))
-    return mono(*((s if isinstance(s, str) else f"{s[0]}{sum(binding[n] for n in s[1]) + s[2]}", e)
-                  for s, e in factors))
+    binding, m = dict(zip(names, values)), ONE
+    for s, e in factors:
+        m = _times(m, s if isinstance(s, str) else f"{s[0]}{sum(binding[n] for n in s[1]) + s[2]}", e)
+    return m
 
 
 @lru_cache(maxsize=1 << 16)
 def _quotient(pattern, repl, names: tuple, values: tuple) -> Monomial:
     """The instance of pattern / repl at the index values: dividing by it rewrites the pattern to repl."""
-    return mono(*_instance(pattern, names, values), *((s, -e) for s, e in _instance(repl, names, values)))
+    return _instance(pattern + tuple((s, -e) for s, e in repl), names, values)
 
 
 def _compiled(pattern):
-    """(pattern, plain factors, index names, per name the (family, offset) of the factors it indexes alone)."""
-    names = sorted({n for s, _ in pattern if not isinstance(s, str) for n in s[1]})
+    """(needs, plain factors, index names, keys, indexed factors, shared) of a pattern.
+
+    It needs the symbols of its plain factors and the families of its
+    indexed factors of positive power.  The keys are, per name, the (family,
+    offset) of the factors it indexes alone, and an indexed factor is
+    (family, positions of its names, offset, power).  Where two factors may
+    land on one member, ``shared`` lists the plain factors on members as
+    (family, index, power); it is None otherwise.
+    """
+    names = tuple(sorted({n for s, _ in pattern if not isinstance(s, str) for n in s[1]}))
     keys = tuple(tuple((s[0], s[2]) for s, _ in pattern if not isinstance(s, str) and s[1] == (n,))
                  for n in names)
-    return pattern, tuple((s, e) for s, e in pattern if isinstance(s, str)), tuple(names), keys
+    plain = tuple((s, e) for s, e in pattern if isinstance(s, str))
+    indexed = tuple((s[0], tuple(map(names.index, s[1])), s[2], e) for s, e in pattern if not isinstance(s, str))
+    on_members = tuple((*_split(s), e) for s, e in plain if _split(s)[1] is not None)
+    landing = [f for f, *_ in indexed + on_members]
+    shared = on_members if len(set(landing)) < len(landing) else None
+    needs = frozenset([s for s, e in plain if e > 0] + [f for f, _, _, e in indexed if e > 0])
+    return needs, plain, names, keys, indexed, shared
 
 
 def _matches(rules, m: Monomial):
@@ -156,11 +181,21 @@ def _matches(rules, m: Monomial):
     They come in rule order, then in ascending order of index tuples.  The
     index names bind in alphabetical order to values at least 1 that never
     decrease, and a name ranges over the values that put one of the factors
-    it indexes alone on a family member in m.
+    it indexes alone on a family member in m.  The exponents and members of
+    m are read once, and a rule is skipped at once where m lacks a symbol or
+    family it needs.
     """
-    exps = dict(m)
-    members = None  # family -> indices of its members in m, built when a pattern with index names is reached
-    for position, (pattern, plain, names, keys) in enumerate(rules):
+    if not rules:
+        return
+    exps, members = dict(m), {}  # family -> {index: exponent} of its members in m
+    for s, e in m:
+        family, i = _split(s)
+        if i is not None:
+            members.setdefault(family, {})[i] = e
+    present = exps.keys() | members.keys()
+    for position, (needs, plain, names, keys, indexed, shared) in enumerate(rules):
+        if not needs <= present:
+            continue
         for s, e in plain:
             if exps.get(s, 0) < e:
                 break
@@ -168,12 +203,6 @@ def _matches(rules, m: Monomial):
             if not names:
                 yield position, ()
                 continue
-            if members is None:
-                members = {}
-                for s in exps:
-                    family, i = _split(s)
-                    if i is not None:
-                        members.setdefault(family, []).append(i)
             choices = []
             for key in keys:
                 choice = sorted({i - offset for family, offset in key
@@ -183,12 +212,21 @@ def _matches(rules, m: Monomial):
                 choices.append(choice)
             else:
                 for values in product(*choices):
-                    if all(map(le, values, values[1:])):
-                        for s, e in _instance(pattern, names, values):
-                            if exps.get(s, 0) < e:
-                                break
-                        else:
-                            yield position, values
+                    if all(map(le, values, values[1:])) and _divides(indexed, shared, values, members):
+                        yield position, values
+
+
+def _divides(indexed, shared, values, members) -> bool:
+    """The members the indexed factors name at the values have their powers in ``members``, shared ones summed."""
+    need = {}  # (family, index) -> the power the factors so far put on that member
+    for family, positions, i, e in indexed:
+        for p in positions:
+            i += values[p]
+        if shared is not None:
+            e = need[family, i] = need.get((family, i), 0) + e
+        if members.get(family, {}).get(i, 0) < e:
+            return False
+    return shared is None or all(members.get(f, {}).get(i, 0) >= e + need.get((f, i), 0) for f, i, e in shared)
 
 
 def _index_tuples(slopes, lo: int, hi: int, least: int = 1):
@@ -326,10 +364,10 @@ class RingPresentation:
     def _relations(self, window) -> list:
         """pattern - coeff*repl and d*pattern, one per instance of a degree in the window."""
         rels = [{_instance(p, names, v): 1, _instance(r, names, v): -c}
-                for (p, c, r), (_, _, names, _) in zip(self.rewrites, self._rules)
+                for (p, c, r), (_, _, names, _, _, _) in zip(self.rewrites, self._rules)
                 for v in self._bindings_in(p, names, window)]
         rels += [{_instance(p, names, v): d}
-                 for (p, d), (_, _, names, _) in zip(self.torsion_patterns, self._torsion)
+                 for (p, d), (_, _, names, _, _, _) in zip(self.torsion_patterns, self._torsion)
                  for v in self._bindings_in(p, names, window)]
         return rels
 
@@ -467,7 +505,7 @@ def ring_basis(name: str, degree: int) -> list:
     for m, dm in found:
         k, r = divmod(degree - dm, PERIODS.get(name, 4))
         if not r and (k >= 0 or name in PERIODS):
-            candidates.append(mono_mul(m, mono((x, k))))
+            candidates.append(_times(m, x, k))
         for y, (a, b) in families:
             i, r = divmod(degree - dm - b, a)
             if not r and i >= 1:
@@ -636,17 +674,26 @@ def _products_in_basis(pres: RingPresentation, window) -> bool:
     one of neither, such as y1^2 without its rule.  The generators are those
     of degree at most the window's width in size, and a product is checked
     when its degree lies in the window, whether the target has a basis or not.
+    A basis holds at most one element, so each product is one normal form,
+    its coefficient reduced by that monomial's moduli.
     """
     lo, hi = window
-    bases = {n: ring_basis(pres.name, n) for n in range(lo, hi + 1)}
-    orders = {n: [o for _, o in basis] for n, basis in bases.items()}
-    occupied = [n for n, basis in bases.items() if basis]
+    # degree -> (monomial, order) of the element of its basis
+    firsts = {n: basis[0] for n in range(lo, hi + 1) if (basis := ring_basis(pres.name, n))}
+    occupied = list(firsts)
     for sym, sdeg in pres._generators_within(hi - lo):
         for n in occupied[bisect_left(occupied, lo - sdeg):bisect_right(occupied, hi - sdeg)]:
-            c = _product(pres, sym, bases[n], bases[n + sdeg])
-            # the product of a torsion class must respect its order
-            if c is None or not _respects_orders([[c]], orders[n], orders[n + sdeg]):
-                return False
+            m, order = firsts[n]
+            form = pres._normal_form(_times(m, sym))
+            if form is None:
+                continue
+            c, nf = form
+            for d in pres._moduli_of(nf):
+                c %= d
+            if c:  # a multiple of the target's element, and the product of a torsion class respects its order
+                tgt = firsts.get(n + sdeg)
+                if tgt is None or tgt[0] != nf or not _respects_order(c, order, tgt[1]):
+                    return False
     return True
 
 
@@ -669,9 +716,10 @@ def _verify_module(name: str, window, build) -> bool:
         lq, ls = build("Lq", window), build("Ls", window)
         sym = symmetrisation_map(lq, ls)
         xq, xs = mult_by("Lq", "x", lq), mult_by("Ls", "x", ls)
-        for n in range(lo, hi - 3):
-            if sym.component(n + 4) @ xq.component(n) != xs.component(n) @ sym.component(n):
-                return False
+        squares = {(sym.component(n + 4), xq.component(n), xs.component(n), sym.component(n))
+                   for n in range(lo, hi - 3)}  # each distinct square is multiplied out once
+        if any(sym_x @ x_q != x_s @ sym_n for sym_x, x_q, x_s, sym_n in squares):
+            return False
     return _matches_golden(name, build)
 
 
@@ -699,23 +747,26 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     w = (lo - 4, hi + 3)
     sym = symmetrisation_map(table("Lq", w), table("Ls", w))
 
-    def image(n, coords):
-        values = (sum(a * c for a, c in zip(row, coords)) for row in sym.component(n).entries)
-        return ls.reduce({bm: v for (bm, _), v in zip(ring_basis("Ls", n), values)})
+    @cache
+    def at(n):  # the L^s basis, the L^q labels and the symmetrisation's matrix in degree n
+        return [bm for bm, _ in ring_basis("Ls", n)], [m for m, _ in module_basis("Lq", n)], sym.component(n).entries
+
+    def image(n, m, k):  # the image in L^s of k times the class labelled m in degree n
+        basis, labels, entries = at(n)
+        j = labels.index(m)
+        return ls.reduce({bm: k * row[j] for bm, row in zip(basis, entries)})
 
     def classes(lo, hi):
-        return [(d, m) for d in range(lo, hi + 1) for m, _ in module_basis("Lq", d)]
+        return [(d, m) for d in range(lo, hi + 1) for m in at(d)[1]]
 
     left, right = classes(-4, 3), classes(lo, hi)
-    unit = {n: image(n, [1]) for n, _ in left + right}  # the image of the class in degree n
+    unit = {n: image(n, m, 1) for n, m in left + right}  # the image of the class in degree n
     for a, ma in left:
         for b, mb in right:
             c, mc = lq._reduce_term(mono_mul(ma, mb), 64) or (0, ONE)  # (8 ma)(8 mb), reduced
-            labels = [m for m, _ in module_basis("Lq", a + b)]
-            if c % 8 or c and mc not in labels:
+            if c % 8 or c and mc not in at(a + b)[1]:
                 return False  # the product leaves the L^q classes
-            coords = [c // 8 if m == mc else 0 for m in labels]
-            if image(a + b, coords) != ls.multiply(unit[a], unit[b]):
+            if (image(a + b, mc, c // 8) if c else {}) != ls.multiply(unit[a], unit[b]):
                 return False
     return True
 

@@ -16,7 +16,8 @@ the zeros of q; the lift exponent of a linking form by a search over
 the integer-matrix kernels (products, transposes, sums, Kronecker products,
 blocks, solves, kernels, homology lifts) and the structure relations entry
 by entry, and at every degree of the window; the ring bases as written out
-by hand, ring by ring.
+by hand, ring by ring; and a complex's acyclicity after inverting 2, read
+off its homology degree by degree.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from fractions import Fraction
 from math import gcd
 
 from lspectra import ltables
-from lspectra.abelian import FgAbGroup, IntMatrix, _respects_orders, cokernel, smith_normal_form
+from lspectra.abelian import FgAbGroup, IntMatrix, _respects_order, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
 from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup
-from lspectra.ltables import ONE, RingPresentation, mono, mono_div, mono_mul, presentation
+from lspectra.ltables import ONE, RingPresentation, mono, mono_mul, presentation
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
 
 
@@ -170,6 +171,42 @@ def expanded_presentation(name: str, window=(-16, 16)) -> RingPresentation:
     )
 
 
+def expand_schemata(pres: RingPresentation, n_fam: int) -> RingPresentation:
+    """``pres`` with the members 1..n_fam of each family as plain generators and each schema expanded.
+
+    Each rule with index names is replaced, where it stands in the list, by
+    its instances whose pattern names members 1..n_fam alone, in ascending
+    order of index tuples (non-decreasing, each value at least 1), so a
+    scan meets them in the order the first match takes them.  Plain rules
+    stay as they are.  The instances are built here by string arithmetic on
+    the index names.
+    """
+    def instances(factors, names, values):
+        binding = dict(zip(names, values))
+        return mono(*((s if isinstance(s, str) else f"{s[0]}{sum(binding[n] for n in s[1]) + s[2]}", e)
+                      for s, e in factors))
+
+    def expanded(rules):
+        out = []
+        for pattern, *rest in rules:
+            names = sorted({n for s, _ in pattern if not isinstance(s, str) for n in s[1]})
+            for values in itertools.combinations_with_replacement(range(1, n_fam + 1), len(names)):
+                if all(sum(values[names.index(n)] for n in s[1]) + s[2] <= n_fam
+                       for s, _ in pattern if not isinstance(s, str)):
+                    out.append((instances(pattern, names, values),
+                                *(instances(r, names, values) if isinstance(r, tuple) else r for r in rest)))
+        return tuple(out)
+
+    gens = [(s, d) if isinstance(d, int) else (f"{s}{i}", d[0] * i + d[1])
+            for s, d in pres.generators for i in ([None] if isinstance(d, int) else range(1, n_fam + 1))]
+    return RingPresentation(pres.name, tuple(gens), expanded(pres.rewrites), expanded(pres.torsion_patterns))
+
+
+def mono_div_by_dict(m, pattern):
+    """m / pattern through a symbol -> exponent dict, sorted back into a monomial."""
+    return mono(*m, *((s, -e) for s, e in pattern))
+
+
 def mono_divides(pattern, m) -> bool:
     exps = dict(m)
     return all(exps.get(s, 0) >= e for s, e in pattern)
@@ -199,7 +236,7 @@ def reduce_by_scan(pres, element: dict, memo=None) -> dict:
         m, pattern, coeff, repl = hit
         c = work.pop(m)
         if coeff:
-            new = mono_mul(mono_div(m, pattern), repl)
+            new = mono_mul(mono_div_by_dict(m, pattern), repl)
             work[new] = work.get(new, 0) + c * coeff
     out = {}
     for m, c in work.items():
@@ -244,7 +281,7 @@ def products_in_basis_by_scan(pres, window) -> bool:
                     if pm not in rows:
                         return False
                     m[rows.index(pm)][j] = c
-            if not _respects_orders(m, [o for _, o in src], [o for _, o in tgt]):
+            if not all(_respects_order(x, o, t) for row, (_, t) in zip(m, tgt) for x, (_, o) in zip(row, src)):
                 return False
     return True
 
@@ -776,6 +813,12 @@ def kernel_by_entry(snf):
     V, D = snf.V, snf.D
     rank = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i])
     return by_entry(V.rows, V.cols - rank, lambda i, j: V[i, rank + j])
+
+
+def acyclic_after_inverting_two(C: IntComplex) -> bool:
+    """True iff every homology group of C is finite of 2-power order."""
+    lo, hi = C.window()
+    return all(not h.free_rank and h.is_two_primary() for h in map(C.homology, range(lo, hi + 1)))
 
 
 def homology_lifts_by_entry(C: IntComplex, n: int):

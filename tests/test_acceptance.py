@@ -45,6 +45,7 @@ from lspectra.poincare import (
 )
 
 from helpers import (
+    acyclic_after_inverting_two,
     hom_by_enumeration,
     ext_by_resolution,
     norm_squared,
@@ -91,7 +92,7 @@ def test_criterion_3_appendix_pipeline():
         (1, 1): Fraction(1, 2),
     }
     assert t.psi_matrix(1, 1).is_zero()
-    assert t.complex.acyclic_after_inverting_two()
+    assert acyclic_after_inverting_two(t.complex)
     _report(3, "certify_ef = 4, linking table (a^2+b^2+ab)/2, psi_1 = 0, acyclic after inverting 2")
 
 

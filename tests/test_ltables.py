@@ -42,8 +42,8 @@ from lspectra.ltables import (
     verify_genuine,
 )
 
-from helpers import (component_read_at, expanded_presentation, products_in_basis_by_scan, random_ring_element,
-                     reduce_by_scan, restrict)
+from helpers import (component_read_at, expand_schemata, expanded_presentation, mono_div_by_dict,
+                     products_in_basis_by_scan, random_ring_element, reduce_by_scan, restrict)
 
 class TestTables:
     def test_golden_windows(self):
@@ -320,8 +320,49 @@ def _basis_with(ring: str, degree: int, basis):
     return lambda r, d: list(basis) if (r, d) == (ring, degree) else genuine(r, d)
 
 
+def _coefficient_mutants(name: str) -> list:
+    """(label, presentation) with one rewrite coefficient or torsion modulus c set to 0, c+1, 2c, c//2 or -c."""
+    good = presentation(name)
+    out = []
+    for kind in ("rewrites", "torsion_patterns"):
+        rules = getattr(good, kind)
+        for k, rule in enumerate(rules):
+            c = rule[1]
+            for v in dict.fromkeys((0, c + 1, 2 * c, c // 2, -c)):
+                if v != c:
+                    bad = rules[:k] + ((rule[0], v, *rule[2:]),) + rules[k + 1:]
+                    out.append((f"{name} {kind}[{k}] {c} -> {v}", dataclasses.replace(good, **{kind: bad})))
+    return out
+
+
+def _outcome(f, *args, **kwargs):
+    """("value", f(...)), or ("raises", the exception's type): a modulus set to 0 divides by zero."""
+    try:
+        return "value", f(*args, **kwargs)
+    except ArithmeticError as exc:
+        return "raises", type(exc)
+
+
 class TestProductCheck:
     """The generator-product check of ``verify_presentation`` against the scan of every degree."""
+
+    @pytest.mark.parametrize("window,sample", [((-16, 16), None), ((-50, 50), 12)])
+    def test_coefficient_mutants_match_the_scan(self, window, sample):
+        # every mutant at +-16, a seeded sample at +-50; each check on a fresh memo of its own
+        mutants = [(name, label, bad) for name in ("Lgs", "scriptL") for label, bad in _coefficient_mutants(name)]
+        if sample:
+            mutants = random.Random(f"coefficient mutants {window}").sample(mutants, sample)
+        passed = True
+        for name, label, bad in mutants:
+            scan = _outcome(products_in_basis_by_scan, dataclasses.replace(bad), window)
+            assert _outcome(ltables._products_in_basis, dataclasses.replace(bad), window) == scan, label
+            fresh = dataclasses.replace(bad)
+            relations = _outcome(lambda: not any(fresh.reduce(elem) for elem in presentation(name)._relations(window)))
+            golden = _outcome(ltables._matches_golden, name, table)
+            expected = next((o for o in (relations, scan) if o != ("value", True)), golden)
+            assert _outcome(verify_presentation, name, window, pres=dataclasses.replace(bad)) == expected, label
+            passed &= expected == ("value", True)
+        assert not passed  # the set holds mutants that fail the row
 
     @pytest.mark.parametrize("window", [(-16, 16), (-50, 50), (-400, -396)])
     def test_verdict_is_relations_and_scan_and_golden(self, window, monkeypatch):
@@ -407,6 +448,24 @@ class TestProductCheck:
         # x x^-1 = 1: the factor cancels and leaves no zero power behind
         assert ltables._times(mono(("x", -1)), "x") == ONE
         assert ltables._times(mono(("e", 1), ("x", -1), ("y2", 1)), "x") == mono(("e", 1), ("y2", 1))
+
+    def test_mono_div_is_the_dict_quotient(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        symbols = ["e", "f", "g", "t", "x", "y1", "y2", "y10", "z3"]
+        factors = st.lists(st.tuples(st.sampled_from(symbols), st.integers(-3, 3)), max_size=5)
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @hypothesis.given(m=factors, pattern=factors, s=st.sampled_from(symbols), e=st.integers(-3, 3))
+        def agrees(m, pattern, s, e):
+            m, pattern = mono(*m), mono(*pattern)
+            assert ltables.mono_div(m, pattern) == mono_div_by_dict(m, pattern)
+            assert ltables._times(m, s, e) == mono_mul(m, mono((s, e)))
+
+        agrees()
+        # a factor that cancels leaves no zero power behind, and 1 divides as the identity
+        assert ltables.mono_div(mono(("x", 2), ("y2", 1)), mono(("x", 2))) == mono(("y2", 1))
+        assert ltables.mono_div(mono(("e", 1)), ONE) == mono(("e", 1))
 
 
 class TestSchemata:
@@ -502,6 +561,44 @@ class TestSchemata:
             assert pres[name].reduce({m: coeff}) == reduce_by_scan(oracle, {m: coeff}, memo), m
 
         agrees()
+
+    @pytest.mark.parametrize("name", ["Lgs", "scriptL"])
+    @pytest.mark.parametrize("corruption", ["instance first", "instance last", "schema twice"])
+    def test_first_match_order_holds_on_corrupted_rule_lists(self, name, corruption):
+        # a plain instance before the schemata wins where it divides, one after them never does, and of two
+        # copies of a schema the first wins: each list against the scan of its own expansion, in its order
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        good = presentation(name)
+        y_y = next(rule for rule in good.rewrites if rule[0] == ((("y", ("i",), 0), 1), (("y", ("j",), 0), 1)))
+        x_y1_y2, x_y3, y2 = mono(("x", 1), ("y1", 1), ("y2", 1)), mono(("x", 1), ("y3", 1)), mono(("y2", 1))
+        # x y1 y2 is 8 y2 by x y1 -> 8, and 4 y2 where y1 y2 -> 4 y3 comes first; x y3 is y2 by the schema
+        rewrites, seen, expected = {
+            "instance first": (((mono(("y1", 1), ("y2", 1)), 4, mono(("y3", 1))),) + good.rewrites, x_y1_y2, 4),
+            "instance last": (good.rewrites + ((x_y3, 5, y2),), x_y3, 1),
+            "schema twice": (((y_y[0], 4, y_y[2]),) + good.rewrites + (good.rewrites[-1],), x_y1_y2, 4),
+        }[corruption]
+        pres = dataclasses.replace(good, rewrites=rewrites)
+        window = lo, hi = (-100, 100)
+        oracle, memo = expand_schemata(pres, 40), {}
+        families = "yz" if name == "Lgs" else "y"
+
+        @hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
+        @hypothesis.given(e=st.integers(0, 2), lift=st.integers(0, 8), coeff=st.integers(1, 9),
+                          members=st.lists(st.tuples(st.sampled_from(families), st.integers(1, 4) | st.integers(1, 13),
+                                                     st.integers(1, 2)), max_size=3))
+        def agrees(e, lift, coeff, members):
+            # y_i y_j may fire before x y_(i+1) does, and adds the indices: keep every sum in the expansion
+            hypothesis.assume(sum(i * k for _, i, k in members) <= 40)
+            rest = mono(*((f"{f}{i}", k) for f, i, k in members), *([("e", e)] if name == "Lgs" else []))
+            r = oracle.degree(rest)
+            least, most = max(0, -((r - lo) // 4)), (hi - r) // 4
+            hypothesis.assume(least <= most)
+            m = mono_mul(rest, mono(("x", min(least + lift, most))))
+            assert pres.reduce({m: coeff}) == reduce_by_scan(oracle, {m: coeff}, memo), m
+
+        agrees()
+        assert pres.reduce({seen: 1}) == reduce_by_scan(oracle, {seen: 1}) == {y2: expected}
 
 
 class TestIndexedReduce:
