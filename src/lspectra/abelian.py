@@ -505,9 +505,9 @@ def _parse_int(text: str) -> int:
     """The integer that ``text`` spells in ASCII digits with an optional leading minus.
 
     It reads the integers of the CLI's text options, table degrees, group
-    strings and complex keys.  int() would also take surrounding space,
-    underscores, a plus sign and any Unicode decimal digit; such text is
-    refused with the error int() gives for a non-number.
+    strings, complex keys and linking-form keys.  int() would also take
+    surrounding space, underscores, a plus sign and any Unicode decimal
+    digit; such text is refused with the error int() gives for a non-number.
     """
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):

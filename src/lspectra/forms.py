@@ -20,6 +20,7 @@ from .abelian import (
     EnumerationBoundError,
     FgAbGroup,
     IntMatrix,
+    _parse_int,
     map_cokernel_group,
 )
 
@@ -369,26 +370,43 @@ class LinkingForm:
     def from_table(cls, group: FgAbGroup, qvals) -> "LinkingForm":
         """The form whose value table is ``qvals`` ({coordinates: value}).
 
-        a_i and b_ij are read off at g_i and g_i + g_j.  A ValueError is raised
-        unless the table holds one value per element, and names the first
-        element missing from it or where it is not their polynomial;
-        p / r = n / den mod 1 is tested as r den dividing p den - n r.
+        A ValueError is raised unless the table holds one value per element,
+        and names the first element missing from it or where it is not the
+        polynomial of its generator data (``_from_values``).
         """
         if len(qvals) != group.order():
             raise ValueError(f"table holds {len(qvals)} values for {group.order()} elements")
-        k = len(group.torsion)
+        return cls._from_values(group, [qvals.get(x) for x in group.elements()])
+
+    @classmethod
+    def _from_values(cls, group: FgAbGroup, values) -> "LinkingForm":
+        """The form whose value at the n-th of ``group.elements()`` is values[n], None where the table has none.
+
+        a_i and b_ij are read at the positions of g_i and g_i + g_j, and every
+        value p / r is then compared in integers with the polynomial's n / den:
+        p / r = n / den mod 1 is tested as r den dividing p den - n r.  A
+        Fraction's (p, r) is two attributes, read per element: a memo keyed
+        by Fraction would hash each one, which costs more than the test.
+        """
+        d, k = group.torsion, len(group.torsion)
 
         def q(*gens):
-            return Fraction(_table_value(qvals, tuple(int(i in gens) for i in range(k))))
+            x = tuple(int(i in gens) for i in range(k))
+            v = values[_position(x, d)]
+            if v is None:
+                raise ValueError(f"table has no value for the element {x}")
+            return Fraction(v)
 
         a = [q(i) for i in range(k)]
         b = {(i, j): q(i, j) - a[i] - a[j] for i, j in itertools.combinations(range(k), 2)}
         form = cls(group, a, b)
-        den, values = form._numerators()
-        for x, n in zip(group.elements(), values):
-            p, r = _table_value(qvals, x).as_integer_ratio()
+        den, numerators = form._numerators()
+        for x, v, n in zip(group.elements(), values, numerators):
+            if v is None:
+                raise ValueError(f"table has no value for the element {x}")
+            p, r = v.as_integer_ratio()
             if (p * den - n * r) % (r * den):
-                raise ValueError(f"table is not quadratic: q{x} = {qvals[x]}, not {Fraction(n, den)}")
+                raise ValueError(f"table is not quadratic: q{x} = {v}, not {Fraction(n, den)}")
         return form
 
     # -- serialisation -------------------------------------------------------------
@@ -396,20 +414,37 @@ class LinkingForm:
     def to_json(self) -> dict:
         return {
             "factors": list(self.group.torsion),
-            "q": {"(" + ",".join(map(str, x)) + ")": str(v) for x, v in self.qvals.items()},
+            "q": {key: str(v) for key, v in zip(_key_texts(self.group.torsion), self.qvals.values())},
         }
 
     @classmethod
     def from_json(cls, doc) -> "LinkingForm":
+        """The form of a ``to_json`` document, its values placed by element position.
+
+        A key ``to_json`` writes is placed by one lookup, any other through
+        ``_parse_key``; each distinct value is parsed once, in document order.
+        The key texts are listed only when the file holds one key per element,
+        so a large group with a short table is refused before it is enumerated.
+        """
         group = FgAbGroup.from_divisors(doc["factors"])
         if list(doc["factors"]) != list(group.torsion):
             raise ValueError(f"factors {doc['factors']} must be the ascending invariant "
                              f"factors {list(group.torsion)} that the keys are written in")
-        qvals = {tuple(map(int, filter(None, key.strip("()").split(",")))): _parse_value(val)
-                 for key, val in doc["q"].items()}
-        if len(qvals) != len(doc["q"]):
+        items = doc["q"].items()
+        d, order = group.torsion, group.order()
+        index = dict(zip(_key_texts(d), range(order))) if len(items) == order else {}
+        parsed = {}  # value in the file -> its Fraction
+        named = {}  # element position, or coordinates naming no element -> value
+        for key, val in items:
+            n = index.get(key)
+            if n is None:
+                n = _position(_parse_key(key), d)
+            named[n] = _parse_once(parsed, val)
+        if len(named) != len(items):
             raise ValueError("two keys name the same element")
-        return cls.from_table(group, qvals)
+        if len(named) != order:
+            raise ValueError(f"table holds {len(named)} values for {order} elements")
+        return cls._from_values(group, [named.get(n) for n in range(order)])
 
     def __eq__(self, other):
         if not isinstance(other, LinkingForm):
@@ -440,10 +475,39 @@ def _parse_value(val) -> Fraction:
     return Fraction(val)
 
 
-def _table_value(qvals, x):
-    if x not in qvals:
-        raise ValueError(f"table has no value for the element {x}")
-    return qvals[x]
+def _parse_once(parsed, val) -> Fraction:
+    """_parse_value(val), memoised in ``parsed`` for a hashable val."""
+    try:
+        return parsed[val]
+    except KeyError:
+        value = parsed[val] = _parse_value(val)
+        return value
+    except TypeError:  # unhashable, such as a list: no number, so _parse_value raises
+        return _parse_value(val)
+
+
+def _parse_key(key) -> tuple:
+    """The coordinates a form key such as "(1,0)" spells, each read by ``_parse_int``."""
+    return tuple(map(_parse_int, filter(None, key.strip("()").split(","))))
+
+
+def _key_texts(d) -> list:
+    """The key ``to_json`` writes for each element of the group with invariant factors d, in ``elements()`` order."""
+    texts = ["("]
+    for i, di in enumerate(d):
+        digits = [f"{c}," for c in range(di)] if i + 1 < len(d) else [f"{c})" for c in range(di)]
+        texts = [t + s for t in texts for s in digits]
+    return texts if d else ["()"]
+
+
+def _position(x, d):
+    """The index of the element x in ``elements()`` order, or x itself when it names no element."""
+    if len(x) != len(d) or not all(0 <= xi < di for xi, di in zip(x, d)):
+        return x
+    n = 0
+    for xi, di in zip(x, d):
+        n = n * di + xi
+    return n
 
 
 def nondegenerate(L: LinkingForm) -> bool:

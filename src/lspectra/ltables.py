@@ -287,9 +287,10 @@ class RingPresentation:
         return sum(_generator_degree(degs, s) * e for s, e in m)
 
     def _moduli_of(self, m: Monomial) -> list:
+        """The moduli of the torsion patterns dividing m; a modulus 0 is no relation (Z/0 = Z), so it is left out."""
         moduli = self._moduli.get(m)
         if moduli is None:
-            moduli = self._moduli[m] = [self.torsion_patterns[i][1] for i, _ in _matches(self._torsion, m)]
+            moduli = self._moduli[m] = [d for i, _ in _matches(self._torsion, m) if (d := self.torsion_patterns[i][1])]
         return moduli
 
     def _coeff_reduce(self, m: Monomial, c: int) -> int:

@@ -10,7 +10,8 @@ exhaustive enumeration, Ext by an explicit free resolution, Kunneth groups
 from closed formulas, Gauss sums in floating point and one root of unity
 at a time, quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
-sums of linking forms element by element; the Arf invariant by counting
+sums of linking forms element by element, and a linking-form file through
+a table keyed by coordinates; the Arf invariant by counting
 the zeros of q; the lift exponent of a linking form by a search over
 2-powers per generator; the text of a table by rendering each degree;
 the integer-matrix kernels (products, transposes, sums, Kronecker products,
@@ -28,9 +29,9 @@ from fractions import Fraction
 from math import gcd
 
 from lspectra import ltables
-from lspectra.abelian import FgAbGroup, IntMatrix, _respects_order, cokernel, smith_normal_form
+from lspectra.abelian import FgAbGroup, IntMatrix, _parse_int, _respects_order, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
-from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingForm, SymForm
+from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingForm, SymForm, _parse_value
 from lspectra.graded import GradedGroup
 from lspectra.ltables import ONE, RingPresentation, mono, mono_mul, presentation
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
@@ -217,9 +218,9 @@ def reduce_by_scan(pres, element: dict, memo=None) -> dict:
 
     A monomial is rewritten by the first rule, in list order, whose pattern
     divides it; a coefficient is reduced by every torsion pattern dividing
-    its monomial, in list order.  ``memo``, when given, keeps each
-    monomial's scan result (its first rule, or None) across calls; it
-    belongs to the rule list of one presentation.
+    its monomial, in list order, a modulus 0 being no relation.  ``memo``,
+    when given, keeps each monomial's scan result (its first rule, or None)
+    across calls; it belongs to the rule list of one presentation.
     """
     memo = {} if memo is None else memo
     work = dict(element)
@@ -241,7 +242,7 @@ def reduce_by_scan(pres, element: dict, memo=None) -> dict:
     out = {}
     for m, c in work.items():
         for pattern, modulus in pres.torsion_patterns:
-            if mono_divides(pattern, m):
+            if modulus and mono_divides(pattern, m):  # a modulus 0 is no relation
                 c %= modulus
         if c:
             out[m] = c
@@ -681,6 +682,44 @@ def random_generator_data(rng, max_order):
     b = {(i, j): Fraction(rng.randrange(gcd(t[i], t[j])), gcd(t[i], t[j]))
          for i in range(len(t)) for j in range(i + 1, len(t))}
     return group, a, b
+
+
+def form_from_json_by_dict(doc) -> LinkingForm:
+    """``LinkingForm.from_json`` through a table {coordinates: Fraction}, every key parsed.
+
+    Each key is split and read by ``_parse_int``, each value is a Fraction
+    of its own, and every element, generators first, is looked up by its
+    coordinates; the checks run in the order the reader documents.
+    """
+    group = FgAbGroup.from_divisors(doc["factors"])
+    if list(doc["factors"]) != list(group.torsion):
+        raise ValueError(f"factors {doc['factors']} must be the ascending invariant "
+                         f"factors {list(group.torsion)} that the keys are written in")
+    qvals = {tuple(map(_parse_int, filter(None, key.strip("()").split(",")))): _parse_value(val)
+             for key, val in doc["q"].items()}
+    if len(qvals) != len(doc["q"]):
+        raise ValueError("two keys name the same element")
+    if len(qvals) != group.order():
+        raise ValueError(f"table holds {len(qvals)} values for {group.order()} elements")
+    k = len(group.torsion)
+
+    def value(x):
+        if x not in qvals:
+            raise ValueError(f"table has no value for the element {x}")
+        return qvals[x]
+
+    def q(*gens):
+        return Fraction(value(tuple(int(i in gens) for i in range(k))))
+
+    a = [q(i) for i in range(k)]
+    b = {(i, j): q(i, j) - a[i] - a[j] for i, j in itertools.combinations(range(k), 2)}
+    form = LinkingForm(group, a, b)
+    den, values = form._numerators()
+    for x, n in zip(group.elements(), values):
+        p, r = value(x).as_integer_ratio()
+        if (p * den - n * r) % (r * den):
+            raise ValueError(f"table is not quadratic: q{x} = {qvals[x]}, not {Fraction(n, den)}")
+    return form
 
 
 def gauss_sum_by_elements(group, table, conductor):

@@ -354,6 +354,29 @@ class TestVerify:
         report = json.loads(out)
         assert all(item["passed"] for item in report)
 
+    def test_a_zero_torsion_modulus_fails_its_row(self):
+        # L^gs with z_i of modulus 0, which is no relation (Z/0 = Z): its basis turns free and its table wrong,
+        # so its row fails with exit 1, not a division by zero; a fresh interpreter, as presentations are shared
+        script = "\n".join([
+            "import dataclasses",
+            "from lspectra import ltables",
+            "from lspectra.cli import main",
+            "genuine = ltables._build_presentation",
+            "def build(name):",
+            "    pres = genuine(name)",
+            "    if name == 'Lgs':",
+            "        e, z = pres.torsion_patterns",
+            "        pres = dataclasses.replace(pres, torsion_patterns=(e, (z[0], 0)))",
+            "    return pres",
+            "ltables._build_presentation = build",
+            "raise SystemExit(main(['verify', 'presentations', '--format', 'tsv']))",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert [row.split("\t")[0] for row in done.stdout.splitlines() if "\tFAIL" in row] == ["presentation-Lgs"]
+
 
 class TestTorsor:
     def test_ln(self, capsys):
@@ -553,6 +576,11 @@ MALFORMED_INPUTS = {
                                {**_E_TENSOR_F, "psi": {"0, 0": [[-1, -1], [0, -1]], "0,1": [[-1, -1], [0, -1]]}}),
     "underscored-psi-key-complex": (["invariant", "--name", "beta"],
                                     {**_E_TENSOR_F, "psi": {"0,0": [[-1, -1], [0, -1]], "0,0_1": [[-1, -1], [0, -1]]}}),
+    # the hyperbolic plane on (Z/2)^2, q(x, y) = x y / 2, with the key of one element where q is 0 respelled
+    **{f"{name}-form-key": (["invariant", "--name", "beta"], {"factors": [2, 2], "q": {
+        **{k: v for k, v in LinkingForm.hyperbolic(1).to_json()["q"].items() if k != replaced}, key: "0"}})
+       for name, key, replaced in (("spaced", "( 0,1)", "(0,1)"), ("digit", "(\u0660,1)", "(0,1)"),
+                                   ("plus", "(+1,0)", "(1,0)"), ("underscored", "(1_0,0)", "(1,0)"))},
     # a reversed window, a matrix that is not symmetric, and one that is not upper triangular mod 2
     "reversed-window-dual": (["dual"], {"window": [3, 1], "groups": {}}),
     "asymmetric-signature": (["invariant", "--name", "signature"], [[1, 2], [3, 4]]),
@@ -610,6 +638,8 @@ class TestMalformedInput:
             assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
         if case.startswith("text-"):
             assert captured.err == f"error: {path}: TypeError: 'str' object cannot be interpreted as an integer\n"
+        if case.endswith("-form-key"):
+            assert captured.err.startswith(f"error: {path}: ValueError: invalid literal for int() with base 10: ")
 
     @pytest.mark.parametrize("argv,line", [
         (["table", "--name", "Ls", "--window", "\u0660..\u0663"], "window must look like a..b, got '\u0660..\u0663'"),

@@ -29,6 +29,7 @@ from helpers import (
     conjugate,
     direct_sum_by_elements,
     f2_nondegenerate_by_elimination,
+    form_from_json_by_dict,
     gauss_sum_by_elements,
     gauss_sum_float,
     nondegenerate_by_elements,
@@ -295,6 +296,113 @@ class TestLinkingForms:
             assert outcome(forms._parse_value, text) == outcome(Fraction, text), repr(text)
 
         agrees()
+
+
+def _respelled(rng, key):
+    """Another text for the coordinates of the canonical key ``key``, such as "(00,1)" or "((0,1))"."""
+    inner = key[1:-1]
+    coords = inner.split(",") if inner else []
+    spellings = ["((" + inner + "))", "(" + inner + ",)", inner, "(," + inner + ")"]
+    if coords:
+        i = rng.randrange(len(coords))
+        spellings.append("(" + ",".join(coords[:i] + ["0" + coords[i]] + coords[i + 1:]) + ")")
+    return rng.choice(spellings)
+
+
+BAD_VALUES = ([1], None, "1/0", "x", 3 * 10 ** 299)  # the last is a 300-digit integer, so 0 mod 1
+BAD_KEY_COORDINATES = (" {}", "\u0660{}", "+{}", "1_{}")
+
+
+def _mutated(rng, doc):
+    """``doc`` with one to three seeded changes: keys reordered, respelled, removed, doubled or off the group,
+    values changed or not numbers, or a huge group declared for a short table."""
+    factors, items = list(doc["factors"]), list(doc["q"].items())
+    den = 2 * max(factors, default=1)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["shuffle", "respell", "value", "remove", "double", "double in place", "off the group",
+                           "arity", "bad value", "bad key", "huge"])
+        i = rng.randrange(len(items)) if items else None
+        if i is None or kind == "shuffle":
+            rng.shuffle(items)
+        elif kind == "respell":
+            items[i] = (_respelled(rng, items[i][0]), items[i][1])
+        elif kind == "value":
+            items[i] = (items[i][0], str((Fraction(items[i][1]) + Fraction(rng.randrange(1, den), den)) % 1))
+        elif kind == "remove":
+            del items[i]
+        elif kind == "double":
+            items.insert(rng.randrange(len(items) + 1), (_respelled(rng, items[i][0]), rng.choice(items)[1]))
+        elif kind == "double in place":
+            items[rng.randrange(len(items))] = (_respelled(rng, items[i][0]), items[i][1])
+        elif kind == "off the group":
+            coords = [rng.randrange(d) for d in factors]
+            if coords:
+                coords[rng.randrange(len(coords))] += factors[0] * rng.choice([1, -1])
+            items[i] = ("(" + ",".join(map(str, coords)) + ")", items[i][1])
+        elif kind == "arity":
+            inner = items[i][0][1:-1]
+            items[i] = ("(" + (inner + ",0" if rng.random() < 0.5 else inner.rpartition(",")[0]) + ")", items[i][1])
+        elif kind == "bad value":
+            items[i] = (items[i][0], rng.choice(BAD_VALUES))
+        elif kind == "bad key":
+            coords = [str(rng.randrange(d)) for d in factors] or ["0"]
+            j = rng.randrange(len(coords))
+            coords[j] = rng.choice(BAD_KEY_COORDINATES).format(coords[j])
+            items[i] = ("(" + ",".join(coords) + ")", items[i][1])
+        else:
+            factors, items = [2] * 40, items[:4]
+    return {"factors": factors, "q": dict(items)}
+
+
+def _read(read, doc):
+    """("value", the form read), or ("raises", type, message): what the CLI would print."""
+    try:
+        return "value", read(doc)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+class TestFormReader:
+    """``LinkingForm.from_json`` against the reader by a table keyed by coordinates."""
+
+    def test_matches_the_table_reader_on_changed_files(self):
+        rng = random.Random(909)
+        seen = set()
+        for i in range(160):
+            if i % 2:
+                form = random_linking_form(rng, max_order=1 << 10)
+            else:
+                form = LinkingForm(*random_generator_data(rng, max_order=1 << 10))
+            doc = form.to_json()
+            assert _read(LinkingForm.from_json, doc) == _read(form_from_json_by_dict, doc) == ("value", form)
+            changed = _mutated(rng, doc)
+            outcome = _read(LinkingForm.from_json, changed)
+            assert outcome == _read(form_from_json_by_dict, changed), changed
+            seen.add(outcome[0] if outcome[0] == "value" else (outcome[1].__name__, *outcome[2].split()[:2]))
+        # every check refused some file, and some changed files were still accepted
+        assert {"value", ("ValueError", "two", "keys"), ("ValueError", "table", "holds"),
+                ("ValueError", "generator", "data"), ("ValueError", "table", "has"), ("ValueError", "table", "is"),
+                ("ValueError", "invalid", "literal"), ("ValueError", "Invalid", "literal"),
+                ("ZeroDivisionError", "Fraction(1,", "0)"), ("TypeError", "argument", "should")} <= seen, seen
+
+    def test_huge_declared_group_with_a_short_table(self):
+        doc = {"factors": [2] * 40, "q": {"(0)": "0", "(1)": "1/2", "(0,1)": "1/4", "(1,1)": "3/4"}}
+        expected = ("raises", ValueError, f"table holds 4 values for {1 << 40} elements")
+        assert _read(LinkingForm.from_json, doc) == _read(form_from_json_by_dict, doc) == expected
+
+    def test_each_distinct_value_is_parsed_once(self, monkeypatch):
+        form = skew_unit(2).direct_sum(LinkingForm.cyclic(3, 5))
+        items = list(form.to_json()["q"].items())
+        random.Random(7).shuffle(items)
+        calls = []
+        genuine = forms._parse_value
+        monkeypatch.setattr(forms, "_parse_value", lambda val: calls.append(val) or genuine(val))
+        # every key as to_json writes it, then one respelled, which the key grammar reads
+        for q in (dict(items), {**dict(items[1:]), "(0" + items[0][0][1:]: items[0][1]}):
+            calls.clear()
+            assert LinkingForm.from_json({"factors": [4, 4, 8], "q": q}) == form
+            assert calls == list(dict.fromkeys(q.values()))
+            assert len(calls) < len(q) / 4
 
 
 def _accepted(group, table):
