@@ -42,6 +42,10 @@ def commands():
                 for suite in ("A", "B") for window in ("0..3", "5..6", "-40..-30", "-2..200")]
         out += [["verify", "presentations", "--window", window, "--format", fmt]
                 for window in ("-200..-196", "-2000..-1996")]
+        # the windows at which the report bytes must match the default ones; the far ends are the widest
+        out += [["verify", suite, "--window", window, "--format", fmt]
+                for suite in ("A", "B") for window in ("-139..139", "-2048..-1049", "1049..2048")]
+        out.append(["verify", "presentations", "--window", "-139..139", "--format", fmt])
         out += [[verb, "--name", name, "--format", fmt]
                 for verb in ("table", "dual", "torsor") for name in TABLES]
         out.append(["certify-ef", "--format", fmt])

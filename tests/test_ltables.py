@@ -10,10 +10,11 @@ from collections import Counter
 
 import pytest
 
-from lspectra import ltables
+from lspectra import graded, ltables
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.cli import main
 from lspectra.graded import (
+    GradedGroup,
     GradedMap,
     SesDatum,
     check_exact,
@@ -24,6 +25,7 @@ from lspectra.graded import (
 )
 from lspectra.ltables import (
     ONE,
+    CheckResult,
     RingPresentation,
     TABLE_NAMES,
     e_multiplication_report,
@@ -823,6 +825,16 @@ class TestSharedPresentations:
         assert all(verify_presentation(name, (-40, 40)) for name in ("Lgs", "scriptL"))
 
 
+# the rows that G/2m in place of G/m fails, with their details, by suite
+_MOD_TABLE_FAILURES = {
+    "A": ["splitting-Ls\tFAIL\tL^s = L(R) + (L(R)/2)[1]; mismatch at degree -11: Z/2 vs Z/4",
+          "splitting-Lq\tFAIL\tL^q = L(R) + (L(R)/2)[-2]; mismatch at degree -10: Z/2 vs Z/4",
+          "splitting-Ln\tFAIL\tL^n = L(R)/8 + (L(R)/2)[1] + (L(R)/2)[-1]; mismatch at degree -12: Z/8 vs Z/16"],
+    "B": ["splitting-Lgs\tFAIL\tL^gs = scriptL + (l(R)/2)[1] + (L(R)/(l(R),2))[-2]; mismatch at degree 1: Z/2 vs Z/4",
+          "scriptL-square\tFAIL\tMayer-Vietoris for scriptL -> L(R) x_(L(R)/8) l(R)/8"],
+}
+
+
 class TestTheoremSuites:
     def test_classical_suite_all_pass(self):
         report = verify_classical((-12, 12))
@@ -870,6 +882,11 @@ class TestTheoremSuites:
         assert report["mult-e-kernel"] is False
         assert report["mult-e-cofibre-vanishing"] is False
         assert report["mult-e-resolved-Z"] is False
+        assert e_multiplication_report(window, e_map=bad) == [
+            CheckResult("mult-e-kernel", False, "ker(e) = 0 in degrees 3 mod 4"),
+            CheckResult("mult-e-condition-i", True, "pi_(4k+1)(L^q/e) is torsion (zero)"),
+            CheckResult("mult-e-cofibre-vanishing", False, "pi_(4k+1)(L^n/e) = 0"),
+            CheckResult("mult-e-resolved-Z", False, "extension in degrees 0 mod 4 resolves to Z, not Z + Z/2")]
         good = {i.name: i.passed for i in e_multiplication_report(window)}
         assert all(good.values())
 
@@ -889,20 +906,21 @@ class TestTheoremSuites:
         report = {i.name: i.passed for i in e_multiplication_report((-12, 12), e_map=bad)}
         assert report["mult-e-kernel"] is False
 
-    @pytest.mark.parametrize("suite,row,caller,corrupt", [
+    @pytest.mark.parametrize("suite,row,caller,corrupt,detail", [
         # the boundary L^n -> L^q set to zero
-        (verify_classical, "symmetrisation-les", "boundary_map", lambda m: [[0]]),
+        (verify_classical, "symmetrisation-les", "boundary_map", lambda m: [[0]],
+         "L^q -> L^s -> L^n long exact sequence"),
         # L^gs -> L^s by 1 instead of 8 in degrees 4k < 0
         (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
-         lambda m: [[1], [1]] if m == [[8], [1]] else m),
+         lambda m: [[1], [1]] if m == [[8], [1]] else m, "Mayer-Vietoris for L^gs -> L^s x_(L^n) tau L^n"),
         # the sign of tau L^n -> L^n flipped
         (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
-         lambda m: [[1, 1]] if m == [[1, -1]] else m),
+         lambda m: [[1, 1]] if m == [[1, -1]] else m, "Mayer-Vietoris for L^gs -> L^s x_(L^n) tau L^n"),
         # scriptL -> L(R) by 1 instead of 8 in degrees 4k < 0
         (verify_genuine, "scriptL-square", "_script_square_item",
-         lambda m: [[1], [1]] if m == [[8], [1]] else m),
+         lambda m: [[1], [1]] if m == [[8], [1]] else m, "Mayer-Vietoris for scriptL -> L(R) x_(L(R)/8) l(R)/8"),
     ], ids=["boundary-zero", "lgs-to-ls-by-one", "beta-sign", "scriptL-to-LR-by-one"])
-    def test_corrupted_coefficient_fails_its_row_only(self, suite, row, caller, corrupt, monkeypatch):
+    def test_corrupted_coefficient_fails_its_row_only(self, suite, row, caller, corrupt, detail, monkeypatch):
         genuine = ltables.scalar_map
 
         def patched(sources, targets, shift, coeffs, **sums):
@@ -915,6 +933,7 @@ class TestTheoremSuites:
         verdicts = {i.name: i.passed for i in suite()}
         assert verdicts.pop(row) is False
         assert all(verdicts.values()), verdicts
+        assert [i for i in suite() if not i.passed] == [CheckResult(row, False, detail)]
 
     @pytest.mark.parametrize("window", ["-16..16", "2040..2048"])
     @pytest.mark.parametrize("degree,entry", [(-4, [[2]]), (0, [[2], [1]])], ids=["core", "tail"])
@@ -964,6 +983,8 @@ class TestTheoremSuites:
         verdicts = {i.name: i.passed for i in e_multiplication_report((-12, 12))}
         assert verdicts.pop("mult-e-resolved-Z") is False
         assert all(verdicts.values()), verdicts
+        assert [i for i in e_multiplication_report((-12, 12)) if not i.passed] == [
+            CheckResult("mult-e-resolved-Z", False, "extension in degrees 0 mod 4 resolves to Z, not Z + Z/2")]
 
     def test_wrong_mod_tables_fail_the_rows_that_read_them(self, monkeypatch, capsys):
         # G/2m in place of G/m: the splittings through Moore quotients, and the square over L(R)/8, fail
@@ -978,6 +999,7 @@ class TestTheoremSuites:
             for name, _, detail in lines:
                 if name in rows and name.startswith("splitting-"):
                     assert re.search(r"; mismatch at degree -?\d+: ", detail), detail
+            assert ["\t".join(line) for line in lines if line[1] == "FAIL"] == _MOD_TABLE_FAILURES[suite]
 
     def test_symmetrisation_map_values(self):
         s = symmetrisation_map(table("Lq", (-8, 8)), table("Ls", (-8, 8)))
@@ -999,6 +1021,111 @@ class TestTheoremSuites:
         assert compare_graded(restrict(anderson_dual(up), w), restrict(up, w))
         down = shift_graded(lgs, -2)
         assert not compare_graded(restrict(anderson_dual(down), w), restrict(down, w))
+
+
+def _is_table(G, name: str, shift: int = 0) -> bool:
+    """G is the table of ``name`` shifted by ``shift``, on G's window."""
+    lo, hi = G.window
+    return G == shift_graded(table(name, (lo - shift, hi - shift)), shift)
+
+
+def _dual_off_by_one(name: str, shift: int = 0):
+    """A fault of ``anderson_dual``: the dual of the table of ``name`` (shifted by ``shift``) read one degree up."""
+    return lambda genuine: lambda G: shift_graded(genuine(G), 1) if _is_table(G, name, shift) else genuine(G)
+
+
+def _group_in_residue(name: str, residue: int, group):
+    """A fault of ``table``: the table of ``name`` holds ``group`` in the degrees ``residue`` mod 4."""
+    def fault(genuine):
+        def patched(n, window=(-16, 16)):
+            t = genuine(n, window)
+            if n != name:
+                return t
+            return GradedGroup.from_core(t.window, t.period, t.core,
+                                         lambda d: group if d % 4 == residue else t[d], t.tails)
+        return patched
+    return fault
+
+
+def _x_on_lgs_at(degree: int, c: int):
+    """A fault of ``mult_by``: x on L^gs is c at ``degree``, a finite map with the genuine components elsewhere."""
+    def fault(genuine):
+        def patched(name, sym, tab):
+            f = genuine(name, sym, tab)
+            if (name, sym) != ("Lgs", "x"):
+                return f
+            lo, hi = tab.window
+            return GradedMap(f.source, f.target, f.degree_shift,
+                             {n: IntMatrix([[c]]) if n == degree else f.component(n) for n in range(lo, hi + 1)})
+        return patched
+    return fault
+
+
+def _double_dual_one_degree_off(genuine):
+    """A fault of ``double_dual_check``: I(I(G)) compared with G one degree off."""
+    def patched(G):
+        twice = shift_graded(graded.anderson_dual(graded.anderson_dual(G)), 1)
+        return all(twice[n] == G[n] for n in G.degrees())
+    return patched
+
+
+def _tsv_report(capsys, suite: str, code: int) -> list:
+    """The lines of ``verify suite --format tsv`` at its default window, which must exit with ``code``."""
+    assert main(["verify", suite, "--format", "tsv"]) == code
+    return capsys.readouterr().out.splitlines()
+
+
+class TestEveryRowCanFail:
+    """A fault of one ``ltables`` name fails the rows listed, with these details, and no other row.
+
+    Some rows fail only beside others: I(L^q) is forced degree by degree by
+    the universal coefficient sequence, and pi_1 of L^s and L^n is what the
+    splittings and the comparison ranges read too.
+    """
+
+    @pytest.mark.parametrize("suite,name,fault,failures", [
+        ("A", "anderson_dual", _dual_off_by_one("Lq"), {
+            "anderson-Lq-vs-Ls": "I(L^q) has the homotopy of L^s; mismatch at degree -12: 0 vs Z",
+            "uct-exactness": "universal coefficient sequence for I(L^q)"}),
+        ("A", "anderson_dual", _dual_off_by_one("Ln"), {
+            "anderson-Ln-shift": "I(L^n) has the homotopy of L^n[-1]; mismatch at degree -12: Z/8 vs Z/2"}),
+        # the splittings of L^n counted over half its period
+        ("A", "torsor_count", lambda genuine: lambda G, period: genuine(G, period // 2), {
+            "torsor-Ln": "(Z/2)^2 of splittings"}),
+        ("A", "table", _group_in_residue("Ln", 1, FgAbGroup.cyclic(4)), {
+            "anderson-Ln-shift": "I(L^n) has the homotopy of L^n[-1]; mismatch at degree -12: Z/2 vs Z/4",
+            "symmetrisation-les": "L^q -> L^s -> L^n long exact sequence; component at degree -7 is not a homomorphism",
+            "splitting-Ln": "L^n = L(R)/8 + (L(R)/2)[1] + (L(R)/2)[-1]; mismatch at degree -11: Z/4 vs Z/2",
+            "torsor-Ln": "(Z/2)^2 of splittings",
+            "fibre-seq-indeterminacy": "pi_1(L^s) + pi_1(L^n)"}),
+        ("A", "double_dual_check", _double_dual_one_degree_off, {"double-dual": "I^2 = id on the three tables"}),
+        ("B", "anderson_dual", _dual_off_by_one("Lgs"), {
+            "anderson-Lgs": "I(L^gs) has the homotopy of L^gs[4] = L^gq; mismatch at degree -16: 0 vs Z"}),
+        ("B", "anderson_dual", _dual_off_by_one("KO"), {
+            "anderson-KO": "I(KO) has the homotopy of KO[4]; mismatch at degree -16: 0 vs Z"}),
+        # verify B reads L^q only in the comparison ranges
+        ("B", "table", lambda genuine: lambda n, window=(-16, 16): genuine("Ls" if n == "Lq" else n, window), {
+            "comparison-ranges": "iso ranges of the comparison maps"}),
+        ("B", "mult_by", _x_on_lgs_at(-4, 4), {
+            "mult-x-minus4": "x: L^gs_(-4) -> L^gs_0 is multiplication by 8"}),
+        ("B", "mult_by", _x_on_lgs_at(4, 2), {"mult-x-iso": "x is an isomorphism in the other free degrees"}),
+        ("B", "anderson_dual", _dual_off_by_one("Lgs", 2), {
+            "skew-self-dual": "the two-fold shift is Anderson self-dual; mismatch at degree -16: 0 vs Z/2"}),
+        ("B", "table", _group_in_residue("Ls", 1, FgAbGroup.cyclic(4)), {
+            "genuine-pullback-square": "Mayer-Vietoris for L^gs -> L^s x_(L^n) tau L^n; "
+                                       "summand generators at degree 1 are not those of their sum",
+            "comparison-ranges": "iso ranges of the comparison maps",
+            "canonical-maps-torsor": "Z/2 of homotopies between the canonical maps"}),
+    ], ids=["anderson-Lq-vs-Ls", "anderson-Ln-shift", "torsor-Ln", "fibre-seq-indeterminacy", "double-dual",
+            "anderson-Lgs", "anderson-KO", "comparison-ranges", "mult-x-minus4", "mult-x-iso", "skew-self-dual",
+            "canonical-maps-torsor"])
+    def test_a_fault_fails_exactly_these_rows(self, suite, name, fault, failures, monkeypatch, capsys):
+        passing = _tsv_report(capsys, suite, 0)
+        monkeypatch.setattr(ltables, name, fault(getattr(ltables, name)))
+        expected = [f"{row}\tFAIL\t{failures[row]}" if (row := line.split("\t")[0]) in failures else line
+                    for line in passing]
+        assert [line.split("\t")[0] for line in passing if line.split("\t")[0] in failures] == list(failures)
+        assert _tsv_report(capsys, suite, 1) == expected
 
 
 class TestOneMapBuilder:
@@ -1097,11 +1224,20 @@ class TestOneMapBuilder:
 class TestFailureBranches:
     """Each failure branch of the map builders and verifiers below is reached by some input."""
 
-    def test_a_product_outside_the_stated_basis_is_refused(self, monkeypatch):
+    def test_a_product_outside_the_stated_basis_is_refused(self, monkeypatch, capsys):
         monkeypatch.setattr(ltables, "ring_basis", _basis_with("Ln", 0, []))
         # f in degree -1 times e is 4, and degree 0 no longer holds 1
         with pytest.raises(ValueError, match="product leaves the stated basis at degree -1$"):
             mult_by("Ln", "e", table("Ln", (-8, 8)))
+        # in verify A the rows that read e on L^n fail with the reason, beside those the changed table fails
+        assert main(["verify", "A", "--format", "tsv"]) == 1
+        reason = "; product leaves the stated basis at degree -1"
+        assert [line for line in capsys.readouterr().out.splitlines() if "\tFAIL\t" in line] == [
+            "symmetrisation-les\tFAIL\tL^q -> L^s -> L^n long exact sequence",
+            "splitting-Ln\tFAIL\tL^n = L(R)/8 + (L(R)/2)[1] + (L(R)/2)[-1]; mismatch at degree 0: 0 vs Z/8",
+            "mult-e-kernel\tFAIL\tker(e) = 0 in degrees 3 mod 4" + reason,
+            "mult-e-cofibre-vanishing\tFAIL\tpi_(4k+1)(L^n/e) = 0" + reason,
+            "mult-e-resolved-Z\tFAIL\textension in degrees 0 mod 4 resolves to Z, not Z + Z/2" + reason]
 
     def test_an_lq_product_outside_the_lq_classes_fails(self, monkeypatch):
         # (8 t)(8 g) = 64 g, which is 4 g once g's coefficients are read mod 12: not 8 times a label
