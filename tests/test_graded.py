@@ -22,7 +22,7 @@ from lspectra.graded import (
     shift_graded,
     torsor_count,
 )
-from lspectra.ltables import TABLE_NAMES, _compare_item, table
+from lspectra.ltables import TABLE_NAMES, _Claim, _evaluate, _tables_equal, table
 
 from helpers import (dual_by_degree, mod_by_degree, random_group, restrict, shift_by_degree, sum_by_degree,
                      table_by_degree)
@@ -290,6 +290,12 @@ class TestDirectSum:
     def test_disjoint_windows_raise(self):
         with pytest.raises(ValueError, match="share no degree"):
             direct_sum_graded(GradedGroup((0, 2), {0: Z}), GradedGroup((3, 4), {3: Z}))
+
+
+def _compare_item(name, A, B, detail, W):
+    """The row of the claim that A and B agree over W, as the evaluator decides it."""
+    (row,) = _evaluate(W, [_Claim(name, detail, _tables_equal, lambda: (A, B))])
+    return row
 
 
 class TestCompareItem:

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -1126,6 +1127,18 @@ class TestEveryRowCanFail:
                     for line in passing]
         assert [line.split("\t")[0] for line in passing if line.split("\t")[0] in failures] == list(failures)
         assert _tsv_report(capsys, suite, 1) == expected
+
+
+class TestReadme:
+    def test_the_claims_table_lists_every_row_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Verified claims\n", 1)[1].split("\n## ", 1)[0]
+        listed = [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+                  for line in section.splitlines() if line.startswith("| ") and not line.startswith("| suite ")]
+        emitted = [(suite, row.name) for suite, report in (("A", verify_classical), ("B", verify_genuine),
+                                                          ("presentations", verify_presentations_report))
+                   for row in report()]
+        assert len(emitted) == 35 and listed == emitted
 
 
 class TestOneMapBuilder:
