@@ -264,8 +264,9 @@ class RingPresentation:
     memoised per instance, and ``reduce`` sums c * NF(m) over the terms
     before it reduces the coefficients by the moduli of the torsion patterns
     dividing NF(m), in list order; a chain of rewrites that returns to a
-    monomial raises ValueError.  The compiled rules and the memos take no
-    part in ``==``, ``hash`` or ``repr``.
+    monomial raises ValueError.  The bases that ``ring_basis`` reads off the
+    rules are memoised per instance too.  The compiled rules and the memos
+    take no part in ``==``, ``hash`` or ``repr``.
     """
 
     name: str
@@ -276,12 +277,15 @@ class RingPresentation:
     _torsion: tuple = field(init=False, compare=False, repr=False)
     _normal_forms: dict = field(init=False, compare=False, repr=False)
     _moduli: dict = field(init=False, compare=False, repr=False)
+    _bases: dict = field(init=False, compare=False, repr=False)
+    _parts: tuple = field(default=None, init=False, compare=False, repr=False)  # set by ``_basis_parts``
 
     def __post_init__(self):
         object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in self.rewrites))
         object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in self.torsion_patterns))
         object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
         object.__setattr__(self, "_moduli", {})  # m -> moduli of the torsion patterns dividing it, in list order
+        object.__setattr__(self, "_bases", {})  # degree -> its basis, as ``ring_basis`` returns it
 
     def degree(self, m: Monomial) -> int:
         degs = dict(self.generators)
@@ -293,11 +297,6 @@ class RingPresentation:
         if moduli is None:
             moduli = self._moduli[m] = [d for i, _ in _matches(self._torsion, m) if (d := self.torsion_patterns[i][1])]
         return moduli
-
-    def _coeff_reduce(self, m: Monomial, c: int) -> int:
-        for d in self._moduli_of(m):
-            c %= d
-        return c
 
     def _normal_form(self, m: Monomial):
         """(coeff, monomial) that m rewrites to, or None when it rewrites to 0.
@@ -338,7 +337,9 @@ class RingPresentation:
         if form is None:
             return None
         k, nf = form
-        c = self._coeff_reduce(nf, c * k)
+        c *= k
+        for d in self._moduli_of(nf):
+            c %= d
         return (c, nf) if c else None
 
     def reduce(self, element: dict) -> dict:
@@ -350,7 +351,8 @@ class RingPresentation:
                 work[nf] = work.get(nf, 0) + c * k
         out = {}
         for m, c in work.items():
-            c = self._coeff_reduce(m, c)
+            for d in self._moduli_of(m):
+                c %= d
             if c:
                 out[m] = c
         return out
@@ -363,20 +365,27 @@ class RingPresentation:
                 out[m] = out.get(m, 0) + c1 * c2
         return self.reduce(out)
 
-    def _relations(self, window) -> list:
-        """pattern - coeff*repl and d*pattern, one per instance of a degree in the window."""
-        rels = [{_instance(p, names, v): 1, _instance(r, names, v): -c}
-                for (p, c, r), (_, _, names, _, _, _) in zip(self.rewrites, self._rules)
-                for v in self._bindings_in(p, names, window)]
-        rels += [{_instance(p, names, v): d}
-                 for (p, d), (_, _, names, _, _, _) in zip(self.torsion_patterns, self._torsion)
-                 for v in self._bindings_in(p, names, window)]
-        return rels
+    def _relations(self, window):
+        """pattern - coeff*repl and d*pattern, one per instance of a degree in the window, made as they are read.
 
-    def _bindings_in(self, pattern, names, window) -> list:
-        """The values of the index names for which ``pattern`` has a degree in the window.
+        Every rule's slopes are checked before the first relation is made.
+        """
+        rewrites = [(p, c, r, names, self._bindings_in(p, names, window))
+                    for (p, c, r), (_, _, names, _, _, _) in zip(self.rewrites, self._rules)]
+        torsion = [(p, d, names, self._bindings_in(p, names, window))
+                   for (p, d), (_, _, names, _, _, _) in zip(self.torsion_patterns, self._torsion)]
+        for p, c, r, names, bindings in rewrites:
+            for v in bindings:
+                yield {_instance(p, names, v): 1, _instance(r, names, v): -c}
+        for p, d, names, bindings in torsion:
+            for v in bindings:
+                yield {_instance(p, names, v): d}
 
-        The degree is affine in the indices, with slopes that must share a sign.
+    def _bindings_in(self, pattern, names, window):
+        """The values of the index names for which ``pattern`` has a degree in the window, made as they are read.
+
+        The degree is affine in the indices, with slopes that must share a
+        sign; that is checked at once.
         """
         ones = (1,) * len(names)
         base = self.degree(_instance(pattern, names, ones))
@@ -389,7 +398,7 @@ class RingPresentation:
             raise ValueError(f"a degree holds infinitely many instances of {pattern}")
         if a[0] < 0:
             a, lo, hi = [-s for s in a], -hi, -lo
-        return list(_index_tuples(a, lo, hi))
+        return _index_tuples(a, lo, hi)
 
     def _generators_within(self, bound: int) -> list:
         """(symbol, degree) of each plain generator and family member of degree at most ``bound`` in size."""
@@ -474,45 +483,51 @@ def _build_presentation(name: str) -> RingPresentation:
     raise KeyError(f"unknown ring presentation {name!r}")
 
 
-@cache
-def _basis_parts(name: str):
-    """(presentation, x, [(m, degree of m)], families) of a ring, which ``ring_basis`` reads.
+def _basis_parts(pres: RingPresentation):
+    """(x, [(m, degree of m)], families) of a ring, which ``ring_basis`` reads; worked out once per instance.
 
     x has the tail period's degree; the m are the irreducible monomials in the
-    other plain generators.  The presentation is an instance of its own, so
-    reading a basis never drops or fills a shared one.
+    other plain generators.
     """
-    pres = _build_presentation(name)
-    x = next(s for s, d in pres.generators if d == PERIODS.get(name, 4))
-    found = [ONE]
-    for m in found:  # from 1 up, one generator at a time: a divisor of an irreducible monomial is one
-        for n in (_times(m, s) for s, d in pres.generators if isinstance(d, int) and s != x):
-            if n not in found and pres._normal_form(n) == (1, n):
-                if len(found) == BASIS_BOUND:
-                    raise ValueError(f"{name} has more than {BASIS_BOUND} irreducible monomials without {x}")
-                found.append(n)
-    return pres, x, [(m, pres.degree(m)) for m in found], [g for g in pres.generators if isinstance(g[1], tuple)]
+    if pres._parts is None:
+        x = next(s for s, d in pres.generators if d == PERIODS.get(pres.name, 4))
+        found = [ONE]
+        for m in found:  # from 1 up, one generator at a time: a divisor of an irreducible monomial is one
+            for n in (_times(m, s) for s, d in pres.generators if isinstance(d, int) and s != x):
+                if n not in found and pres._normal_form(n) == (1, n):
+                    if len(found) == BASIS_BOUND:
+                        raise ValueError(f"{pres.name} has more than {BASIS_BOUND} irreducible monomials without {x}")
+                    found.append(n)
+        families = [g for g in pres.generators if isinstance(g[1], tuple)]
+        object.__setattr__(pres, "_parts", (x, [(m, pres.degree(m)) for m in found], families))
+    return pres._parts
 
 
-@lru_cache(maxsize=1 << 16)
 def ring_basis(name: str, degree: int) -> list:
     """The (monomial, order) pairs of a ring's basis in a degree, 0 meaning free; callers only read the list.
 
     They are the irreducible monomials x^k m, k < 0 only where the ring declares
     a period, and m times the family member the degree fixes (``_basis_parts``).
-    An order is the gcd of the moduli of the torsion patterns dividing it.
+    An order is the gcd of the moduli of the torsion patterns dividing it.  The
+    basis is memoised on the ring's shared presentation, which a ring already
+    in ``_SHARED`` is read from without the sweep of ``presentation``.
     """
-    pres, x, found, families = _basis_parts(name)
-    candidates = []
-    for m, dm in found:
-        k, r = divmod(degree - dm, PERIODS.get(name, 4))
-        if not r and (k >= 0 or name in PERIODS):
-            candidates.append(_times(m, x, k))
-        for y, (a, b) in families:
-            i, r = divmod(degree - dm - b, a)
-            if not r and i >= 1:
-                candidates.append(_times(m, f"{y}{i}"))
-    return [(m, gcd(*pres._moduli_of(m))) for m in candidates if pres._normal_form(m) == (1, m)]
+    pres = _SHARED.get(name) or presentation(name)
+    basis = pres._bases.get(degree)
+    if basis is None:
+        x, found, families = _basis_parts(pres)
+        candidates = []
+        for m, dm in found:
+            k, r = divmod(degree - dm, PERIODS.get(name, 4))
+            if not r and (k >= 0 or name in PERIODS):
+                candidates.append(_times(m, x, k))
+            for y, (a, b) in families:
+                i, r = divmod(degree - dm - b, a)
+                if not r and i >= 1:
+                    candidates.append(_times(m, f"{y}{i}"))
+        basis = pres._bases[degree] = [(m, gcd(*pres._moduli_of(m))) for m in candidates
+                                       if pres._normal_form(m) == (1, m)]
+    return basis
 
 
 def module_basis(name: str, degree: int):
@@ -600,29 +615,17 @@ def mult_by(name: str, sym: str, tab: GradedGroup) -> GradedMap:
     if name in MODULE_NAMES:
         return scalar_map([tab], [tab], shiftd, lambda n: [[int(sym == "x")]], **_CONSTANT)
 
-    def coeffs(n):
-        c = _product(pres, sym, ring_basis(name, n), ring_basis(name, n + shiftd))
-        if c is None:
+    def coeffs(n):  # each basis holds at most one element; 0 where the source has none or the product vanishes
+        src, tgt = ring_basis(name, n), ring_basis(name, n + shiftd)
+        term = pres._reduce_term(_times(src[0][0], sym), 1) if src else None
+        if term is None:
+            return [[0]]
+        if not tgt or tgt[0][0] != term[1]:
             raise MapError(f"product leaves the stated basis at degree {n}")
-        return [[c]]
+        return [[term[0]]]
 
     core, tails = deciding_core([(tab, (0, shiftd))])
     return scalar_map([tab], [tab], shiftd, coeffs, core=core, tails=tails)
-
-
-def _product(pres: RingPresentation, sym: str, src, tgt):
-    """The coefficient c of ``sym`` times the element of the basis ``src`` on that of the basis ``tgt``.
-
-    Each basis holds at most one element.  c is 0 where ``src`` is empty or
-    the product vanishes, and None where the product is not a multiple of
-    the element of ``tgt``.
-    """
-    if not src:
-        return 0
-    term = pres._reduce_term(_times(src[0][0], sym), 1)
-    if term is None:
-        return 0
-    return term[0] if tgt and tgt[0][0] == term[1] else None
 
 
 def boundary_map(ln: GradedGroup, lq: GradedGroup) -> GradedMap:
@@ -645,7 +648,7 @@ def projection_to_ln(ls: GradedGroup, ln: GradedGroup) -> GradedMap:
 # ---------------------------------------------------------------------------
 
 
-def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | None = None, build=None) -> bool:
+def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | None = None) -> bool:
     """Relations reduce to zero and generator products stay in the basis.
 
     The window decides only what is checked: the instances of the rules of
@@ -655,18 +658,15 @@ def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | No
     under a (possibly corrupted) presentation and its own memos instead,
     which is how fault injection is tested; an instance outside the window
     is not examined.
-    ``build(name, window)`` makes the tables compared, ``table`` unless
-    given; a report passes one that builds each (name, window) once.
     """
-    build = build or table
     if name in MODULE_NAMES:
-        return _verify_module(name, window, build)
+        return _verify_module(name, window)
     trusted = presentation(name)
     pres = pres or trusted
     for elem in trusted._relations(window):
         if pres.reduce(elem):
             return False
-    return _products_in_basis(pres, window) and _matches_golden(name, build)
+    return _products_in_basis(pres, window) and _matches_golden(name)
 
 
 def _products_in_basis(pres: RingPresentation, window) -> bool:
@@ -676,8 +676,8 @@ def _products_in_basis(pres: RingPresentation, window) -> bool:
     one of neither, such as y1^2 without its rule.  The generators are those
     of degree at most the window's width in size, and a product is checked
     when its degree lies in the window, whether the target has a basis or not.
-    A basis holds at most one element, so each product is one normal form,
-    its coefficient reduced by that monomial's moduli.
+    A basis holds at most one element, so each product is one term, reduced
+    as ``_reduce_term`` reduces it.
     """
     lo, hi = window
     # degree -> (monomial, order) of the element of its basis
@@ -686,43 +686,41 @@ def _products_in_basis(pres: RingPresentation, window) -> bool:
     for sym, sdeg in pres._generators_within(hi - lo):
         for n in occupied[bisect_left(occupied, lo - sdeg):bisect_right(occupied, hi - sdeg)]:
             m, order = firsts[n]
-            form = pres._normal_form(_times(m, sym))
-            if form is None:
-                continue
-            c, nf = form
-            for d in pres._moduli_of(nf):
-                c %= d
-            if c:  # a multiple of the target's element, and the product of a torsion class respects its order
+            term = pres._reduce_term(_times(m, sym), 1)
+            if term:  # a multiple of the target's element, and the product of a torsion class respects its order
+                c, nf = term
                 tgt = firsts.get(n + sdeg)
                 if tgt is None or tgt[0] != nf or not _respects_order(c, order, tgt[1]):
                     return False
     return True
 
 
-def _matches_golden(name: str, build) -> bool:
+def _matches_golden(name: str) -> bool:
     """The generated table equals the golden window shipped for it."""
     gold = golden_table(name)
-    return compare_graded(build(name, gold.window), gold)
+    return compare_graded(table(name, gold.window), gold)
 
 
-def _verify_module(name: str, window, build) -> bool:
+def _verify_module(name: str, window) -> bool:
     """The module's golden window and, on L^q, sym(x a) = x sym(a).
 
     Relations in e alone could not fail here: no two generators of L^q or
     dR are one degree apart, so e acts by empty matrices.  The
     symmetrisation L^q -> L^s must commute with x wherever both sides are
-    defined.  No map of the package reaches dR.
+    defined.  No map of the package reaches dR.  Its tables are built on the
+    read window, as the suites build theirs, so a report builds no (name,
+    window) twice, the golden one included.
     """
     if name == "Lq":
         lo, hi = window
-        lq, ls = build("Lq", window), build("Ls", window)
+        lq, ls = table("Lq", _read_window(window)), table("Ls", _read_window(window))
         sym = symmetrisation_map(lq, ls)
         xq, xs = mult_by("Lq", "x", lq), mult_by("Ls", "x", ls)
         squares = {(sym.component(n + 4), xq.component(n), xs.component(n), sym.component(n))
                    for n in range(lo, hi - 3)}  # each distinct square is multiplied out once
         if any(sym_x @ x_q != x_s @ sym_n for sym_x, x_q, x_s, sym_n in squares):
             return False
-    return _matches_golden(name, build)
+    return _matches_golden(name)
 
 
 def _lq_ring() -> RingPresentation:
@@ -882,10 +880,8 @@ def _predicate(W, verdict: bool) -> bool:
 
 def verify_presentations_report(window=(-16, 16)) -> list[CheckResult]:
     """The row of each ring and module presentation, then multiplicativity of the symmetrisation, over the window."""
-    build = cache(table)  # the golden window may be the report window
     return _evaluate(window, [
-        *(_Claim(f"presentation-{name}", "", _predicate,
-                 lambda name=name: (verify_presentation(name, window, build=build),))
+        *(_Claim(f"presentation-{name}", "", _predicate, lambda name=name: (verify_presentation(name, window),))
           for name in RING_NAMES + MODULE_NAMES),
         _Claim("lq-ring-structure", "", _predicate, lambda: (verify_lq_ring(window),)),
     ])

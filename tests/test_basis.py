@@ -1,8 +1,13 @@
 """Ring bases read off the presentations: the rules and torsion relations are their only statement."""
 
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +26,8 @@ Y_I_Y_J = (ltables._member("y", "i"), ltables._member("y", "j"))
 def shared(monkeypatch):
     """Makes ``shared(ring, change)`` the shared presentation of ``ring``, and its bases the ones read off it.
 
-    Every presentation is built afresh, ``ring``'s through ``change``, and the
-    basis memos are emptied before and after the test.
+    Every presentation is built afresh, ``ring``'s through ``change``: the
+    bases are memoised on the presentations, so an empty ``_SHARED`` empties them.
     """
     genuine = ltables._build_presentation
 
@@ -30,12 +35,8 @@ def shared(monkeypatch):
         monkeypatch.setattr(ltables, "_build_presentation",
                             lambda name: change(genuine(name)) if name == ring else genuine(name))
         monkeypatch.setattr(ltables, "_SHARED", {})
-        ltables.ring_basis.cache_clear()
-        ltables._basis_parts.cache_clear()
 
-    yield install
-    ltables.ring_basis.cache_clear()
-    ltables._basis_parts.cache_clear()
+    return install
 
 
 def with_modulus(pattern, modulus):
@@ -68,17 +69,43 @@ class TestDerivedBasis:
         assert not any(f'"{name}"' in source for name in ltables.RING_NAMES)
 
     def test_a_warm_call_is_a_lookup(self):
-        ltables.ring_basis("Lgs", -2046)
-        hits = ltables.ring_basis.cache_info().hits
-        assert ltables.ring_basis("Lgs", -2046) == [(mono(("z511", 1)), 2)]
-        assert ltables.ring_basis.cache_info().hits == hits + 1
+        first = ltables.ring_basis("Lgs", -2046)
+        assert first == [(mono(("z511", 1)), 2)]
+        assert ltables.ring_basis("Lgs", -2046) is first is ltables._SHARED["Lgs"]._bases[-2046]
 
-    def test_reading_a_basis_leaves_the_shared_presentations_alone(self, shared):
+    def test_reading_a_basis_fills_only_its_own_rings_presentation(self, shared, monkeypatch):
         shared("Ls", lambda pres: pres)
-        before = presentation("Lgs")
+        ls = presentation("Ls")
         for n in range(-60, 61):
             ltables.ring_basis("Lgs", n)
-        assert presentation("Lgs") is before and not before._normal_forms and set(ltables._SHARED) == {"Lgs"}
+        lgs = presentation("Lgs")
+        assert set(ltables._SHARED) == {"Ls", "Lgs"} and not ls._normal_forms and not ls._bases
+        assert lgs._normal_forms and sorted(lgs._bases) == list(range(-60, 61))
+        # a new instance starts with no bases, whether made by replace or rebuilt past the bound
+        copy = dataclasses.replace(lgs)
+        assert copy == lgs and not copy._bases and copy._parts is None
+        monkeypatch.setattr(ltables, "MEMO_BOUND", 3)
+        rebuilt = presentation("Lgs")
+        assert rebuilt is not lgs and not rebuilt._bases and rebuilt._parts is None
+        assert ltables.ring_basis("Lgs", -8) == lgs._bases[-8] and set(rebuilt._bases) == {-8}
+
+    def test_each_ring_is_built_once_per_process(self):
+        # a fresh interpreter: the reports read every ring, its bases included, and build each presentation once
+        script = "\n".join([
+            "import json",
+            "from collections import Counter",
+            "from lspectra import ltables",
+            "builds, genuine = Counter(), ltables._build_presentation",
+            "ltables._build_presentation = lambda name: builds.update([name]) or genuine(name)",
+            "rows = ltables.verify_presentations_report() + ltables.verify_classical()",
+            "assert all(row.passed for row in rows)",
+            "print(json.dumps(builds))",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {name: 1 for name in ltables.RING_NAMES}
 
 
 class TestTorsionRelationsAreChecked:
@@ -141,6 +168,6 @@ class TestShapesOutsideTheDerivation:
         assert pres.reduce({y1_squared: 1}) == {y1_squared: 1}
         assert ltables.ring_basis("Lgs", -8) == [(mono(("y2", 1)), 0)]
         assert not any(pres.reduce(elem) for elem in pres._relations(window))
-        assert ltables._matches_golden("Lgs", ltables.table)
+        assert ltables._matches_golden("Lgs")
         assert not ltables._products_in_basis(pres, window)
         assert not verify_presentation("Lgs", window)

@@ -362,7 +362,7 @@ class TestProductCheck:
             assert _outcome(ltables._products_in_basis, dataclasses.replace(bad), window) == scan, label
             fresh = dataclasses.replace(bad)
             relations = _outcome(lambda: not any(fresh.reduce(elem) for elem in presentation(name)._relations(window)))
-            golden = _outcome(ltables._matches_golden, name, table)
+            golden = _outcome(ltables._matches_golden, name)
             expected = next((o for o in (relations, scan) if o != ("value", True)), golden)
             assert _outcome(verify_presentation, name, window, pres=dataclasses.replace(bad)) == expected, label
             passed &= expected == ("value", True)
@@ -385,7 +385,7 @@ class TestProductCheck:
             products = products_in_basis_by_scan(pres, window)
             # the fast check alone, on a fresh memo, whatever the relations say
             assert ltables._products_in_basis(dataclasses.replace(pres), window) == products, (name, bad, window)
-            expected = relations and products and ltables._matches_golden(name, table)
+            expected = relations and products and ltables._matches_golden(name)
             assert verify_presentation(name, window, pres=bad) == expected, (name, bad, window)
             verdicts.append((expected, products))
         genuine_rows = len(ltables.RING_NAMES)
@@ -791,6 +791,8 @@ class TestSharedPresentations:
             assert len(before._normal_forms) > 3  # the report filled the shared instance
             after = presentation("Lgs")
             assert after is not before and not after._normal_forms and presentation("Lgs") is after
+            # the bases are read off the rebuilt instance, and memoised there
+            assert ltables.ring_basis("Lgs", -8) == [(mono(("y2", 1)), 0)] and set(after._bases) == {-8}
         assert got == expected
 
     def test_threads_share_and_rebuild_the_presentations(self, monkeypatch):
