@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .abelian import IntMatrix, _parse_int
 from .forms import F2QuadForm, LinkingForm, SymForm, arf, brown_kervaire, signature
@@ -46,22 +47,27 @@ def _period(text: str) -> int:
 
 
 def _emit_table(tab: GradedGroup, fmt: str, out):
+    """Write the table in one string; its JSON is json.dumps(tab.to_json(), indent=2) plus a newline.
+
+    The JSON is laid out here rather than by json's indent encoder, which is pure Python: the
+    window and the degree keys are integers, the period one or null, and each group's text is
+    encoded as json encodes a str.
+    """
     if fmt == "json":
-        out.write(json.dumps(tab.to_json(), indent=2) + "\n")
+        (lo, hi), period = tab.window, tab.period
+        groups = ",\n".join([f'    "{n}": {encode_basestring_ascii(text)}' for n, text in tab.rendered()])
+        out.write(f'{{\n  "window": [\n    {lo},\n    {hi}\n  ],\n  "period": {json.dumps(period)},\n'
+                  f'  "groups": {{\n{groups}\n  }}\n}}\n')
     else:
         out.write("".join(f"{n}\t{text}\n" for n, text in tab.rendered()))
 
 
 def _emit_report(report, fmt: str, out) -> bool:
-    ok = all(item.passed for item in report)
     if fmt == "json":
-        json.dump([item.to_json() for item in report], out, indent=2)
-        out.write("\n")
+        out.write(json.dumps([item.to_json() for item in report], indent=2) + "\n")
     else:
-        for item in report:
-            status = "PASS" if item.passed else "FAIL"
-            out.write(f"{item.name}\t{status}\t{item.detail}\n")
-    return ok
+        out.write("".join(f"{item.name}\t{'PASS' if item.passed else 'FAIL'}\t{item.detail}\n" for item in report))
+    return all(item.passed for item in report)
 
 
 def _not_an_integer(text):
@@ -122,8 +128,7 @@ def cmd_invariant(args, out):
     else:
         value = brown_kervaire(LinkingForm.from_json(doc))
     if args.format == "json":
-        json.dump({"invariant": args.name, "value": value}, out)
-        out.write("\n")
+        out.write(json.dumps({"invariant": args.name, "value": value}) + "\n")
     else:
         out.write(f"{args.name}\t{value}\n")
     return 0
@@ -132,8 +137,7 @@ def cmd_invariant(args, out):
 def cmd_certify_ef(args, out):
     beta = certify_ef(representative("E"), representative("F"))
     if args.format == "json":
-        json.dump({"beta": beta}, out)
-        out.write("\n")
+        out.write(json.dumps({"beta": beta}) + "\n")
     else:
         out.write(f"beta = {beta}\n")
     return 0 if beta == 4 else 1
@@ -155,8 +159,7 @@ def cmd_torsor(args, out):
         raise UsageError("table declares no period; pass --period")
     group = torsor_count(tab, period)
     if args.format == "json":
-        json.dump({"torsor": group.render()}, out)
-        out.write("\n")
+        out.write(json.dumps({"torsor": group.render()}) + "\n")
     else:
         out.write(f"{group.render()}\n")
     return 0
@@ -181,20 +184,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser(names=tuple(_VERBS)) -> argparse.ArgumentParser:
-    """The parser with a subcommand for each verb in ``names``, every verb by default."""
+def _add_verb(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """p with the arguments of the verb ``command``, set to run it under its name."""
+    func, _, fmt, options, arguments = _VERBS[command]
+    for option, default in options.items():
+        p.add_argument(f"--{option}", default=default)
+    p.add_argument("--format", choices=("json", "tsv"), default=fmt)
+    for argument, spec in arguments.items():
+        p.add_argument(argument, **spec)
+    p.set_defaults(func=func, command=command)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with a subcommand for each verb."""
     p = _Parser(prog="lspectra", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for command in names:
-        func, summary, fmt, options, arguments = _VERBS[command]
-        sp = sub.add_parser(command, help=summary)
-        for option, default in options.items():
-            sp.add_argument(f"--{option}", default=default)
-        sp.add_argument("--format", choices=("json", "tsv"), default=fmt)
-        for argument, spec in arguments.items():
-            sp.add_argument(argument, **spec)
-        sp.set_defaults(func=func)
+    for command, (_, summary, *_) in _VERBS.items():
+        _add_verb(sub.add_parser(command, help=summary), command)
     return p
+
+
+def _verb_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of what follows the verb ``command``: ``build_parser``'s subparser of it, standing alone."""
+    return _add_verb(_Parser(prog=f"lspectra {command}"), command)
 
 
 def _glue_window(argv):
@@ -225,10 +238,14 @@ def main(argv=None) -> int:
     args = None
     try:
         argv = _glue_window(sys.argv[1:] if argv is None else argv)
-        # Before its verb the parser reads only -h, and argparse matches a verb exactly, so a line
-        # that starts with a verb parses alike with that verb's subparser alone; any other line
-        # (no verb, help, an unknown verb) meets every verb, for the help and errors that list them.
-        args = build_parser(argv[:1] if argv and argv[0] in _VERBS else tuple(_VERBS)).parse_args(argv)
+        # Before its verb the parser reads only -h, argparse matches a verb exactly, and it hands the
+        # verb's subparser every token after it, so a line that starts with a verb parses alike with
+        # that subparser standing alone; any other line (no verb, help, an unknown verb) meets every
+        # verb, for the help and errors that list them.
+        if argv and argv[0] in _VERBS:
+            args = _verb_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except SystemExit:  # --help has been printed; every parse error is a UsageError
         return 0

@@ -192,13 +192,25 @@ class GradedGroup:
         return f"GradedGroup(window={self.window}, period={self.period})"
 
     def rendered(self) -> list:
-        """(n, self[n].render()) for each degree n of the window, each core group rendered once."""
-        text, out = {}, []
-        for n, m in zip(self.degrees(), map(self._slot, self.degrees())):
+        """(n, self[n].render()) for each degree n of the window, each core group rendered once.
+
+        Past the core the texts repeat with the tail periods, so one period of each tail is looked up.
+        """
+        (lo, hi), (a, b), (below, above) = self.window, self.core, self.tails
+        text = {}
+
+        def at(n):
+            m = self._slot(n)
             if m not in text:
                 text[m] = self[n].render()
-            out.append((n, text[m]))
-        return out
+            return text[m]
+
+        def run(start, stop, period):  # the texts of degrees start..stop-1, repeating with period
+            head = [at(n) for n in range(start, min(stop, start + (period or stop - start)))]
+            return (head * ((stop - start) // len(head) + 1))[:stop - start] if head else head
+
+        texts = run(lo, min(hi + 1, a), below) + run(max(lo, a), min(hi, b) + 1, None)
+        return list(zip(self.degrees(), texts + run(max(lo, b + 1), hi + 1, above)))
 
     def to_json(self) -> dict:
         return {

@@ -708,8 +708,10 @@ def _verify_module(name: str, window) -> bool:
     dR are one degree apart, so e acts by empty matrices.  The
     symmetrisation L^q -> L^s must commute with x wherever both sides are
     defined.  No map of the package reaches dR.  Its tables are built on the
-    read window, as the suites build theirs, so a report builds no (name,
-    window) twice, the golden one included.
+    read window, as the suites build theirs.  A report builds no (name,
+    window) twice, except where this read window or the window of
+    ``verify_lq_ring`` is the golden window (-16, 16), as at W = (-8, 8) and
+    (-12, 13): there L^q and L^s are built on it twice each.
     """
     if name == "Lq":
         lo, hi = window

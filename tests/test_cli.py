@@ -17,7 +17,7 @@ from lspectra.abelian import MAX_SUMMANDS, FgAbGroup, IntMatrix
 from lspectra.chain import IntComplex
 from lspectra import cli
 from lspectra.cli import _emit_table, _glue_window, build_parser, main, parse_window, UsageError
-from lspectra.graded import MAX_WIDTH, GradedGroup, anderson_dual
+from lspectra.graded import MAX_WIDTH, GradedGroup, OutOfWindowError, anderson_dual
 from lspectra.ltables import TABLE_NAMES, table
 from lspectra.forms import F2QuadForm, LinkingForm, nondegenerate
 from lspectra.poincare import (
@@ -77,35 +77,36 @@ def _outcome(parse, argv):
 
 
 class TestParserDifferential:
-    """main builds only the subparser of a leading verb, and every command line reads as it does
-    with all of them: the same values, the same error and the same help."""
+    """main builds only the parser of a leading verb, and every command line reads as it does
+    with every verb: the same values, the same error and the same help."""
 
     @pytest.fixture
     def main_parse(self, monkeypatch):
-        """argv -> (what main's parser makes of it, the verbs main built that parser with); no verb runs."""
+        """argv -> (what main's parser makes of it, the verb main built that parser for, None for
+        every verb); no verb runs."""
         calls, built = [], {}
 
-        def spy(names=tuple(cli._VERBS)):
-            names = tuple(names)
-            calls.append(names)
-            if names not in built:  # one parser per set of verbs: parsing leaves a parser as it was
-                parser = built[names] = build_parser(names)
+        def spy(build, verb):
+            calls.append(verb)
+            if verb not in built:  # one parser per verb: parsing leaves a parser as it was
+                parser = built[verb] = build() if verb is None else build(verb)
 
                 def parse_args(argv, parser=parser):
                     raise _Parsed(_outcome(functools.partial(argparse.ArgumentParser.parse_args, parser), argv))
 
                 parser.parse_args = parse_args
-            return built[names]
+            return built[verb]
 
-        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(cli, "build_parser", functools.partial(spy, build_parser, None))
+        monkeypatch.setattr(cli, "_verb_parser", functools.partial(spy, cli._verb_parser))
 
         def parse(argv):
             calls.clear()
             try:
                 main(argv)
             except _Parsed as stop:
-                (names,) = calls
-                return stop.args[0], names
+                (verb,) = calls
+                return stop.args[0], verb
             raise AssertionError(f"main returned without parsing {argv}")
 
         return parse
@@ -114,9 +115,9 @@ class TestParserDifferential:
         oracle = build_parser()
         for k in range(4):
             for argv in map(list, itertools.product(TOKENS, repeat=k)):
-                got, names = main_parse(argv)
+                got, verb = main_parse(argv)
                 assert got == _outcome(oracle.parse_args, _glue_window(argv)), argv
-                assert names == ((argv[0],) if argv and argv[0] in cli._VERBS else tuple(cli._VERBS)), argv
+                assert verb == (argv[0] if argv and argv[0] in cli._VERBS else None), argv
 
     def test_longer_lines(self, main_parse):
         hypothesis = pytest.importorskip("hypothesis")
@@ -131,16 +132,22 @@ class TestParserDifferential:
 
         same()
 
-    def test_a_leading_verb_builds_its_subparser_alone(self, monkeypatch, capsys):
-        added, add_parser = [], argparse._SubParsersAction.add_parser
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                            lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
-        assert main(["table", "--name", "Lgs", "--window", "-376..375"]) == 0
-        assert added == ["table"]
-        added.clear()
+    def test_a_leading_verb_builds_one_parser_and_no_subparsers(self, monkeypatch, capsys):
+        parsers, subparsers = [], []
+        init, add_subparsers = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: parsers.append(kw.get("prog")) or init(self, *a, **kw))
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                            lambda self, **kw: subparsers.append(kw) or add_subparsers(self, **kw))
+        for verb, argv in [("table", ["--name", "Lgs", "--window", "-376..375"]), ("certify-ef", []),
+                           ("verify", ["A", "--format", "tsv"]), ("dual", ["-h"])]:
+            parsers.clear()
+            assert main([verb, *argv]) in (0, 1)
+            assert (parsers, subparsers) == ([f"lspectra {verb}"], []), verb
+        parsers.clear()
         capsys.readouterr()
         assert main(["--help"]) == 0
-        assert added == list(cli._VERBS)
+        assert len(subparsers) == 1 and len(parsers) == 1 + len(cli._VERBS)
         assert "{table,dual,invariant,certify-ef,verify,torsor}" in capsys.readouterr().out
 
 
@@ -178,6 +185,113 @@ class TestRendering:
             if period:  # a periodic table states every degree
                 groups = {str(n): base[(n - lo) % period].render() for n in range(lo, hi + 1)}
             self._check(GradedGroup.from_json({"window": [lo, hi], "period": period, "groups": groups}))
+
+    def test_any_core_and_tails(self):
+        # the texts past the core repeat with the tails; a degree that no tail reaches raises as G[n] does
+        rng = random.Random(37)
+        for _ in range(2000):
+            a = rng.randint(-20, 20)
+            core = [random_group(rng) for _ in range(rng.randint(1, 11))]
+            tails = tuple(rng.choice([None, *range(1, len(core) + 1)]) for _ in range(2))
+            lo = rng.randint(-40, 40)
+            G = GradedGroup.from_core((lo, lo + rng.randint(0, 40)), None, (a, a + len(core) - 1),
+                                      lambda n: core[n - a], tails)
+            try:
+                expected = rendered_by_degree(G)
+            except OutOfWindowError as exc:
+                with pytest.raises(OutOfWindowError) as raised:
+                    G.rendered()
+                assert raised.value.args == exc.args
+            else:
+                assert G.rendered() == expected
+
+    @staticmethod
+    def _prints(argv, tab, capsys):
+        """main(argv) prints tab: its JSON as json.dumps lays it out, its TSV one render() per degree."""
+        for fmt, expected in (("json", json.dumps(tab.to_json(), indent=2) + "\n"),
+                              ("tsv", "".join(f"{n}\t{tab[n].render()}\n" for n in tab.degrees()))):
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out == expected, (argv, fmt)
+
+    @classmethod
+    def _prints_dual(cls, argv, tab, capsys):
+        """main(argv) prints the dual of tab, or exits 2 where its window does not dualise."""
+        try:
+            dual = anderson_dual(tab)
+        except OutOfWindowError:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().out == ""
+        else:
+            cls._prints(argv, dual, capsys)
+
+    def test_seeded_windows_through_main(self, capsys):
+        # windows anywhere, shorter than one period, and wholly inside the lower or the upper tail
+        # (every table is computed on -8..7); each table, and its dual where the window dualises
+        rng = random.Random(35)
+        spans = {"anywhere": lambda: (lo := rng.randint(-2048, 1748), lo + rng.randint(0, 300)),
+                 "short": lambda: (lo := rng.randint(-40, 40), lo + rng.randint(0, 6)),
+                 "lower tail": lambda: (hi := rng.randint(-400, -9), hi - rng.randint(0, 200))[::-1],
+                 "upper tail": lambda: (lo := rng.randint(8, 400), lo + rng.randint(0, 200))}
+        for name in TABLE_NAMES:
+            for kind, span in spans.items():
+                for lo, hi in (span(), span()):
+                    window = f"--window={lo}..{hi}"
+                    tab = table(name, (lo, hi))
+                    self._prints(["table", "--name", name, window], tab, capsys)
+                    self._prints_dual(["dual", "--name", name, window], tab, capsys)
+
+    def test_finite_input_tables_through_main(self, tmp_path, capsys):
+        # dual --input prints the dual of a finite table, with period null and with the period set
+        rng = random.Random(36)
+        path = tmp_path / "table.json"
+        for _ in range(60):
+            lo = rng.randint(-60, 60)
+            hi = lo + rng.randint(0, 30)
+            period = rng.choice([None, 1, 2, 4, 8])
+            base = [random_group(rng) for _ in range(period or hi - lo + 1)]
+            doc = {"window": [lo, hi], "period": period,
+                   "groups": {str(n): base[(n - lo) % len(base)].render() for n in range(lo, hi + 1)}}
+            path.write_text(json.dumps(doc))
+            self._prints_dual(["dual", "--input", str(path)], GradedGroup.from_json(doc), capsys)
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestOneWritePerDocument:
+    """Every verb's stdout, a document or its help, arrives in one write, so an unbuffered stdout
+    makes one write(2) of it."""
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("argv", [
+        ["table", "--name", "Lgs", "--window", "-232..279"], ["dual", "--name", "Ls"], ["certify-ef"],
+        ["verify", "A"], ["verify", "B"], ["verify", "presentations", "--window", "-8..8"],
+        ["torsor", "--name", "Ln", "--window", "-8..8"], ["invariant", "--name", "signature", "--input", "gram"],
+        ["invariant", "--name", "arf", "--input", "quadratic"], ["invariant", "--name", "beta", "--input", "form"],
+    ], ids=lambda argv: "-".join(token for token in argv[:4] if not token.startswith("-")))
+    def test_one_write(self, argv, fmt, tmp_path, monkeypatch):
+        files = {"gram": [[2, -1], [-1, 2]], "quadratic": [[1, 1], [0, 1]], "form": skew_unit(1).to_json()}
+        for stem, doc in files.items():
+            (tmp_path / stem).write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        out = _CountedWrites()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([*argv, "--format", fmt]) == 0
+        assert out.writes == 1 and out.getvalue().endswith("\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], *([verb, "-h"] for verb in cli._VERBS)])
+    def test_help_is_one_write(self, argv, monkeypatch):
+        out = _CountedWrites()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        assert out.writes == 1 and out.getvalue().startswith("usage: lspectra")
 
 
 class TestNameOrInput:
