@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
 from operator import add, index, mul, sub
@@ -38,6 +37,46 @@ __all__ = [
 
 class EnumerationBoundError(ValueError):
     """Raised when an exhaustive enumeration would exceed the desk-scale bound."""
+
+
+class _Record:
+    """An immutable value whose fields are the names in ``_fields``.
+
+    A subclass lists its fields in ``_fields`` and in ``__slots__`` and sets
+    them in ``__init__`` (``_set``).  ``==``, ``hash`` and ``repr`` read the
+    fields alone, so further slots may hold memos; assignment raises.  The
+    repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +267,17 @@ def _matrix(data, rows, cols) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(_Record):
     """U·A·V = D with U, V unimodular and D in invariant-factor form.
 
     One factorisation serves every solve and kernel query against A; the
     kernel equals that of the module-level ``kernel_basis``.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = _fields = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        self._set(U, D, V)
 
     def diagonal(self):
         return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]
@@ -515,8 +554,7 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Record):
     """Isomorphism class of a finitely generated abelian group.
 
     ``torsion`` is the ascending chain of invariant factors, each dividing
@@ -529,10 +567,19 @@ class FgAbGroup:
     Z + Z/2 + Z/12
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion", "_hash")
+    _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate, and hash once: groups are hashed and compared in every memo of Hom, Ext and the tables.
+
+        A method of its own, which ``perfbench/layers.py`` wraps to count the groups made.
+        """
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -540,6 +587,17 @@ class FgAbGroup:
                 raise ValueError("torsion is not an invariant-factor chain")
         if any(d < 2 for d in self.torsion):
             raise ValueError("invariant factors must be >= 2")
+        object.__setattr__(self, "_hash", hash((self.free_rank, self.torsion)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.torsion == other.torsion and self.free_rank == other.free_rank
+
+    def __hash__(self):
+        return self._hash
 
     # -- construction ------------------------------------------------------
 

@@ -11,7 +11,6 @@ linking form q/2, divided by 4, so every value is enumerated by one routine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,6 +20,7 @@ from .abelian import (
     FgAbGroup,
     IntMatrix,
     _parse_int,
+    _Record,
     map_cokernel_group,
 )
 
@@ -53,23 +53,24 @@ class DegenerateFormError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymForm:
-    gram: IntMatrix
+class SymForm(_Record):
+    __slots__ = _fields = ("gram",)
 
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols:
+    def __init__(self, gram: IntMatrix):
+        if gram.rows != gram.cols:
             raise ValueError("gram matrix must be square")
-        if g != g.transpose():
+        if gram != gram.transpose():
             raise ValueError("gram matrix must be symmetric")
+        self._set(gram)
 
     @property
     def dim(self):
         return self.gram.rows
 
 
-MAX_SIGNATURE_DIM = 64  # the fractions grow with the dimension: a dense 64 x 64 Gram matrix takes 1.4 s
+# the fractions grow with the dimension and the entries: a dense 64 x 64 Gram matrix takes 0.7 s with 4-bit
+# entries, 3.7 s with 64-bit and 34 s with 256-bit ones, and no bound limits the entry size yet
+MAX_SIGNATURE_DIM = 64
 
 
 def signature(f: SymForm) -> int:
@@ -134,20 +135,19 @@ E8_GRAM = IntMatrix(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F2QuadForm:
+class F2QuadForm(_Record):
     """q(v) = v^T M v mod 2 with M upper triangular over F2."""
 
-    matrix: IntMatrix
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.rows != m.cols:
+    def __init__(self, matrix: IntMatrix):
+        if matrix.rows != matrix.cols:
             raise ValueError("form matrix must be square")
-        for i in range(m.rows):
+        for i in range(matrix.rows):
             for j in range(i):
-                if m[i, j] % 2:
+                if matrix[i, j] % 2:
                     raise ValueError("form matrix must be upper triangular mod 2")
+        self._set(matrix)
 
     @property
     def dim(self):

@@ -29,7 +29,6 @@ map is built on and keys its components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import index
 
@@ -37,6 +36,7 @@ from .abelian import (
     FgAbGroup,
     IntMatrix,
     _parse_int,
+    _Record,
     ext_group,
     hom_group,
     hom_is_well_defined,
@@ -428,8 +428,7 @@ class _Folded(dict):
         return m is not None and dict.__contains__(self, m)
 
 
-@dataclass(frozen=True)
-class SesDatum:
+class SesDatum(_Record):
     """A short exact sequence 0 -> sub -> ? -> quotient -> 0.
 
     ``resolved`` names the middle group only when it is forced, i.e. when
@@ -437,9 +436,10 @@ class SesDatum:
     represented, never guessed.
     """
 
-    sub: FgAbGroup
-    quotient: FgAbGroup
-    resolved: FgAbGroup | None = None
+    __slots__ = _fields = ("sub", "quotient", "resolved")
+
+    def __init__(self, sub: FgAbGroup, quotient: FgAbGroup, resolved: FgAbGroup | None = None):
+        self._set(sub, quotient, resolved)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,15 @@ ef = 4.  Each report row is a claim record, and one evaluator decides them.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, lru_cache
-from importlib import resources
 from itertools import product
 from math import gcd
 from operator import itemgetter, le
-from typing import Callable, NamedTuple
 
-from .abelian import (FgAbGroup, IntMatrix, _respects_order, ext_group, extension_candidates, hom_group,
+from .abelian import (FgAbGroup, IntMatrix, _Record, _respects_order, ext_group, extension_candidates, hom_group,
                       map_kernel_group)
 from .graded import (
     GradedGroup,
@@ -242,8 +241,7 @@ def _index_tuples(slopes, lo: int, hi: int, least: int = 1):
         v += 1
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(_Record):
     """A graded ring given by generators, rewrite rules and torsion relations.
 
     A generator is a symbol and its degree, or a family (y, (step, offset))
@@ -269,23 +267,19 @@ class RingPresentation:
     take no part in ``==``, ``hash`` or ``repr``.
     """
 
-    name: str
-    generators: tuple  # ((symbol, degree or (step, offset)), ...)
-    rewrites: tuple  # ((pattern, coeff, replacement), ...)
-    torsion_patterns: tuple  # ((pattern, modulus), ...)
-    _rules: tuple = field(init=False, compare=False, repr=False)
-    _torsion: tuple = field(init=False, compare=False, repr=False)
-    _normal_forms: dict = field(init=False, compare=False, repr=False)
-    _moduli: dict = field(init=False, compare=False, repr=False)
-    _bases: dict = field(init=False, compare=False, repr=False)
-    _parts: tuple = field(default=None, init=False, compare=False, repr=False)  # set by ``_basis_parts``
+    _fields = ("name", "generators", "rewrites", "torsion_patterns")
+    __slots__ = _fields + ("_rules", "_torsion", "_normal_forms", "_moduli", "_bases", "_parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in self.rewrites))
-        object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in self.torsion_patterns))
+    def __init__(self, name: str, generators: tuple, rewrites: tuple, torsion_patterns: tuple):
+        # generators ((symbol, degree or (step, offset)), ...), rewrites ((pattern, coeff, replacement), ...),
+        # torsion_patterns ((pattern, modulus), ...)
+        self._set(name, generators, rewrites, torsion_patterns)
+        object.__setattr__(self, "_rules", tuple(_compiled(p) for p, _, _ in rewrites))
+        object.__setattr__(self, "_torsion", tuple(_compiled(p) for p, _ in torsion_patterns))
         object.__setattr__(self, "_normal_forms", {})  # m -> (coeff, monomial), or None for 0
         object.__setattr__(self, "_moduli", {})  # m -> moduli of the torsion patterns dividing it, in list order
         object.__setattr__(self, "_bases", {})  # degree -> its basis, as ``ring_basis`` returns it
+        object.__setattr__(self, "_parts", None)  # set by ``_basis_parts``
 
     def degree(self, m: Monomial) -> int:
         degs = dict(self.generators)
@@ -589,8 +583,8 @@ def table(name: str, window=(-16, 16)) -> GradedGroup:
 @cache
 def golden_table(name: str) -> GradedGroup:
     """The hard-coded golden window shipped with the package, read once per process."""
-    path = resources.files("lspectra").joinpath(f"data/golden/{name}.json")
-    return GradedGroup.from_json(json.loads(path.read_text()))
+    path = os.path.join(os.path.dirname(__file__), "data", "golden", f"{name}.json")
+    return GradedGroup.from_json(json.loads(__spec__.loader.get_data(path)))
 
 
 _CONSTANT = {"core": (0, 0), "tails": (1, 1)}  # a rule with one value in every degree
@@ -659,8 +653,11 @@ def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | No
     which is how fault injection is tested; an instance outside the window
     is not examined.
     """
+    if name == "Lq":
+        read = _read_window(window)
+        return _verify_lq_module(window, table("Lq", read), table("Ls", read))
     if name in MODULE_NAMES:
-        return _verify_module(name, window)
+        return _matches_golden(name)
     trusted = presentation(name)
     pres = pres or trusted
     for elem in trusted._relations(window):
@@ -701,28 +698,22 @@ def _matches_golden(name: str) -> bool:
     return compare_graded(table(name, gold.window), gold)
 
 
-def _verify_module(name: str, window) -> bool:
-    """The module's golden window and, on L^q, sym(x a) = x sym(a).
+def _verify_lq_module(window, lq: GradedGroup, ls: GradedGroup) -> bool:
+    """sym(x a) = x sym(a) over the window, on the tables lq and ls, and L^q's golden window.
 
-    Relations in e alone could not fail here: no two generators of L^q or
-    dR are one degree apart, so e acts by empty matrices.  The
-    symmetrisation L^q -> L^s must commute with x wherever both sides are
-    defined.  No map of the package reaches dR.  Its tables are built on the
-    read window, as the suites build theirs.  A report builds no (name,
-    window) twice, except where this read window or the window of
-    ``verify_lq_ring`` is the golden window (-16, 16), as at W = (-8, 8) and
-    (-12, 13): there L^q and L^s are built on it twice each.
+    Relations in e alone could not fail here: no two generators of L^q or dR
+    are one degree apart, so e acts by empty matrices.  No map of the package
+    reaches dR, so its row is its golden window alone.  The maps read lq and
+    ls through their cores and tails, so any window serves:
+    ``verify_presentation`` builds them on the read window, as the suites
+    build theirs, and ``verify_presentations_report`` on CORE.
     """
-    if name == "Lq":
-        lo, hi = window
-        lq, ls = table("Lq", _read_window(window)), table("Ls", _read_window(window))
-        sym = symmetrisation_map(lq, ls)
-        xq, xs = mult_by("Lq", "x", lq), mult_by("Ls", "x", ls)
-        squares = {(sym.component(n + 4), xq.component(n), xs.component(n), sym.component(n))
-                   for n in range(lo, hi - 3)}  # each distinct square is multiplied out once
-        if any(sym_x @ x_q != x_s @ sym_n for sym_x, x_q, x_s, sym_n in squares):
-            return False
-    return _matches_golden(name)
+    lo, hi = window
+    sym = symmetrisation_map(lq, ls)
+    xq, xs = mult_by("Lq", "x", lq), mult_by("Ls", "x", ls)
+    squares = {(sym.component(n + 4), xq.component(n), xs.component(n), sym.component(n))
+               for n in range(lo, hi - 3)}  # each distinct square is multiplied out once
+    return all(sym_x @ x_q == x_s @ sym_n for sym_x, x_q, x_s, sym_n in squares) and _matches_golden("Lq")
 
 
 def _lq_ring() -> RingPresentation:
@@ -743,11 +734,17 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     L^q basis, goes through ``symmetrisation_map`` and must equal the
     product of the two images in L^s.
     """
+    lo, hi = window
+    # the window widened by a period (right factors and products); the map answers the left ones too
+    w = (lo - 4, hi + 3)
+    return _verify_lq_ring(window, table("Lq", w), table("Ls", w))
+
+
+def _verify_lq_ring(window, lq_table: GradedGroup, ls_table: GradedGroup) -> bool:
+    """``verify_lq_ring`` through the symmetrisation between the given tables, read through their cores and tails."""
     lq, ls = _lq_ring(), presentation("Ls")
     lo, hi = window
-    # one map, on the window widened by a period (right factors and products); it answers the left ones too
-    w = (lo - 4, hi + 3)
-    sym = symmetrisation_map(table("Lq", w), table("Ls", w))
+    sym = symmetrisation_map(lq_table, ls_table)
 
     @cache
     def at(n):  # the L^s basis, the L^q labels and the symmetrisation's matrix in degree n
@@ -773,11 +770,11 @@ def verify_lq_ring(window=(-16, 16)) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set(name, passed, detail)
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -788,16 +785,9 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-class _Claim(NamedTuple):
-    """A report row: the claim ``name`` with its ``detail``, decided as kind(W, *reads()) over the report window W.
-
-    The tables and maps are made when the claim is decided, so a map that cannot be built fails only its readers.
-    """
-
-    name: str
-    detail: str
-    kind: Callable
-    reads: Callable
+# A report row: the claim ``name`` with its ``detail``, decided as kind(W, *reads()) over the report window W.
+# The tables and maps are made when the claim is decided, so a map that cannot be built fails only its readers.
+_Claim = namedtuple("_Claim", "name detail kind reads")
 
 
 def _evaluate(W, claims) -> list[CheckResult]:
@@ -881,11 +871,22 @@ def _predicate(W, verdict: bool) -> bool:
 
 
 def verify_presentations_report(window=(-16, 16)) -> list[CheckResult]:
-    """The row of each ring and module presentation, then multiplicativity of the symmetrisation, over the window."""
+    """The row of each ring and module presentation, then multiplicativity of the symmetrisation, over the window.
+
+    The L^q module row and the multiplicativity row share one L^q and one
+    L^s table, built on CORE: the maps read them through their cores and
+    tails, and CORE is no golden window, which the golden comparisons build
+    on, so the report builds no (name, window) twice.
+    """
+    lq, ls = table("Lq", CORE), table("Ls", CORE)
+
+    def row(name):
+        return _verify_lq_module(window, lq, ls) if name == "Lq" else verify_presentation(name, window)
+
     return _evaluate(window, [
-        *(_Claim(f"presentation-{name}", "", _predicate, lambda name=name: (verify_presentation(name, window),))
+        *(_Claim(f"presentation-{name}", "", _predicate, lambda name=name: (row(name),))
           for name in RING_NAMES + MODULE_NAMES),
-        _Claim("lq-ring-structure", "", _predicate, lambda: (verify_lq_ring(window),)),
+        _Claim("lq-ring-structure", "", _predicate, lambda: (_verify_lq_ring(window, lq, ls),)),
     ])
 
 

@@ -24,6 +24,7 @@ off its homology degree by degree.
 from __future__ import annotations
 
 import cmath
+import inspect
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -35,6 +36,15 @@ from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingFor
 from lspectra.graded import GradedGroup
 from lspectra.ltables import ONE, RingPresentation, mono, mono_mul, presentation
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
+
+
+def replaced(pres: RingPresentation, **changes) -> RingPresentation:
+    """A new presentation of the constructor's fields of ``pres``, those named in ``changes`` replaced.
+
+    It is built afresh, so its memos start empty.
+    """
+    fields = {name: getattr(pres, name) for name in inspect.signature(RingPresentation).parameters}
+    return RingPresentation(**{**fields, **changes})
 
 
 # -- canonical form by prime-power regrouping ---------------------------------------

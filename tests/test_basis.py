@@ -1,6 +1,5 @@
 """Ring bases read off the presentations: the rules and torsion relations are their only statement."""
 
-import dataclasses
 import json
 import os
 import re
@@ -15,7 +14,7 @@ from lspectra import ltables
 from lspectra.cli import main
 from lspectra.ltables import ONE, mono, presentation, verify_presentation, verify_presentations_report
 
-from helpers import ring_basis_by_hand
+from helpers import replaced, ring_basis_by_hand
 
 E = mono(("e", 1))
 Z_I = (ltables._member("z", "i"),)
@@ -43,7 +42,7 @@ def with_modulus(pattern, modulus):
     """The change of a presentation that sets the modulus of its torsion pattern ``pattern``."""
     def change(pres):
         assert pattern in [p for p, _ in pres.torsion_patterns]
-        return dataclasses.replace(pres, torsion_patterns=tuple(
+        return replaced(pres, torsion_patterns=tuple(
             (p, modulus if p == pattern else d) for p, d in pres.torsion_patterns))
     return change
 
@@ -51,7 +50,7 @@ def with_modulus(pattern, modulus):
 def without_rewrite(pattern):
     def change(pres):
         assert pattern in [p for p, _, _ in pres.rewrites]
-        return dataclasses.replace(pres, rewrites=tuple(r for r in pres.rewrites if r[0] != pattern))
+        return replaced(pres, rewrites=tuple(r for r in pres.rewrites if r[0] != pattern))
     return change
 
 
@@ -82,7 +81,7 @@ class TestDerivedBasis:
         assert set(ltables._SHARED) == {"Ls", "Lgs"} and not ls._normal_forms and not ls._bases
         assert lgs._normal_forms and sorted(lgs._bases) == list(range(-60, 61))
         # a new instance starts with no bases, whether made by replace or rebuilt past the bound
-        copy = dataclasses.replace(lgs)
+        copy = replaced(lgs)
         assert copy == lgs and not copy._bases and copy._parts is None
         monkeypatch.setattr(ltables, "MEMO_BOUND", 3)
         rebuilt = presentation("Lgs")

@@ -472,7 +472,6 @@ class TestVerify:
         # L^gs with z_i of modulus 0, which is no relation (Z/0 = Z): its basis turns free and its table wrong,
         # so its row fails with exit 1, not a division by zero; a fresh interpreter, as presentations are shared
         script = "\n".join([
-            "import dataclasses",
             "from lspectra import ltables",
             "from lspectra.cli import main",
             "genuine = ltables._build_presentation",
@@ -480,7 +479,7 @@ class TestVerify:
             "    pres = genuine(name)",
             "    if name == 'Lgs':",
             "        e, z = pres.torsion_patterns",
-            "        pres = dataclasses.replace(pres, torsion_patterns=(e, (z[0], 0)))",
+            "        pres = ltables.RingPresentation(pres.name, pres.generators, pres.rewrites, (e, (z[0], 0)))",
             "    return pres",
             "ltables._build_presentation = build",
             "raise SystemExit(main(['verify', 'presentations', '--format', 'tsv']))",
@@ -993,3 +992,12 @@ class TestFuzz:
         cases = st.sampled_from(loaders).flatmap(
             lambda loader: st.tuples(st.just(loader[0] + ["--input", path]), documents[loader[1]]))
         self._check(hypothesis, cases, path, examples=200)
+
+
+class TestStandardLibraryOnly:
+    def test_the_checks_pass_without_site_packages(self):
+        # tests/stdlib_checks.py, which CI runs under -S: every verb, each in a fresh interpreter
+        script = Path(__file__).resolve().parent / "stdlib_checks.py"
+        done = subprocess.run([sys.executable, "-S", str(script)], capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.endswith(" passed, 0 failed\n") and done.stderr == ""
