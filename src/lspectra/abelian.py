@@ -39,27 +39,46 @@ class EnumerationBoundError(ValueError):
     """Raised when an exhaustive enumeration would exceed the desk-scale bound."""
 
 
-class _Record:
+class _Slotted:
+    """An immutable value held in its ``__slots__``, which ``_set`` fills in order; assignment raises.
+
+    pickle and deepcopy rebuild it slot by slot through ``_restore``, with no constructor run.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _restore, (type(self), [getattr(self, name) for name in self.__slots__])
+
+
+def _restore(cls, values):
+    """The instance of cls whose slots hold the values, as ``_Slotted.__reduce__`` gives them."""
+    obj = object.__new__(cls)
+    obj._set(*values)
+    return obj
+
+
+class _Record(_Slotted):
     """An immutable value whose fields are the names in ``_fields``.
 
-    A subclass lists its fields in ``_fields`` and in ``__slots__`` and sets
-    them in ``__init__`` (``_set``).  ``==``, ``hash`` and ``repr`` read the
-    fields alone, so further slots may hold memos; assignment raises.  The
-    repr is ``Name(field=value, ...)``.
+    A subclass lists its fields in ``_fields`` and first in ``__slots__`` and
+    sets them in ``__init__`` (``_set``).  ``==``, ``hash`` and ``repr`` read
+    the fields alone, so further slots may hold memos; assignment raises.  The
+    repr is ``Name(field=value, ...)``, and pickle and copy call the constructor.
     """
 
     __slots__ = ()
     _fields = ()
 
-    def _set(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
@@ -84,7 +103,7 @@ class _Record:
 # ---------------------------------------------------------------------------
 
 
-class IntMatrix:
+class IntMatrix(_Slotted):
     """Immutable integer matrix, row major.
 
     Zero-row or zero-column shapes are legal; they occur constantly as
@@ -114,9 +133,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def zero(cls, rows, cols):

@@ -21,6 +21,7 @@ from .abelian import (
     IntMatrix,
     _parse_int,
     _Record,
+    _Slotted,
     map_cokernel_group,
 )
 
@@ -176,7 +177,7 @@ def arf(f: F2QuadForm) -> int:
 # ---------------------------------------------------------------------------
 
 
-class CycEight:
+class CycEight(_Slotted):
     """Element of Z[zeta_N] for a 2-power conductor N (N = 8 by default).
 
     Coordinates are taken in the power basis 1, zeta, ..., zeta^(N/2 - 1)
@@ -194,11 +195,7 @@ class CycEight:
         if len(cs) > dim:
             raise ValueError("too many coordinates")
         cs += [0] * (dim - len(cs))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("CycEight is immutable")
+        self._set(conductor, tuple(cs))
 
     @classmethod
     def zero(cls, conductor=8):
@@ -271,7 +268,7 @@ class CycEight:
 # Quadratic linking forms on finite 2-groups
 # ---------------------------------------------------------------------------
 
-class LinkingForm:
+class LinkingForm(_Slotted):
     """A quadratic linking form on a finite 2-group, stored as its generator data.
 
     ``a[i] = q(g_i)`` and ``pairs[(i, j)] = b(g_i, g_j)`` (i < j, 0 if left
@@ -296,12 +293,7 @@ class LinkingForm:
             (gcd(d[i], d[j]) * v) % 1 for (i, j), v in pairs.items()
         ):
             raise ValueError("generator data does not descend to a quadratic function")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "pairs", {ij: v for ij, v in pairs.items() if v})
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LinkingForm is immutable")
+        self._set(group, a, {ij: v for ij, v in pairs.items() if v})
 
     # -- evaluation -----------------------------------------------------------
 

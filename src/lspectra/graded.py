@@ -37,6 +37,7 @@ from .abelian import (
     IntMatrix,
     _parse_int,
     _Record,
+    _Slotted,
     ext_group,
     hom_group,
     hom_is_well_defined,
@@ -75,10 +76,9 @@ class OutOfWindowError(KeyError):
 
 _ZERO = FgAbGroup()  # every degree a table leaves out
 
-# Bounds on a window given from outside, each set from the slowest verb at it (the bounds table of
-# README.md): verify presentations takes 7.6 s at -2048..-1048.  Tables, duals and verify A|B cost the
-# same at any distance from 0 (verify B: 0.15 s at 2044..2048); the ends stay bounded as part of the
-# input contract.
+# Bounds on a window given from outside, each set from the slowest verb at it: verify presentations at
+# -2048..-1048, timed in the window-width row of README.md's bounds table.  Tables, duals and verify A|B
+# cost the same at any distance from 0; the ends stay bounded as part of the input contract.
 MAX_WIDTH = 1000  # degrees a window spans, and the longest period read
 MAX_DEGREE = 2048  # size of a window's ends
 
@@ -91,7 +91,7 @@ def bounded_window(lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-class GradedGroup:
+class GradedGroup(_Slotted):
     """Degree-indexed finitely generated abelian groups: a core and two periodic tails.
 
     The groups are stored on the ``core`` degrees [a, b].  Below a the table
@@ -152,13 +152,6 @@ class GradedGroup:
         G = object.__new__(cls)
         G._set(tuple(window), period, (a, b), tuple(tails), {n: at(n) for n in range(a, b + 1)})
         return G
-
-    def _set(self, window, period, core, tails, groups):
-        for name, value in zip(self.__slots__, (window, period, core, tails, groups)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GradedGroup is immutable")
 
     def _slot(self, n: int):
         """The core degree that degree n reads its group from, or None where it has none."""
@@ -289,7 +282,7 @@ class MapError(ValueError):
     """A graded map cannot be built: a component is no homomorphism, or the summands do not lay out the sum."""
 
 
-class GradedMap:
+class GradedMap(_Slotted):
     """Degreewise homomorphisms source_n -> target_{n + degree_shift}: a core and two periodic tails.
 
     Components are integer matrices on the presentation generators (free
@@ -343,11 +336,7 @@ class GradedMap:
                 by_key[known] = i
             which[n] = i
         core = (degrees[0], degrees[-1]) if degrees else (0, -1)
-        for name, value in zip(self.__slots__, (source, target, shift, core, tails, which, data)):
-            object.__setattr__(self, name, value)  # _which: core degree -> index of its datum in _data
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GradedMap is immutable")
+        self._set(source, target, shift, core, tails, which, data)  # _which: core degree -> index of its datum in _data
 
     def _index(self, n: int):
         """The index in ``_data`` of the component at degree n, or None where it reads as the zero map."""

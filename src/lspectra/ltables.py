@@ -8,7 +8,9 @@ stated once with its core and tails; multiplication on the rings reads its
 coefficients off the same presentations on the degrees that decide it.
 The verifiers replay every graded-level claim: splittings, Anderson duals,
 exactness of the fibre sequences, and the kernel argument that hinges on
-ef = 4.  Each report row is a claim record, and one evaluator decides them.
+ef = 4, which is read off the chain-level certificate, as the 8 of the
+symmetrisation is off E8.  Each report row is a claim record, and one
+evaluator decides them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from itertools import product
 from math import gcd
 from operator import itemgetter, le
 
+from . import forms, poincare
 from .abelian import (FgAbGroup, IntMatrix, _Record, _respects_order, ext_group, extension_candidates, hom_group,
                       map_kernel_group)
 from .graded import (
@@ -58,7 +61,6 @@ __all__ = [
     "verify_presentations_report",
     "verify_classical",
     "verify_genuine",
-    "e_multiplication_report",
     "golden_table",
 ]
 
@@ -442,6 +444,15 @@ def presentation(name: str) -> RingPresentation:
     return pres
 
 
+@cache
+def _ef() -> int:
+    """ef in L^n_0(Z) = Z/8, worked out once when L^n is first built: ``certify_ef`` of E and F, if they have one."""
+    beta = poincare.certify_ef(poincare.representative("E"), poincare.representative("F"))
+    if beta is None:
+        raise MapError("E, F or E x F is not Poincare, so ef has no certificate")
+    return beta % 8
+
+
 def _build_presentation(name: str) -> RingPresentation:
     """A new instance of the built-in presentation of a ring, with empty memos.
 
@@ -454,7 +465,7 @@ def _build_presentation(name: str) -> RingPresentation:
     if name == "Ls":
         return RingPresentation("Ls", (("x", 4), ("e", 1)), (e2,), ((mono(e), 2),))
     if name == "Ln":
-        rewrites = (e2, (mono(("f", 2)), 0, ONE), (mono(e, f), 4, ONE))
+        rewrites = (e2, (mono(("f", 2)), 0, ONE), (mono(e, f), _ef(), ONE))
         return RingPresentation("Ln", (("x", 4), ("e", 1), ("f", -1)), rewrites,
                                 ((mono(e), 2), (mono(f), 2), (ONE, 8)))
     if name == "LR":
@@ -627,9 +638,18 @@ def boundary_map(ln: GradedGroup, lq: GradedGroup) -> GradedMap:
     return scalar_map([ln], [lq], -1, lambda n: [[int(n % 4 == 3)]], **_EVERY_FOURTH)
 
 
+@cache
+def _e8_signature() -> int:
+    """The signature of E8, the generator of L^q_0(Z), once checked even and unimodular; worked out once."""
+    gram = forms.E8_GRAM
+    if any(gram[i, i] % 2 for i in range(gram.rows)) or gram.det() != 1:
+        raise MapError("E8_GRAM is not an even unimodular form")
+    return forms.signature(forms.SymForm(gram))
+
+
 def symmetrisation_map(lq: GradedGroup, ls: GradedGroup) -> GradedMap:
-    """L^q -> L^s between the given tables: multiplication by 8 on free parts, zero on torsion."""
-    return scalar_map([lq], [ls], 0, lambda n: [[8 if n % 4 == 0 else 0]], **_EVERY_FOURTH)
+    """L^q -> L^s between the given tables: multiplication by the signature of E8 on free parts, zero on torsion."""
+    return scalar_map([lq], [ls], 0, lambda n: [[_e8_signature() if n % 4 == 0 else 0]], **_EVERY_FOURTH)
 
 
 def projection_to_ln(ls: GradedGroup, ln: GradedGroup) -> GradedMap:
@@ -719,29 +739,22 @@ def _verify_lq_module(window, lq: GradedGroup, ls: GradedGroup) -> bool:
 def _lq_ring() -> RingPresentation:
     """Z[t^±1, g] with the coefficients of g reduced mod 16 and of g^2 mod 64.
 
-    ``verify_lq_ring`` computes 8Z[t^±1, g]/(16g, 64g^2) in it: an L^q class
+    ``_verify_lq_ring`` computes 8Z[t^±1, g]/(16g, 64g^2) in it: an L^q class
     is 8 times the monomial that labels it.
     """
     return RingPresentation("Lq", (("t", 4), ("g", -2)), (), ((mono(("g", 1)), 16), (mono(("g", 2)), 64)))
 
 
-def verify_lq_ring(window=(-16, 16)) -> bool:
-    """Symmetrisation is multiplicative on the ring 8Z[t^±1, g]/(16g, 64g^2).
+def _verify_lq_ring(window, lq_table: GradedGroup, ls_table: GradedGroup) -> bool:
+    """Symmetrisation is multiplicative on the ring 8Z[t^±1, g]/(16g, 64g^2) over the window.
 
     The L^q class in degree d is 8 times the monomial of
     ``module_basis("Lq", d)``.  Each class of one period (degrees -4..3) is
     multiplied by each class in the window; the product, written in the
-    L^q basis, goes through ``symmetrisation_map`` and must equal the
-    product of the two images in L^s.
+    L^q basis, goes through ``symmetrisation_map`` between the given tables,
+    read through their cores and tails, and must equal the product of the
+    two images in L^s.
     """
-    lo, hi = window
-    # the window widened by a period (right factors and products); the map answers the left ones too
-    w = (lo - 4, hi + 3)
-    return _verify_lq_ring(window, table("Lq", w), table("Ls", w))
-
-
-def _verify_lq_ring(window, lq_table: GradedGroup, ls_table: GradedGroup) -> bool:
-    """``verify_lq_ring`` through the symmetrisation between the given tables, read through their cores and tails."""
     lq, ls = _lq_ring(), presentation("Ls")
     lo, hi = window
     sym = symmetrisation_map(lq_table, ls_table)
@@ -948,26 +961,15 @@ def verify_classical(window=(-12, 12)) -> list[CheckResult]:
     ])
 
 
-def e_multiplication_report(window=(-12, 12), e_map: GradedMap | None = None) -> list[CheckResult]:
-    """The proof chain for the Anderson self-pairing of L^q and L^s.
+def _e_claims(W, ls, lq, ln) -> list[_Claim]:
+    """The proof chain for the Anderson self-pairing of L^q and L^s over W, from the tables.
 
-    With the genuine multiplication by e on L^n the kernel in degrees
-    3 mod 4 vanishes because ef = 4; the cofibre bookkeeping then forces
-    the ambiguous extension in degrees 0 mod 4 of L^q/e to be Z.  An
-    injected e-map with ef = 0 must flip the kernel item and with it the
-    resolution.
+    e on L^n has no kernel in degrees 3 mod 4 because ef = 4 (``_ef``), and
+    the cofibres then force the extension in degrees 0 mod 4 of L^q/e to be
+    Z.  Each claim reads the degrees of W that decide it, in the residue
+    mod 4 it is about: every map on these tables repeats with a multiple of 4.
     """
-    ls, lq, ln = (table(n, _read_window(window)) for n in ("Ls", "Lq", "Ln"))
-    return _evaluate(window, _e_claims(window, ls, lq, ln, e_map))
-
-
-def _e_claims(W, ls, lq, ln, e_map=None) -> list[_Claim]:
-    """The claims of ``e_multiplication_report`` over W, from the tables and the map e on L^n, e_map if given.
-
-    Each reads the degrees of W that decide it, in the residue mod 4 it is
-    about: every map on these tables repeats with a multiple of 4.
-    """
-    e_ln = (lambda: e_map) if e_map else cache(lambda: mult_by("Ln", "e", ln))
+    e_ln = cache(lambda: mult_by("Ln", "e", ln))
     ses_q = cache(lambda: cofibre_of_mult(lq, mult_by("Lq", "e", lq)))
     ses_n = cache(lambda: cofibre_of_mult(ln, e_ln()))
     trivial_kernel = cache(lambda *datum: map_kernel_group(*datum).is_trivial())  # each distinct datum once

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import index, mul
 
-from .abelian import IntMatrix, _parse_int, smith_normal_form
+from .abelian import IntMatrix, _parse_int, _Slotted, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_layout
 from .forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
 
@@ -56,7 +56,7 @@ def _flipped(S: "StructuredComplex", level: int, k: int) -> IntMatrix:
     return S.psi_matrix(level, kp).transpose().scale(t * (-1 if (k * kp) % 2 else 1))
 
 
-class StructuredComplex:
+class StructuredComplex(_Slotted):
     """A bounded free complex with a validated structure: kind 'quadratic' or
     'symmetric', duality dimension, and pairing matrices by (level, degree)."""
 
@@ -65,9 +65,7 @@ class StructuredComplex:
     def __init__(self, complex: IntComplex, kind, dimension, psi, check=True):
         if kind not in ("quadratic", "symmetric"):
             raise InvalidStructureError(f"unknown kind {kind!r}")
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", index(dimension))
+        self._set(complex, kind, index(dimension))  # psi is set once it is checked
         table = {}
         for (level, k), m in psi.items():
             level, k = int(level), int(k)
@@ -88,9 +86,6 @@ class StructuredComplex:
             bad = structure_relation_failures(self)
             if bad:
                 raise InvalidStructureError(f"structure relations fail at {bad[:3]}")
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("StructuredComplex is immutable")
 
     def partner_degree(self, level: int, k: int) -> int:
         if self.kind == "quadratic":
@@ -326,14 +321,17 @@ def linking_form(S: StructuredComplex, lift_rng=None) -> LinkingForm:
     return form
 
 
-def certify_ef(S_e: StructuredComplex, S_f: StructuredComplex) -> int:
+def certify_ef(S_e: StructuredComplex, S_f: StructuredComplex) -> int | None:
     """beta of the linking form of the tensor product; 4 for the built-ins.
 
+    The two factors and their product must pass ``poincare_check``; where
+    one does not there is no class to certify, and the result is None.
     A tensor of even duality dimension carries no linking form; its class
     is declared zero exactly when the homology of the product contains no
     2-torsion (as for the tensor unit), and is an error otherwise.
     """
-    T = tensor_structured(S_e, S_f)
+    if not (poincare_check(S_e) and poincare_check(S_f) and poincare_check(T := tensor_structured(S_e, S_f))):
+        return None
     if T.dimension % 2 == 0:
         lo, hi = T.complex.window()
         for k in range(lo, hi + 1):

@@ -27,9 +27,10 @@ import cmath
 import inspect
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
-from lspectra import ltables
+from lspectra import cli, ltables, poincare
 from lspectra.abelian import FgAbGroup, IntMatrix, _parse_int, _respects_order, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
 from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingForm, SymForm, _parse_value
@@ -45,6 +46,32 @@ def replaced(pres: RingPresentation, **changes) -> RingPresentation:
     """
     fields = {name: getattr(pres, name) for name in inspect.signature(RingPresentation).parameters}
     return RingPresentation(**{**fields, **changes})
+
+
+def rederived(monkeypatch):
+    """Make ``ltables`` build its presentations and derive ef and the E8 signature afresh.
+
+    The shared presentations and the two cached values are replaced by empty
+    ones, so a fault patched in beforehand or afterwards reaches them; the
+    monkeypatch restores the genuine ones at the end of the test.
+    """
+    monkeypatch.setattr(ltables, "_SHARED", {})
+    for name in ("_ef", "_e8_signature"):
+        monkeypatch.setattr(ltables, name, cache(getattr(ltables, name).__wrapped__))
+
+
+def with_representative(monkeypatch, name: str, S: StructuredComplex):
+    """``representative(name)`` is S, in ``poincare`` and in the CLI that imported it, and ltables rederives."""
+    genuine = poincare.representative
+    patched = lambda n: S if n == name else genuine(n)  # noqa: E731
+    monkeypatch.setattr(poincare, "representative", patched)
+    monkeypatch.setattr(cli, "representative", patched)
+    rederived(monkeypatch)
+
+
+def not_poincare_f() -> StructuredComplex:
+    """F with psi_0 = [[1, 2], [0, 1]]: valid structure data, but its symmetrisation has determinant 4."""
+    return StructuredComplex(IntComplex({1: 2}), "quadratic", 2, {(0, 1): [[1, 2], [0, 1]]})
 
 
 # -- canonical form by prime-power regrouping ---------------------------------------

@@ -161,6 +161,19 @@ def input_files():
     return not failed or ", ".join(failed)
 
 
+@check
+def hyperbolic_f_fails():
+    # F's Arf-0 refinement patched in: ef = 0 is read off the chain-level certificate, not typed, so verify A's
+    # kernel argument and certify-ef each exit 1
+    import lspectra.cli
+    from lspectra import poincare
+
+    genuine = poincare.representative
+    poincare.representative = lspectra.cli.representative = lambda n: genuine("hyperbolic" if n == "F" else n)
+    codes = [captured(["verify", "A"])[0], captured(["certify-ef"])[0]]
+    return codes == [1, 1] or f"exit codes {codes}"
+
+
 def run_one(name):
     """The exit status of check ``name`` (or of the verb it names) in this interpreter."""
     sys.path.insert(0, SRC)

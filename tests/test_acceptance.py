@@ -21,7 +21,6 @@ from lspectra.forms import (
 )
 from lspectra.graded import (
     GradedGroup,
-    GradedMap,
     anderson_dual,
     compare_graded,
     double_dual_check,
@@ -29,9 +28,7 @@ from lspectra.graded import (
     torsor_count,
 )
 from lspectra.ltables import (
-    e_multiplication_report,
     golden_table,
-    mult_by,
     symmetrisation_map,
     table,
     verify_classical,
@@ -53,6 +50,7 @@ from helpers import (
     random_linking_form,
     random_matrix,
     restrict,
+    with_representative,
 )
 
 
@@ -112,26 +110,19 @@ def test_criterion_4_classical_invariants():
     _report(4, "signature(E8)=8, arf values, beta additive with exact norm identity on 50 random forms")
 
 
-def test_criterion_5_kernel_argument_chain():
+def test_criterion_5_kernel_argument_chain(monkeypatch):
     w = (-12, 12)
-    report = {i.name: i.passed for i in e_multiplication_report(w)}
+    report = {i.name: i.passed for i in verify_classical(w)}
     assert report["mult-e-kernel"]
     assert report["mult-e-condition-i"]
     assert report["mult-e-cofibre-vanishing"]
     assert report["mult-e-resolved-Z"]
-    # fault injection: ef = 0 must flip the outcome
-    pad = (-20, 20)
-    ln = table("Ln", pad)
-    genuine = mult_by("Ln", "e", ln)
-    comps = {}
-    for n in range(pad[0], pad[1]):
-        c = genuine.component(n)
-        comps[n] = IntMatrix.zero(c.rows, c.cols) if n % 4 == 3 else c
-    bad = GradedMap(ln, ln, 1, comps)
-    flipped = {i.name: i.passed for i in e_multiplication_report(w, e_map=bad)}
+    # fault injection: F's Arf-0 refinement certifies ef = 0, which L^n reads, and that must flip the outcome
+    with_representative(monkeypatch, "F", representative("hyperbolic"))
+    flipped = {i.name: i.passed for i in verify_classical(w)}
     assert not flipped["mult-e-kernel"]
     assert not flipped["mult-e-resolved-Z"]
-    _report(5, "ker(e)=0 in degrees 3 mod 4, extension resolves to Z, fault ef=0 flips the outcome")
+    _report(5, "ker(e)=0 in degrees 3 mod 4, extension resolves to Z, a hyperbolic F (ef=0) flips the outcome")
 
 
 def test_criterion_6_splittings():

@@ -1,7 +1,9 @@
 import inspect
+import os
 import random
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ import pytest
 from lspectra import graded, ltables
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.cli import main
+from lspectra.forms import E8_GRAM
 from lspectra.graded import (
     GradedGroup,
     GradedMap,
@@ -28,7 +31,6 @@ from lspectra.ltables import (
     CheckResult,
     RingPresentation,
     TABLE_NAMES,
-    e_multiplication_report,
     boundary_map,
     golden_table,
     mono,
@@ -43,9 +45,11 @@ from lspectra.ltables import (
     verify_classical,
     verify_genuine,
 )
+from lspectra.poincare import representative
 
-from helpers import (component_read_at, expand_schemata, expanded_presentation, mono_div_by_dict,
-                     products_in_basis_by_scan, random_ring_element, reduce_by_scan, replaced, restrict)
+from helpers import (component_read_at, expand_schemata, expanded_presentation, mono_div_by_dict, not_poincare_f,
+                     products_in_basis_by_scan, random_ring_element, reduce_by_scan, rederived, replaced, restrict,
+                     with_representative)
 
 class TestTables:
     def test_golden_windows(self):
@@ -190,16 +194,7 @@ class TestPresentations:
 
     @pytest.mark.parametrize("window", [(-16, 16), (5, 6), (20, 30), (-30, -20)])
     def test_lq_ring_structure(self, window):
-        assert ltables.verify_lq_ring(window)
-
-    def test_lq_ring_builds_tables_only_where_it_reads(self, monkeypatch):
-        # one map on the window widened by a period, read at the left factors' degrees too; the tables
-        # once spanned every degree back to 0
-        built = []
-        genuine = ltables.table
-        monkeypatch.setattr(ltables, "table", lambda name, window: built.append((name, window)) or genuine(name, window))
-        assert ltables.verify_lq_ring((-2000, -1996))
-        assert sorted(built) == [("Lq", (-2004, -1993)), ("Ls", (-2004, -1993))]
+        assert _lq_ring_row(window)
 
     def test_lq_ring_detects_wrong_symmetrisation(self, monkeypatch):
         genuine = ltables.symmetrisation_map
@@ -210,7 +205,6 @@ class TestPresentations:
             return GradedMap(s.source, s.target, 0, comps)
 
         monkeypatch.setattr(ltables, "symmetrisation_map", times_four)
-        assert not ltables.verify_lq_ring((-16, 16))
         rows = {i.name: i for i in verify_presentations_report((-16, 16))}
         assert rows["lq-ring-structure"].passed is False
         assert rows["lq-ring-structure"].detail == ""
@@ -300,6 +294,11 @@ class TestDataModel:
         capsys.readouterr()
         sizes = {name: len(pres._normal_forms) for name, pres in ltables._SHARED.items()}
         assert max(sizes.values()) <= ltables.MEMO_BOUND, sizes
+
+
+def _lq_ring_row(window) -> bool:
+    """The verdict of the ``lq-ring-structure`` row of ``verify presentations`` over the window."""
+    return {i.name: i.passed for i in verify_presentations_report(window)}["lq-ring-structure"]
 
 
 def _corrupted_rule(name: str) -> RingPresentation:
@@ -851,14 +850,13 @@ class TestTheoremSuites:
     @pytest.mark.parametrize("verifier,window,twice", [
         (verify_classical, (-60, 60), {}),
         (verify_genuine, (-60, 60), {}),
-        (e_multiplication_report, (-12, 12), {}),
         (verify_presentations_report, (-40, 40), {}),
         (verify_presentations_report, (-16, 16), {}),
         # the golden comparisons build L^q and L^s on (-16, 16), which the L^q module check (W widened by 8)
         # reads at (-8, 8), and the multiplicativity check (lo - 4, hi + 3) at (-12, 13)
         (verify_presentations_report, (-8, 8), {}),
         (verify_presentations_report, (-12, 13), {}),
-    ], ids=["A", "B", "e-multiplication", "presentations", "presentations-golden-window",
+    ], ids=["A", "B", "presentations", "presentations-golden-window",
             "presentations-read-golden-window", "presentations-ring-golden-window"])
     def test_each_table_is_built_once(self, verifier, window, twice, monkeypatch):
         # the maps take the tables they join, so no (name, window) is built twice but those in ``twice``
@@ -873,44 +871,31 @@ class TestTheoremSuites:
         assert all(item.passed for item in verifier(window))
         assert builds and {key: k for key, k in builds.items() if k > 1} == twice, builds
 
-    def test_fault_injection_flips_kernel_argument(self):
-        window = (-12, 12)
-        pad = (-20, 20)
-        ln = table("Ln", pad)
-        genuine = mult_by("Ln", "e", ln)
-        corrupted = {}
-        for n in range(pad[0], pad[1]):
-            c = genuine.component(n)
-            corrupted[n] = IntMatrix.zero(c.rows, c.cols) if n % 4 == 3 else c
-        from lspectra.graded import GradedMap
-
-        bad = GradedMap(ln, ln, 1, corrupted)
-        report = {i.name: i.passed for i in e_multiplication_report(window, e_map=bad)}
-        assert report["mult-e-kernel"] is False
-        assert report["mult-e-cofibre-vanishing"] is False
-        assert report["mult-e-resolved-Z"] is False
-        assert e_multiplication_report(window, e_map=bad) == [
-            CheckResult("mult-e-kernel", False, "ker(e) = 0 in degrees 3 mod 4"),
-            CheckResult("mult-e-condition-i", True, "pi_(4k+1)(L^q/e) is torsion (zero)"),
-            CheckResult("mult-e-cofibre-vanishing", False, "pi_(4k+1)(L^n/e) = 0"),
-            CheckResult("mult-e-resolved-Z", False, "extension in degrees 0 mod 4 resolves to Z, not Z + Z/2")]
-        good = {i.name: i.passed for i in e_multiplication_report(window)}
-        assert all(good.values())
+    def test_fault_injection_flips_kernel_argument(self, monkeypatch, capsys):
+        # F's Arf-0 refinement certifies ef = 0, which L^n reads: e kills x^k f, and the kernel argument fails;
+        # the L^n table, and so verify B and verify presentations, do not see it, and certify-ef prints beta = 0
+        windows = [(-12, 12), (-139, 139), (2040, 2048)]
+        assert all(i.passed for w in windows for i in verify_classical(w))
+        with_representative(monkeypatch, "F", representative("hyperbolic"))
+        assert presentation("Ln").rewrites[-1] == (mono(("e", 1), ("f", 1)), 0, ONE)
+        for w in windows:
+            assert [i for i in verify_classical(w) if not i.passed] == [
+                CheckResult("mult-e-kernel", False, "ker(e) = 0 in degrees 3 mod 4"),
+                CheckResult("mult-e-cofibre-vanishing", False, "pi_(4k+1)(L^n/e) = 0"),
+                CheckResult("mult-e-resolved-Z", False, "extension in degrees 0 mod 4 resolves to Z, not Z + Z/2")], w
+        assert [main(["verify", "B"]), main(["verify", "presentations"]), main(["certify-ef"])] == [0, 0, 1]
+        assert capsys.readouterr().out.endswith("beta = 0\n")
 
     def test_kernel_argument_factors_each_datum_once(self, monkeypatch):
         calls = []
         genuine = ltables.map_kernel_group
         monkeypatch.setattr(ltables, "map_kernel_group", lambda *d: calls.append(d) or genuine(*d))
-        report = {i.name: i.passed for i in e_multiplication_report((-60, 60))}
+        report = {i.name: i.passed for i in verify_classical((-60, 60))}
         assert report["mult-e-kernel"] and len(calls) == 1  # 30 degrees 3 mod 4, one datum
 
-    def test_kernel_argument_sees_one_corrupted_degree(self):
-        pad = (-20, 20)
-        genuine = mult_by("Ln", "e", table("Ln", pad))
-        corrupted = {n: IntMatrix.zero(1, 1) if n == 3 else genuine.component(n)
-                     for n in range(pad[0], pad[1])}
-        bad = GradedMap(genuine.source, genuine.target, 1, corrupted)
-        report = {i.name: i.passed for i in e_multiplication_report((-12, 12), e_map=bad)}
+    def test_kernel_argument_sees_one_corrupted_degree(self, monkeypatch):
+        monkeypatch.setattr(ltables, "mult_by", _mult_at("Ln", "e", 3, 0)(ltables.mult_by))
+        report = {i.name: i.passed for i in verify_classical((-12, 12))}
         assert report["mult-e-kernel"] is False
 
     @pytest.mark.parametrize("suite,row,caller,corrupt,detail", [
@@ -987,10 +972,10 @@ class TestTheoremSuites:
             return ses
 
         monkeypatch.setattr(ltables, "cofibre_of_mult", patched)
-        verdicts = {i.name: i.passed for i in e_multiplication_report((-12, 12))}
+        verdicts = {i.name: i.passed for i in verify_classical((-12, 12))}
         assert verdicts.pop("mult-e-resolved-Z") is False
         assert all(verdicts.values()), verdicts
-        assert [i for i in e_multiplication_report((-12, 12)) if not i.passed] == [
+        assert [i for i in verify_classical((-12, 12)) if not i.passed] == [
             CheckResult("mult-e-resolved-Z", False, "extension in degrees 0 mod 4 resolves to Z, not Z + Z/2")]
 
     def test_wrong_mod_tables_fail_the_rows_that_read_them(self, monkeypatch, capsys):
@@ -1054,12 +1039,15 @@ def _group_in_residue(name: str, residue: int, group):
     return fault
 
 
-def _x_on_lgs_at(degree: int, c: int):
-    """A fault of ``mult_by``: x on L^gs is c at ``degree``, a finite map with the genuine components elsewhere."""
+def _mult_at(ring: str, generator: str, degree: int, c: int):
+    """A fault of ``mult_by``: the generator on the ring is c at ``degree``, the genuine components elsewhere.
+
+    The map is finite, on the window of the table it acts on.
+    """
     def fault(genuine):
         def patched(name, sym, tab):
             f = genuine(name, sym, tab)
-            if (name, sym) != ("Lgs", "x"):
+            if (name, sym) != (ring, generator):
                 return f
             lo, hi = tab.window
             return GradedMap(f.source, f.target, f.degree_shift,
@@ -1076,9 +1064,9 @@ def _double_dual_one_degree_off(genuine):
     return patched
 
 
-def _tsv_report(capsys, suite: str, code: int) -> list:
-    """The lines of ``verify suite --format tsv`` at its default window, which must exit with ``code``."""
-    assert main(["verify", suite, "--format", "tsv"]) == code
+def _tsv_lines(capsys, suite: str, window, code: int) -> list:
+    """The lines of ``verify suite --format tsv`` over the window (None: the default), which must exit with ``code``."""
+    assert main(["verify", suite, "--format", "tsv"] + (["--window", window] if window else [])) == code
     return capsys.readouterr().out.splitlines()
 
 
@@ -1113,9 +1101,9 @@ class TestEveryRowCanFail:
         # verify B reads L^q only in the comparison ranges
         ("B", "table", lambda genuine: lambda n, window=(-16, 16): genuine("Ls" if n == "Lq" else n, window), {
             "comparison-ranges": "iso ranges of the comparison maps"}),
-        ("B", "mult_by", _x_on_lgs_at(-4, 4), {
+        ("B", "mult_by", _mult_at("Lgs", "x", -4, 4), {
             "mult-x-minus4": "x: L^gs_(-4) -> L^gs_0 is multiplication by 8"}),
-        ("B", "mult_by", _x_on_lgs_at(4, 2), {"mult-x-iso": "x is an isomorphism in the other free degrees"}),
+        ("B", "mult_by", _mult_at("Lgs", "x", 4, 2), {"mult-x-iso": "x is an isomorphism in the other free degrees"}),
         ("B", "anderson_dual", _dual_off_by_one("Lgs", 2), {
             "skew-self-dual": "the two-fold shift is Anderson self-dual; mismatch at degree -16: 0 vs Z/2"}),
         ("B", "table", _group_in_residue("Ls", 1, FgAbGroup.cyclic(4)), {
@@ -1127,12 +1115,12 @@ class TestEveryRowCanFail:
             "anderson-Lgs", "anderson-KO", "comparison-ranges", "mult-x-minus4", "mult-x-iso", "skew-self-dual",
             "canonical-maps-torsor"])
     def test_a_fault_fails_exactly_these_rows(self, suite, name, fault, failures, monkeypatch, capsys):
-        passing = _tsv_report(capsys, suite, 0)
+        passing = _tsv_lines(capsys, suite, None, 0)
         monkeypatch.setattr(ltables, name, fault(getattr(ltables, name)))
         expected = [f"{row}\tFAIL\t{failures[row]}" if (row := line.split("\t")[0]) in failures else line
                     for line in passing]
         assert [line.split("\t")[0] for line in passing if line.split("\t")[0] in failures] == list(failures)
-        assert _tsv_report(capsys, suite, 1) == expected
+        assert _tsv_lines(capsys, suite, None, 1) == expected
 
 
 class TestReadme:
@@ -1261,9 +1249,9 @@ class TestFailureBranches:
     def test_an_lq_product_outside_the_lq_classes_fails(self, monkeypatch):
         # (8 t)(8 g) = 64 g, which is 4 g once g's coefficients are read mod 12: not 8 times a label
         wrong = RingPresentation("Lq", (("t", 4), ("g", -2)), (), ((mono(("g", 1)), 12), (mono(("g", 2)), 64)))
-        assert ltables.verify_lq_ring((-16, 16))
+        assert _lq_ring_row((-16, 16))
         monkeypatch.setattr(ltables, "_lq_ring", lambda: wrong)
-        assert not ltables.verify_lq_ring((-16, 16))
+        assert not _lq_ring_row((-16, 16))
 
     def test_a_missing_golden_file_is_an_error(self, monkeypatch, capsys):
         def missing(name):
@@ -1274,3 +1262,69 @@ class TestFailureBranches:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no golden window for Ls\n"
+
+
+class TestDerivedConstants:
+    """ef = 4 comes from ``poincare.certify_ef`` and the symmetrisation's 8 from E8, each once per process."""
+
+    @pytest.mark.parametrize("window", ["-12..12", "-139..139"])
+    def test_negated_e8_fails_the_rows_that_read_the_eight(self, window, monkeypatch, capsys):
+        # -E8 is even and unimodular of signature -8: the symmetrisation by -8 is still exact and still
+        # commutes with x, so only the literal claim and the multiplicativity on L^q see it
+        passing = {suite: _tsv_lines(capsys, suite, window, 0) for suite in ("A", "presentations")}
+        rederived(monkeypatch)
+        monkeypatch.setattr(ltables.forms, "E8_GRAM", E8_GRAM.scale(-1))
+        for suite, row in (("A", "symmetrisation-matrix"), ("presentations", "lq-ring-structure")):
+            expected = [line.replace("\tPASS\t", "\tFAIL\t") if line.startswith(f"{row}\t") else line
+                        for line in passing[suite]]
+            assert expected != passing[suite]
+            assert _tsv_lines(capsys, suite, window, 1) == expected
+
+    @pytest.mark.parametrize("gram,why", [
+        (IntMatrix([[2, 1], [1, 1]]), "odd"),
+        (IntMatrix([[2, 1], [1, 2]]), "determinant 3"),
+    ])
+    def test_a_gram_matrix_that_is_not_even_unimodular_fails_the_symmetrisation_rows(self, gram, why, monkeypatch,
+                                                                                      capsys):
+        rederived(monkeypatch)
+        monkeypatch.setattr(ltables.forms, "E8_GRAM", gram)
+        reason = "; E8_GRAM is not an even unimodular form"
+        failed = [line for line in _tsv_lines(capsys, "A", "-12..12", 1) if "\tFAIL\t" in line]
+        assert failed == ["symmetrisation-matrix\tFAIL\t8 on free parts, 0 on torsion" + reason,
+                          "symmetrisation-les\tFAIL\tL^q -> L^s -> L^n long exact sequence" + reason]
+        failed = [line for line in _tsv_lines(capsys, "presentations", "-16..16", 1) if "\tFAIL\t" in line]
+        assert failed == ["presentation-Lq\tFAIL\t" + reason, "lq-ring-structure\tFAIL\t" + reason]
+
+    def test_a_representative_that_is_not_poincare(self, monkeypatch, capsys):
+        # no certificate: certify-ef prints None and exits 1; verify A and B cannot build L^n and exit 2 with
+        # the reason on one line; verify presentations fails the L^n row with it
+        with_representative(monkeypatch, "F", not_poincare_f())
+        reason = "E, F or E x F is not Poincare, so ef has no certificate"
+        assert main(["certify-ef"]) == 1
+        assert main(["certify-ef", "--format", "json"]) == 1
+        assert capsys.readouterr().out == 'beta = None\n{"beta": null}\n'
+        for suite in ("A", "B"):
+            assert main(["verify", suite]) == 2
+            assert capsys.readouterr() == ("", f"error: {reason}\n")
+        failed = [line for line in _tsv_lines(capsys, "presentations", None, 1) if "\tFAIL\t" in line]
+        assert failed == [f"presentation-Ln\tFAIL\t; {reason}"]
+
+    def test_each_constant_is_worked_out_once_per_process(self, monkeypatch, capsys):
+        rederived(monkeypatch)
+        certified, signed = Counter(), Counter()
+        genuine_ef, genuine_signature = ltables.poincare.certify_ef, ltables.forms.signature
+        monkeypatch.setattr(ltables.poincare, "certify_ef", lambda *a: certified.update([1]) or genuine_ef(*a))
+        monkeypatch.setattr(ltables.forms, "signature", lambda f: signed.update([1]) or genuine_signature(f))
+        assert (certified, signed) == (Counter(), Counter())
+        for argv in (["verify", "A"], ["verify", "presentations", "--window", "-2048..-2000"], ["verify", "A"],
+                     ["verify", "presentations"], ["table", "--name", "Ln"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert (certified, signed) == (Counter([1]), Counter([1]))
+
+    def test_nothing_is_worked_out_at_import(self):
+        script = ("import lspectra.cli, lspectra.ltables as t; "
+                  "print(t._ef.cache_info().currsize, t._e8_signature.cache_info().currsize, len(t._SHARED))")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+        assert (done.returncode, done.stdout) == (0, "0 0 0\n"), done.stderr

@@ -7,6 +7,7 @@ import pytest
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.chain import IntComplex
 from lspectra.forms import DegenerateFormError, LinkingForm, brown_kervaire, nondegenerate
+from lspectra import poincare
 from lspectra.poincare import (
     InvalidStructureError,
     StructuredComplex,
@@ -18,7 +19,7 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
-from helpers import (hidden_e_tensor_f_plus_h, lift_exponent_by_search, structure_failures_by_entry,
+from helpers import (hidden_e_tensor_f_plus_h, lift_exponent_by_search, not_poincare_f, structure_failures_by_entry,
                      structure_failures_by_range)
 
 
@@ -351,6 +352,20 @@ class TestCertify:
     def test_unit_gives_zero(self):
         assert certify_ef(representative("unit"), representative("F")) == 0
 
+    def test_a_factor_that_is_not_poincare_has_no_certificate(self):
+        e, f = representative("E"), representative("F")
+        zero_e = StructuredComplex(e.complex, "symmetric", -1, {})  # valid data whose pairing is zero
+        assert not poincare_check(zero_e) and not poincare_check(not_poincare_f())
+        assert certify_ef(zero_e, f) is None
+        assert certify_ef(e, not_poincare_f()) is None
+
+    def test_a_product_that_is_not_poincare_has_no_certificate(self, monkeypatch):
+        # the factors pass; a tensor whose structure is dropped does not, and is not certified
+        genuine = poincare.tensor_structured
+        monkeypatch.setattr(poincare, "tensor_structured",
+                            lambda S, T: StructuredComplex(genuine(S, T).complex, "quadratic", 1, {}))
+        assert certify_ef(representative("E"), representative("F")) is None
+
     def test_basis_change_of_f_keeps_four(self):
         # integral lifts of F2 basis changes preserve the Arf-1 class
         rng = random.Random(3)
@@ -359,10 +374,10 @@ class TestCertify:
         for _ in range(10):
             u = _random_gl2z(rng)
             m = u.transpose() @ IntMatrix([[1, 1], [0, 1]]) @ u
-            # fold the symmetric part below the diagonal back up: psi_0 is
-            # only well defined up to (1-T)-shifts, which this realises
+            # fold the entry below the diagonal back up: psi_0 is only well defined up to (1-T)-shifts
+            # chi + chi^T, and chi = [[0, 0], [-c, 0]] realises this one, so psi - psi^T stays det(u) [[0, 1], [-1, 0]]
             a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-            folded = IntMatrix([[a, b + c], [0, d]])
+            folded = IntMatrix([[a, b - c], [0, d]])
             f = StructuredComplex(cx, "quadratic", 2, {(0, 1): folded})
             assert certify_ef(e, f) == 4
 

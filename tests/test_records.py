@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from lspectra.abelian import FgAbGroup, IntMatrix, SnfResult, smith_normal_form
-from lspectra.forms import F2QuadForm, SymForm
-from lspectra.graded import SesDatum
-from lspectra.ltables import CheckResult, RingPresentation, mono, presentation
+from lspectra.forms import CycEight, F2QuadForm, LinkingForm, SymForm
+from lspectra.graded import GradedGroup, GradedMap, SesDatum
+from lspectra.ltables import CheckResult, RingPresentation, mono, mult_by, presentation, table
+from lspectra.poincare import StructuredComplex, representative, tensor_structured
 
 from stdlib_checks import NOT_LOADED
 
@@ -165,3 +166,33 @@ class TestStartUp:
 
     def test_the_check_sees_a_loaded_module(self):
         assert "dataclasses" in loaded_at_startup("import dataclasses")
+
+
+# one value of each slotted class that refuses assignment, and a record holding one
+IMMUTABLE = [IntMatrix([[1, -2], [0, 3]]), table("Lgs", (-8, 8)), mult_by("Ls", "x", table("Ls", (-8, 8))),
+             CycEight([1, 0, -1]), LinkingForm.hyperbolic(2),
+             tensor_structured(representative("E"), representative("F")), SymForm(IntMatrix([[2, 1], [1, 2]]))]
+
+
+@pytest.mark.parametrize("value", IMMUTABLE, ids=[type(value).__name__ for value in IMMUTABLE])
+class TestPickle:
+    """pickle and deepcopy rebuild each immutable class slot by slot, and the copy still refuses assignment."""
+
+    @pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip(self, value, round_trip):
+        back = round_trip(value)
+        assert type(back) is type(value) and back is not value
+        slots = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+        assert [getattr(back, name) for name in slots] == [getattr(value, name) for name in slots]
+        if type(value).__eq__ is not object.__eq__:  # GradedMap and StructuredComplex compare by identity
+            assert back == value
+        with pytest.raises(AttributeError):
+            setattr(back, slots[0], None)
+        with pytest.raises(AttributeError):
+            back.extra = 1
+
+
+def test_every_immutable_class_is_pickled():
+    assert {type(v) for v in IMMUTABLE} == {IntMatrix, GradedGroup, GradedMap, CycEight, LinkingForm,
+                                            StructuredComplex, SymForm}
