@@ -516,12 +516,10 @@ def nondegenerate(L: LinkingForm) -> bool:
     return map_cokernel_group(IntMatrix(M, shape=(k, k)), L.group, L.group).is_trivial()
 
 
-def gauss_sum(L: LinkingForm, conductor=None) -> CycEight:
-    """Exact Gauss sum of the linking form in Z[zeta_N]."""
+def gauss_sum(L: LinkingForm) -> CycEight:
+    """Exact Gauss sum of the linking form in Z[zeta_N], N = 8 den for the common denominator den of its values."""
     den, values = L._numerators()
-    N = conductor or 8 * den
-    if N % (2 * den) or N % 8:
-        raise ValueError("conductor too small for the value table")
+    N = 8 * den
     # count the exponents of zeta_N, then fold with zeta^(k + N/2) = -zeta^k
     counts = [0] * N
     step = N // den

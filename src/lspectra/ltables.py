@@ -662,31 +662,24 @@ def projection_to_ln(ls: GradedGroup, ln: GradedGroup) -> GradedMap:
 # ---------------------------------------------------------------------------
 
 
-def verify_presentation(name: str, window=(-16, 16), pres: RingPresentation | None = None) -> bool:
-    """Relations reduce to zero and generator products stay in the basis.
+def verify_presentation(name: str, window=(-16, 16)) -> bool:
+    """The ring's relations reduce to zero, its generator products stay in its basis, and its table is golden.
 
-    The window decides only what is checked: the instances of the rules of
-    ``presentation(name)`` whose degree lies in it, and the products of each
-    generator and family member of ``pres`` of degree at most its width in
-    size with the basis elements it holds.  Passing ``pres`` reduces them
-    under a (possibly corrupted) presentation and its own memos instead,
-    which is how fault injection is tested; an instance outside the window
-    is not examined.
+    Every check reads the one ring ``presentation(name)``, and the window
+    decides only what is checked: the instances of its rules whose degree
+    lies in it, and the products of each generator and family member of
+    degree at most its width in size with the basis elements it holds.  An
+    instance outside the window is not examined.  L^q and dR are modules,
+    with no ring presentation: their names raise KeyError.
     """
-    if name == "Lq":
-        read = _read_window(window)
-        return _verify_lq_module(window, table("Lq", read), table("Ls", read))
-    if name in MODULE_NAMES:
-        return _matches_golden(name)
-    trusted = presentation(name)
-    pres = pres or trusted
-    for elem in trusted._relations(window):
+    pres = presentation(name)
+    for elem in pres._relations(window):
         if pres.reduce(elem):
             return False
-    return _products_in_basis(pres, window) and _matches_golden(name)
+    return _products_in_basis(name, window) and _matches_golden(name)
 
 
-def _products_in_basis(pres: RingPresentation, window) -> bool:
+def _products_in_basis(name: str, window) -> bool:
     """Each generator times each basis element of the window lands in ``ring_basis`` and respects the orders.
 
     ``ring_basis`` lists the irreducible monomials of two shapes, so this sees
@@ -694,11 +687,12 @@ def _products_in_basis(pres: RingPresentation, window) -> bool:
     of degree at most the window's width in size, and a product is checked
     when its degree lies in the window, whether the target has a basis or not.
     A basis holds at most one element, so each product is one term, reduced
-    as ``_reduce_term`` reduces it.
+    as ``_reduce_term`` reduces it.  The ring is read as ``ring_basis`` reads it.
     """
+    pres = _SHARED.get(name) or presentation(name)
     lo, hi = window
     # degree -> (monomial, order) of the element of its basis
-    firsts = {n: basis[0] for n in range(lo, hi + 1) if (basis := ring_basis(pres.name, n))}
+    firsts = {n: basis[0] for n in range(lo, hi + 1) if (basis := ring_basis(name, n))}
     occupied = list(firsts)
     for sym, sdeg in pres._generators_within(hi - lo):
         for n in occupied[bisect_left(occupied, lo - sdeg):bisect_right(occupied, hi - sdeg)]:
@@ -722,11 +716,9 @@ def _verify_lq_module(window, lq: GradedGroup, ls: GradedGroup) -> bool:
     """sym(x a) = x sym(a) over the window, on the tables lq and ls, and L^q's golden window.
 
     Relations in e alone could not fail here: no two generators of L^q or dR
-    are one degree apart, so e acts by empty matrices.  No map of the package
-    reaches dR, so its row is its golden window alone.  The maps read lq and
-    ls through their cores and tails, so any window serves:
-    ``verify_presentation`` builds them on the read window, as the suites
-    build theirs, and ``verify_presentations_report`` on CORE.
+    are one degree apart, so e acts by empty matrices.  The maps read lq and
+    ls through their cores and tails, so any window serves: the report builds
+    them on CORE.
     """
     lo, hi = window
     sym = symmetrisation_map(lq, ls)
@@ -883,7 +875,7 @@ def _predicate(W, verdict: bool) -> bool:
     return verdict
 
 
-def verify_presentations_report(window=(-16, 16)) -> list[CheckResult]:
+def verify_presentations_report(window) -> list[CheckResult]:
     """The row of each ring and module presentation, then multiplicativity of the symmetrisation, over the window.
 
     The L^q module row and the multiplicativity row share one L^q and one
@@ -894,7 +886,9 @@ def verify_presentations_report(window=(-16, 16)) -> list[CheckResult]:
     lq, ls = table("Lq", CORE), table("Ls", CORE)
 
     def row(name):
-        return _verify_lq_module(window, lq, ls) if name == "Lq" else verify_presentation(name, window)
+        if name in MODULE_NAMES:  # no map of the package reaches dR, so its row is its golden window alone
+            return _verify_lq_module(window, lq, ls) if name == "Lq" else _matches_golden(name)
+        return verify_presentation(name, window)
 
     return _evaluate(window, [
         *(_Claim(f"presentation-{name}", "", _predicate, lambda name=name: (row(name),))
@@ -918,7 +912,7 @@ def _read_window(window):
     return (lo - 8, hi + 8)
 
 
-def verify_classical(window=(-12, 12)) -> list[CheckResult]:
+def verify_classical(window) -> list[CheckResult]:
     """The rows of Theorem A, the duality and splitting package of L^q, L^s and L^n, over W.
 
     Each table is built once on the read window P, every map is built from
@@ -1016,7 +1010,7 @@ def _truncate_below(G: GradedGroup, cut: int) -> GradedGroup:
     return derive_table(G.window, None, [G], (0,), lambda n: G[n] if n >= cut else FgAbGroup(), fixed=(cut,))
 
 
-def verify_genuine(window=(-16, 16)) -> list[CheckResult]:
+def verify_genuine(window) -> list[CheckResult]:
     """The rows of Theorem B, on the genuine theories L^gs, L^gq and scriptL, over W, built as Theorem A's are."""
     W = window
     P = _read_window(W)  # the duals below reflect degrees, and answer them from their tails

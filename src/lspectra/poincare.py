@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import index, mul
+from operator import index
 
 from .abelian import IntMatrix, _parse_int, _Slotted, smith_normal_form
 from .chain import IntComplex, cone, dual, tensor, tensor_layout
@@ -62,7 +62,7 @@ class StructuredComplex(_Slotted):
 
     __slots__ = ("complex", "kind", "dimension", "psi")
 
-    def __init__(self, complex: IntComplex, kind, dimension, psi, check=True):
+    def __init__(self, complex: IntComplex, kind, dimension, psi):
         if kind not in ("quadratic", "symmetric"):
             raise InvalidStructureError(f"unknown kind {kind!r}")
         self._set(complex, kind, index(dimension))  # psi is set once it is checked
@@ -82,10 +82,9 @@ class StructuredComplex(_Slotted):
                     f" expected {expected}"
                 )
         object.__setattr__(self, "psi", table)
-        if check:
-            bad = structure_relation_failures(self)
-            if bad:
-                raise InvalidStructureError(f"structure relations fail at {bad[:3]}")
+        bad = structure_relation_failures(self)
+        if bad:
+            raise InvalidStructureError(f"structure relations fail at {bad[:3]}")
 
     def partner_degree(self, level: int, k: int) -> int:
         if self.kind == "quadratic":
@@ -271,7 +270,7 @@ def tensor_structured(S: StructuredComplex, T: StructuredComplex) -> StructuredC
 # ---------------------------------------------------------------------------
 
 
-def linking_form(S: StructuredComplex, lift_rng=None) -> LinkingForm:
+def linking_form(S: StructuredComplex) -> LinkingForm:
     """Extract the quadratic linking form on the carrier homology H = H_0(C).
 
     For a quadratic structure of dimension 1 whose carrier homology is a
@@ -284,8 +283,6 @@ def linking_form(S: StructuredComplex, lift_rng=None) -> LinkingForm:
     lifts extended linearly from a fixed solution z_i per generator, so it
     is the quadratic polynomial with a_i = M_ii / 2^(K+1) and
     b_ij = (M_ij + M_ji) / 2^(K+1), M_ij = psi_1(z_i, z_j) + psi_0(dz_i, z_j).
-    Passing ``lift_rng`` perturbs the generator lifts by random cycles,
-    which must not change the Brown-Kervaire class of the output.
     """
     if S.kind != "quadratic":
         raise InvalidStructureError("linking forms need a quadratic structure")
@@ -299,13 +296,7 @@ def linking_form(S: StructuredComplex, lift_rng=None) -> LinkingForm:
     d = C.diff(1)
     snf = smith_normal_form(d)  # one factorisation serves every lift below
     K = H.exponent().bit_length() - 1
-    lifts = [snf.solve([(1 << K) * v for v in g]) for g in gens]
-    if lift_rng is not None:
-        ker = snf.kernel_basis()
-        for i, z in enumerate(lifts):
-            c = [lift_rng.randint(-3, 3) for _ in range(ker.cols)]
-            lifts[i] = [x + sum(map(mul, row, c)) for x, row in zip(z, ker.entries)]
-    Z = IntMatrix.from_columns(lifts, d.cols)
+    Z = IntMatrix.from_columns([snf.solve([(1 << K) * v for v in g]) for g in gens], d.cols)
     M = (d @ Z).transpose() @ S.psi_matrix(0, 0) @ Z
     if (1, 1) in S.psi:  # an absent psi_1 adds nothing
         M = Z.transpose() @ S.psi[1, 1] @ Z + M

@@ -19,6 +19,11 @@ blocks, solves, kernels, homology lifts) and the structure relations entry
 by entry, and at every degree of the window; the ring bases as written out
 by hand, ring by ring; and a complex's acyclicity after inverting 2, read
 off its homology degree by degree.
+
+The fault injectors reach the program the way a CLI run does: a ring is
+installed as the one that ``ltables`` builds, a structure skips its check
+while ``poincare`` finds no failing relation, and lifts move while
+``poincare`` factors through a perturbed Smith normal form.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import mul
+from unittest import mock
 
 from lspectra import cli, ltables, poincare
 from lspectra.abelian import FgAbGroup, IntMatrix, _parse_int, _respects_order, cokernel, smith_normal_form
@@ -60,6 +67,39 @@ def rederived(monkeypatch):
         monkeypatch.setattr(ltables, name, cache(getattr(ltables, name).__wrapped__))
 
 
+_BUILD = ltables._build_presentation  # the genuine builder, which ``install_ring`` falls back on
+
+
+def install_ring(monkeypatch, pres: RingPresentation):
+    """Make ``pres`` the ring of its name that every verb reads, and the other rings the genuine ones.
+
+    ``ltables._build_presentation`` builds a fresh copy of ``pres`` for its
+    name, and ``_SHARED`` starts empty, so every ring and basis is built
+    afresh on first use; a later install replaces this one.
+    """
+    monkeypatch.setattr(ltables, "_build_presentation",
+                        lambda name: replaced(pres) if name == pres.name else _BUILD(name))
+    monkeypatch.setattr(ltables, "_SHARED", {})
+
+
+def coefficient_mutants(name: str) -> list:
+    """(label, presentation) with one rewrite coefficient or torsion modulus c set to 0, c+1, 2c, c//2 or -c.
+
+    The values that equal c, or one another, are made once.
+    """
+    good = _BUILD(name)
+    out = []
+    for kind in ("rewrites", "torsion_patterns"):
+        rules = getattr(good, kind)
+        for k, rule in enumerate(rules):
+            c = rule[1]
+            for v in dict.fromkeys((0, c + 1, 2 * c, c // 2, -c)):
+                if v != c:
+                    bad = rules[:k] + ((rule[0], v, *rule[2:]),) + rules[k + 1:]
+                    out.append((f"{name} {kind}[{k}] {c} -> {v}", replaced(good, **{kind: bad})))
+    return out
+
+
 def with_representative(monkeypatch, name: str, S: StructuredComplex):
     """``representative(name)`` is S, in ``poincare`` and in the CLI that imported it, and ltables rederives."""
     genuine = poincare.representative
@@ -67,6 +107,55 @@ def with_representative(monkeypatch, name: str, S: StructuredComplex):
     monkeypatch.setattr(poincare, "representative", patched)
     monkeypatch.setattr(cli, "representative", patched)
     rederived(monkeypatch)
+
+
+def unchecked(complex: IntComplex, kind, dimension, psi) -> StructuredComplex:
+    """``StructuredComplex(...)`` built while ``poincare.structure_relation_failures`` finds none, so bad data stays."""
+    with mock.patch.object(poincare, "structure_relation_failures", lambda S: []):
+        return StructuredComplex(complex, kind, dimension, psi)
+
+
+def perturbed_lifts(monkeypatch, rng) -> list:
+    """Make every solution of ``poincare``'s Smith normal forms move by a seeded combination of kernel columns.
+
+    ``solve`` adds c_k times the k-th column of the kernel basis, each c_k
+    drawn from -3..3, so a solution stays a solution.  The list returned
+    records, per solve, whether the solution moved.
+    """
+    genuine, moved = poincare.smith_normal_form, []
+
+    class Perturbed:
+        def __init__(self, snf):
+            self.snf = snf
+
+        def __getattr__(self, name):
+            return getattr(self.snf, name)
+
+        def solve(self, b):
+            z, ker = self.snf.solve(b), self.snf.kernel_basis()
+            if z is None:
+                return None
+            c = [rng.randint(-3, 3) for _ in range(ker.cols)]
+            moved.append(any(c))
+            return [x + sum(map(mul, row, c)) for x, row in zip(z, ker.entries)]
+
+    monkeypatch.setattr(poincare, "smith_normal_form", lambda A: Perturbed(genuine(A)))
+    return moved
+
+
+def padded_e_tensor_f() -> StructuredComplex:
+    """E (x) F with a third generator in degree 1 that d kills, so a lift of a class is not unique."""
+    base = tensor_structured(representative("E"), representative("F"))
+    cx = IntComplex({1: 3, 0: 2}, {1: [[2, 0, 0], [0, 2, 0]]})
+    psi = {}
+    for (lv, k), m in base.psi.items():
+        rows, cols = cx.rank(k), cx.rank(1 + lv - k)
+        grown = [[0] * cols for _ in range(rows)]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                grown[i][j] = m[i, j]
+        psi[(lv, k)] = IntMatrix(grown, shape=(rows, cols))
+    return StructuredComplex(cx, "quadratic", 1, psi)
 
 
 def not_poincare_f() -> StructuredComplex:

@@ -174,6 +174,27 @@ def hyperbolic_f_fails():
     return codes == [1, 1] or f"exit codes {codes}"
 
 
+@check
+def wrong_ring_fails_its_row():
+    # L^gs with y1 y3 -> 4 y4 placed before the schemata, built as the ring every verb reads: the relations of
+    # the default window see the two rules disagree on y1 y3, so verify presentations fails that row alone
+    from lspectra import ltables
+
+    genuine = ltables._build_presentation
+
+    def build(name):
+        pres = genuine(name)
+        if name != "Lgs":
+            return pres
+        rule = (ltables.mono(("y1", 1), ("y3", 1)), 4, ltables.mono(("y4", 1)))
+        return ltables.RingPresentation(name, pres.generators, (rule,) + pres.rewrites, pres.torsion_patterns)
+
+    ltables._build_presentation = build
+    code, out = captured(["verify", "presentations", "--format", "tsv"])
+    failed = [line.split("\t")[0] for line in out.splitlines() if "\tFAIL\t" in line]
+    return (code, failed) == (1, ["presentation-Lgs"]) or f"exit {code}, failing {failed}"
+
+
 def run_one(name):
     """The exit status of check ``name`` (or of the verb it names) in this interpreter."""
     sys.path.insert(0, SRC)

@@ -457,8 +457,7 @@ class TestFactorOnce:
             if a.rows:
                 assert IntMatrix.from_columns(Uinv, a.rows) @ IntMatrix(U) == IntMatrix.identity(a.rows)
 
-    @pytest.mark.parametrize("lift_seed", [None, 1])
-    def test_linking_form_factors_each_matrix_once(self, lift_seed, monkeypatch):
+    def test_linking_form_factors_each_matrix_once(self, monkeypatch):
         # d_0, its kernel basis, the boundary coordinates, d_1 and the
         # adjoint of the extracted pairing that nondegenerate() presents
         S = hidden_e_tensor_f_plus_h(random.Random(5))
@@ -470,8 +469,7 @@ class TestFactorOnce:
             return raw(a, m, n, *args, **kwargs)
 
         monkeypatch.setattr(abelian, "_smith", counted)
-        lift_rng = None if lift_seed is None else random.Random(lift_seed)
-        assert brown_kervaire(linking_form(S, lift_rng=lift_rng)) == 4
+        assert brown_kervaire(linking_form(S)) == 4
         assert len(set(seen)) == 5
         assert len(seen) == len(set(seen))
 

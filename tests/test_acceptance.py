@@ -46,6 +46,8 @@ from helpers import (
     hom_by_enumeration,
     ext_by_resolution,
     norm_squared,
+    padded_e_tensor_f,
+    perturbed_lifts,
     random_group,
     random_linking_form,
     random_matrix,
@@ -162,7 +164,7 @@ def test_criterion_7_torsors():
     _report(7, "torsor_count(Ln, 4) = (Z/2)^2 and matches the Ext oracle on 20 random tables")
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(monkeypatch):
     rng = random.Random(808)
     # SNF identity on 500 random matrices up to 6x6, entries in [-50, 50]
     for _ in range(500):
@@ -206,19 +208,11 @@ def test_criterion_8_property_suites():
     for k in range(lo, hi + 1):
         assert (d.diff(k) @ d.diff(k + 1)).is_zero()
     # beta invariance under randomized lift choices
-    base = tensor_structured(representative("E"), representative("F"))
-    from lspectra.poincare import StructuredComplex
-
-    cx = IntComplex({1: 3, 0: 2}, {1: [[2, 0, 0], [0, 2, 0]]})
-    psi = {}
-    for (lv, k), m in base.psi.items():
-        rows, cols = cx.rank(k), cx.rank(1 + lv - k)
-        grown = [[0] * cols for _ in range(rows)]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                grown[i][j] = m[i, j]
-        psi[(lv, k)] = IntMatrix(grown, shape=(rows, cols))
-    padded = StructuredComplex(cx, "quadratic", 1, psi)
-    betas = {brown_kervaire(linking_form(padded, lift_rng=random.Random(s))) for s in range(8)}
+    padded = padded_e_tensor_f()
+    betas = set()
+    for seed in range(8):
+        with monkeypatch.context() as patch:
+            perturbed_lifts(patch, random.Random(seed))
+            betas.add(brown_kervaire(linking_form(padded)))
     assert betas == {4}
     _report(8, "SNF identity x500, Hom/Ext vs enumeration, 100 double duals, d.d=0 closure, beta lift-invariance")

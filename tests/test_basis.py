@@ -14,7 +14,7 @@ from lspectra import ltables
 from lspectra.cli import main
 from lspectra.ltables import ONE, mono, presentation, verify_presentation, verify_presentations_report
 
-from helpers import replaced, ring_basis_by_hand
+from helpers import install_ring, replaced, ring_basis_by_hand
 
 E = mono(("e", 1))
 Z_I = (ltables._member("z", "i"),)
@@ -25,17 +25,11 @@ Y_I_Y_J = (ltables._member("y", "i"), ltables._member("y", "j"))
 def shared(monkeypatch):
     """Makes ``shared(ring, change)`` the shared presentation of ``ring``, and its bases the ones read off it.
 
-    Every presentation is built afresh, ``ring``'s through ``change``: the
-    bases are memoised on the presentations, so an empty ``_SHARED`` empties them.
+    Every presentation is built afresh, ``ring``'s as ``change`` makes it
+    (``install_ring``): the bases are memoised on the presentations, so an
+    empty ``_SHARED`` empties them.
     """
-    genuine = ltables._build_presentation
-
-    def install(ring, change):
-        monkeypatch.setattr(ltables, "_build_presentation",
-                            lambda name: change(genuine(name)) if name == ring else genuine(name))
-        monkeypatch.setattr(ltables, "_SHARED", {})
-
-    return install
+    return lambda ring, change: install_ring(monkeypatch, change(ltables._build_presentation(ring)))
 
 
 def with_modulus(pattern, modulus):
@@ -96,7 +90,7 @@ class TestDerivedBasis:
             "from lspectra import ltables",
             "builds, genuine = Counter(), ltables._build_presentation",
             "ltables._build_presentation = lambda name: builds.update([name]) or genuine(name)",
-            "rows = ltables.verify_presentations_report() + ltables.verify_classical()",
+            "rows = ltables.verify_presentations_report((-16, 16)) + ltables.verify_classical((-12, 12))",
             "assert all(row.passed for row in rows)",
             "print(json.dumps(builds))",
         ])
@@ -168,5 +162,5 @@ class TestShapesOutsideTheDerivation:
         assert ltables.ring_basis("Lgs", -8) == [(mono(("y2", 1)), 0)]
         assert not any(pres.reduce(elem) for elem in pres._relations(window))
         assert ltables._matches_golden("Lgs")
-        assert not ltables._products_in_basis(pres, window)
+        assert not ltables._products_in_basis("Lgs", window)
         assert not verify_presentation("Lgs", window)

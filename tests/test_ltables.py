@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lspectra import graded, ltables
+from lspectra import cli, graded, ltables
 from lspectra.abelian import FgAbGroup, IntMatrix
 from lspectra.cli import main
 from lspectra.forms import E8_GRAM
@@ -47,9 +47,9 @@ from lspectra.ltables import (
 )
 from lspectra.poincare import representative
 
-from helpers import (component_read_at, expand_schemata, expanded_presentation, mono_div_by_dict, not_poincare_f,
-                     products_in_basis_by_scan, random_ring_element, reduce_by_scan, rederived, replaced, restrict,
-                     with_representative)
+from helpers import (coefficient_mutants, component_read_at, expand_schemata, expanded_presentation, install_ring,
+                     mono_div_by_dict, not_poincare_f, products_in_basis_by_scan, random_ring_element, reduce_by_scan,
+                     rederived, replaced, restrict, with_representative)
 
 class TestTables:
     def test_golden_windows(self):
@@ -147,46 +147,40 @@ class TestPresentations:
         report = verify_presentations_report((-16, 16))
         assert all(item.passed for item in report), [i.name for i in report if not i.passed]
 
-    def test_corrupted_ef_detected(self):
-        good = presentation("Ln")
-        rewrites = tuple(
-            (p, (2 if p == mono(("e", 1), ("f", 1)) else c), r) for p, c, r in good.rewrites
-        )
-        bad = RingPresentation(
-            name="Ln",
-            generators=good.generators,
-            rewrites=rewrites,
-            torsion_patterns=good.torsion_patterns,
-        )
+    def test_corrupted_ef_detected(self, monkeypatch):
+        bad = _corrupted_rule("Ln")
         assert bad.reduce({mono(("e", 1), ("f", 1)): 1, ONE: -4}) != {}
-        assert not verify_presentation("Ln", (-8, 8), pres=bad)
+        install_ring(monkeypatch, bad)
+        assert not verify_presentation("Ln", (-8, 8))
 
     @pytest.mark.parametrize("name", ["Ls", "Ln", "LC", "Lgs", "scriptL"])
-    def test_corrupted_rule_detected(self, name):
-        good = presentation(name)
-        xy1 = mono(("x", 1), ("y1", 1))
-        if name == "Ls":
-            bad = replaced(good, torsion_patterns=((mono(("e", 1)), 4),))
-        elif name == "Ln":
-            bad = replaced(good, rewrites=tuple(
-                (p, 2 if p == mono(("e", 1), ("f", 1)) else c, r) for p, c, r in good.rewrites))
-        elif name == "LC":
-            bad = replaced(good, torsion_patterns=((ONE, 4),))
-        else:
-            bad = replaced(good, rewrites=tuple(
-                (p, 4 if p == xy1 else c, r) for p, c, r in good.rewrites))
-        assert bad != good
-        assert verify_presentation(name, (-16, 16))
-        assert not verify_presentation(name, (-16, 16), pres=bad)
+    def test_corrupted_rule_detected(self, name, monkeypatch, capsys):
+        # the rings every verb reads: L^s with e of order 4, L^n with ef = 2 and L(C) with modulus 4 fail their
+        # own presentation row; L^gs with x y1 = 4 fails only verify B's mult-x-minus4, and scriptL's is a
+        # survivor of the mutation table, which no row sees at the default windows
+        bad = _corrupted_rule(name)
+        assert bad != presentation(name) and verify_presentation(name, (-16, 16))
+        install_ring(monkeypatch, bad)
+        for suite, rows in _CORRUPTED_RULE_FAILURES[name].items():
+            lines = _tsv_lines(capsys, suite, None, 1 if rows else 0)
+            assert [line.split("\t")[0] for line in lines if "\tFAIL\t" in line] == rows, suite
+        if name == "scriptL":
+            assert all(verify_presentation(name, window) for window in ((-50, 50), (-400, -396)))
 
-    def test_every_rule_is_checked(self):
-        # y2 z1 -> z3 keeps every generator product inside the basis with the
-        # right orders, so only reducing the relation of its own rule sees it
-        good = expanded_presentation("Lgs", (-16, 16))
-        target = mono(("z1", 1), ("y2", 1))
-        bad = replaced(good, rewrites=tuple(
-            (p, 1, mono(("z3", 1))) if p == target else (p, c, r) for p, c, r in good.rewrites))
-        assert not verify_presentation("Lgs", (-16, 16), pres=bad)
+    def test_every_rule_is_checked(self, monkeypatch, capsys):
+        # y2 z1 -> z3 before the schemata keeps every generator product inside the basis with the right
+        # orders, and the table golden: only the relations, where the schemata send y2 z1 to 0, see it
+        install_ring(monkeypatch, _y2_z1_to_z3())
+        pres = presentation("Lgs")
+        for window in ("-16..16", "-50..50"):
+            lo_hi = cli.parse_window(window)
+            assert ltables._products_in_basis("Lgs", lo_hi) and ltables._matches_golden("Lgs")
+            assert [pres.reduce(elem) for elem in pres._relations(lo_hi) if pres.reduce(elem)] == [
+                {mono(("z3", 1)): 1}]
+            failed = [line for line in _tsv_lines(capsys, "presentations", window, 1) if "\tFAIL\t" in line]
+            assert failed == ["presentation-Lgs\tFAIL\t"], window
+        for suite in "AB":
+            _tsv_lines(capsys, suite, None, 0)
 
     def test_rewrite_patterns_distinct(self):
         patterns = [p for p, _, _ in expanded_presentation("Lgs", (-100, 100)).rewrites]
@@ -219,11 +213,16 @@ class TestPresentations:
                 return scalar_map([tab], [tab], 4, lambda n: [[3]], core=(0, 0), tails=(1, 1))
             return genuine(name, sym, tab)
 
-        assert verify_presentation("Lq", window)
+        assert all(item.passed for item in verify_presentations_report(window))
         monkeypatch.setattr(ltables, "mult_by", x_by_three)
-        assert not verify_presentation("Lq", window)
-        rows = {i.name: i.passed for i in verify_presentations_report((-16, 16))}
+        rows = {i.name: i.passed for i in verify_presentations_report(window)}
         assert [name for name, passed in rows.items() if not passed] == ["presentation-Lq"]
+
+    def test_the_modules_have_no_ring_presentation(self):
+        # their rows are the report's own: L^q's module check and dR's golden window
+        for name in ltables.MODULE_NAMES:
+            with pytest.raises(KeyError, match=f"unknown ring presentation {name!r}"):
+                verify_presentation(name, (-16, 16))
 
     @pytest.mark.parametrize("name,degree,label", [
         ("Ls", 41, mono(("e", 1), ("x", 10))),
@@ -264,10 +263,7 @@ class TestDataModel:
     def test_a_wrong_modulus_fails_its_row_only(self, modulus, monkeypatch):
         good = presentation("Ln")
         torsion = good.torsion_patterns[:-1] + (((ONE, modulus),) if modulus else ())
-        bad = replaced(good, torsion_patterns=torsion)
-        genuine = ltables.verify_presentation
-        monkeypatch.setattr(ltables, "verify_presentation", lambda n, w, **kw: genuine(
-            n, w, pres=bad if n == "Ln" else None, **kw))
+        install_ring(monkeypatch, replaced(good, torsion_patterns=torsion))
         rows = {i.name: i.passed for i in verify_presentations_report((-16, 16))}
         assert [row for row, passed in rows.items() if not passed] == ["presentation-Ln"]
 
@@ -302,7 +298,10 @@ def _lq_ring_row(window) -> bool:
 
 
 def _corrupted_rule(name: str) -> RingPresentation:
-    """The presentation of ``name`` with the one rule that ``test_corrupted_rule_detected`` corrupts."""
+    """The presentation of ``name`` with the one rule that ``test_corrupted_rule_detected`` corrupts.
+
+    It is built from ``presentation(name)``, so it is called before a ring is installed.
+    """
     good = presentation(name)
     if name == "Ls":
         return replaced(good, torsion_patterns=((mono(("e", 1)), 4),))
@@ -315,25 +314,29 @@ def _corrupted_rule(name: str) -> RingPresentation:
     return replaced(good, rewrites=tuple((p, 4 if p == xy1 else c, r) for p, c, r in good.rewrites))
 
 
+# the rows that each corrupted rule fails at the default window, by suite
+_CORRUPTED_RULE_FAILURES = {
+    "Ls": {"presentations": ["presentation-Ls"],
+           "A": ["splitting-Ls", "anderson-Lq-vs-Ls", "symmetrisation-les", "fibre-seq-indeterminacy"],
+           "B": ["genuine-pullback-square", "comparison-ranges", "canonical-maps-torsor"]},
+    "Ln": {"presentations": ["presentation-Ln"], "A": ["mult-e-kernel", "mult-e-cofibre-vanishing", "mult-e-resolved-Z"],
+           "B": []},
+    "LC": {"presentations": ["presentation-LC"], "A": [], "B": []},
+    "Lgs": {"presentations": [], "A": [], "B": ["mult-x-minus4"]},
+    "scriptL": {"presentations": [], "A": [], "B": []},
+}
+
+
+def _y2_z1_to_z3() -> RingPresentation:
+    """L^gs with the rule y2 z1 -> z3 placed before the schemata, which send y2 z1 to 0."""
+    good = presentation("Lgs")
+    return replaced(good, rewrites=((mono(("y2", 1), ("z1", 1)), 1, mono(("z3", 1))),) + good.rewrites)
+
+
 def _basis_with(ring: str, degree: int, basis):
     """``ring_basis`` with the basis of one degree of one ring replaced."""
     genuine = ltables.ring_basis
     return lambda r, d: list(basis) if (r, d) == (ring, degree) else genuine(r, d)
-
-
-def _coefficient_mutants(name: str) -> list:
-    """(label, presentation) with one rewrite coefficient or torsion modulus c set to 0, c+1, 2c, c//2 or -c."""
-    good = presentation(name)
-    out = []
-    for kind in ("rewrites", "torsion_patterns"):
-        rules = getattr(good, kind)
-        for k, rule in enumerate(rules):
-            c = rule[1]
-            for v in dict.fromkeys((0, c + 1, 2 * c, c // 2, -c)):
-                if v != c:
-                    bad = rules[:k] + ((rule[0], v, *rule[2:]),) + rules[k + 1:]
-                    out.append((f"{name} {kind}[{k}] {c} -> {v}", replaced(good, **{kind: bad})))
-    return out
 
 
 def _outcome(f, *args, **kwargs):
@@ -348,49 +351,60 @@ class TestProductCheck:
     """The generator-product check of ``verify_presentation`` against the scan of every degree."""
 
     @pytest.mark.parametrize("window,sample", [((-16, 16), None), ((-50, 50), 12)])
-    def test_coefficient_mutants_match_the_scan(self, window, sample):
-        # every mutant at +-16, a seeded sample at +-50; each check on a fresh memo of its own
-        mutants = [(name, label, bad) for name in ("Lgs", "scriptL") for label, bad in _coefficient_mutants(name)]
+    def test_coefficient_mutants_match_the_scan(self, window, sample, monkeypatch):
+        # every mutant at +-16, a seeded sample at +-50, each installed as the ring the verbs read; each check
+        # reads it on a fresh memo of its own, and the scan reduces in a copy of its own
+        mutants = [(name, label, bad) for name in ("Lgs", "scriptL") for label, bad in coefficient_mutants(name)]
         if sample:
             mutants = random.Random(f"coefficient mutants {window}").sample(mutants, sample)
         passed = True
         for name, label, bad in mutants:
+            install_ring(monkeypatch, bad)
             scan = _outcome(products_in_basis_by_scan, replaced(bad), window)
             assert scan[0] == "value", label  # a modulus set to 0 is no relation: nothing divides by zero
-            assert _outcome(ltables._products_in_basis, replaced(bad), window) == scan, label
-            fresh = replaced(bad)
-            relations = _outcome(lambda: not any(fresh.reduce(elem) for elem in presentation(name)._relations(window)))
+            install_ring(monkeypatch, bad)
+            assert _outcome(ltables._products_in_basis, name, window) == scan, label
+            install_ring(monkeypatch, bad)
+            fresh = presentation(name)
+            relations = _outcome(lambda: not any(fresh.reduce(elem) for elem in fresh._relations(window)))
             golden = _outcome(ltables._matches_golden, name)
             expected = next((o for o in (relations, scan) if o != ("value", True)), golden)
-            assert _outcome(verify_presentation, name, window, pres=replaced(bad)) == expected, label
+            install_ring(monkeypatch, bad)
+            assert _outcome(verify_presentation, name, window) == expected, label
             passed &= expected == ("value", True)
         assert not passed  # the set holds mutants that fail the row
 
     @pytest.mark.parametrize("window", [(-16, 16), (-50, 50), (-400, -396)])
     def test_verdict_is_relations_and_scan_and_golden(self, window, monkeypatch):
         genuine = ltables.ring_basis
-        cases = [(name, None, genuine) for name in ltables.RING_NAMES]
-        cases += [(name, _corrupted_rule(name), genuine) for name in ("Ls", "Ln", "LC", "Lgs", "scriptL")]
+        cases = [(presentation(name), genuine) for name in ltables.RING_NAMES]
+        cases += [(_corrupted_rule(name), genuine) for name in ("Ls", "Ln", "LC", "Lgs", "scriptL")]
         # the bases of test_torsion_order_check_can_fail, and z11 dropped from degree -46
-        cases += [(name, None, _basis_with(name, degree, [(label, 4)]))
+        cases += [(presentation(name), _basis_with(name, degree, [(label, 4)]))
                   for name, degree, label in (("Ls", 41, mono(("e", 1), ("x", 10))), ("Ln", 40, mono(("x", 10))))]
-        cases += [("Lgs", None, _basis_with("Lgs", -46, []))]
+        cases += [(presentation("Lgs"), _basis_with("Lgs", -46, []))]
         verdicts = []
-        for name, bad, basis in cases:
+        for ring, basis in cases:
+            # each ring installed as the one the verbs read, and read on a fresh memo by each check
+            name = ring.name
             monkeypatch.setattr(ltables, "ring_basis", basis)
-            pres = bad or presentation(name)
-            relations = not any(pres.reduce(elem) for elem in presentation(name)._relations(window))
-            products = products_in_basis_by_scan(pres, window)
-            # the fast check alone, on a fresh memo, whatever the relations say
-            assert ltables._products_in_basis(replaced(pres), window) == products, (name, bad, window)
+            install_ring(monkeypatch, ring)
+            pres = presentation(name)
+            relations = not any(pres.reduce(elem) for elem in pres._relations(window))
+            products = products_in_basis_by_scan(replaced(ring), window)
+            # the fast check alone, whatever the relations say
+            install_ring(monkeypatch, ring)
+            assert ltables._products_in_basis(name, window) == products, (ring, window)
             expected = relations and products and ltables._matches_golden(name)
-            assert verify_presentation(name, window, pres=bad) == expected, (name, bad, window)
+            install_ring(monkeypatch, ring)
+            assert verify_presentation(name, window) == expected, (ring, window)
             verdicts.append((expected, products))
         genuine_rows = len(ltables.RING_NAMES)
         assert all(all(v) for v in verdicts[:genuine_rows])
         if window == (-50, 50):
-            # every corruption lies in the window; the products alone see ef = 2 and the three bases
-            assert not any(expected for expected, _ in verdicts[genuine_rows:])
+            # every corruption lies in the window, and all but the two x y1 = 4 of L^gs and scriptL fail the
+            # row; the products alone see ef = 2 and the three bases
+            assert [expected for expected, _ in verdicts[genuine_rows:]] == [False] * 3 + [True] * 2 + [False] * 3
             seen = [not products for _, products in verdicts[genuine_rows:]]
             assert seen == [False, True, False, False, False] + [True] * 3
 
@@ -513,22 +527,21 @@ class TestSchemata:
     ])
     def test_a_corrupted_instance_is_seen_in_the_window_only(self, name, window, inside, outside, monkeypatch):
         # y_i y_j -> 4 y_(i+j), listed before the schemata, corrupts that one instance
+        good = presentation(name)
+
         def corrupted(i, j):
-            good = presentation(name)
             rule = (mono((f"y{i}", 1), (f"y{j}", 1)), 4, mono((f"y{i + j}", 1)))
             return replaced(good, rewrites=(rule,) + good.rewrites)
 
         lo, hi = window
         assert lo <= -4 * sum(inside) <= hi and not lo <= -4 * sum(outside) <= hi
-        genuine = ltables.verify_presentation
         for bad, failing in ((corrupted(*inside), [f"presentation-{name}"]), (corrupted(*outside), [])):
-            monkeypatch.setattr(ltables, "verify_presentation", lambda n, w, **kw: genuine(
-                n, w, pres=bad if n == name else None, **kw))
+            install_ring(monkeypatch, bad)
             rows = {i.name: i.passed for i in verify_presentations_report(window)}
             assert [row for row, passed in rows.items() if not passed] == failing
         # not examined outside the window, and seen by one that holds its degree
         d = -4 * sum(outside)
-        assert not genuine(name, (d, d), pres=corrupted(*outside))
+        assert not verify_presentation(name, (d, d))
 
     def test_far_window_report_is_fast(self):
         # 9 s when the rules were expanded up to the window's range
@@ -705,7 +718,8 @@ class TestIndexedReduce:
         # x^k y_i reaches its normal form through min(i, k) rewrites, each
         # monomial on the way being another degree's product: following every
         # chain to its end made 75 710 rule applications on Lgs at +-150,
-        # where 8 721 distinct monomials are looked up
+        # where 8 721 distinct monomials are looked up; a fresh L^gs, its
+        # bases included, makes 8 556
         applied = 0
         genuine = ltables.mono_div
 
@@ -715,8 +729,8 @@ class TestIndexedReduce:
             return genuine(m, pattern)
 
         monkeypatch.setattr(ltables, "mono_div", counted)
-        fresh = replaced(presentation("Lgs"))  # the shared instance may hold these forms already
-        assert verify_presentation("Lgs", (-150, 150), pres=fresh)
+        monkeypatch.setattr(ltables, "_SHARED", {})  # the shared instance may hold these forms already
+        assert verify_presentation("Lgs", (-150, 150))
         assert 0 < applied <= 8721
 
     def test_far_and_wide_windows_verify(self):
@@ -759,24 +773,21 @@ class TestSharedPresentations:
         window = (-50, 50)
         for name in ("Lgs", "scriptL"):
             assert verify_presentation(name, window)  # warms the shared memo over the window
-        # the corruption of test_every_rule_is_checked, on the expansion over the window
-        good = expanded_presentation("Lgs", window)
-        target = mono(("z1", 1), ("y2", 1))
-        cases = [("Lgs", replaced(good, rewrites=tuple(
-            (p, 1, mono(("z3", 1))) if p == target else (p, c, r) for p, c, r in good.rewrites)))]
-        # y2 y5 -> 4 y7 in degree -28, listed before the schemata
+        warm = dict(ltables._SHARED)
+        # the corruption of test_every_rule_is_checked, and y2 y5 -> 4 y7 in degree -28, each before the schemata
+        cases = [("Lgs", _y2_z1_to_z3())]
         for name in ("Lgs", "scriptL"):
             pres = presentation(name)
             rule = (mono(("y2", 1), ("y5", 1)), 4, mono(("y7", 1)))
             cases.append((name, replaced(pres, rewrites=(rule,) + pres.rewrites)))
-        genuine = ltables.verify_presentation
         for name, bad in cases:
-            monkeypatch.setattr(ltables, "verify_presentation", lambda n, w, **kw: genuine(
-                n, w, pres=bad if n == name else None, **kw))
+            install_ring(monkeypatch, bad)
             rows = {i.name: i.passed for i in verify_presentations_report(window)}
             assert [row for row, passed in rows.items() if not passed] == [f"presentation-{name}"], (name, bad)
-        monkeypatch.setattr(ltables, "verify_presentation", genuine)
-        assert verify_presentation("Lgs", window, pres=good)
+        # the warm instances, back in place, were not read by the corrupted rings and still pass
+        monkeypatch.undo()
+        assert all(presentation(name) is warm[name] for name in ("Lgs", "scriptL"))
+        assert all(verify_presentation(name, window) for name in ("Lgs", "scriptL"))
 
     def test_a_memo_past_the_bound_is_built_afresh(self, monkeypatch):
         windows = [(-16, 16), (-40, 40)]
@@ -900,16 +911,16 @@ class TestTheoremSuites:
 
     @pytest.mark.parametrize("suite,row,caller,corrupt,detail", [
         # the boundary L^n -> L^q set to zero
-        (verify_classical, "symmetrisation-les", "boundary_map", lambda m: [[0]],
+        ("A", "symmetrisation-les", "boundary_map", lambda m: [[0]],
          "L^q -> L^s -> L^n long exact sequence"),
         # L^gs -> L^s by 1 instead of 8 in degrees 4k < 0
-        (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
+        ("B", "genuine-pullback-square", "_genuine_square_item",
          lambda m: [[1], [1]] if m == [[8], [1]] else m, "Mayer-Vietoris for L^gs -> L^s x_(L^n) tau L^n"),
         # the sign of tau L^n -> L^n flipped
-        (verify_genuine, "genuine-pullback-square", "_genuine_square_item",
+        ("B", "genuine-pullback-square", "_genuine_square_item",
          lambda m: [[1, 1]] if m == [[1, -1]] else m, "Mayer-Vietoris for L^gs -> L^s x_(L^n) tau L^n"),
         # scriptL -> L(R) by 1 instead of 8 in degrees 4k < 0
-        (verify_genuine, "scriptL-square", "_script_square_item",
+        ("B", "scriptL-square", "_script_square_item",
          lambda m: [[1], [1]] if m == [[8], [1]] else m, "Mayer-Vietoris for scriptL -> L(R) x_(L(R)/8) l(R)/8"),
     ], ids=["boundary-zero", "lgs-to-ls-by-one", "beta-sign", "scriptL-to-LR-by-one"])
     def test_corrupted_coefficient_fails_its_row_only(self, suite, row, caller, corrupt, detail, monkeypatch):
@@ -922,10 +933,10 @@ class TestTheoremSuites:
             return genuine(sources, targets, shift, coeffs, **sums)
 
         monkeypatch.setattr(ltables, "scalar_map", patched)
-        verdicts = {i.name: i.passed for i in suite()}
+        verdicts = {i.name: i.passed for i in _at_default_window(suite)}
         assert verdicts.pop(row) is False
         assert all(verdicts.values()), verdicts
-        assert [i for i in suite() if not i.passed] == [CheckResult(row, False, detail)]
+        assert [i for i in _at_default_window(suite) if not i.passed] == [CheckResult(row, False, detail)]
 
     @pytest.mark.parametrize("window", ["-16..16", "2040..2048"])
     @pytest.mark.parametrize("degree,entry", [(-4, [[2]]), (0, [[2], [1]])], ids=["core", "tail"])
@@ -957,7 +968,7 @@ class TestTheoremSuites:
         # I(L^q) shifted up one degree: I_1 = L^s_0 = Z is no extension of Hom(0, Z) by Ext(Z/2, Z)
         genuine = ltables.anderson_dual
         monkeypatch.setattr(ltables, "anderson_dual", lambda G: shift_graded(genuine(G), 1))
-        verdicts = {i.name: i.passed for i in verify_classical()}
+        verdicts = {i.name: i.passed for i in verify_classical((-12, 12))}
         assert verdicts["uct-exactness"] is False
 
     def test_resolved_z_reads_ls_mod_e(self, monkeypatch):
@@ -1064,6 +1075,12 @@ def _double_dual_one_degree_off(genuine):
     return patched
 
 
+def _at_default_window(suite: str) -> list:
+    """The rows of ``verify suite`` at the default window, which ``cli._SUITES`` states once."""
+    verifier, window = cli._SUITES[suite]
+    return verifier(cli.parse_window(window))
+
+
 def _tsv_lines(capsys, suite: str, window, code: int) -> list:
     """The lines of ``verify suite --format tsv`` over the window (None: the default), which must exit with ``code``."""
     assert main(["verify", suite, "--format", "tsv"] + (["--window", window] if window else [])) == code
@@ -1129,9 +1146,7 @@ class TestReadme:
         section = readme.split("\n### Verified claims\n", 1)[1].split("\n## ", 1)[0]
         listed = [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
                   for line in section.splitlines() if line.startswith("| ") and not line.startswith("| suite ")]
-        emitted = [(suite, row.name) for suite, report in (("A", verify_classical), ("B", verify_genuine),
-                                                          ("presentations", verify_presentations_report))
-                   for row in report()]
+        emitted = [(suite, row.name) for suite in ("A", "B", "presentations") for row in _at_default_window(suite)]
         assert len(emitted) == 35 and listed == emitted
 
 
@@ -1220,8 +1235,8 @@ class TestOneMapBuilder:
 
         monkeypatch.setattr(ltables, "scalar_map", recorded)
         monkeypatch.setattr(GradedMap, "_fill", lambda f, *a: made.append(f) or genuine_fill(f, *a))
-        for suite in (verify_classical, verify_genuine, verify_presentations_report):
-            assert all(item.passed for item in suite())
+        for suite in ("A", "B", "presentations"):
+            assert all(item.passed for item in _at_default_window(suite))
         assert len(built) >= 15 and [f for *_, f in built] == made
         for sources, targets, shift, coeffs, f in built:
             for n in range(window[0], window[1] + 1):
