@@ -16,7 +16,6 @@ from .abelian import (
 )
 from .chain import IntComplex, dual, tensor
 from .forms import (
-    CycEight,
     F2QuadForm,
     LinkingForm,
     SymForm,

@@ -2,15 +2,17 @@
 quadratic linking forms on finite abelian 2-groups.
 
 The Brown-Kervaire invariant is computed from the Gauss sum
-``sum_x exp(2 pi i q(x)) = |G|^(1/2) exp(2 pi i beta / 8)`` evaluated
-exactly in a ring of 2-power cyclotomic integers; no floating point enters
-any invariant.  The Arf invariant of an F2 quadratic form q is beta of the
-linking form q/2, divided by 4, so every value is enumerated by one routine.
+``sum_x exp(2 pi i q(x)) = |G|^(1/2) exp(2 pi i beta / 8)``, both sides
+compared exactly as integer coordinates in the power basis of a 2-power
+cyclotomic ring; no floating point enters any invariant.  The Arf
+invariant of an F2 quadratic form q is beta of the linking form q/2,
+divided by 4, so every value is enumerated by one routine.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,7 +31,6 @@ __all__ = [
     "SymForm",
     "F2QuadForm",
     "LinkingForm",
-    "CycEight",
     "SingularFormError",
     "DegenerateFormError",
     "signature",
@@ -173,98 +174,6 @@ def arf(f: F2QuadForm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic integers of 2-power conductor
-# ---------------------------------------------------------------------------
-
-
-class CycEight(_Slotted):
-    """Element of Z[zeta_N] for a 2-power conductor N (N = 8 by default).
-
-    Coordinates are taken in the power basis 1, zeta, ..., zeta^(N/2 - 1)
-    with zeta^(N/2) = -1; sums and products are exact integer arithmetic
-    and stay inside the ring.
-    """
-
-    __slots__ = ("conductor", "coeffs")
-
-    def __init__(self, coeffs, conductor=8):
-        if conductor < 2 or conductor & (conductor - 1):
-            raise ValueError("conductor must be a power of two >= 2")
-        dim = conductor // 2
-        cs = [int(c) for c in coeffs]
-        if len(cs) > dim:
-            raise ValueError("too many coordinates")
-        cs += [0] * (dim - len(cs))
-        self._set(conductor, tuple(cs))
-
-    @classmethod
-    def zero(cls, conductor=8):
-        return cls([], conductor)
-
-    @classmethod
-    def one(cls, conductor=8):
-        return cls([1], conductor)
-
-    @classmethod
-    def root_power(cls, k, conductor=8):
-        """zeta_N^k, reduced into the power basis."""
-        dim = conductor // 2
-        k %= conductor
-        sign = 1
-        if k >= dim:
-            k -= dim
-            sign = -1
-        coeffs = [0] * dim
-        coeffs[k] = sign
-        return cls(coeffs, conductor)
-
-    def _check(self, other):
-        if self.conductor != other.conductor:
-            raise ValueError("conductor mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return CycEight([a + b for a, b in zip(self.coeffs, other.coeffs)], self.conductor)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycEight([other * a for a in self.coeffs], self.conductor)
-        self._check(other)
-        dim = self.conductor // 2
-        out = [0] * dim
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                k = i + j
-                if k < dim:
-                    out[k] += a * b
-                else:
-                    out[k - dim] -= a * b
-        return CycEight(out, self.conductor)
-
-    __rmul__ = __mul__
-
-    def is_integer(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.is_integer() and self.coeffs[0] == other
-        if not isinstance(other, CycEight):
-            return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.conductor, self.coeffs))
-
-    def __repr__(self):
-        return f"CycEight({list(self.coeffs)!r}, conductor={self.conductor})"
-
-
-# ---------------------------------------------------------------------------
 # Quadratic linking forms on finite 2-groups
 # ---------------------------------------------------------------------------
 
@@ -357,18 +266,6 @@ class LinkingForm(_Slotted):
         """q(x, y) = x y / 2^k on (Z/2^k)^2."""
         d = 1 << k
         return cls(FgAbGroup(0, (d, d)), [0, 0], {(0, 1): Fraction(1, d)})
-
-    @classmethod
-    def from_table(cls, group: FgAbGroup, qvals) -> "LinkingForm":
-        """The form whose value table is ``qvals`` ({coordinates: value}).
-
-        A ValueError is raised unless the table holds one value per element,
-        and names the first element missing from it or where it is not the
-        polynomial of its generator data (``_from_values``).
-        """
-        if len(qvals) != group.order():
-            raise ValueError(f"table holds {len(qvals)} values for {group.order()} elements")
-        return cls._from_values(group, [qvals.get(x) for x in group.elements()])
 
     @classmethod
     def _from_values(cls, group: FgAbGroup, values) -> "LinkingForm":
@@ -516,42 +413,51 @@ def nondegenerate(L: LinkingForm) -> bool:
     return map_cokernel_group(IntMatrix(M, shape=(k, k)), L.group, L.group).is_trivial()
 
 
-def gauss_sum(L: LinkingForm) -> CycEight:
-    """Exact Gauss sum of the linking form in Z[zeta_N], N = 8 den for the common denominator den of its values."""
+def gauss_sum(L: LinkingForm) -> tuple:
+    """Exact Gauss sum of the linking form: its coordinates in the power basis 1, zeta, ..., zeta^(N/2 - 1) of Z[zeta_N].
+
+    N = 8 den for the common denominator den of its values, and zeta^(N/2) = -1,
+    so q(x) = v / den adds 1 at position 8 v, or -1 at 8 v - N/2 when 8 v >= N/2.
+    """
     den, values = L._numerators()
-    N = 8 * den
-    # count the exponents of zeta_N, then fold with zeta^(k + N/2) = -zeta^k
-    counts = [0] * N
-    step = N // den
-    for v in values:
-        counts[v * step] += 1
-    half = N // 2
-    return CycEight([counts[k] - counts[k + half] for k in range(half)], N)
+    half = 4 * den
+    s = [0] * half
+    for v, count in Counter(values).items():
+        if 8 * v < half:
+            s[8 * v] += count
+        else:
+            s[8 * v - half] -= count
+    return tuple(s)
 
 
 def brown_kervaire(L: LinkingForm) -> int:
     """The Z/8-valued Gauss-sum invariant beta.
 
-    Solves sum_x exp(2 pi i q(x)) = |G|^(1/2) zeta_8^beta exactly in the
-    cyclotomic ring.  Where the polarisation has radical R, |sum|^2 is
-    |G| |R| when q vanishes on R and 0 otherwise, so the Milgram norm
-    identity |sum|^2 = |G| holds exactly when the form is nondegenerate,
-    and then Milgram's formula gives a beta; where no beta satisfies it the
-    form is degenerate and an error is raised.
+    Solves sum_x exp(2 pi i q(x)) = |G|^(1/2) zeta_8^beta exactly in Z[zeta_N].
+    The power basis is a Z-basis of the ring, so the two sides agree exactly
+    when their coordinates do: with |G| = 2^t the right side is
+    2^(t/2) zeta_8^beta, or 2^((t-1)/2) (zeta_8^(beta+1) + zeta_8^(beta-1))
+    for odd t, since sqrt(2) = zeta_8 + zeta_8^(-1), and each power of
+    zeta_8 = zeta^(N/8) is +-1 at one position.  Where the polarisation has
+    radical R, |sum|^2 is |G| |R| when q vanishes on R and 0 otherwise, so
+    the Milgram norm identity |sum|^2 = |G| holds exactly when the form is
+    nondegenerate, and then Milgram's formula gives a beta; where no beta
+    satisfies it the form is degenerate and an error is raised.
     """
     order = L.group.order()
     if order == 1:
         return 0
     s = gauss_sum(L)
-    t = order.bit_length() - 1
-    n = s.conductor
-    if t % 2 == 0:
-        magnitude = CycEight([1 << (t // 2)], n)
-    else:
-        # sqrt(2) = zeta_8 + zeta_8^(-1) lies in the ring
-        sqrt2 = CycEight.root_power(n // 8, n) + CycEight.root_power(-(n // 8), n)
-        magnitude = (1 << ((t - 1) // 2)) * sqrt2
+    half, t = len(s), order.bit_length() - 1
+    nonzero = {k: c for k, c in enumerate(s) if c}
+
+    def root(e, c):
+        """c zeta_8^e as (position, coordinate)."""
+        p = e % 8 * half // 4
+        return (p, c) if p < half else (p - half, -c)
+
+    shifts = (1, -1) if t % 2 else (0,)
     for beta in range(8):
-        if magnitude * CycEight.root_power(beta * (n // 8), n) == s:
+        if dict(root(beta + e, 1 << t // 2) for e in shifts) == nonzero:
             return beta
     raise DegenerateFormError("Gauss-sum norm identity fails; form is degenerate")

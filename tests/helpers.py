@@ -8,7 +8,8 @@ presentation whose families are expanded into plain rules, the
 generator-product check at every degree through ``reduce``, Hom/Ext by
 exhaustive enumeration, Ext by an explicit free resolution, Kunneth groups
 from closed formulas, Gauss sums in floating point and one root of unity
-at a time, quadratic functions by checking homogeneity and
+at a time, multiplied in the cyclotomic ring coordinate by coordinate,
+quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
 sums of linking forms element by element, and a linking-form file through
 a table keyed by coordinates; the Arf invariant by counting
@@ -40,7 +41,7 @@ from unittest import mock
 from lspectra import cli, ltables, poincare
 from lspectra.abelian import FgAbGroup, IntMatrix, _parse_int, _respects_order, cokernel, smith_normal_form
 from lspectra.chain import IntComplex
-from lspectra.forms import CycEight, DegenerateFormError, F2QuadForm, LinkingForm, SymForm, _parse_value
+from lspectra.forms import DegenerateFormError, F2QuadForm, LinkingForm, SymForm, _parse_value
 from lspectra.graded import GradedGroup
 from lspectra.ltables import ONE, RingPresentation, mono, mono_mul, presentation
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
@@ -849,14 +850,18 @@ def form_from_json_by_dict(doc) -> LinkingForm:
 
 
 def gauss_sum_by_elements(group, table, conductor):
-    """The Gauss sum accumulated one root of unity per element."""
-    from lspectra.forms import CycEight
-
-    total = CycEight.zero(conductor)
+    """The Gauss sum accumulated one root of unity per element, as coordinates in the power basis of Z[zeta_N]."""
+    total = (0,) * (conductor // 2)
     for x in elements_of(group):
         v = table[x]
-        total = total + CycEight.root_power(v.numerator * (conductor // v.denominator), conductor)
+        total = tuple(map(sum, zip(total, root_power(v.numerator * (conductor // v.denominator), conductor))))
     return total
+
+
+def form_file(group, qvals) -> dict:
+    """The form-file document {"factors", "q"} of a value table, each key "(x_1,...,x_k)" and each value its text."""
+    return {"factors": list(group.torsion),
+            "q": {"(" + ",".join(map(str, x)) + ")": str(v) for x, v in qvals.items()}}
 
 
 # -- a structured complex whose homology hides behind unimodular bases -------------
@@ -1085,22 +1090,51 @@ def lift_exponent_by_search(S: StructuredComplex) -> int:
 
 
 # -- the Milgram norm: |x|^2 in Z[zeta_N] -------------------------------------------
+# An element of Z[zeta_N], N a power of 2, is the tuple of its N/2 coordinates
+# in the power basis 1, zeta, ..., zeta^(N/2 - 1), where zeta^(N/2) = -1.
 
 
-def conjugate(x: CycEight) -> CycEight:
+def root_power(k, conductor):
+    """zeta_N^k, reduced into the power basis."""
+    half = conductor // 2
+    k %= conductor
+    x = [0] * half
+    x[k % half] = 1 if k < half else -1
+    return tuple(x)
+
+
+def cyclotomic_product(x, y):
+    """x y in Z[zeta_N], every pair of coordinates multiplied and folded with zeta^(N/2) = -1."""
+    half = len(x)
+    out = [0] * half
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j < half:
+                out[i + j] += a * b
+            else:
+                out[i + j - half] -= a * b
+    return tuple(out)
+
+
+def conjugate(x):
     """Complex conjugation zeta -> zeta^(-1) of a cyclotomic integer."""
-    dim = x.conductor // 2
-    out = [0] * dim
-    out[0] = x.coeffs[0]
-    for i in range(1, dim):
-        # zeta^(-i) = -zeta^(dim - i)
-        out[dim - i] -= x.coeffs[i]
-    return CycEight(out, x.conductor)
+    half = len(x)
+    out = [0] * half
+    out[0] = x[0]
+    for i in range(1, half):
+        # zeta^(-i) = -zeta^(half - i)
+        out[half - i] -= x[i]
+    return tuple(out)
 
 
-def norm_squared(x: CycEight) -> CycEight:
+def norm_squared(x):
     """|x|^2 = x times its conjugate; Milgram's theorem makes it |G| for the Gauss sum of a nondegenerate form."""
-    return x * conjugate(x)
+    return cyclotomic_product(x, conjugate(x))
+
+
+def as_integer(x):
+    """The rational integer the cyclotomic integer x is, or None where x is not one."""
+    return None if any(x[1:]) else x[0]
 
 
 # -- graded tables on another window -----------------------------------------------

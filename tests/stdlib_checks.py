@@ -131,8 +131,9 @@ def verb_help():
 @check
 def input_files():
     # one interpreter, files read by --input: a finite table (GradedGroup.from_json, the finite branch of
-    # derive_table), whose dual and torsor exit 0; E tensor F as a structured complex; the largest form file
-    # beta reads, 2^12 elements (six hyperbolic planes), then with one key respelled (00,...)
+    # derive_table), whose dual and torsor exit 0; then beta, whose printed value is read: 4 on E tensor F as a
+    # structured complex, 0 on the largest form file beta reads, 2^12 elements (six hyperbolic planes), and 0 with
+    # one key respelled (00,...), and 3 on 3 x^2 / 2^13 on Z/2^12, the largest conductor N = 2^16
     import functools
     import json
     import tempfile
@@ -153,11 +154,17 @@ def input_files():
         key = "(" + ",".join(["0"] * 12) + ")"
         respelled = json.loads(json.dumps(planes))
         respelled["q"]["(0" + key[1:]] = respelled["q"].pop(key)
-        argvs = [["dual", "--input", finite, "--format", "tsv"], ["torsor", "--input", finite, "--period", "4"],
-                 ["invariant", "--name", "beta", "--input", ef],
-                 ["invariant", "--name", "beta", "--input", written("planes.json", planes)],
-                 ["invariant", "--name", "beta", "--input", written("respelled.json", respelled)]]
-        failed = [" ".join(argv[:2]) for argv in argvs if captured(argv)[0]]
+        betas = {ef: 4, written("planes.json", planes): 0, written("respelled.json", respelled): 0,
+                 written("cyclic.json", LinkingForm.cyclic(12, 3).to_json()): 3}
+        runs = [(["dual", "--input", finite, "--format", "tsv"], None),
+                (["torsor", "--input", finite, "--period", "4"], None)]
+        runs += [(["invariant", "--name", "beta", "--input", path], value) for path, value in betas.items()]
+        failed = []
+        for argv, value in runs:
+            code, out = captured(argv)
+            if code or value is not None and json.loads(out)["value"] != value:
+                path = argv[argv.index("--input") + 1]
+                failed.append(f"{argv[0]} {os.path.basename(path)}: exit {code}, {out.strip()}")
     return not failed or ", ".join(failed)
 
 

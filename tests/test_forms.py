@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 from lspectra import forms
 from lspectra.abelian import FgAbGroup, IntMatrix
+from lspectra.cli import main
 from lspectra.forms import (
-    CycEight,
     DegenerateFormError,
     E8_GRAM,
     F2QuadForm,
@@ -24,11 +25,14 @@ from lspectra.forms import (
 
 from helpers import (
     arf_by_counting,
+    as_integer,
     block_sum,
     check_quadratic_by_pairs,
     conjugate,
+    cyclotomic_product,
     direct_sum_by_elements,
     f2_nondegenerate_by_elimination,
+    form_file,
     form_from_json_by_dict,
     gauss_sum_by_elements,
     gauss_sum_float,
@@ -38,6 +42,7 @@ from helpers import (
     polarization_by_elements,
     random_generator_data,
     random_linking_form,
+    root_power,
     skew_unit,
     two_rank_parity,
 )
@@ -182,29 +187,25 @@ def _random_gl_f2(rng, n):
             return m
 
 
-class TestCyclotomic:
-    def test_zeta8_powers(self):
-        z = CycEight.root_power(1)
-        assert z * z * z * z == CycEight([-1])
-        prod = CycEight.one()
-        for _ in range(8):
-            prod = prod * z
-        assert prod == CycEight.one()
+def _from_table(group, qvals):
+    """The form of a value table, read from its form file as ``invariant --name beta`` reads one."""
+    return LinkingForm.from_json(form_file(group, qvals))
 
+
+class TestCyclotomic:
     def test_conjugation_norm(self):
-        x = CycEight([1, 2, 0, -1])
-        n = norm_squared(x)
+        n = norm_squared((1, 2, 0, -1))
         # |x|^2 is fixed by conjugation
         assert conjugate(n) == n
 
     def test_sqrt2(self):
-        s = CycEight.root_power(1) + CycEight.root_power(-1)
-        assert s * s == CycEight([2])
+        s = tuple(map(sum, zip(root_power(1, 8), root_power(-1, 8))))
+        assert cyclotomic_product(s, s) == (2, 0, 0, 0)
 
 
 class TestLinkingForms:
     def test_half_valued_plane_beta_four(self):
-        q = LinkingForm.from_table(
+        q = _from_table(
             FgAbGroup(0, (2, 2)),
             {
                 (0, 0): Fraction(0),
@@ -218,25 +219,25 @@ class TestLinkingForms:
         assert nondegenerate(q)
 
     def test_quarter_on_z2(self):
-        q = LinkingForm.from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 4)})
+        q = _from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 4)})
         assert brown_kervaire(q) == 1
         assert nondegenerate(q)
         s = gauss_sum(q)
         # 1 + i = sqrt(2) zeta_8 exactly
-        assert norm_squared(s) == 2
+        assert as_integer(norm_squared(s)) == 2
 
     def test_trivial(self):
-        q = LinkingForm.from_table(FgAbGroup(), {(): Fraction(0)})
+        q = _from_table(FgAbGroup(), {(): Fraction(0)})
         assert brown_kervaire(q) == 0
 
     def test_degenerate_raises(self):
-        q = LinkingForm.from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
+        q = _from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
         assert not nondegenerate(q)
         with pytest.raises(DegenerateFormError):
             brown_kervaire(q)
 
     def test_check_quadratic_examples(self):
-        LinkingForm.from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
+        _from_table(FgAbGroup(0, (2,)), {(0,): Fraction(0), (1,): Fraction(1, 2)})
         corrupted = {
             (0, 0): Fraction(0),
             (1, 0): Fraction(1, 2),
@@ -244,11 +245,11 @@ class TestLinkingForms:
             (1, 1): Fraction(1, 4),
         }
         with pytest.raises(ValueError):
-            LinkingForm.from_table(FgAbGroup(0, (2, 2)), corrupted)
+            _from_table(FgAbGroup(0, (2, 2)), corrupted)
         # q(g) = 0 gives the zero polynomial on Z/4, which the table leaves at 3
         z4 = {(0,): Fraction(0), (1,): Fraction(0), (2,): Fraction(0), (3,): Fraction(1, 2)}
         with pytest.raises(ValueError, match=r"q\(3,\) = 1/2"):
-            LinkingForm.from_table(FgAbGroup(0, (4,)), z4)
+            _from_table(FgAbGroup(0, (4,)), z4)
 
     def test_additivity_and_norm_identity_on_random_forms(self):
         rng = random.Random(101)
@@ -258,7 +259,7 @@ class TestLinkingForms:
             s = a.direct_sum(b)
             assert a.group.order() * b.group.order() <= 256
             assert nondegenerate(s)
-            assert norm_squared(gauss_sum(s)) == s.group.order()
+            assert as_integer(norm_squared(gauss_sum(s))) == s.group.order()
             assert brown_kervaire(s) == (brown_kervaire(a) + brown_kervaire(b)) % 8
             # float cross-check of the Gauss-sum phase
             z = gauss_sum_float(s)
@@ -406,9 +407,9 @@ class TestFormReader:
 
 
 def _accepted(group, table):
-    """Does from_table accept the table?"""
+    """Does the form file of the table read?"""
     try:
-        LinkingForm.from_table(group, table)
+        _from_table(group, table)
     except ValueError:
         return False
     return True
@@ -522,7 +523,7 @@ class TestGeneratorData:
             assert L.b(x, y) == polarization_by_elements(L.group, table, x, y)
             assert nondegenerate(L) == nondegenerate_by_elements(L.group, table)
             degenerate += not nondegenerate(L)
-            assert LinkingForm.from_table(L.group, table) == L
+            assert _from_table(L.group, table) == L
             if i % 3:
                 M = random_linking_form(rng, max_order=4)
             else:
@@ -562,15 +563,38 @@ class TestGeneratorData:
 class TestGaussSum:
     def test_matches_one_root_per_element(self):
         rng = random.Random(909)
-        for i in range(60):
-            if i % 2:
-                L = random_linking_form(rng, max_order=256)
-            else:
-                L = LinkingForm(*random_generator_data(rng, max_order=64))
+        pieces = ([LinkingForm.cyclic(k, a) for k in range(1, 7) for a in (1, 3, 5, 7)]
+                  + [LinkingForm.hyperbolic(k) for k in range(1, 4)])
+        randoms = [random_linking_form(rng, max_order=256) if i % 2 else
+                   LinkingForm(*random_generator_data(rng, max_order=64)) for i in range(60)]
+        for L in pieces + randoms:
             table = L.qvals
             s = gauss_sum(L)
-            assert s.conductor == 8 * max(v.denominator for v in table.values())
-            assert s == gauss_sum_by_elements(L.group, table, s.conductor)
+            conductor = 2 * len(s)
+            assert conductor == 8 * max(v.denominator for v in table.values())
+            assert s == gauss_sum_by_elements(L.group, table, conductor)
+
+
+class TestBetaAtLargeConductors:
+    """beta of a x^2 / 2^(k+1) on Z/2^k, up to the conductor N = 2^16 of the largest cyclic group beta reads."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_cyclic_forms(self, k):
+        for a in (1, 3, 5, 7):
+            L = LinkingForm.cyclic(k, a)
+            beta = brown_kervaire(L)
+            # even k: beta = a; odd k: beta = 1 for a = 1, 5 and 7 for a = 3, 7
+            assert beta == (a if k % 2 == 0 else 1 if a % 4 == 1 else 7)
+            expected = cmath.rect((1 << k) ** 0.5, 2 * cmath.pi * beta / 8)
+            assert abs(gauss_sum_float(L) - expected) < 1e-6 * (1 << k)
+
+    def test_largest_conductor_through_the_cli(self, tmp_path, capsys):
+        L = LinkingForm.cyclic(12, 3)
+        assert 2 * len(gauss_sum(L)) == 1 << 16
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(L.to_json()))
+        assert main(["invariant", "--name", "beta", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"invariant": "beta", "value": 3}
 
 
 class TestBetaOnEveryForm:
@@ -585,7 +609,7 @@ class TestBetaOnEveryForm:
         for a in itertools.product(*steps):
             for b in (pair_steps if len(factors) == 2 else [0]):
                 form = LinkingForm(group, a, {(0, 1): b} if len(factors) == 2 else {})
-                norm = norm_squared(gauss_sum(form))
+                norm = as_integer(norm_squared(gauss_sum(form)))
                 if nondegenerate(form):
                     assert norm == group.order()
                     assert brown_kervaire(form) in range(8)

@@ -19,7 +19,7 @@ from lspectra.poincare import (
     tensor_structured,
 )
 
-from helpers import (hidden_e_tensor_f_plus_h, lift_exponent_by_search, not_poincare_f, padded_e_tensor_f,
+from helpers import (form_file, hidden_e_tensor_f_plus_h, lift_exponent_by_search, not_poincare_f, padded_e_tensor_f,
                      perturbed_lifts, structure_failures_by_entry, structure_failures_by_range, unchecked)
 
 
@@ -242,7 +242,7 @@ class TestLinkingForm:
             (0, 1): Fraction(1, 2),
             (1, 1): Fraction(1, 2),
         }
-        assert LinkingForm.from_table(form.group, form.qvals) == form
+        assert LinkingForm.from_json(form_file(form.group, form.qvals)) == form
         assert nondegenerate(form)
 
     def test_trivial_homology(self):
@@ -316,7 +316,7 @@ class TestRandomizedTwoTorsion:
             assert poincare_check(t)
             assert lift_exponent_by_search(t) == _derived_lift_exponent(t)
             form = linking_form(t)
-            assert LinkingForm.from_table(form.group, form.qvals) == form
+            assert LinkingForm.from_json(form_file(form.group, form.qvals)) == form
             assert nondegenerate(form)
             assert brown_kervaire(form) == expected
 

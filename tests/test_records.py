@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from lspectra.abelian import FgAbGroup, IntMatrix, SnfResult, smith_normal_form
-from lspectra.forms import CycEight, F2QuadForm, LinkingForm, SymForm
+from lspectra.forms import F2QuadForm, LinkingForm, SymForm
 from lspectra.graded import GradedGroup, GradedMap, SesDatum
 from lspectra.ltables import CheckResult, RingPresentation, mono, mult_by, presentation, table
 from lspectra.poincare import StructuredComplex, representative, tensor_structured
@@ -170,8 +170,7 @@ class TestStartUp:
 
 # one value of each slotted class that refuses assignment, and a record holding one
 IMMUTABLE = [IntMatrix([[1, -2], [0, 3]]), table("Lgs", (-8, 8)), mult_by("Ls", "x", table("Ls", (-8, 8))),
-             CycEight([1, 0, -1]), LinkingForm.hyperbolic(2),
-             tensor_structured(representative("E"), representative("F")), SymForm(IntMatrix([[2, 1], [1, 2]]))]
+             LinkingForm.hyperbolic(2), tensor_structured(representative("E"), representative("F")), SymForm(IntMatrix([[2, 1], [1, 2]]))]
 
 
 @pytest.mark.parametrize("value", IMMUTABLE, ids=[type(value).__name__ for value in IMMUTABLE])
@@ -194,5 +193,5 @@ class TestPickle:
 
 
 def test_every_immutable_class_is_pickled():
-    assert {type(v) for v in IMMUTABLE} == {IntMatrix, GradedGroup, GradedMap, CycEight, LinkingForm,
+    assert {type(v) for v in IMMUTABLE} == {IntMatrix, GradedGroup, GradedMap, LinkingForm,
                                             StructuredComplex, SymForm}
