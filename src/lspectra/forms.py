@@ -24,6 +24,7 @@ from .abelian import (
     _parse_int,
     _Record,
     _Slotted,
+    _restore,
     map_cokernel_group,
 )
 
@@ -156,10 +157,10 @@ class F2QuadForm(_Record):
         return self.matrix.rows
 
     def linking_form(self) -> "LinkingForm":
-        """q/2 on (Z/2)^dim: a_i = M_ii / 2, and b_ij = 1/2 for each odd M_ij, i < j."""
+        """q/2 on (Z/2)^dim: a_i = M_ii / 2 and b_ij = M_ij / 2, i < j."""
         m, n = self.matrix, self.dim
-        odd = {(i, j): Fraction(1, 2) for i in range(n) for j in range(i + 1, n) if m[i, j] % 2}
-        return LinkingForm(FgAbGroup(0, (2,) * n), [Fraction(m[i, i], 2) for i in range(n)], odd)
+        pairs = {(i, j): m[i, j] for i in range(n) for j in range(i + 1, n)}
+        return LinkingForm._over(FgAbGroup(0, (2,) * n), 2, [m[i, i] for i in range(n)], pairs)
 
 
 def arf(f: F2QuadForm) -> int:
@@ -178,124 +179,111 @@ def arf(f: F2QuadForm) -> int:
 # ---------------------------------------------------------------------------
 
 class LinkingForm(_Slotted):
-    """A quadratic linking form on a finite 2-group, stored as its generator data.
+    """A quadratic linking form on a finite 2-group, stored as its generator data in integers over one den.
 
-    ``a[i] = q(g_i)`` and ``pairs[(i, j)] = b(g_i, g_j)`` (i < j, 0 if left
-    out) mod 1, for the invariant-factor generators g_i of orders d_i, which
-    also give elements their coordinates.  q(x) = sum_i x_i^2 a_i +
-    sum_{i<j} x_i x_j b_ij mod 1 is a function on the group exactly when it
-    descends: d_i^2 a_i, 2 d_i a_i, d_i b_ij and d_j b_ij vanish mod 1, that
-    is, gcd(d_i, 2) d_i a_i and gcd(d_i, d_j) b_ij do.
+    q(g_i) = a[i] / den and b(g_i, g_j) = pairs[(i, j)] / den mod 1 (i < j, 0 if left out, den least) for
+    the invariant-factor generators g_i of orders d_i, which give elements their coordinates.  q(x) =
+    sum_i x_i^2 a_i + sum_{i<j} x_i x_j b_ij mod 1 is a function on the group exactly when it descends:
+    gcd(d_i, 2) d_i a_i and gcd(d_i, d_j) b_ij vanish mod 1, so den is a power of two.
     """
 
-    __slots__ = ("group", "a", "pairs")
+    __slots__ = ("group", "den", "a", "pairs", "_values")
 
     def __init__(self, group: FgAbGroup, a, b):
-        if group.free_rank:
-            raise ValueError("linking forms live on finite groups")
-        if not group.is_two_primary():
-            raise ValueError("linking forms live on 2-groups")
-        d = group.torsion
-        a = tuple(Fraction(v) % 1 for v in a)
-        pairs = {(i, j): Fraction(v) % 1 for (i, j), v in b.items()}
-        if any((gcd(di, 2) * di * ai) % 1 for di, ai in zip(d, a)) or any(
-            (gcd(d[i], d[j]) * v) % 1 for (i, j), v in pairs.items()
-        ):
-            raise ValueError("generator data does not descend to a quadratic function")
-        self._set(group, a, {ij: v for ij, v in pairs.items() if v})
+        a, b = [Fraction(v) for v in a], {ij: Fraction(v) for ij, v in b.items()}
+        den = lcm(*(v.denominator for v in [*a, *b.values()]))
+        self._set(*_checked(group, den, [int(v * den) for v in a], {ij: int(v * den) for ij, v in b.items()}))
+
+    @classmethod
+    def _over(cls, group: FgAbGroup, den: int, a, pairs) -> "LinkingForm":
+        """The form whose a and pairs are the integers given, over den, as ``_checked`` reduces them."""
+        return _restore(cls, _checked(group, den, a, pairs))
 
     # -- evaluation -----------------------------------------------------------
 
     def q(self, x) -> Fraction:
         v = sum(xi * xi * ai for xi, ai in zip(x, self.a))
         v += sum(x[i] * x[j] * bij for (i, j), bij in self.pairs.items())
-        return Fraction(v) % 1
+        return Fraction(v % self.den, self.den)
 
     def b(self, x, y) -> Fraction:
         """Polarization b(x, y) = q(x+y) - q(x) - q(y) mod 1."""
         return (self.q([s + t for s, t in zip(x, y)]) - self.q(x) - self.q(y)) % 1
 
-    def _numerators(self):
-        """(den, values) with q(x) = values[n] / den for the n-th of ``group.elements()``.
-
-        den, the common denominator of the data, is also the largest denominator
-        of a value.  This is the one enumeration of the values, so the one place
-        the desk-scale bound is checked.
-        """
-        _check_enumerable(self.group.order())
-        d = self.group.torsion
-        den = lcm(*(v.denominator for v in self.a), *(v.denominator for v in self.pairs.values()))
-        values = [0]  # den q(x) for x on the first m generators, in product order
-        for m, am in enumerate(self.a):
-            # q(x + t g_m) = q(x) + t^2 a_m + t b(x, g_m), b(x, g_m) = sum_i x_i b_im
-            linear = [0]
-            for i in range(m):
-                c = int(self.pairs.get((i, m), 0) * den)
-                linear = [u + t * c for u in linear for t in range(d[i])]
-            s = int(am * den)
-            values = [v + t * (t * s + u) for v, u in zip(values, linear) for t in range(d[m])]
-        return den, [v % den for v in values]
+    def _numerators(self) -> list:
+        """den q(x) mod den for the n-th x of ``group.elements()``: the one enumeration, kept, and its bound check."""
+        if self._values is None:
+            _check_enumerable(self.group.order())
+            d = self.group.torsion
+            values = [0]  # den q(x) for x on the first m generators, in product order
+            for m, am in enumerate(self.a):
+                # q(x + t g_m) = q(x) + t^2 a_m + t b(x, g_m), b(x, g_m) = sum_i x_i b_im
+                linear = [0]
+                for i in range(m):
+                    c = self.pairs.get((i, m), 0)
+                    linear = [u + t * c for u in linear for t in range(d[i])]
+                values = [v + t * (t * am + u) for v, u in zip(values, linear) for t in range(d[m])]
+            object.__setattr__(self, "_values", [v % self.den for v in values])
+        return self._values
 
     @property
     def qvals(self) -> dict:
         """The value table {coordinates: q(x)}."""
-        den, values = self._numerators()
-        return {x: Fraction(v, den) for x, v in zip(self.group.elements(), values)}
+        return {x: Fraction(v, self.den) for x, v in zip(self.group.elements(), self._numerators())}
 
     def direct_sum(self, other: "LinkingForm") -> "LinkingForm":
         """The orthogonal sum, its generators permuted into ascending order."""
-        k = len(self.group.torsion)
-        d = self.group.torsion + other.group.torsion
+        k, den, d = len(self.group.torsion), lcm(self.den, other.den), self.group.torsion + other.group.torsion
         order = sorted(range(len(d)), key=d.__getitem__)
         position = {old: new for new, old in enumerate(order)}
-        a = self.a + other.a
-        pairs = list(self.pairs.items()) + [((i + k, j + k), v) for (i, j), v in other.pairs.items()]
-        return LinkingForm(FgAbGroup(0, tuple(d[i] for i in order)), [a[i] for i in order],
-                           {tuple(sorted((position[i], position[j]))): v for (i, j), v in pairs})
+        a = [v * den // self.den for v in self.a] + [v * den // other.den for v in other.a]
+        pairs = [(ij, v * den // self.den) for ij, v in self.pairs.items()]
+        pairs += [((i + k, j + k), v * den // other.den) for (i, j), v in other.pairs.items()]
+        return LinkingForm._over(FgAbGroup(0, tuple(d[i] for i in order)), den, [a[i] for i in order],
+                                 {tuple(sorted((position[i], position[j]))): v for (i, j), v in pairs})
 
     # -- builders ----------------------------------------------------------------
 
     @classmethod
     def cyclic(cls, k: int, a: int) -> "LinkingForm":
         """q(x) = a x^2 / 2^(k+1) on Z/2^k; nondegenerate for odd a."""
-        d = 1 << k
-        return cls(FgAbGroup(0, (d,)), [Fraction(a, 2 * d)], {})
+        return cls._over(FgAbGroup(0, (1 << k,)), 2 << k, [a], {})
 
     @classmethod
     def hyperbolic(cls, k: int) -> "LinkingForm":
         """q(x, y) = x y / 2^k on (Z/2^k)^2."""
-        d = 1 << k
-        return cls(FgAbGroup(0, (d, d)), [0, 0], {(0, 1): Fraction(1, d)})
+        return cls._over(FgAbGroup(0, (1 << k, 1 << k)), 1 << k, [0, 0], {(0, 1): 1})
 
     @classmethod
-    def _from_values(cls, group: FgAbGroup, values) -> "LinkingForm":
-        """The form whose value at the n-th of ``group.elements()`` is values[n], None where the table has none.
+    def _from_values(cls, group: FgAbGroup, distinct, index) -> "LinkingForm":
+        """The form whose value at the n-th of ``group.elements()`` is distinct[index[n]], none where index[n] is None.
 
-        a_i and b_ij are read at the positions of g_i and g_i + g_j, and every
-        value p / r is then compared in integers with the polynomial's n / den:
-        p / r = n / den mod 1 is tested as r den dividing p den - n r.  A
-        Fraction's (p, r) is two attributes, read per element: a memo keyed
-        by Fraction would hash each one, which costs more than the test.
+        a_i and b_ij are read at the positions of g_i and g_i + g_j.  Each distinct value p / r maps once to its
+        residue p den / r mod den, none where r does not divide den, and one list comparison with the form's
+        numerators decides the table; only a table that differs is walked, to name the first element where it does.
+        The form keeps its numerators, so ``gauss_sum`` counts this list and enumerates nothing again.
         """
         d, k = group.torsion, len(group.torsion)
-
-        def q(*gens):
+        pairs = list(itertools.combinations(range(k), 2))
+        values = []
+        for gens in [(i,) for i in range(k)] + pairs:  # g_i, then g_i + g_j
             x = tuple(int(i in gens) for i in range(k))
-            v = values[_position(x, d)]
-            if v is None:
+            n = index[_position(x, d)]
+            if n is None:
                 raise ValueError(f"table has no value for the element {x}")
-            return Fraction(v)
-
-        a = [q(i) for i in range(k)]
-        b = {(i, j): q(i, j) - a[i] - a[j] for i, j in itertools.combinations(range(k), 2)}
-        form = cls(group, a, b)
-        den, numerators = form._numerators()
-        for x, v, n in zip(group.elements(), values, numerators):
-            if v is None:
-                raise ValueError(f"table has no value for the element {x}")
-            p, r = v.as_integer_ratio()
-            if (p * den - n * r) % (r * den):
-                raise ValueError(f"table is not quadratic: q{x} = {v}, not {Fraction(n, den)}")
+            values.append(distinct[n])
+        den = lcm(*(v.denominator for v in values))
+        a = [v.numerator * (den // v.denominator) for v in values]
+        form = cls._over(group, den, a[:k], {(i, j): n - a[i] - a[j] for (i, j), n in zip(pairs, a[k:])})
+        den, numerators = form.den, form._numerators()
+        residue = {i: v.numerator * (den // v.denominator) % den
+                   for i, v in enumerate(distinct) if den % v.denominator == 0}
+        if list(map(residue.get, index)) != numerators:
+            for x, i, n in zip(group.elements(), index, numerators):
+                if i is None:
+                    raise ValueError(f"table has no value for the element {x}")
+                if residue.get(i) != n:
+                    raise ValueError(f"table is not quadratic: q{x} = {distinct[i]}, not {Fraction(n, den)}")
         return form
 
     # -- serialisation -------------------------------------------------------------
@@ -310,10 +298,10 @@ class LinkingForm(_Slotted):
     def from_json(cls, doc) -> "LinkingForm":
         """The form of a ``to_json`` document, its values placed by element position.
 
-        A key ``to_json`` writes is placed by one lookup, any other through
-        ``_parse_key``; each distinct value is parsed once, in document order.
-        The key texts are listed only when the file holds one key per element,
-        so a large group with a short table is refused before it is enumerated.
+        The keys ``to_json`` writes, in its order, are placed by one list comparison; otherwise each such key
+        by one lookup, any other through ``_parse_key``.  The key texts are listed only when the file holds one
+        key per element, so a large group with a short table is refused before it is enumerated.  Each distinct
+        value is parsed once, in document order.
         """
         group = FgAbGroup.from_divisors(doc["factors"])
         if list(doc["factors"]) != list(group.torsion):
@@ -321,27 +309,45 @@ class LinkingForm(_Slotted):
                              f"factors {list(group.torsion)} that the keys are written in")
         items = doc["q"].items()
         d, order = group.torsion, group.order()
-        index = dict(zip(_key_texts(d), range(order))) if len(items) == order else {}
-        parsed = {}  # value in the file -> its Fraction
-        named = {}  # element position, or coordinates naming no element -> value
+        texts = _key_texts(d) if len(items) == order else None
+        parsed, distinct = {}, []  # value in the file -> its index in distinct, the values parsed
+        if list(doc["q"]) == texts:
+            return cls._from_values(group, distinct, [_parse_once(parsed, distinct, val) for val in doc["q"].values()])
+        index = dict(zip(texts or (), range(order)))
+        named = {}  # element position, or coordinates naming no element -> index of its value
         for key, val in items:
-            n = index.get(key)
-            if n is None:
-                n = _position(_parse_key(key), d)
-            named[n] = _parse_once(parsed, val)
+            n = index[key] if key in index else _position(_parse_key(key), d)
+            named[n] = _parse_once(parsed, distinct, val)
         if len(named) != len(items):
             raise ValueError("two keys name the same element")
         if len(named) != order:
             raise ValueError(f"table holds {len(named)} values for {order} elements")
-        return cls._from_values(group, [named.get(n) for n in range(order)])
+        return cls._from_values(group, distinct, [named.get(n) for n in range(order)])
 
     def __eq__(self, other):
         if not isinstance(other, LinkingForm):
             return NotImplemented
-        return (self.group, self.a, self.pairs) == (other.group, other.a, other.pairs)
+        return (self.group, self.den, self.a, self.pairs) == (other.group, other.den, other.a, other.pairs)
 
     def __repr__(self):
         return f"LinkingForm(group={self.group.render()!r})"
+
+
+def _checked(group, den, a, pairs) -> tuple:
+    """The slots of the form q(g_i) = a[i] / den, b(g_i, g_j) = pairs[(i, j)] / den, checked, over the least den."""
+    if group.free_rank:
+        raise ValueError("linking forms live on finite groups")
+    if not group.is_two_primary():
+        raise ValueError("linking forms live on 2-groups")
+    d, k = group.torsion, len(group.torsion)
+    if len(a) != k or not all(0 <= i < j < k for i, j in pairs):
+        raise ValueError(f"generator data must be {k} values and pairs (i, j) with 0 <= i < j < {k}")
+    if any(gcd(di, 2) * di * ai % den for di, ai in zip(d, a)) or any(
+            gcd(d[i], d[j]) * v % den for (i, j), v in pairs.items()):
+        raise ValueError("generator data does not descend to a quadratic function")
+    g = gcd(den, *a, *pairs.values())
+    return (group, den // g, tuple(v // g % (den // g) for v in a),
+            {ij: v // g % (den // g) for ij, v in pairs.items() if v % den}, None)
 
 
 def _check_enumerable(order: int):
@@ -364,15 +370,16 @@ def _parse_value(val) -> Fraction:
     return Fraction(val)
 
 
-def _parse_once(parsed, val) -> Fraction:
-    """_parse_value(val), memoised in ``parsed`` for a hashable val."""
+def _parse_once(parsed, distinct, val) -> int:
+    """The index in ``distinct`` of _parse_value(val), appended on first sight and memoised in ``parsed``."""
     try:
         return parsed[val]
     except KeyError:
-        value = parsed[val] = _parse_value(val)
-        return value
+        n = parsed[val] = len(distinct)
     except TypeError:  # unhashable, such as a list: no number, so _parse_value raises
-        return _parse_value(val)
+        n = len(distinct)
+    distinct.append(_parse_value(val))
+    return n
 
 
 def _parse_key(key) -> tuple:
@@ -408,21 +415,20 @@ def nondegenerate(L: LinkingForm) -> bool:
     exactly when it is onto.
     """
     d, k = L.group.torsion, len(L.group.torsion)
-    b = {**{(i, i): 2 * a for i, a in enumerate(L.a)}, **L.pairs}
-    M = [[int(d[j] * b.get((min(i, j), max(i, j)), 0)) for i in range(k)] for j in range(k)]
+    b = {**{(i, i): 2 * a for i, a in enumerate(L.a)}, **L.pairs}  # over L.den, by which d_j b divides exactly
+    M = [[d[j] * b.get((min(i, j), max(i, j)), 0) // L.den for i in range(k)] for j in range(k)]
     return map_cokernel_group(IntMatrix(M, shape=(k, k)), L.group, L.group).is_trivial()
 
 
 def gauss_sum(L: LinkingForm) -> tuple:
     """Exact Gauss sum of the linking form: its coordinates in the power basis 1, zeta, ..., zeta^(N/2 - 1) of Z[zeta_N].
 
-    N = 8 den for the common denominator den of its values, and zeta^(N/2) = -1,
+    N = 8 den for the form's denominator den, and zeta^(N/2) = -1,
     so q(x) = v / den adds 1 at position 8 v, or -1 at 8 v - N/2 when 8 v >= N/2.
     """
-    den, values = L._numerators()
-    half = 4 * den
+    half = 4 * L.den
     s = [0] * half
-    for v, count in Counter(values).items():
+    for v, count in Counter(L._numerators()).items():
         if 8 * v < half:
             s[8 * v] += count
         else:
@@ -444,11 +450,8 @@ def brown_kervaire(L: LinkingForm) -> int:
     nondegenerate, and then Milgram's formula gives a beta; where no beta
     satisfies it the form is degenerate and an error is raised.
     """
-    order = L.group.order()
-    if order == 1:
-        return 0
     s = gauss_sum(L)
-    half, t = len(s), order.bit_length() - 1
+    half, t = len(s), L.group.order().bit_length() - 1
     nonzero = {k: c for k, c in enumerate(s) if c}
 
     def root(e, c):

@@ -20,7 +20,6 @@ that group, read off the homology rather than searched for.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from operator import index
 
@@ -300,11 +299,9 @@ def linking_form(S: StructuredComplex) -> LinkingForm:
     M = (d @ Z).transpose() @ S.psi_matrix(0, 0) @ Z
     if (1, 1) in S.psi:  # an absent psi_1 adds nothing
         M = Z.transpose() @ S.psi[1, 1] @ Z + M
-    denom = 1 << (K + 1)
-    a = [Fraction(M[i, i], denom) for i in range(M.rows)]
-    b = {(i, j): Fraction(M[i, j] + M[j, i], denom) for i, j in combinations(range(M.rows), 2)}
+    b = {(i, j): M[i, j] + M[j, i] for i, j in combinations(range(M.rows), 2)}
     try:
-        form = LinkingForm(H, a, b)
+        form = LinkingForm._over(H, 1 << (K + 1), [M[i, i] for i in range(M.rows)], b)
     except ValueError:
         raise InvalidStructureError("extracted values are not a quadratic function") from None
     if not nondegenerate(form):

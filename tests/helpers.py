@@ -11,9 +11,10 @@ from closed formulas, Gauss sums in floating point and one root of unity
 at a time, multiplied in the cyclotomic ring coordinate by coordinate,
 quadratic functions by checking homogeneity and
 bilinearity over all pairs of elements, and nondegeneracy and orthogonal
-sums of linking forms element by element, and a linking-form file through
-a table keyed by coordinates; the Arf invariant by counting
-the zeros of q; the lift exponent of a linking form by a search over
+sums of linking forms element by element, the values of a linking form
+summed per element in Fractions from its generator data, and a
+linking-form file through a table keyed by coordinates; the Arf invariant
+by counting the zeros of q; the lift exponent of a linking form by a search over
 2-powers per generator; the text of a table by rendering each degree;
 the integer-matrix kernels (products, transposes, sums, Kronecker products,
 blocks, solves, kernels, homology lifts) and the structure relations entry
@@ -39,7 +40,8 @@ from operator import mul
 from unittest import mock
 
 from lspectra import cli, ltables, poincare
-from lspectra.abelian import FgAbGroup, IntMatrix, _parse_int, _respects_order, cokernel, smith_normal_form
+from lspectra.abelian import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, FgAbGroup, IntMatrix, _parse_int,
+                              _respects_order, cokernel, smith_normal_form)
 from lspectra.chain import IntComplex
 from lspectra.forms import DegenerateFormError, F2QuadForm, LinkingForm, SymForm, _parse_value
 from lspectra.graded import GradedGroup
@@ -841,12 +843,25 @@ def form_from_json_by_dict(doc) -> LinkingForm:
     a = [q(i) for i in range(k)]
     b = {(i, j): q(i, j) - a[i] - a[j] for i, j in itertools.combinations(range(k), 2)}
     form = LinkingForm(group, a, b)
-    den, values = form._numerators()
-    for x, n in zip(group.elements(), values):
-        p, r = value(x).as_integer_ratio()
-        if (p * den - n * r) % (r * den):
-            raise ValueError(f"table is not quadratic: q{x} = {qvals[x]}, not {Fraction(n, den)}")
+    if group.order() > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError("group order exceeds the desk-scale bound")
+    expected = qvals_by_generator_data(form)
+    for x in elements_of(group):
+        if (value(x) - expected[x]) % 1:
+            raise ValueError(f"table is not quadratic: q{x} = {qvals[x]}, not {expected[x]}")
     return form
+
+
+def qvals_by_generator_data(L: LinkingForm) -> dict:
+    """{x: q(x)}, each q(x) = sum_i x_i^2 a_i + sum_(i<j) x_i x_j b_ij mod 1 summed in Fractions.
+
+    a_i and b_ij are the Fractions of ``L.a`` and ``L.pairs`` over ``L.den``.
+    """
+    a = [Fraction(v, L.den) for v in L.a]
+    pairs = {ij: Fraction(v, L.den) for ij, v in L.pairs.items()}
+    return {x: (sum((xi * xi * ai for xi, ai in zip(x, a) if xi), Fraction(0))
+                + sum(x[i] * x[j] * v for (i, j), v in pairs.items() if x[i] and x[j])) % 1
+            for x in elements_of(L.group)}
 
 
 def gauss_sum_by_elements(group, table, conductor):

@@ -132,10 +132,14 @@ def verb_help():
 def input_files():
     # one interpreter, files read by --input: a finite table (GradedGroup.from_json, the finite branch of
     # derive_table), whose dual and torsor exit 0; then beta, whose printed value is read: 4 on E tensor F as a
-    # structured complex, 0 on the largest form file beta reads, 2^12 elements (six hyperbolic planes), and 0 with
-    # one key respelled (00,...), and 3 on 3 x^2 / 2^13 on Z/2^12, the largest conductor N = 2^16
+    # structured complex, 0 on the largest form file beta reads, 2^12 elements (six hyperbolic planes), 0 with
+    # one key respelled (00,...) and 0 with its keys shuffled, and 3 on 3 x^2 / 2^13 on Z/2^12, the largest
+    # conductor N = 2^16; the planes with the value at (1,...,1) changed exit 2 and name that element
+    import contextlib
     import functools
+    import io
     import json
+    import random
     import tempfile
 
     from lspectra.forms import LinkingForm
@@ -154,8 +158,11 @@ def input_files():
         key = "(" + ",".join(["0"] * 12) + ")"
         respelled = json.loads(json.dumps(planes))
         respelled["q"]["(0" + key[1:]] = respelled["q"].pop(key)
+        shuffled = {"factors": planes["factors"], "q": dict(random.Random(12).sample(list(planes["q"].items()), 4096))}
+        changed = json.loads(json.dumps(planes))
+        changed["q"]["(" + ",".join(["1"] * 12) + ")"] = "1/2"
         betas = {ef: 4, written("planes.json", planes): 0, written("respelled.json", respelled): 0,
-                 written("cyclic.json", LinkingForm.cyclic(12, 3).to_json()): 3}
+                 written("shuffled.json", shuffled): 0, written("cyclic.json", LinkingForm.cyclic(12, 3).to_json()): 3}
         runs = [(["dual", "--input", finite, "--format", "tsv"], None),
                 (["torsor", "--input", finite, "--period", "4"], None)]
         runs += [(["invariant", "--name", "beta", "--input", path], value) for path, value in betas.items()]
@@ -165,6 +172,12 @@ def input_files():
             if code or value is not None and json.loads(out)["value"] != value:
                 path = argv[argv.index("--input") + 1]
                 failed.append(f"{argv[0]} {os.path.basename(path)}: exit {code}, {out.strip()}")
+        err, path = io.StringIO(), written("changed.json", changed)
+        with contextlib.redirect_stderr(err):
+            code, _ = captured(["invariant", "--name", "beta", "--input", path])
+        expected = f"error: {path}: ValueError: table is not quadratic: q{(1,) * 12} = 1/2, not 0\n"
+        if (code, err.getvalue()) != (2, expected):
+            failed.append(f"invariant changed.json: exit {code}, {err.getvalue().strip()}")
     return not failed or ", ".join(failed)
 
 

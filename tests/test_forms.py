@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import json
 import random
@@ -22,6 +23,7 @@ from lspectra.forms import (
     nondegenerate,
     signature,
 )
+from lspectra.poincare import representative, tensor_structured
 
 from helpers import (
     arf_by_counting,
@@ -40,6 +42,7 @@ from helpers import (
     norm_squared,
     orthogonal_sum,
     polarization_by_elements,
+    qvals_by_generator_data,
     random_generator_data,
     random_linking_form,
     root_power,
@@ -215,7 +218,7 @@ class TestLinkingForms:
             },
         )
         assert brown_kervaire(q) == 4
-        assert (q.a, q.pairs) == ((Fraction(1, 2),) * 2, {(0, 1): Fraction(1, 2)})
+        assert (q.den, q.a, q.pairs) == (2, (1, 1), {(0, 1): 1})
         assert nondegenerate(q)
 
     def test_quarter_on_z2(self):
@@ -386,6 +389,32 @@ class TestFormReader:
                 ("ValueError", "invalid", "literal"), ("ValueError", "Invalid", "literal"),
                 ("ZeroDivisionError", "Fraction(1,", "0)"), ("TypeError", "argument", "should")} <= seen, seen
 
+    def test_matches_the_table_reader_up_to_the_bound(self):
+        # keys in to_json order, shuffled and with one respelled, and one value changed at the first and at the
+        # last element, on forms of up to 2^12 elements
+        rng = random.Random(1212)
+        cases = [functools.reduce(LinkingForm.direct_sum, [LinkingForm.hyperbolic(1)] * 6), LinkingForm.cyclic(12, 3)]
+        cases += [random_linking_form(rng, max_order=1 << 12) if i % 2 else
+                  LinkingForm(*random_generator_data(rng, max_order=1 << 12)) for i in range(8)]
+        assert max(L.group.order() for L in cases) == 1 << 12
+        outcomes = set()
+        for form in cases:
+            factors, items = form.to_json()["factors"], list(form.to_json()["q"].items())
+            shuffled = rng.sample(items, len(items))
+            i = rng.randrange(len(items))
+            respelled = items[:i] + [(_respelled(rng, items[i][0]), items[i][1])] + items[i + 1:]
+            for keys in (items, shuffled, respelled):
+                doc = {"factors": factors, "q": dict(keys)}
+                assert _read(LinkingForm.from_json, doc) == _read(form_from_json_by_dict, doc) == ("value", form)
+            for n in (0, -1):
+                key, value = items[n]
+                doc = {"factors": factors, "q": {**dict(items), key: str((Fraction(value) + Fraction(1, 2)) % 1)}}
+                outcome = _read(LinkingForm.from_json, doc)
+                assert outcome == _read(form_from_json_by_dict, doc), (n, doc)
+                outcomes.add(outcome[0] if outcome[0] == "value" else outcome[2].split(" = ")[0])
+        zero = "(" + ", ".join(["0"] * 12) + ")"
+        assert {f"table is not quadratic: q{zero}", "table is not quadratic: q(4095,)"} <= outcomes, outcomes
+
     def test_huge_declared_group_with_a_short_table(self):
         doc = {"factors": [2] * 40, "q": {"(0)": "0", "(1)": "1/2", "(0,1)": "1/4", "(1,1)": "3/4"}}
         expected = ("raises", ValueError, f"table holds 4 values for {1 << 40} elements")
@@ -532,11 +561,27 @@ class TestGeneratorData:
             assert (s.group, s.qvals) == direct_sum_by_elements(L, M)
         assert degenerate > 50
 
+    def test_one_value_per_generator(self):
+        # with one value short, the table of (Z/2)^2 would hold 2 values for its 4 elements
+        group = FgAbGroup(0, (2, 2))
+        message = r"^generator data must be 2 values and pairs \(i, j\) with 0 <= i < j < 2$"
+        for a in ([Fraction(1, 2)], [], [0, 0, Fraction(1, 2)]):
+            with pytest.raises(ValueError, match=message):
+                LinkingForm(group, a, {})
+
+    def test_pair_keys_name_two_generators_in_order(self):
+        # (1, 0) names no pair i < j: q would read it and the enumeration skip it, so q(1, 1) would not be qvals[(1, 1)]
+        group = FgAbGroup(0, (2, 2))
+        for key in ((1, 0), (0, 0), (0, 2), (-1, 1), (2, 3)):
+            with pytest.raises(ValueError, match="^generator data must be 2 values and pairs"):
+                LinkingForm(group, [0, 0], {key: Fraction(1, 2)})
+        L = LinkingForm(group, [0, 0], {(0, 1): Fraction(1, 2)})
+        assert L.q((1, 1)) == L.qvals[(1, 1)] == Fraction(1, 2)
+
     def test_direct_sum_permutes_into_ascending_order(self):
         s = LinkingForm.cyclic(3, 1).direct_sum(LinkingForm.hyperbolic(1))
         assert s.group.torsion == (2, 2, 8)
-        assert s.a == (0, 0, Fraction(1, 16))
-        assert s.pairs == {(0, 1): Fraction(1, 2)}
+        assert (s.den, s.a, s.pairs) == (16, (0, 0, 1), {(0, 1): 8})
 
     def test_value_table_is_bounded(self):
         L = LinkingForm.cyclic(1, 1)
@@ -568,11 +613,30 @@ class TestGaussSum:
         randoms = [random_linking_form(rng, max_order=256) if i % 2 else
                    LinkingForm(*random_generator_data(rng, max_order=64)) for i in range(60)]
         for L in pieces + randoms:
-            table = L.qvals
+            table = qvals_by_generator_data(L)
             s = gauss_sum(L)
             conductor = 2 * len(s)
             assert conductor == 8 * max(v.denominator for v in table.values())
             assert s == gauss_sum_by_elements(L.group, table, conductor)
+
+
+class TestOneEnumerationPerOp:
+    """``invariant --name beta`` enumerates the values of its form once: ``gauss_sum`` counts the list that
+    reading a form file checked, and a structured complex's form is enumerated by ``gauss_sum`` alone."""
+
+    @pytest.mark.parametrize("doc", [skew_unit(2).direct_sum(LinkingForm.cyclic(3, 5)).to_json(),
+                                     tensor_structured(representative("E"), representative("F")).to_json()],
+                             ids=["form file", "structured complex"])
+    def test_beta_enumerates_once(self, doc, tmp_path, monkeypatch, capsys):
+        # the enumeration is the one place the desk-scale bound is checked, so each check is one enumeration
+        enumerated = []
+        genuine = forms._check_enumerable
+        monkeypatch.setattr(forms, "_check_enumerable", lambda order: enumerated.append(order) or genuine(order))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main(["invariant", "--name", "beta", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] in range(8)
+        assert enumerated == [128 if "factors" in doc else 4]
 
 
 class TestBetaAtLargeConductors:
